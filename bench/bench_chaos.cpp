@@ -13,8 +13,8 @@
 //   * an armed netsim plan (timeouts + retries) must aggregate identically
 //     across thread counts.
 //
-// Writes BENCH_chaos.json. Quick smoke run under ctest (label: bench);
-// full scale with -DCASH_BENCH_FULL=ON or without --quick.
+// Quick smoke run under ctest (label: bench); full scale with
+// -DCASH_BENCH_FULL=ON or without --quick.
 #include <algorithm>
 #include <cstring>
 #include <map>
@@ -199,43 +199,6 @@ int main(int argc, char** argv) {
   std::printf("netsim armed plan identical across jobs: %s\n",
               armed_identical ? "yes" : "NO");
   all_ok = all_ok && armed_identical;
-
-  // --- 3. JSON -------------------------------------------------------------
-  std::FILE* json = open_bench_json("BENCH_chaos.json");
-  if (json != nullptr) {
-    std::fprintf(json,
-                 "  \"seeds\": %u,\n  \"plans\": %zu,\n"
-                 "  \"cells\": %zu,\n  \"completed\": %llu,\n"
-                 "  \"degraded\": %llu,\n  \"faulted\": %llu,\n"
-                 "  \"faults_injected\": %llu,\n  \"violations\": %llu,\n"
-                 "  \"jobs_identical\": %s,\n"
-                 "  \"netsim_empty_plan_transparent\": %s,\n"
-                 "  \"netsim_armed_identical\": %s,\n",
-                 seed_end - seed_begin, workloads::chaos_plans().size(),
-                 report.cells.size(),
-                 static_cast<unsigned long long>(report.completed),
-                 static_cast<unsigned long long>(report.degraded),
-                 static_cast<unsigned long long>(report.faulted),
-                 static_cast<unsigned long long>(report.faults_injected),
-                 static_cast<unsigned long long>(report.violations),
-                 jobs_identical ? "true" : "false",
-                 transparent ? "true" : "false",
-                 armed_identical ? "true" : "false");
-    std::fprintf(json, "  \"per_plan\": [\n");
-    for (std::size_t p = 0; p < plan_order.size(); ++p) {
-      const PlanAgg& agg = per_plan[plan_order[p]];
-      std::fprintf(json,
-                   "    {\"plan\": \"%s\", \"cells\": %d, "
-                   "\"completed\": %d, \"degraded\": %d, \"faulted\": %d, "
-                   "\"faults_injected\": %llu, \"violations\": %d}%s\n",
-                   plan_order[p].c_str(), agg.cells, agg.completed,
-                   agg.degraded, agg.faulted,
-                   static_cast<unsigned long long>(agg.faults_injected),
-                   agg.violations, p + 1 < plan_order.size() ? "," : "");
-    }
-    std::fprintf(json, "  ]\n");
-    close_bench_json(json, "BENCH_chaos.json");
-  }
 
   if (!all_ok) {
     std::fprintf(stderr, "FAIL: chaos contract or determinism violated\n");

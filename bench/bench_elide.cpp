@@ -20,9 +20,6 @@
 // Section 3 (kill switch): $CASH_NO_ELIDE=1 with elide_checks on must
 // reproduce the elision-off compilation bit for bit — cycles, counters,
 // output — with all elision statistics zero.
-//
-// Writes BENCH_elide.json with per-cell rows and the aggregate
-// elide_check_cycle_reduction / elide_checks_removed_ratio metrics.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -234,11 +231,6 @@ int main(int argc, char** argv) {
           ? 1.0 - static_cast<double>(total_elided_checking) /
                       static_cast<double>(total_base_checking)
           : 0.0;
-  const double removed_ratio =
-      total_static_checks > 0
-          ? static_cast<double>(total_removed) /
-                static_cast<double>(total_static_checks)
-          : 0.0;
   std::printf("%-8s %-7s %12llu %12llu %6.1f%%   (removed %llu of %llu "
               "static checks)\n",
               "total", "-",
@@ -312,43 +304,6 @@ int main(int argc, char** argv) {
     std::printf("  %-7s %s\n", mode_name(mode),
                 diff.empty() && stats_zero ? "bit-identical to elision off"
                                            : "NOT TRANSPARENT");
-  }
-
-  std::FILE* json = open_bench_json("BENCH_elide.json");
-  if (json != nullptr) {
-    std::fprintf(json, "  \"quick\": %s,\n", quick ? "true" : "false");
-    std::fprintf(json, "  \"transparent\": %s,\n",
-                 transparent ? "true" : "false");
-    std::fprintf(json, "  \"fault_identity\": %s,\n",
-                 faults_identical ? "true" : "false");
-    std::fprintf(json, "  \"kill_switch_identical\": %s,\n",
-                 kill_switch_ok ? "true" : "false");
-    std::fprintf(json, "  \"improved_kernels_bcc\": %d,\n", improved_bcc);
-    std::fprintf(json, "  \"improved_kernels_cash\": %d,\n", improved_cash);
-    std::fprintf(json, "  \"cells\": [\n");
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const ElideCell& cell = cells[i];
-      std::fprintf(
-          json,
-          "    {\"kernel\": \"%s\", \"mode\": \"%s\", "
-          "\"base_check_cycles\": %llu, \"elided_check_cycles\": %llu, "
-          "\"checks_deleted\": %llu, \"checks_hoisted\": %llu, "
-          "\"checks_widened\": %llu}%s\n",
-          kernels[i / modes.size()].name,
-          mode_name(modes[i % modes.size()]),
-          static_cast<unsigned long long>(cell.base.breakdown.checking),
-          static_cast<unsigned long long>(cell.elided.breakdown.checking),
-          static_cast<unsigned long long>(cell.stats.checks_deleted),
-          static_cast<unsigned long long>(cell.stats.checks_hoisted),
-          static_cast<unsigned long long>(cell.stats.checks_widened),
-          i + 1 < cells.size() ? "," : "");
-    }
-    // bench_summary prefixes these with "elide_", making the trajectory
-    // key_metrics elide_check_cycle_reduction / elide_checks_removed_ratio.
-    std::fprintf(json, "  ],\n  \"check_cycle_reduction\": %.4f,\n",
-                 cycle_reduction);
-    std::fprintf(json, "  \"checks_removed_ratio\": %.4f\n", removed_ratio);
-    close_bench_json(json, "BENCH_elide.json");
   }
 
   if (!transparent) {

@@ -4,8 +4,6 @@
 // forks are independent, so serve_requests shards them across host threads
 // ($CASH_JOBS, default all cores) — the reported numbers are bit-identical
 // for any thread count.
-#include <vector>
-
 #include "bench_util.hpp"
 #include "netsim/netsim.hpp"
 
@@ -28,14 +26,6 @@ int main() {
   const double paper_lat[] = {6.5, 3.3, 9.8, 2.5, 3.3, 4.4};
   const double paper_thr[] = {6.1, 3.2, 8.9, 2.4, 3.2, 4.3};
   const double paper_space[] = {60.1, 56.3, 44.8, 68.3, 63.4, 53.6};
-
-  struct Row {
-    std::string name;
-    double latency_penalty;
-    double throughput_penalty;
-    double space;
-  };
-  std::vector<Row> rows;
 
   int i = 0;
   for (const workloads::Workload& w : workloads::network_suite()) {
@@ -67,24 +57,7 @@ int main() {
     std::printf("%-10s %8.2f%% %10.2f%% %8.1f%% %13.1f%% %13.1f%% %13.1f%%\n",
                 w.name.c_str(), latency_penalty, throughput_penalty, space,
                 paper_lat[i], paper_thr[i], paper_space[i]);
-    rows.push_back({w.name, latency_penalty, throughput_penalty, space});
     ++i;
-  }
-
-  std::FILE* json = open_bench_json("BENCH_table8.json");
-  if (json != nullptr) {
-    std::fprintf(json, "  \"requests\": %d,\n  \"apps\": [\n", requests);
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-      std::fprintf(json,
-                   "    {\"name\": \"%s\", \"latency_penalty_pct\": %.4f, "
-                   "\"throughput_penalty_pct\": %.4f, "
-                   "\"space_overhead_pct\": %.4f}%s\n",
-                   rows[r].name.c_str(), rows[r].latency_penalty,
-                   rows[r].throughput_penalty, rows[r].space,
-                   r + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(json, "  ]\n");
-    close_bench_json(json, "BENCH_table8.json");
   }
 
   print_note(

@@ -20,10 +20,8 @@
 // per-tenant check-cycle breakdown. With $CASH_NO_MULTIPROC set the tenant
 // run must collapse to the non-tenant baseline bit for bit.
 //
-// Writes BENCH_tenants.json (tenant_ldt_thrash_ratio and
-// context_switch_overhead are bench_summary key metrics). Quick smoke run
-// under ctest (label: bench); full scale with -DCASH_BENCH_FULL=ON or
-// without --quick.
+// Quick smoke run under ctest (label: bench); full scale with
+// -DCASH_BENCH_FULL=ON or without --quick.
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
@@ -351,7 +349,6 @@ int main(int argc, char** argv) {
     netsim::ServerMetrics tenants;
     netsim::ServerMetrics baseline;
   };
-  std::vector<ModeRow> modes;
   const std::pair<const char*, CheckMode> kModes[] = {
       {"gcc", CheckMode::kNoCheck},
       {"bcc", CheckMode::kBcc},
@@ -428,58 +425,6 @@ int main(int argc, char** argv) {
                 (unsigned long long)row.tenants.context_switches,
                 (unsigned long long)row.tenants.checking_cycles,
                 (unsigned long long)row.tenants.context_switch_cycles);
-    modes.push_back(std::move(row));
-  }
-
-  // --- JSON --------------------------------------------------------------
-  const TenantCell& headline = budget_cell;
-  std::FILE* json = open_bench_json("BENCH_tenants.json");
-  if (json != nullptr) {
-    std::fprintf(json, "  \"quick\": %s,\n", quick ? "true" : "false");
-    std::fprintf(json, "  \"multiproc_killed\": %s,\n",
-                 multiproc_killed ? "true" : "false");
-    std::fprintf(json, "  \"jobs_identical\": %s,\n",
-                 jobs_identical ? "true" : "false");
-    std::fprintf(json, "  \"quanta_invariant\": %s,\n",
-                 quanta_invariant ? "true" : "false");
-    std::fprintf(json, "  \"isolation_ok\": %s,\n",
-                 isolation_ok ? "true" : "false");
-    std::fprintf(json, "  \"tenant_ldt_thrash_ratio\": %.6f,\n",
-                 headline.thrash_ratio);
-    std::fprintf(json, "  \"context_switch_overhead\": %.6f,\n",
-                 switch_overhead);
-    std::fprintf(json, "  \"budget_fallbacks\": %llu,\n",
-                 (unsigned long long)budget_fallbacks);
-    std::fprintf(json, "  \"ldt_slot_budget\": %llu,\n",
-                 (unsigned long long)pressured.ldt_slot_budget);
-    std::fprintf(json, "  \"matrix\": [\n");
-    for (std::size_t i = 0; i < matrix.size(); ++i) {
-      const TenantCell& c = matrix[i];
-      std::fprintf(json,
-                   "    {\"processes\": %d, \"arrays\": %d, "
-                   "\"quantum\": %llu, \"switches\": %llu, "
-                   "\"switch_overhead\": %.6f, \"thrash\": %.6f}%s\n",
-                   c.processes, c.arrays_per_process,
-                   (unsigned long long)c.quantum_cycles,
-                   (unsigned long long)c.sched.context_switches,
-                   c.switch_overhead, c.thrash_ratio,
-                   i + 1 < matrix.size() ? "," : "");
-    }
-    std::fprintf(json, "  ],\n");
-    std::fprintf(json, "  \"serving\": [\n");
-    for (std::size_t i = 0; i < modes.size(); ++i) {
-      const ModeRow& m = modes[i];
-      std::fprintf(json,
-                   "    {\"mode\": \"%s\", \"context_switches\": %llu, "
-                   "\"context_switch_cycles\": %llu, "
-                   "\"checking_cycles\": %llu}%s\n",
-                   m.name, (unsigned long long)m.tenants.context_switches,
-                   (unsigned long long)m.tenants.context_switch_cycles,
-                   (unsigned long long)m.tenants.checking_cycles,
-                   i + 1 < modes.size() ? "," : "");
-    }
-    std::fprintf(json, "  ]\n");
-    close_bench_json(json, "BENCH_tenants.json");
   }
 
   if (!all_ok) {

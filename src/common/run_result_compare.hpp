@@ -1,8 +1,8 @@
 #pragma once
 
 // Full-RunResult equality shared by the fast-path transparency suites
-// (decode_test, snapshot_test) and the bench divergence gates
-// (bench_decode, bench_elide, bench_trace): every simulated field must
+// (decode_test, engine_grid_test, snapshot_test) and the bench_elide
+// divergence gate: every simulated field must
 // match bit-for-bit. Mirrors netsim::first_metrics_difference — the
 // comparator names the first diverging field, so a failing gate says
 // *what* drifted, not just that something did.

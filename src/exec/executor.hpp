@@ -22,7 +22,7 @@ namespace cash::exec {
 // Consequently a body that is itself deterministic per index (simulated
 // Machines are: they share only the immutable ir::Module) yields
 // bit-identical aggregates for every jobs value — enforced by
-// tests/exec/parallel_invariance_test and bench/bench_parallel.
+// tests/exec/parallel_invariance_test.
 struct ExecutorConfig {
   // Worker threads. 0 = auto: $CASH_JOBS if set and positive, otherwise
   // std::thread::hardware_concurrency(). 1 = the serial path.

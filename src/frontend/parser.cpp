@@ -55,7 +55,46 @@ BinaryOp to_binary_op(TokenKind kind) {
   }
 }
 
+bool is_prefix_operator(TokenKind kind) {
+  return kind == TokenKind::kMinus || kind == TokenKind::kBang ||
+         kind == TokenKind::kTilde || kind == TokenKind::kStar ||
+         kind == TokenKind::kPlusPlus || kind == TokenKind::kMinusMinus;
+}
+
+// Thrown once the nesting cap is hit; parse() catches it.
+struct TooDeep {};
+
 } // namespace
+
+// The levels one parse function has added to the nesting depth; they are
+// released when it returns.
+class Parser::Nesting {
+ public:
+  explicit Nesting(int& depth) : depth_(depth) {}
+  ~Nesting() { depth_ -= levels_; }
+  Nesting(const Nesting&) = delete;
+  Nesting& operator=(const Nesting&) = delete;
+
+  int push() noexcept {
+    ++levels_;
+    return ++depth_;
+  }
+
+ private:
+  int& depth_;
+  int levels_{0};
+};
+
+// Enters one more nesting level. Past the cap, reports it and abandons
+// the parse: the exception unwinds every open construct.
+void Parser::nest(Nesting& nesting) {
+  if (nesting.push() > kMaxNestingDepth) {
+    diagnostics_->error(peek().loc,
+                        "nesting deeper than " +
+                            std::to_string(kMaxNestingDepth) + " levels");
+    throw TooDeep{};
+  }
+}
 
 const Token& Parser::peek(int ahead) const noexcept {
   const std::size_t at = pos_ + static_cast<std::size_t>(ahead);
@@ -88,12 +127,18 @@ const Token* Parser::expect(TokenKind kind, const char* context) {
   return nullptr;
 }
 
-void Parser::synchronize() noexcept {
+// Skips to the next statement boundary: past a ';', or up to the '}' that
+// closes the enclosing block. At top level no block is open, so a stray
+// '}' is consumed; left in place, parse() would stop on it forever.
+void Parser::synchronize(bool top_level) noexcept {
   while (!check(TokenKind::kEof)) {
     if (match(TokenKind::kSemicolon)) {
       return;
     }
     if (check(TokenKind::kRBrace)) {
+      if (top_level) {
+        advance();
+      }
       return;
     }
     advance();
@@ -129,8 +174,12 @@ Type Parser::parse_type() {
 
 TranslationUnit Parser::parse() {
   TranslationUnit unit;
-  while (!check(TokenKind::kEof)) {
-    parse_top_level(unit);
+  try {
+    while (!check(TokenKind::kEof)) {
+      parse_top_level(unit);
+    }
+  } catch (const TooDeep&) {
+    // Reported by nest(); the unit holds the declarations before it.
   }
   return unit;
 }
@@ -139,13 +188,13 @@ void Parser::parse_top_level(TranslationUnit& unit) {
   const SourceLoc loc = peek().loc;
   if (!at_type_keyword()) {
     diagnostics_->error(loc, "expected declaration at top level");
-    synchronize();
+    synchronize(true);
     return;
   }
   const Type type = parse_type();
   const Token* name = expect(TokenKind::kIdent, "in declaration");
   if (name == nullptr) {
-    synchronize();
+    synchronize(true);
     return;
   }
 
@@ -214,7 +263,7 @@ std::unique_ptr<FunctionDecl> Parser::parse_function(Type return_type,
     diagnostics_->error(peek().loc,
                         "expected function body ('{'); "
                         "forward declarations are not needed in MiniC");
-    synchronize();
+    synchronize(true);
     return nullptr;
   }
   function->body = parse_block();
@@ -237,6 +286,8 @@ std::unique_ptr<Stmt> Parser::parse_block() {
 }
 
 std::unique_ptr<Stmt> Parser::parse_stmt() {
+  Nesting nesting(depth_);
+  nest(nesting);
   if (at_type_keyword()) {
     return parse_var_decl();
   }
@@ -366,6 +417,8 @@ std::unique_ptr<Stmt> Parser::parse_for() {
 }
 
 std::unique_ptr<Expr> Parser::parse_expr() {
+  Nesting nesting(depth_);
+  nest(nesting);
   auto lhs = parse_binary(0);
 
   AssignOp op = AssignOp::kNone;
@@ -393,12 +446,14 @@ std::unique_ptr<Expr> Parser::parse_expr() {
 }
 
 std::unique_ptr<Expr> Parser::parse_binary(int min_precedence) {
+  Nesting nesting(depth_); // each link of a chain nests the tree deeper
   auto lhs = parse_unary();
   while (true) {
     const int prec = precedence(peek().kind);
     if (prec < 0 || prec < min_precedence) {
       return lhs;
     }
+    nest(nesting);
     const Token& op_token = advance();
     auto rhs = parse_binary(prec + 1);
     auto node = std::make_unique<Expr>();
@@ -413,6 +468,10 @@ std::unique_ptr<Expr> Parser::parse_binary(int min_precedence) {
 
 std::unique_ptr<Expr> Parser::parse_unary() {
   const SourceLoc loc = peek().loc;
+  Nesting nesting(depth_);
+  if (is_prefix_operator(peek().kind)) {
+    nest(nesting);
+  }
   if (match(TokenKind::kMinus)) {
     auto node = std::make_unique<Expr>();
     node->kind = ExprKind::kUnary;
@@ -459,9 +518,11 @@ std::unique_ptr<Expr> Parser::parse_unary() {
 }
 
 std::unique_ptr<Expr> Parser::parse_postfix() {
+  Nesting nesting(depth_);
   auto expr = parse_primary();
   while (true) {
     if (match(TokenKind::kLBracket)) {
+      nest(nesting);
       auto node = std::make_unique<Expr>();
       node->kind = ExprKind::kIndex;
       node->loc = peek().loc;
@@ -472,6 +533,7 @@ std::unique_ptr<Expr> Parser::parse_postfix() {
       continue;
     }
     if (check(TokenKind::kPlusPlus) || check(TokenKind::kMinusMinus)) {
+      nest(nesting);
       const bool increment = check(TokenKind::kPlusPlus);
       const SourceLoc loc = advance().loc;
       auto node = std::make_unique<Expr>();

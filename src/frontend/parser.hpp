@@ -12,20 +12,31 @@ namespace cash::frontend {
 // Recursive-descent parser for MiniC (see docs/MINIC.md for the grammar).
 // Error recovery is statement-level: on a parse error the parser skips to
 // the next ';' or '}' and continues, so one mistake yields one diagnostic.
+//
+// Nesting is capped at kMaxNestingDepth levels: statements, expressions,
+// prefix operators and each link of a binary-operator or postfix chain
+// count one level each. Past the cap the parser reports one error and
+// stops, so no input can exhaust the stack here or in the passes that
+// walk the tree.
 class Parser {
  public:
+  static constexpr int kMaxNestingDepth = 512;
+
   Parser(std::vector<Token> tokens, DiagnosticSink& diagnostics)
       : tokens_(std::move(tokens)), diagnostics_(&diagnostics) {}
 
   TranslationUnit parse();
 
  private:
+  class Nesting;
+
   const Token& peek(int ahead = 0) const noexcept;
   const Token& advance() noexcept;
   bool check(TokenKind kind) const noexcept { return peek().kind == kind; }
   bool match(TokenKind kind) noexcept;
   const Token* expect(TokenKind kind, const char* context);
-  void synchronize() noexcept;
+  void synchronize(bool top_level = false) noexcept;
+  void nest(Nesting& nesting);
 
   bool at_type_keyword() const noexcept;
   Type parse_type();
@@ -50,6 +61,7 @@ class Parser {
   std::vector<Token> tokens_;
   DiagnosticSink* diagnostics_;
   std::size_t pos_{0};
+  int depth_{0};
 };
 
 } // namespace cash::frontend

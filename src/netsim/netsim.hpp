@@ -153,7 +153,7 @@ struct RequestClass {
 // Host-side serving strategy plus the simulated load model. The two
 // `enable_*` switches are fast-path toggles only: every ServerMetrics
 // field is bit-identical whichever way they are set
-// (tests/exec/parallel_invariance_test, bench/bench_serve, bench/bench_decode).
+// (tests/exec/parallel_invariance_test, tests/netsim/serve_grid_test).
 // The load-model knobs (classes, arrival process, churn) *do* change what
 // is simulated — but deterministically, and identically for both serving
 // strategies and any thread count.
@@ -170,12 +170,12 @@ struct ServeOptions {
   bool enable_snapshot{true};
   // Run the children on the pre-decoded micro-op engine (vm/decode.hpp).
   // false forces the reference interpreter regardless of the compiled
-  // program's MachineConfig (A/B baseline for bench_decode).
+  // program's MachineConfig (the reference leg of the serving grid tests).
   bool enable_predecode{true};
   // Run the children with the hot-trace superblock engine (DESIGN.md §11).
   // Like enable_predecode, this can only turn the layer *off* relative to
-  // the compiled program's MachineConfig — an A/B lever for the
-  // bench_trace serving leg. ServerMetrics are bit-identical either way.
+  // the compiled program's MachineConfig — an A/B lever for the serving
+  // grid tests. ServerMetrics are bit-identical either way.
   bool enable_trace{true};
   // Mixed request classes. Empty = one implicit class
   // {"default", "handle_request", 1} (the legacy single-handler behaviour,

@@ -1,10 +1,15 @@
 // Thread-count invariance: the DESIGN.md §7 contract that host-side
 // parallelism never changes simulated results. serve_requests, a
 // bench-style (workload x mode) grid, and the fuzz differential matrix
-// must produce bit-identical results for jobs in {1, 2, 8}.
+// must produce bit-identical results for jobs in {1, 2, 8} (and, for the
+// network app and the paper micro workloads, for 2, 4 and the host's
+// cores).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "exec/executor.hpp"
@@ -104,16 +109,42 @@ TEST(ParallelInvariance, SnapshotServingMatchesReplayAtEveryThreadCount) {
   }
 }
 
-TEST(ParallelInvariance, BenchGridIsThreadCountInvariant) {
-  // A small (workload x mode) grid like the bench tables run: each cell
-  // compiles and executes independently; its simulated cycle count and
-  // counters must not depend on the thread count.
-  const std::vector<std::string> sources = {
-      workloads::matmul_source(24), workloads::gauss_source(24),
-      workloads::fft2d_source(16)};
+// Parallel worker counts from 2 up to the host's cores.
+std::vector<int> jobs_sweep() {
+  std::vector<int> jobs = {2, 4};
+  const int cores = static_cast<int>(std::thread::hardware_concurrency());
+  if (cores > 1 && std::find(jobs.begin(), jobs.end(), cores) == jobs.end()) {
+    jobs.push_back(cores);
+  }
+  return jobs;
+}
+
+TEST(ParallelInvariance, NetworkAppServingIsThreadCountInvariant) {
+  // The paper's first network app under Cash: one forked server process
+  // per request, the heaviest fan-out site in the repo.
+  CompileOptions options;
+  options.lower.mode = CheckMode::kCash;
+  CompileResult program =
+      compile(workloads::network_suite().front().source, options);
+  ASSERT_TRUE(program.ok()) << program.error;
+  const netsim::ServerMetrics serial =
+      netsim::serve_requests(*program.program, 60, 1, {1});
+  for (int jobs : jobs_sweep()) {
+    expect_identical(
+        serial, netsim::serve_requests(*program.program, 60, 1, {jobs}),
+        jobs);
+  }
+}
+
+// A (workload x mode) grid like the bench tables run: each cell compiles
+// and executes independently; its simulated cycle count and counters must
+// not depend on the thread count.
+void expect_grid_invariant(const std::vector<std::string>& sources,
+                           const std::vector<int>& jobs_counts) {
   const CheckMode kModes[] = {CheckMode::kNoCheck, CheckMode::kCash,
                               CheckMode::kBcc};
   struct CellResult {
+    bool ok;
     std::uint64_t cycles;
     std::uint64_t sw_checks;
     std::uint64_t hw_checks;
@@ -127,14 +158,30 @@ TEST(ParallelInvariance, BenchGridIsThreadCountInvariant) {
       throw std::runtime_error(compiled.error);
     }
     const vm::RunResult run = compiled.program->run();
-    return {run.cycles, run.counters.sw_checks,
+    return {run.ok, run.cycles, run.counters.sw_checks,
             run.counters.hw_checked_accesses};
   };
   const std::size_t n = sources.size() * 3;
   const std::vector<CellResult> serial = exec::parallel_map(n, 1, cell);
-  for (int jobs : {2, 8}) {
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_TRUE(serial[i].ok) << "cell " << i;
+  }
+  for (int jobs : jobs_counts) {
     EXPECT_EQ(exec::parallel_map(n, jobs, cell), serial) << "jobs=" << jobs;
   }
+}
+
+TEST(ParallelInvariance, BenchGridIsThreadCountInvariant) {
+  expect_grid_invariant({workloads::matmul_source(24),
+                         workloads::gauss_source(24),
+                         workloads::fft2d_source(16)},
+                        {2, 8});
+}
+
+TEST(ParallelInvariance, MicroSuiteGridIsThreadCountInvariant) {
+  // The first two paper micro workloads at their paper sizes.
+  const std::vector<workloads::Workload>& micro = workloads::micro_suite();
+  expect_grid_invariant({micro[0].source, micro[1].source}, jobs_sweep());
 }
 
 void expect_identical(const workloads::ChaosCell& a,

@@ -2,6 +2,9 @@
 // (validated through evaluation), and statement-level error recovery.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "core/cash.hpp"
 #include "frontend/lexer.hpp"
 #include "frontend/parser.hpp"
@@ -86,9 +89,14 @@ int main() {
 
 // Precedence and associativity validated by actually evaluating.
 struct PrecedenceCase {
+  const char* name;
   const char* expr;
   int expected;
 };
+
+// ctest shows the parameter next to the case name, so print the
+// expression rather than the struct's bytes (which hold pointers).
+void PrintTo(const PrecedenceCase& c, std::ostream* os) { *os << c.expr; }
 
 class Precedence : public testing::TestWithParam<PrecedenceCase> {};
 
@@ -104,18 +112,21 @@ TEST_P(Precedence, EvaluatesLikeC) {
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, Precedence,
-    testing::Values(PrecedenceCase{"2 + 3 * 4", 14},
-                    PrecedenceCase{"(2 + 3) * 4", 20},
-                    PrecedenceCase{"20 - 8 - 4", 8},       // left assoc
-                    PrecedenceCase{"100 / 10 / 2", 5},     // left assoc
-                    PrecedenceCase{"1 << 2 + 1", 8},       // shift < add
-                    PrecedenceCase{"7 & 3 == 3", 1},       // cmp > bitand
-                    PrecedenceCase{"1 | 2 ^ 2", 1},
-                    PrecedenceCase{"0 || 2 && 0", 0},      // && > ||
-                    PrecedenceCase{"1 + (2 < 3)", 2},
-                    PrecedenceCase{"-3 + 5", 2},
-                    PrecedenceCase{"~0 + 2", 1},
-                    PrecedenceCase{"10 % 4 * 2", 4}));
+    testing::Values(PrecedenceCase{"MulBeforeAdd", "2 + 3 * 4", 14},
+                    PrecedenceCase{"Parentheses", "(2 + 3) * 4", 20},
+                    PrecedenceCase{"SubLeftAssoc", "20 - 8 - 4", 8},
+                    PrecedenceCase{"DivLeftAssoc", "100 / 10 / 2", 5},
+                    PrecedenceCase{"AddBeforeShift", "1 << 2 + 1", 8},
+                    PrecedenceCase{"EqBeforeBitAnd", "7 & 3 == 3", 1},
+                    PrecedenceCase{"XorBeforeBitOr", "1 | 2 ^ 2", 1},
+                    PrecedenceCase{"AndBeforeOr", "0 || 2 && 0", 0},
+                    PrecedenceCase{"ParenthesisedCompare", "1 + (2 < 3)", 2},
+                    PrecedenceCase{"NegBeforeAdd", "-3 + 5", 2},
+                    PrecedenceCase{"BitNotBeforeAdd", "~0 + 2", 1},
+                    PrecedenceCase{"RemMulLeftAssoc", "10 % 4 * 2", 4}),
+    [](const testing::TestParamInfo<PrecedenceCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(Parser, AssignmentIsRightAssociative) {
   CompileResult compiled = compile(R"(
@@ -163,6 +174,62 @@ TEST(Parser, MissingSemicolonIsDiagnosed) {
 TEST(Parser, ArraySizeMustBePositiveConstant) {
   EXPECT_GE(parse_error_count("int a[0]; int main() { return 0; }"), 1);
   EXPECT_GE(parse_error_count("int main() { int n; int a[n]; return 0; }"),
+            1);
+}
+
+TEST(Parser, StrayTopLevelBraceIsOneError) {
+  EXPECT_EQ(parse_error_count("}"), 1);
+  EXPECT_EQ(parse_error_count("int main() { return 0; } }"), 1);
+}
+
+std::string repeat(const std::string& text, int times) {
+  std::string out;
+  for (int i = 0; i < times; ++i) {
+    out += text;
+  }
+  return out;
+}
+
+TEST(Parser, DeepNestingIsOneErrorNotACrash) {
+  const int n = 200000;
+  const std::string sources[] = {
+      "int main() { return " + repeat("(", n) + "1; }",
+      "int main() { return " + repeat("(", n) + "1" + repeat(")", n) + "; }",
+      "int main() { return " + repeat("1 + ", n) + "1; }",
+      "int main() { return " + repeat("- ", n) + "1; }",
+      "int main() { int a; " + repeat("a = ", n) + "1; return a; }",
+      "int a[4]; int main() { return a" + repeat("[0]", n) + "; }",
+      "int main() { " + repeat("{", n) + repeat("}", n) + " return 0; }",
+      "int main() { " + repeat("if (1) ", n) + "return 0; }",
+  };
+  for (const std::string& source : sources) {
+    const std::string head = source.substr(0, 40);
+    EXPECT_EQ(parse_error_count(source), 1) << head;
+    const CompileResult compiled = compile(source);
+    EXPECT_FALSE(compiled.ok()) << head;
+    EXPECT_NE(compiled.error.find(
+                  "nesting deeper than " +
+                  std::to_string(Parser::kMaxNestingDepth) + " levels"),
+              std::string::npos)
+        << head << ": " << compiled.error.substr(0, 200);
+  }
+}
+
+TEST(Parser, NestingUpToTheCapCompiles) {
+  // `return e;` is two levels (the statement and the expression); each '('
+  // or binary-operator link adds one, so cap - 2 of either still fit.
+  const int fits = Parser::kMaxNestingDepth - 2;
+  CompileResult sum =
+      compile("int main() { return " + repeat("1 + ", fits) + "1; }");
+  ASSERT_TRUE(sum.ok()) << sum.error;
+  EXPECT_EQ(sum.program->run().exit_code, fits + 1);
+  CompileResult parens = compile("int main() { return " + repeat("(", fits) +
+                                 "1" + repeat(")", fits) + "; }");
+  ASSERT_TRUE(parens.ok()) << parens.error;
+  EXPECT_EQ(parens.program->run().exit_code, 1);
+  // One more link is one level too many.
+  EXPECT_EQ(parse_error_count("int main() { return " + repeat("1 + ", fits) +
+                              "1 + 1; }"),
             1);
 }
 

@@ -70,6 +70,38 @@ TEST(Determinism, AllModesIdenticalWithTlbOnAndOff) {
   }
 }
 
+TEST(Determinism, ArraySweepIdenticalWithTlbOnAndOff) {
+  // A read-modify-write sweep over a global array: almost every retired
+  // instruction is an array access, the exact traffic the TLB caches.
+  constexpr const char* kSweep = R"(
+int a[256];
+int main() {
+  int i; int it; int s;
+  s = 0;
+  for (it = 0; it < 40; it++) {
+    for (i = 0; i < 256; i++) {
+      a[i] = a[i] + it;
+    }
+    s = s + a[it % 256];
+  }
+  print_int(s);
+  return 0;
+}
+)";
+  for (CheckMode mode :
+       {CheckMode::kNoCheck, CheckMode::kCash, CheckMode::kBcc}) {
+    CompileOptions options;
+    options.lower.mode = mode;
+    CompileResult compiled = compile(kSweep, options);
+    ASSERT_TRUE(compiled.ok()) << compiled.error;
+    const vm::RunResult on = run_with_tlb(*compiled.program, mode, true);
+    const vm::RunResult off = run_with_tlb(*compiled.program, mode, false);
+    EXPECT_TRUE(on.ok) << to_string(mode);
+    EXPECT_GT(on.tlb_stats.hits, 0U) << to_string(mode);
+    expect_identical(on, off, mode);
+  }
+}
+
 TEST(Determinism, EfenceOverflowFaultsIdenticallyWithTlbOnAndOff) {
   // The guard-page #PF that implements Electric-Fence bound detection must
   // fire at exactly the same point whether or not the page was TLB-cached.

@@ -219,7 +219,7 @@ TEST(Snapshot, RecaptureRebaselines) {
 }
 
 TEST(Snapshot, PrepareCaptureRestoreEqualsFreshRun) {
-  // The bench-grid contract (bench_util.hpp SnapshotRunner): prepare()
+  // The restore+run contract (see tests/vm/engine_grid_test.cpp): prepare()
   // performs the one-time program load but keeps the set-up cycles pending,
   // so prepare() + capture() + restore() + run() must be bit-identical to a
   // fresh machine's first full run — including the runtime breakdown that

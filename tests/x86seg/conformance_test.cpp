@@ -4,6 +4,8 @@
 // evaluation of the SDM rules.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "x86seg/descriptor.hpp"
 
 namespace cash::x86seg {
@@ -14,7 +16,11 @@ struct DescriptorCase {
   std::uint32_t size;      // bytes (G picked by for_array)
   bool writable;
   std::uint8_t dpl;
+  // gtest names each case by dumping the struct's bytes, so the tail is an
+  // explicit zeroed field rather than padding that holds stack garbage.
+  std::uint16_t reserved = 0;
 };
+static_assert(std::has_unique_object_representations_v<DescriptorCase>);
 
 class RoundTrip : public testing::TestWithParam<DescriptorCase> {};
 

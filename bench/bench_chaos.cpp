@@ -16,14 +16,17 @@
 // Quick smoke run under ctest (label: bench); full scale with
 // -DCASH_BENCH_FULL=ON or without --quick.
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <map>
 #include <thread>
 #include <vector>
 
-#include "bench_util.hpp"
+#include "core/cash.hpp"
+#include "exec/executor.hpp"
 #include "netsim/netsim.hpp"
 #include "workloads/chaos.hpp"
+#include "workloads/workloads.hpp"
 
 namespace {
 
@@ -65,22 +68,14 @@ bool identical_metrics(const ServerMetrics& a, const ServerMetrics& b) {
 
 int main(int argc, char** argv) {
   using namespace cash;
-  using namespace cash::bench;
 
-  bool quick = env_int("CASH_BENCH_QUICK", 0) != 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    }
-  }
+  const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
 
-  print_title(quick ? "Chaos matrix: fault injection vs degradation (smoke)"
-                    : "Chaos matrix: fault injection vs degradation");
+  std::printf("Chaos matrix: fault injection vs degradation%s\n",
+              quick ? " (smoke)" : "");
 
   const std::uint32_t seed_begin = 1;
-  const std::uint32_t seed_end =
-      seed_begin + static_cast<std::uint32_t>(
-                       env_int("CASH_BENCH_SEEDS", quick ? 4 : 24));
+  const std::uint32_t seed_end = seed_begin + (quick ? 4 : 24);
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   std::vector<int> jobs_values = {1, 2, static_cast<int>(hw)};
   std::sort(jobs_values.begin(), jobs_values.end());
@@ -157,7 +152,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "compile failed: %s\n", compiled.error.c_str());
     return 1;
   }
-  const int requests = env_int("CASH_BENCH_REQUESTS", quick ? 40 : 400);
+  const int requests = quick ? 40 : 400;
 
   const ServerMetrics clean = netsim::serve_requests(
       *compiled.program, requests, 1, exec::ExecutorConfig{1});

@@ -26,8 +26,10 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "common/run_result_compare.hpp"
+#include "core/cash.hpp"
+#include "exec/executor.hpp"
+#include "workloads/workloads.hpp"
 
 namespace {
 
@@ -124,20 +126,14 @@ std::string first_difference(const cash::vm::RunResult& a,
 
 int main(int argc, char** argv) {
   using namespace cash;
-  using namespace cash::bench;
 
-  bool quick = env_int("CASH_BENCH_QUICK", 0) != 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    }
-  }
+  const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
 
-  print_title(quick ? "Whole-program check elision, on vs off (smoke)"
-                    : "Whole-program check elision, on vs off");
-  print_note("every cell asserts bit-identical program output; divergence,");
-  print_note("a checking-cycle regression, or missing kernel coverage in");
-  print_note("bcc/cash is a hard failure");
+  std::printf("Whole-program check elision, on vs off%s\n",
+              quick ? " (smoke)" : "");
+  std::printf("every cell asserts bit-identical program output; divergence,\n"
+              "a checking-cycle regression, or missing kernel coverage in\n"
+              "bcc/cash is a hard failure\n");
 
   // --- Section 1: six kernels x four checked modes, elision off vs on ----
   struct Kernel {
@@ -159,8 +155,9 @@ int main(int argc, char** argv) {
                                         CheckMode::kBoundInsn,
                                         CheckMode::kShadow};
 
-  const std::vector<ElideCell> cells = run_cells(
-      kernels.size() * modes.size(), [&](std::size_t index) {
+  const std::vector<ElideCell> cells = exec::parallel_map(
+      kernels.size() * modes.size(), exec::resolve_jobs(),
+      [&](std::size_t index) {
         return run_cell(kernels[index / modes.size()].source,
                         modes[index % modes.size()]);
       });

@@ -23,13 +23,15 @@
 // Quick smoke run under ctest (label: bench); full scale with
 // -DCASH_BENCH_FULL=ON or without --quick.
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "common/costs.hpp"
+#include "core/cash.hpp"
+#include "exec/executor.hpp"
 #include "netsim/netsim.hpp"
 #include "workloads/tenants.hpp"
 
@@ -125,23 +127,17 @@ int main() { server_init(); return handle_request(); }
 
 int main(int argc, char** argv) {
   using namespace cash;
-  using namespace cash::bench;
   using passes::CheckMode;
 
-  bool quick = env_int("CASH_BENCH_QUICK", 0) != 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    }
-  }
+  const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
   const bool multiproc_killed = std::getenv("CASH_NO_MULTIPROC") != nullptr;
 
-  print_title(quick ? "Multi-process kernel: tenant pressure (smoke)"
-                    : "Multi-process kernel: tenant pressure");
-  print_note("gates: jobs {1,2,hw} bit-identity over the tenant matrix,");
-  print_note("quantum invariance of unbudgeted per-tenant records, solo");
-  print_note("isolation under cross-tenant chaos, and tenant-serving");
-  print_note("determinism; any violation fails the bench (exit 1)");
+  std::printf("Multi-process kernel: tenant pressure%s\n",
+              quick ? " (smoke)" : "");
+  std::printf("gates: jobs {1,2,hw} bit-identity over the tenant matrix,\n"
+              "quantum invariance of unbudgeted per-tenant records, solo\n"
+              "isolation under cross-tenant chaos, and tenant-serving\n"
+              "determinism; any violation fails the bench (exit 1)\n");
 
   bool all_ok = true;
   bool jobs_identical = true;
@@ -158,7 +154,7 @@ int main(int argc, char** argv) {
   base.rounds = quick ? 2 : 3;
   base.seed = 17;
 
-  std::vector<int> jobs_values = {1, 2, 8, bench_jobs()};
+  std::vector<int> jobs_values = {1, 2, 8, exec::resolve_jobs()};
   std::sort(jobs_values.begin(), jobs_values.end());
   jobs_values.erase(std::unique(jobs_values.begin(), jobs_values.end()),
                     jobs_values.end());
@@ -331,7 +327,7 @@ int main(int argc, char** argv) {
   all_ok = all_ok && isolation_ok;
 
   // --- Section 3: multi-tenant serving per CheckMode ---------------------
-  const int load = env_int("CASH_BENCH_TENANT_REQUESTS", quick ? 80 : 600);
+  const int load = quick ? 80 : 600;
   netsim::ServeOptions tenanted;
   tenanted.classes = {{"small", "handle_small", 3},
                       {"bulk", "handle_large", 2},

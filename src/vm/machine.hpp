@@ -210,8 +210,9 @@ class Machine {
   // set-up) without running anything. The set-up cycles stay pending and
   // are charged to the next run, exactly as on a fresh machine's first
   // run — so prepare() + capture() + restore() + run() is bit-identical to
-  // a fresh run. Benches use this to snapshot the post-load image once and
-  // restore per cell instead of rebuilding the machine (bench_util.hpp).
+  // a fresh run. perfbench's `kernels` workload and the engine-grid tests
+  // (tests/vm/engine_grid_test.cpp) use this to snapshot the post-load
+  // image once and restore per run instead of rebuilding the machine.
   // Idempotent; implied by the first run if never called.
   void prepare();
 

@@ -13,8 +13,8 @@
 //               buffers in a hot helper).
 //   Apache    - request parse, header build, chunked content copy.
 //   Sendmail  - per-token address rewriting through several buffers; the
-//               rewrite loop touches > 3 arrays (the paper's 11%-spilled
-//               app with the worst latency penalty).
+//               rewrite loop touches > 3 arrays (the paper's spilled-loop
+//               outlier, with the worst latency penalty).
 //   Wu-ftpd   - command parse + block-wise file send (lightest handler).
 //   Pure-ftpd - same shape, smaller blocks.
 //   Bind      - per-label DNS name decode, record scan, response encode.

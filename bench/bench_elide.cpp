@@ -16,17 +16,11 @@
 // check may surface as #BR where the in-loop cash check was #GP — the gate
 // is bound_violation(), not the fault kind) with identical output up to
 // the fault.
-//
-// Section 3 (kill switch): $CASH_NO_ELIDE=1 with elide_checks on must
-// reproduce the elision-off compilation bit for bit — cycles, counters,
-// output — with all elision statistics zero.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "common/run_result_compare.hpp"
 #include "core/cash.hpp"
 #include "exec/executor.hpp"
 #include "workloads/workloads.hpp"
@@ -112,14 +106,6 @@ ElideCell run_cell(const std::string& source, CheckMode mode) {
     }
   }
   return cell;
-}
-
-// Full simulated-field equality of the results — the kill-switch gate,
-// built on the shared comparator. Returns the first differing field, or
-// empty.
-std::string first_difference(const cash::vm::RunResult& a,
-                             const cash::vm::RunResult& b) {
-  return cash::vm::first_run_result_difference(a, b);
 }
 
 } // namespace
@@ -271,38 +257,6 @@ int main(int argc, char** argv) {
                 same_output ? "yes" : "NO");
   }
 
-  // --- Section 3: $CASH_NO_ELIDE restores the baseline bit for bit -------
-  bool kill_switch_ok = true;
-  std::printf("\nkill switch ($CASH_NO_ELIDE=1 with elide_checks on):\n");
-  for (CheckMode mode : {CheckMode::kBcc, CheckMode::kCash}) {
-    setenv("CASH_NO_ELIDE", "1", 1);
-    CompileOptions options;
-    options.lower.mode = mode;
-    options.lower.elide_checks = true;
-    CompileResult killed = compile(kernels[0].source, options);
-    unsetenv("CASH_NO_ELIDE");
-    options.lower.elide_checks = false;
-    CompileResult off = compile(kernels[0].source, options);
-    if (!killed.ok() || !off.ok()) {
-      std::fprintf(stderr, "kill-switch compile failed (%s)\n",
-                   mode_name(mode));
-      return 1;
-    }
-    const std::string diff =
-        first_difference(killed.program->run(), off.program->run());
-    const bool stats_zero =
-        killed.program->elide_stats().checks_removed() == 0;
-    if (!diff.empty() || !stats_zero) {
-      std::fprintf(stderr, "%s: kill switch not transparent (%s)\n",
-                   mode_name(mode),
-                   diff.empty() ? "non-zero elide stats" : diff.c_str());
-      kill_switch_ok = false;
-    }
-    std::printf("  %-7s %s\n", mode_name(mode),
-                diff.empty() && stats_zero ? "bit-identical to elision off"
-                                           : "NOT TRANSPARENT");
-  }
-
   if (!transparent) {
     std::fprintf(stderr,
                  "FAIL: elision changed program output or regressed "
@@ -312,10 +266,6 @@ int main(int argc, char** argv) {
   if (!faults_identical) {
     std::fprintf(stderr,
                  "FAIL: elided compilation missed a bound violation\n");
-    return 1;
-  }
-  if (!kill_switch_ok) {
-    std::fprintf(stderr, "FAIL: $CASH_NO_ELIDE did not restore baseline\n");
     return 1;
   }
   if (improved_bcc < 4 || improved_cash < 4) {

@@ -17,14 +17,12 @@
 // ServeOptions::tenant_processes on — class = tenant process, consecutive
 // requests of different classes on one simulated server pay a
 // costs::kContextSwitch — gating jobs bit-identity and reporting the
-// per-tenant check-cycle breakdown. With $CASH_NO_MULTIPROC set the tenant
-// run must collapse to the non-tenant baseline bit for bit.
+// per-tenant check-cycle breakdown.
 //
 // Quick smoke run under ctest (label: bench); full scale with
 // -DCASH_BENCH_FULL=ON or without --quick.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -130,7 +128,6 @@ int main(int argc, char** argv) {
   using passes::CheckMode;
 
   const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
-  const bool multiproc_killed = std::getenv("CASH_NO_MULTIPROC") != nullptr;
 
   std::printf("Multi-process kernel: tenant pressure%s\n",
               quick ? " (smoke)" : "");
@@ -375,38 +372,25 @@ int main(int argc, char** argv) {
         all_ok = jobs_identical = false;
       }
     }
-    const std::string vs_baseline =
-        netsim::first_metrics_difference(row.tenants, row.baseline);
-    if (multiproc_killed) {
-      // $CASH_NO_MULTIPROC: tenant_processes must be a bit-exact no-op.
-      if (!vs_baseline.empty()) {
-        std::fprintf(stderr,
-                     "%s: CASH_NO_MULTIPROC set but tenant serving still "
-                     "differs from baseline on %s\n",
-                     mode_name, vs_baseline.c_str());
-        all_ok = false;
-      }
-    } else {
-      // Mixed-class traffic on shared servers must actually switch, the
-      // cost must be exactly kContextSwitch per switch, and nothing but
-      // switch accounting and latency may move relative to the baseline.
-      if (row.tenants.context_switches == 0 ||
-          row.tenants.context_switch_cycles !=
-              row.tenants.context_switches * costs::kContextSwitch) {
-        std::fprintf(stderr, "%s: tenant serving mis-charged switches "
-                             "(%llu switches, %llu cycles)\n",
-                     mode_name,
-                     (unsigned long long)row.tenants.context_switches,
-                     (unsigned long long)row.tenants.context_switch_cycles);
-        all_ok = false;
-      }
-      if (row.tenants.total_cpu_cycles != row.baseline.total_cpu_cycles ||
-          row.tenants.checking_cycles != row.baseline.checking_cycles) {
-        std::fprintf(stderr,
-                     "%s: tenant scheduling perturbed handler cycles\n",
-                     mode_name);
-        all_ok = false;
-      }
+    // Mixed-class traffic on shared servers must actually switch, the
+    // cost must be exactly kContextSwitch per switch, and nothing but
+    // switch accounting and latency may move relative to the baseline.
+    if (row.tenants.context_switches == 0 ||
+        row.tenants.context_switch_cycles !=
+            row.tenants.context_switches * costs::kContextSwitch) {
+      std::fprintf(stderr, "%s: tenant serving mis-charged switches "
+                           "(%llu switches, %llu cycles)\n",
+                   mode_name,
+                   (unsigned long long)row.tenants.context_switches,
+                   (unsigned long long)row.tenants.context_switch_cycles);
+      all_ok = false;
+    }
+    if (row.tenants.total_cpu_cycles != row.baseline.total_cpu_cycles ||
+        row.tenants.checking_cycles != row.baseline.checking_cycles) {
+      std::fprintf(stderr,
+                   "%s: tenant scheduling perturbed handler cycles\n",
+                   mode_name);
+      all_ok = false;
     }
     for (const netsim::ClassMetrics& c : row.tenants.classes) {
       std::printf("%-5s %-7s %12llu %10llu %12llu %14llu\n", mode_name,

@@ -21,6 +21,10 @@ std::string DiagnosticSink::to_string() const {
     out << d.loc.line << ':' << d.loc.column << ": "
         << severity_name(d.severity) << ": " << d.message << '\n';
   }
+  if (unstored_errors_ > 0) {
+    out << unstored_errors_ << " more error"
+        << (unstored_errors_ == 1 ? "" : "s") << '\n';
+  }
   return out.str();
 }
 

@@ -1,6 +1,5 @@
 #include "core/cash.hpp"
 
-#include <cstdlib>
 #include <sstream>
 
 #include "frontend/irgen.hpp"
@@ -69,13 +68,6 @@ CompileResult compile(std::string_view source, const CompileOptions& options) {
   // runtime (segment allocation, fat-pointer costs) keys off it.
   CompileOptions effective = options;
   effective.machine.mode = options.lower.mode;
-
-  // $CASH_NO_ELIDE force-restores the baseline (no elision) for A/B
-  // comparison, mirroring $CASH_NO_PREDECODE / $CASH_NO_FUSION.
-  if (effective.lower.elide_checks &&
-      std::getenv("CASH_NO_ELIDE") != nullptr) {
-    effective.lower.elide_checks = false;
-  }
 
   passes::ElideStats elide_stats;
   if (effective.lower.elide_checks) {

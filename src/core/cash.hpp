@@ -66,8 +66,7 @@ class CompiledProgram {
     return lower_stats_;
   }
 
-  // What the elision pass removed (all zero unless lower.elide_checks was on
-  // and survived $CASH_NO_ELIDE).
+  // What the elision pass removed (all zero unless lower.elide_checks was on).
   const passes::ElideStats& elide_stats() const noexcept {
     return elide_stats_;
   }
@@ -90,8 +89,8 @@ class CompiledProgram {
 
   // Creates a fresh simulated machine (process) for this program. The
   // machine gets the pre-decoded micro-op image (see vm/decode.hpp) built
-  // once at compile time; config.enable_predecode / $CASH_NO_PREDECODE
-  // select between it and the reference interpreter.
+  // once at compile time; config.enable_predecode selects between it and
+  // the reference interpreter.
   std::unique_ptr<vm::Machine> make_machine() const {
     return std::make_unique<vm::Machine>(*module_, options_.machine,
                                          decoded_.get());

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -163,8 +162,7 @@ ServerMetrics finalize(ServerMetrics& metrics,
   // serving process changes tenant (= request class). Filled below — by the
   // queue loop (per simulated server) or by a sequential single-stream pass
   // — so it is a pure serial function of the slots and class assignment.
-  const bool tenants_on = serve.tenant_processes && classes.size() > 1 &&
-                          std::getenv("CASH_NO_MULTIPROC") == nullptr;
+  const bool tenants_on = serve.tenant_processes && classes.size() > 1;
   std::vector<std::uint64_t> switch_cost(n, 0);
 
   // Arrival + FCFS queueing over `sim_servers` simulated server processes.
@@ -397,8 +395,6 @@ ServerMetrics serve_requests(const CompiledProgram& program, int requests,
     return metrics;
   }
   const bool armed = !plan.empty();
-  const bool use_snapshot =
-      serve.enable_snapshot && std::getenv("CASH_NO_SNAPSHOT") == nullptr;
   // With explicit classes the loop behaves like a production server:
   // per-request failures are recorded, never thrown. The legacy implicit
   // single class keeps throw-on-failure (callers treat it as a harness
@@ -556,7 +552,7 @@ ServerMetrics serve_requests(const CompiledProgram& program, int requests,
     slot.faults_injected += net.stats().total();
   };
 
-  if (use_snapshot) {
+  if (serve.enable_snapshot) {
     // fork() from a snapshot pool: per worker chunk, build one machine,
     // replay server_init once, capture the post-init (pre-arming) parent
     // image, and rewind to it before every subsequent fork — each request,

@@ -165,8 +165,7 @@ struct ServeOptions {
   // after each restore the injector is re-armed from scratch with the
   // request's seed (plan.seed + i) and only the per-request seeding is
   // replayed — bit-identical to rebuild-and-replay, which materialises the
-  // parent image fresh and then arms at the same fork point. Forced off
-  // when $CASH_NO_SNAPSHOT is set (armed and unarmed alike).
+  // parent image fresh and then arms at the same fork point.
   bool enable_snapshot{true};
   // Run the children on the pre-decoded micro-op engine (vm/decode.hpp).
   // false forces the reference interpreter regardless of the compiled
@@ -206,8 +205,7 @@ struct ServeOptions {
   // switch (charged to the incoming request's latency and the server's
   // busy interval). With the arrival model off the whole run is one
   // sequential request stream. A single-class workload never switches, so
-  // this is bit-transparent for homogeneous traffic. Forced off when
-  // $CASH_NO_MULTIPROC is set.
+  // this is bit-transparent for homogeneous traffic.
   bool tenant_processes{false};
 };
 

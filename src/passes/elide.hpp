@@ -37,7 +37,7 @@ namespace cash::passes {
 // bound violation (vm::FaultKind::kBoundRange) whenever the baseline does —
 // possibly earlier (a hoisted check fires in the preheader) and therefore
 // at a different reported address. bench_elide and the fuzz matrix enforce
-// this differentially; $CASH_NO_ELIDE force-restores the baseline.
+// this differentially against the same program with elision off.
 struct ElideStats {
   std::uint64_t checks_deleted{0};   // (a): accesses proven in-bounds or
                                      // covered by a dominating check

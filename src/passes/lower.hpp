@@ -37,8 +37,7 @@ struct LowerOptions {
   bool eliminate_redundant_checks{false};
   // Whole-program check elision (passes/elide.hpp): run range analysis
   // between optimise and lower, and drop or hoist checks proven redundant.
-  // Off by default — it changes simulated cycles by design; $CASH_NO_ELIDE
-  // force-disables it at compile() time for A/B comparison.
+  // Off by default — it changes simulated cycles by design.
   bool elide_checks{false};
 };
 

@@ -765,9 +765,9 @@ DecodedProgram::DecodedProgram(const ir::Module& module) : module_(&module) {
 // over the same labels elsewhere. The itemized outer loop keeps its
 // switch: its ops are rare and heavyweight, so dispatch cost is noise
 // there. Which member stream runs — plain or fused — is chosen per frame
-// from MachineConfig.enable_fusion / $CASH_NO_FUSION; cold paths always
-// itemize from the plain stream, so fused runs fault, truncate and charge
-// exactly like unfused ones.
+// from MachineConfig.enable_fusion; cold paths always itemize from the
+// plain stream, so fused runs fault, truncate and charge exactly like
+// unfused ones.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -1115,15 +1115,13 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
 
   // One stream choice serves the whole run: the image is immutable and
   // both streams are always present, so this is pure selection.
-  const bool fusion_on =
-      impl.config.enable_fusion && std::getenv("CASH_NO_FUSION") == nullptr;
+  const bool fusion_on = impl.config.enable_fusion;
 
   // Hot-trace superblock engine (DESIGN.md §11): same per-run gating shape
   // as the other transparent layers. Trace state lives on the machine and
   // persists across runs (and snapshots); coverage is reported per run.
-  const bool trace_on = impl.config.enable_trace &&
-                        impl.config.trace_threshold != 0 &&
-                        std::getenv("CASH_NO_TRACE") == nullptr;
+  const bool trace_on =
+      impl.config.enable_trace && impl.config.trace_threshold != 0;
   const std::uint32_t trace_threshold = impl.config.trace_threshold;
   if (trace_on && impl.trace.fns.size() != prog.functions().size()) {
     impl.trace.fns.resize(prog.functions().size());
@@ -1193,9 +1191,7 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
           static_cast<std::size_t>(dfn - prog.functions().data());
       FnTraceState& ts = impl.trace.fns[fi];
       if (ts.stream != frame.stream) {
-        // First use — or the active stream changed between runs (an
-        // enable_fusion / $CASH_NO_FUSION flip): every recorded index
-        // refers to the old stream, so the state starts over.
+        // First use: size the state to the active stream.
         ts.stream = frame.stream;
         ts.hot.assign(frame.stream->uops.size(), 0);
         ts.edges.assign(frame.stream->uops.size(), TraceEdge{});

@@ -30,13 +30,12 @@
 //           load/store, compare+branch) are merged into single fused
 //           micro-ops with pre-summed static costs.
 //
-// The engine picks a stream per run from MachineConfig.enable_fusion (and
-// the $CASH_NO_FUSION kill switch), so one decoded image serves every
-// configuration. Member dispatch is computed-goto threaded on GCC/Clang
-// with a portable switch fallback (see decode.cpp). The result is
-// bit-transparent either way: cycles, breakdowns, counters, stats, faults
-// and output are identical to the reference interpreter
-// (tests/vm/decode_test.cpp).
+// The engine picks a stream per run from MachineConfig.enable_fusion, so
+// one decoded image serves every configuration. Member dispatch is
+// computed-goto threaded on GCC/Clang with a portable switch fallback (see
+// decode.cpp). The result is bit-transparent either way: cycles,
+// breakdowns, counters, stats, faults and output are identical to the
+// reference interpreter (tests/vm/decode_test.cpp).
 
 namespace cash::vm {
 

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <limits>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "vm/decode.hpp"
@@ -24,9 +23,7 @@ using x86seg::SegReg;
 Machine::Machine(const ir::Module& module, MachineConfig config,
                  const DecodedProgram* predecoded)
     : impl_(std::make_unique<Impl>(module, config)) {
-  if (predecoded != nullptr && predecoded->ok() &&
-      config.enable_predecode &&
-      std::getenv("CASH_NO_PREDECODE") == nullptr) {
+  if (predecoded != nullptr && predecoded->ok() && config.enable_predecode) {
     impl_->decoded = predecoded;
   }
 }

@@ -43,8 +43,7 @@ struct MachineConfig {
   int max_ldts{1};
   // Software TLB in front of the simulated page table (host-side fast path
   // only — simulated cycles, breakdowns and counters are bit-identical with
-  // it on or off). Also forced off when $CASH_NO_TLB is set, for A/B runs
-  // without recompiling.
+  // it on or off).
   bool enable_tlb{true};
   // Pre-decoded micro-op engine (DESIGN.md §7): execute the flat decoded
   // image a CompiledProgram builds at construction instead of walking the
@@ -52,16 +51,14 @@ struct MachineConfig {
   // and counters are bit-identical with it on or off. Takes effect only for
   // machines created through CompiledProgram::make_machine (a Machine
   // constructed directly from a Module has no decoded image and always runs
-  // the reference interpreter). Also forced off when $CASH_NO_PREDECODE is
-  // set, for A/B runs without recompiling.
+  // the reference interpreter).
   bool enable_predecode{true};
   // Superinstruction fusion inside the micro-op engine (DESIGN.md §7):
   // execute the decoded image's fused stream, where dependent micro-op
   // pairs/triples are merged with pre-summed costs, instead of the plain
   // one-micro-op-per-instruction stream. Host-side fast path only —
   // simulated results are bit-identical either way. No effect when the
-  // machine runs the reference interpreter. Also forced off when
-  // $CASH_NO_FUSION is set, for A/B runs without recompiling.
+  // machine runs the reference interpreter.
   bool enable_fusion{true};
   // Hot-trace superblock engine inside the micro-op engine (DESIGN.md §11):
   // deterministic per-block execution counters promote hot blocks into
@@ -69,8 +66,7 @@ struct MachineConfig {
   // recorded biased successor edges, with guard micro-ops at the side
   // exits. Host-side fast path only — simulated cycles, breakdowns,
   // counters, faults and output are bit-identical with it on or off. No
-  // effect when the machine runs the reference interpreter. Also forced
-  // off when $CASH_NO_TRACE is set, for A/B runs without recompiling.
+  // effect when the machine runs the reference interpreter.
   bool enable_trace{true};
   // Block execution count at which a hot block is promoted into a
   // superblock. Promotion is a pure function of the simulated instruction
@@ -118,10 +114,9 @@ struct FunctionProfile {
 
 // Hot-trace superblock statistics (DESIGN.md §11). Host-side only, like
 // TlbStats: the counters are cumulative across runs of one Machine and all
-// zero when the trace engine is off ($CASH_NO_TRACE, enable_trace=false,
-// trace_threshold=0, or the reference interpreter). `coverage` is per-run:
-// the fraction of this run's retired IR instructions that executed inside
-// a superblock.
+// zero when the trace engine is off (enable_trace=false, trace_threshold=0,
+// or the reference interpreter). `coverage` is per-run: the fraction of
+// this run's retired IR instructions that executed inside a superblock.
 struct TraceStats {
   std::uint64_t traces_formed{0};
   std::uint64_t trace_execs{0};         // superblock entries
@@ -189,8 +184,8 @@ class Machine {
  public:
   // `predecoded` optionally attaches the pre-decoded micro-op image built
   // by CompiledProgram (which owns it and must outlive the Machine). Null —
-  // or config.enable_predecode == false, or $CASH_NO_PREDECODE — selects
-  // the reference interpreter.
+  // or config.enable_predecode == false — selects the reference
+  // interpreter.
   Machine(const ir::Module& module, MachineConfig config,
           const DecodedProgram* predecoded = nullptr);
   ~Machine();

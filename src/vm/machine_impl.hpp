@@ -7,7 +7,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -132,8 +131,8 @@ struct Trace {
 };
 
 // Per-function trace state, parallel to the active stream's uop array.
-// Tagged with the stream it indexes: if the stream choice changes between
-// runs (enable_fusion / $CASH_NO_FUSION flip), the state resets.
+// Tagged with the stream it indexes, which is set on first use (a machine's
+// enable_fusion, and so its stream, never changes).
 struct FnTraceState {
   const UopStream* stream{nullptr};
   std::vector<std::uint32_t> hot;     // block-header execution counters
@@ -215,7 +214,7 @@ struct Machine::Impl {
     (void)seg_unit.load(x86seg::SegReg::kSs, kernel::flat_user_data_selector());
     (void)seg_unit.load(x86seg::SegReg::kEs, kernel::flat_user_data_selector());
 
-    if (!cfg.enable_tlb || std::getenv("CASH_NO_TLB") != nullptr) {
+    if (!cfg.enable_tlb) {
       pages.tlb().set_enabled(false);
     }
 

@@ -2,6 +2,7 @@
 // (validated through evaluation), and statement-level error recovery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <ostream>
 #include <string>
 
@@ -177,17 +178,38 @@ TEST(Parser, ArraySizeMustBePositiveConstant) {
             1);
 }
 
-TEST(Parser, StrayTopLevelBraceIsOneError) {
-  EXPECT_EQ(parse_error_count("}"), 1);
-  EXPECT_EQ(parse_error_count("int main() { return 0; } }"), 1);
-}
-
 std::string repeat(const std::string& text, int times) {
   std::string out;
   for (int i = 0; i < times; ++i) {
     out += text;
   }
   return out;
+}
+
+TEST(Parser, StrayTopLevelBraceIsOneError) {
+  EXPECT_EQ(parse_error_count("}"), 1);
+  EXPECT_EQ(parse_error_count("int main() { return 0; } }"), 1);
+}
+
+TEST(Parser, StoredErrorsAreCappedButAllCounted) {
+  // One error per stray '@': the count stays exact while the rendered
+  // text stops at kMaxStored lines plus one summary line.
+  const int n = 200000;
+  const std::string source = "int main() {" + repeat(" @", n) + " return 0; }";
+  DiagnosticSink diagnostics;
+  Lexer lexer(source, diagnostics);
+  Parser parser(lexer.lex(), diagnostics);
+  (void)parser.parse();
+  EXPECT_EQ(diagnostics.error_count(), n);
+  EXPECT_EQ(diagnostics.diagnostics().size(), DiagnosticSink::kMaxStored);
+  const std::string text = diagnostics.to_string();
+  EXPECT_EQ(static_cast<std::size_t>(
+                std::count(text.begin(), text.end(), '\n')),
+            DiagnosticSink::kMaxStored + 1);
+  const std::string last_line =
+      std::to_string(n - static_cast<int>(DiagnosticSink::kMaxStored)) +
+      " more errors\n";
+  EXPECT_EQ(text.substr(text.size() - last_line.size()), last_line);
 }
 
 TEST(Parser, DeepNestingIsOneErrorNotACrash) {

@@ -4,12 +4,8 @@
 // the same request stream. The servers are deliberately heavier in
 // server_init than in their handlers, the shape a fork-per-request server
 // has. Only host-side PoolStats is exempt from the comparison.
-//
-// Under $CASH_NO_SNAPSHOT every fast cell falls back to rebuild-and-replay
-// and must still match; only the "the pool was used" checks are skipped.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "netsim/netsim.hpp"
@@ -109,15 +105,15 @@ constexpr const char* kMain =
     "int main() { server_init(); return handle_request(); }\n";
 
 std::unique_ptr<CompiledProgram> compile_server(const std::string& source,
-                                                CheckMode mode) {
+                                                CheckMode mode,
+                                                bool enable_fusion = true) {
   CompileOptions options;
   options.lower.mode = mode;
+  options.machine.enable_fusion = enable_fusion;
   CompileResult compiled = compile(source, options);
   EXPECT_TRUE(compiled.ok()) << compiled.error;
   return std::move(compiled.program);
 }
-
-bool snapshot_killed() { return std::getenv("CASH_NO_SNAPSHOT") != nullptr; }
 
 TEST(ServeGrid, SnapshotMatchesReplayInEveryModePlanAndJobsCell) {
   faultinject::FaultPlan armed;
@@ -144,9 +140,7 @@ TEST(ServeGrid, SnapshotMatchesReplayInEveryModePlanAndJobsCell) {
         const ServerMetrics reference =
             serve_requests(*program, 30, 7, {jobs}, plan, replay);
         EXPECT_EQ(first_metrics_difference(fast, reference), "") << cell;
-        if (!snapshot_killed()) {
-          EXPECT_GT(fast.pool.captures, 0u) << cell;
-        }
+        EXPECT_GT(fast.pool.captures, 0u) << cell;
       }
     }
   }
@@ -177,22 +171,27 @@ TEST(ServeGrid, SustainedMixedClassLoadMatchesReplayAtEveryJobsCount) {
   }
 }
 
+// Served on the fused stream (the default) and on the plain stream
+// (enable_fusion = false), the one the fused stream's cold fault paths
+// reconstruct charges from.
 TEST(ServeGrid, PredecodedSnapshotMatchesReplayedInterpreter) {
-  const auto program =
-      compile_server(std::string(kServerCore) + kMain, CheckMode::kCash);
-  ASSERT_NE(program, nullptr);
   ServeOptions fast; // snapshot + predecode, traces off
   fast.enable_trace = false;
   ServeOptions reference;
   reference.enable_snapshot = false;
   reference.enable_predecode = false;
   reference.enable_trace = false;
-  for (int jobs : {1, 2, 8}) {
-    EXPECT_EQ(first_metrics_difference(
-                  serve_requests(*program, 24, 7, {jobs}, {}, fast),
-                  serve_requests(*program, 24, 7, {jobs}, {}, reference)),
-              "")
-        << "jobs=" << jobs;
+  for (bool fusion : {true, false}) {
+    const auto program = compile_server(std::string(kServerCore) + kMain,
+                                        CheckMode::kCash, fusion);
+    ASSERT_NE(program, nullptr);
+    for (int jobs : {1, 2, 8}) {
+      EXPECT_EQ(first_metrics_difference(
+                    serve_requests(*program, 24, 7, {jobs}, {}, fast),
+                    serve_requests(*program, 24, 7, {jobs}, {}, reference)),
+                "")
+          << "fusion=" << fusion << " jobs=" << jobs;
+    }
   }
 }
 

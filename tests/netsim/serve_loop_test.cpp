@@ -6,7 +6,6 @@
 // semantics themselves.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 
 #include "netsim/netsim.hpp"
 
@@ -236,10 +235,10 @@ TEST(ServeLoop, KillSwitchForcesArmedServingOffTheSnapshotPath) {
   const ServerMetrics armed =
       serve_requests(*program.program, 30, 7, {1}, plan);
   EXPECT_GT(armed.pool.captures, 0u); // armed default = fork-from-snapshot
-  ::setenv("CASH_NO_SNAPSHOT", "1", 1);
+  ServeOptions replay;
+  replay.enable_snapshot = false;
   const ServerMetrics killed =
-      serve_requests(*program.program, 30, 7, {1}, plan);
-  ::unsetenv("CASH_NO_SNAPSHOT");
+      serve_requests(*program.program, 30, 7, {1}, plan, replay);
   EXPECT_EQ(killed.pool.captures, 0u);
   EXPECT_EQ(killed.pool.restores, 0u);
   EXPECT_EQ(first_metrics_difference(armed, killed), "");

@@ -1,17 +1,14 @@
 // Whole-program check elision (passes/elide.cpp): per-pattern tests
 // asserting via the IR printer that exactly the expected checks remain
 // after lowering, negative cases proving the pass leaves unsafe patterns
-// alone, a seeded-violation sweep proving elided compilations catch every
-// bound violation the baseline catches, and the $CASH_NO_ELIDE bit-identity
-// gate through the full-RunResult comparator.
+// alone, and a seeded-violation sweep proving elided compilations catch every
+// bound violation the baseline catches.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "core/cash.hpp"
 #include "ir/printer.hpp"
-#include "../vm/run_result_compare.hpp"
 
 namespace cash {
 namespace {
@@ -379,27 +376,6 @@ TEST_P(ElideFaultIdentity, ElidedRunCatchesEverySeededViolation) {
 
 INSTANTIATE_TEST_SUITE_P(Seeded, ElideFaultIdentity,
                          testing::Range(0, 4));
-
-// --- $CASH_NO_ELIDE: bit-identical to elision off --------------------------
-
-TEST(ElideKillSwitch, RestoresBaselineBitForBit) {
-  const char* source = kViolations[0].source;
-  for (CheckMode mode : {CheckMode::kBcc, CheckMode::kCash}) {
-    CompileOptions options;
-    options.lower.mode = mode;
-    options.lower.elide_checks = true;
-    setenv("CASH_NO_ELIDE", "1", 1);
-    CompileResult killed = compile(source, options);
-    unsetenv("CASH_NO_ELIDE");
-    options.lower.elide_checks = false;
-    CompileResult off = compile(source, options);
-    ASSERT_TRUE(killed.ok() && off.ok());
-    EXPECT_EQ(killed.program->elide_stats().checks_removed(), 0u);
-    vm::expect_identical(off.program->run(), killed.program->run(),
-                         std::string("kill switch, mode ") +
-                             to_string(mode));
-  }
-}
 
 } // namespace
 } // namespace cash

@@ -336,18 +336,28 @@ int main() {
 }
 
 TEST(DecodeTransparency, EnvVarForcesInterpreter) {
-  // $CASH_NO_PREDECODE must win over config.enable_predecode — and, being
-  // a host-side toggle, must not change results either.
-  constexpr const char* kSmall = "int main() { return 41 + 1; }";
-  CompileOptions options;
-  CompileResult compiled = compile(kSmall, options);
+  // config.enable_predecode = false selects the reference interpreter even
+  // though the program carries a decoded image and traces are on: the
+  // results match, and no trace forms.
+  constexpr const char* kLoop = R"(
+int main() {
+  int i; int s;
+  s = 0;
+  for (i = 0; i < 100; i = i + 1) { s = s + i; }
+  return s % 256;
+}
+)";
+  CompileResult compiled = compile(kLoop, {});
   ASSERT_TRUE(compiled.ok()) << compiled.error;
+  vm::MachineConfig interp_cfg = compiled.program->options().machine;
+  interp_cfg.enable_predecode = false;
   const vm::RunResult fast = compiled.program->make_machine()->run();
-  ::setenv("CASH_NO_PREDECODE", "1", 1);
-  const vm::RunResult forced = compiled.program->make_machine()->run();
-  ::unsetenv("CASH_NO_PREDECODE");
-  expect_identical(forced, fast, "env toggle");
-  EXPECT_EQ(fast.exit_code, 42);
+  const vm::RunResult forced =
+      compiled.program->make_machine(interp_cfg)->run();
+  expect_identical(forced, fast, "enable_predecode=false");
+  EXPECT_EQ(fast.exit_code, 4950 % 256);
+  EXPECT_GT(fast.trace_stats.traces_formed, 0u);
+  EXPECT_EQ(forced.trace_stats.traces_formed, 0u);
 }
 
 TEST(DecodeTransparency, DirectMachineHasNoDecodedImage) {
@@ -530,11 +540,12 @@ TEST(DecodeFusion, EnvVarDisablesFusion) {
   options.lower.mode = CheckMode::kCash;
   CompileResult compiled = compile(kFusedClean, options);
   ASSERT_TRUE(compiled.ok()) << compiled.error;
+  vm::MachineConfig plain_cfg = compiled.program->options().machine;
+  plain_cfg.enable_fusion = false;
   const vm::RunResult fused = compiled.program->make_machine()->run();
-  ::setenv("CASH_NO_FUSION", "1", 1);
-  const vm::RunResult plain = compiled.program->make_machine()->run();
-  ::unsetenv("CASH_NO_FUSION");
-  expect_identical(plain, fused, "CASH_NO_FUSION toggle");
+  const vm::RunResult plain =
+      compiled.program->make_machine(plain_cfg)->run();
+  expect_identical(plain, fused, "enable_fusion=false");
 }
 
 TEST(DecodeFusion, HitRateGuardsEmptyDenominator) {
@@ -649,16 +660,11 @@ TEST(DecodeTrace, EnvVarDisablesTraces) {
   const vm::RunResult traced = compiled.program->make_machine()->run();
   const vm::RunResult config_off =
       compiled.program->make_machine(off_cfg)->run();
-  ::setenv("CASH_NO_TRACE", "1", 1);
-  const vm::RunResult env_off = compiled.program->make_machine()->run();
-  ::unsetenv("CASH_NO_TRACE");
 
   EXPECT_GT(traced.trace_stats.traces_formed, 0u);
   EXPECT_EQ(config_off.trace_stats.traces_formed, 0u);
-  EXPECT_EQ(env_off.trace_stats.traces_formed, 0u);
-  EXPECT_EQ(env_off.trace_stats.trace_execs, 0u);
+  EXPECT_EQ(config_off.trace_stats.trace_execs, 0u);
   expect_identical(config_off, traced, "trace on vs enable_trace=false");
-  expect_identical(config_off, env_off, "enable_trace=false vs CASH_NO_TRACE");
 }
 
 } // namespace

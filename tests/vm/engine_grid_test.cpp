@@ -1,11 +1,13 @@
-// Engine-grid transparency gate: each loop kernel, compiled once, must give
-// bit-identical simulated results on all four execution engines — hot-trace
-// superblocks (the default), the fused superinstruction stream
-// (enable_trace = false), the unfused plain stream (enable_fusion = false)
-// and the reference interpreter (enable_predecode = false). Each kernel must
-// also exercise the fast tiers: a nonzero fusion hit rate and a nonzero
-// share of instructions retired inside traces. $CASH_NO_TRACE must behave
-// exactly like enable_trace = false.
+// Engine-grid transparency gate: each loop kernel must give bit-identical
+// simulated results on all four execution engines — hot-trace superblocks
+// (the default), the fused superinstruction stream (enable_trace = false),
+// the unfused plain stream (enable_fusion = false) and the reference
+// interpreter (enable_predecode = false) — and on traces spliced from the
+// plain stream (enable_fusion = false, enable_trace = true). Each kernel is
+// compiled twice, with check elision off and on, and every engine must
+// agree on both programs. Each kernel must also exercise the fast tiers: a
+// nonzero fusion hit rate and a nonzero share of instructions retired
+// inside traces.
 //
 // The cells are the six micro kernels at small sizes, each under two check
 // modes, so that together they cover every lowering. Machines run the way a
@@ -14,7 +16,6 @@
 // already formed traces.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -70,11 +71,12 @@ const Cell kCells[] = {
      [] { return workloads::svd_source(16, 12, 3); }},
 };
 
-enum class Engine { kTrace, kFused, kPlain, kInterp };
+enum class Engine { kTrace, kTracePlain, kFused, kPlain, kInterp };
 
 const char* engine_name(Engine engine) {
   switch (engine) {
     case Engine::kTrace: return "trace";
+    case Engine::kTracePlain: return "trace-over-plain";
     case Engine::kFused: return "fused";
     case Engine::kPlain: return "plain";
     case Engine::kInterp: return "interpreter";
@@ -89,7 +91,7 @@ std::vector<vm::RunResult> run_restored(const CompiledProgram& program,
   vm::MachineConfig cfg = program.options().machine;
   cfg.enable_predecode = engine != Engine::kInterp;
   cfg.enable_fusion = engine == Engine::kTrace || engine == Engine::kFused;
-  cfg.enable_trace = engine == Engine::kTrace;
+  cfg.enable_trace = engine == Engine::kTrace || engine == Engine::kTracePlain;
   const std::unique_ptr<vm::Machine> machine = program.make_machine(cfg);
   machine->prepare();
   const std::unique_ptr<vm::MachineSnapshot> image = machine->capture();
@@ -101,31 +103,47 @@ std::vector<vm::RunResult> run_restored(const CompiledProgram& program,
   return results;
 }
 
+std::unique_ptr<CompiledProgram> compile_cell(const Cell& cell,
+                                              bool elide_checks) {
+  CompileOptions options;
+  options.lower.mode = cell.mode;
+  options.lower.elide_checks = elide_checks;
+  CompileResult compiled = compile(cell.source(), options);
+  EXPECT_TRUE(compiled.ok()) << compiled.error;
+  return std::move(compiled.program);
+}
+
 class EngineGrid : public testing::TestWithParam<Cell> {
  protected:
   void SetUp() override {
-    CompileOptions options;
-    options.lower.mode = GetParam().mode;
-    CompileResult compiled = compile(GetParam().source(), options);
-    ASSERT_TRUE(compiled.ok()) << compiled.error;
-    program_ = std::move(compiled.program);
+    program_ = compile_cell(GetParam(), false);
+    ASSERT_NE(program_, nullptr);
   }
 
   std::unique_ptr<CompiledProgram> program_;
 };
 
 TEST_P(EngineGrid, AllFourEnginesAgree) {
-  const std::vector<vm::RunResult> reference =
-      run_restored(*program_, Engine::kInterp, 2);
-  for (const vm::RunResult& run : reference) {
-    ASSERT_TRUE(run.ok) << (run.fault ? run.fault->detail : run.error);
-  }
-  for (Engine engine : {Engine::kTrace, Engine::kFused, Engine::kPlain}) {
-    const std::vector<vm::RunResult> fast = run_restored(*program_, engine, 2);
-    for (std::size_t i = 0; i < fast.size(); ++i) {
-      expect_identical(reference[i], fast[i],
-                       std::string(engine_name(engine)) + " run " +
-                           std::to_string(i + 1));
+  const std::unique_ptr<CompiledProgram> elided =
+      compile_cell(GetParam(), true);
+  ASSERT_NE(elided, nullptr);
+  for (const CompiledProgram* program : {program_.get(), elided.get()}) {
+    const std::string label =
+        program->options().lower.elide_checks ? "elided " : "";
+    const std::vector<vm::RunResult> reference =
+        run_restored(*program, Engine::kInterp, 2);
+    for (const vm::RunResult& run : reference) {
+      ASSERT_TRUE(run.ok) << label
+                          << (run.fault ? run.fault->detail : run.error);
+    }
+    for (Engine engine : {Engine::kTrace, Engine::kTracePlain, Engine::kFused,
+                          Engine::kPlain}) {
+      const std::vector<vm::RunResult> fast = run_restored(*program, engine, 2);
+      for (std::size_t i = 0; i < fast.size(); ++i) {
+        expect_identical(reference[i], fast[i],
+                         label + engine_name(engine) + " run " +
+                             std::to_string(i + 1));
+      }
     }
   }
 }
@@ -141,16 +159,6 @@ TEST_P(EngineGrid, TracesCoverTheKernel) {
       run_restored(*program_, Engine::kTrace, 1)[0].trace_stats;
   EXPECT_GT(stats.traces_formed, 0u);
   EXPECT_GT(stats.coverage, 0.0);
-}
-
-TEST_P(EngineGrid, NoTraceEnvMatchesTraceOff) {
-  const vm::RunResult trace_off = run_restored(*program_, Engine::kFused, 1)[0];
-  ::setenv("CASH_NO_TRACE", "1", 1);
-  const vm::RunResult killed = run_restored(*program_, Engine::kTrace, 1)[0];
-  ::unsetenv("CASH_NO_TRACE");
-  expect_identical(trace_off, killed, "CASH_NO_TRACE");
-  EXPECT_EQ(killed.trace_stats.traces_formed, 0u);
-  EXPECT_EQ(killed.trace_stats.trace_execs, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Kernels, EngineGrid, testing::ValuesIn(kCells),

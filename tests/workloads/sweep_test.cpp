@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <ostream>
 
 #include "core/cash.hpp"
 #include "workloads/reference.hpp"
@@ -34,6 +35,12 @@ struct SweepCase {
   int size;
   CheckMode mode;
 };
+
+// ctest shows the parameter next to the case name, so print it rather than
+// the struct's bytes (three of which are uninitialised padding).
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << to_string(c.mode) << " size " << c.size;
+}
 
 std::string case_name(const testing::TestParamInfo<SweepCase>& info) {
   return std::string(to_string(info.param.mode)) + "_" +

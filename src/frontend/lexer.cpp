@@ -8,6 +8,10 @@
 namespace cash::frontend {
 
 namespace {
+// The largest decimal literal: MiniC's int is 32-bit signed, and a leading
+// '-' is a separate operator, as in C.
+constexpr std::uint64_t kIntMax = 2147483647;
+
 const std::map<std::string, TokenKind, std::less<>>& keywords() {
   static const std::map<std::string, TokenKind, std::less<>> kKeywords = {
       {"int", TokenKind::kKwInt},     {"float", TokenKind::kKwFloat},
@@ -101,6 +105,23 @@ bool Lexer::match(char expected) noexcept {
   return true;
 }
 
+std::uint64_t Lexer::literal_value(SourceLoc loc, const std::string& digits,
+                                   unsigned base, std::uint64_t max) {
+  std::uint64_t value = 0;
+  for (char c : digits) {
+    const unsigned digit =
+        std::isdigit(static_cast<unsigned char>(c))
+            ? static_cast<unsigned>(c - '0')
+            : static_cast<unsigned>(std::tolower(c) - 'a' + 10);
+    value = value * base + digit;
+    if (value > max) {
+      diagnostics_->error(loc, "integer literal out of range");
+      return 0;
+    }
+  }
+  return value;
+}
+
 void Lexer::lex_number(std::vector<Token>& out) {
   Token token;
   token.loc = loc();
@@ -113,8 +134,9 @@ void Lexer::lex_number(std::vector<Token>& out) {
       text.push_back(advance());
     }
     token.kind = TokenKind::kIntLit;
-    token.int_value =
-        static_cast<std::int32_t>(std::strtoul(text.c_str(), nullptr, 16));
+    // A hex literal is a 32-bit pattern: 0xFFFFFFFF is -1.
+    token.int_value = static_cast<std::int32_t>(
+        literal_value(token.loc, text, 16, 0xFFFFFFFFULL));
     out.push_back(std::move(token));
     return;
   }
@@ -151,7 +173,7 @@ void Lexer::lex_number(std::vector<Token>& out) {
   } else {
     token.kind = TokenKind::kIntLit;
     token.int_value =
-        static_cast<std::int32_t>(std::strtol(text.c_str(), nullptr, 10));
+        static_cast<std::int32_t>(literal_value(token.loc, text, 10, kIntMax));
   }
   out.push_back(std::move(token));
 }

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstdint>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -9,7 +11,8 @@
 namespace cash::frontend {
 
 // Hand-written MiniC lexer. Supports // and /* */ comments, decimal and hex
-// integer literals, and float literals with optional exponent.
+// integer literals, and float literals with optional exponent. A decimal
+// literal above 2147483647, or a hex literal above 0xFFFFFFFF, is an error.
 class Lexer {
  public:
   Lexer(std::string_view source, DiagnosticSink& diagnostics)
@@ -25,6 +28,10 @@ class Lexer {
   SourceLoc loc() const noexcept { return {line_, column_}; }
 
   void lex_number(std::vector<Token>& out);
+  // The value of `digits` in `base`; reports "integer literal out of
+  // range" at `loc` and returns 0 once the value exceeds `max`.
+  std::uint64_t literal_value(SourceLoc loc, const std::string& digits,
+                              unsigned base, std::uint64_t max);
   void lex_ident(std::vector<Token>& out);
 
   std::string_view source_;

@@ -1,9 +1,7 @@
 #include "passes/optimize.hpp"
 
 #include <algorithm>
-#include <map>
-#include <set>
-#include <tuple>
+#include <bit>
 #include <vector>
 
 namespace cash::passes {
@@ -16,6 +14,187 @@ using ir::Function;
 using ir::Instr;
 using ir::Opcode;
 using ir::Reg;
+
+// A dense set of small non-negative ids (registers, local slots) that
+// empties in O(1): an id is present only while its stamp equals the current
+// epoch, so clear() just advances the epoch. Storage only grows, and is
+// reused across blocks, loops and functions.
+class StampedSet {
+ public:
+  // Empties the set and makes ids [0, ids) insertable.
+  void clear(std::size_t ids) {
+    if (stamps_.size() < ids) {
+      stamps_.resize(ids, 0);
+    }
+    if (++epoch_ == 0) {
+      std::fill(stamps_.begin(), stamps_.end(), 0);
+      epoch_ = 1;
+    }
+  }
+  bool contains(Reg id) const {
+    const auto i = static_cast<std::size_t>(id);
+    return i < stamps_.size() && stamps_[i] == epoch_;
+  }
+  void insert(Reg id) { stamps_[static_cast<std::size_t>(id)] = epoch_; }
+  void erase(Reg id) { stamps_[static_cast<std::size_t>(id)] = 0; }
+
+ private:
+  std::vector<std::uint32_t> stamps_;
+  std::uint32_t epoch_{0};
+};
+
+// A StampedSet with a value per id.
+template <typename T>
+class StampedMap {
+ public:
+  void clear(std::size_t ids) {
+    keys_.clear(ids);
+    if (values_.size() < ids) {
+      values_.resize(ids);
+    }
+  }
+  bool contains(Reg id) const { return keys_.contains(id); }
+  const T* find(Reg id) const {
+    return contains(id) ? &values_[static_cast<std::size_t>(id)] : nullptr;
+  }
+  void set(Reg id, T value) {
+    keys_.insert(id);
+    values_[static_cast<std::size_t>(id)] = value;
+  }
+  void erase(Reg id) { keys_.erase(id); }
+
+ private:
+  StampedSet keys_;
+  std::vector<T> values_;
+};
+
+// --- the CSE value table ------------------------------------------------
+
+// A pure value as CSE sees it. Each register or slot it reads carries the
+// version it had when the value was computed, so a redefinition or a store
+// makes older keys unreachable instead of having to find and erase them.
+struct ValueKey {
+  Opcode op;
+  ir::Type type;
+  int sub_op;
+  Reg src0;
+  Reg src1;
+  std::uint32_t src0_version;
+  std::uint32_t src1_version;
+  std::int64_t imm;
+  std::int32_t slot_or_symbol;
+  std::uint32_t slot_version;
+
+  bool operator==(const ValueKey&) const = default;
+
+  std::uint64_t hash() const {
+    std::uint64_t h = (static_cast<std::uint64_t>(op) << 40) ^
+                      (static_cast<std::uint64_t>(type) << 32) ^
+                      static_cast<std::uint32_t>(sub_op);
+    const auto mix = [&](std::uint64_t v) {
+      h = (h ^ v) * 0x9E3779B97F4A7C15ULL;
+      h ^= h >> 29;
+    };
+    mix((static_cast<std::uint64_t>(static_cast<std::uint32_t>(src0)) << 32) |
+        src0_version);
+    mix((static_cast<std::uint64_t>(static_cast<std::uint32_t>(src1)) << 32) |
+        src1_version);
+    mix(static_cast<std::uint64_t>(imm));
+    mix((static_cast<std::uint64_t>(
+             static_cast<std::uint32_t>(slot_or_symbol))
+         << 32) |
+        slot_version);
+    return h;
+  }
+};
+
+// The values available in the current block: open addressing with linear
+// probing. Entries are never erased (stale ones are unreachable by key, or
+// caught by their value's version), and clear() abandons all of them at
+// once by advancing the generation.
+class ValueTable {
+ public:
+  struct Entry {
+    std::uint32_t generation{0};
+    ValueKey key{};
+    Reg value{ir::kNoReg};
+    std::uint32_t value_version{0};
+  };
+
+  void clear() {
+    live_ = 0;
+    if (++generation_ == 0) {
+      for (Entry& e : entries_) {
+        e.generation = 0;
+      }
+      generation_ = 1;
+    }
+  }
+
+  // The entry holding `key`; when there is none, claims an empty entry with
+  // that key, sets `found` to false and leaves filling it to the caller.
+  Entry& find_or_claim(const ValueKey& key, bool& found) {
+    if ((live_ + 1) * 2 > entries_.size()) {
+      grow();
+    }
+    Entry& e = probe(key);
+    found = e.generation == generation_;
+    if (!found) {
+      e.generation = generation_;
+      e.key = key;
+      ++live_;
+    }
+    return e;
+  }
+
+ private:
+  Entry& probe(const ValueKey& key) {
+    const std::size_t mask = entries_.size() - 1;
+    for (std::size_t i = key.hash() & mask;; i = (i + 1) & mask) {
+      Entry& e = entries_[i];
+      if (e.generation != generation_ || e.key == key) {
+        return e;
+      }
+    }
+  }
+
+  void grow() {
+    std::vector<Entry> old(std::max<std::size_t>(256, entries_.size() * 2));
+    old.swap(entries_);
+    for (const Entry& e : old) {
+      if (e.generation == generation_) {
+        probe(e.key) = e;
+      }
+    }
+  }
+
+  std::vector<Entry> entries_;
+  std::uint32_t generation_{1};
+  std::size_t live_{0};
+};
+
+// Tables reused by every sub-pass of one optimize_module call, so that no
+// sub-pass allocates per function, block or loop once they have grown.
+struct Scratch {
+  std::vector<int> defs;
+  std::vector<int> uses;
+  std::size_t slots{0}; // 1 + the largest local slot the function names
+  // The per-register map each sub-pass uses in turn: constants known so far
+  // in the block (strength reduction), copy representatives in the block
+  // (CSE), and copy sources in the function (copy propagation).
+  StampedMap<std::int32_t> reg_map;
+  std::vector<Instr> rebuilt;
+  ValueTable values;
+  std::vector<std::uint32_t> reg_version;
+  std::vector<std::uint32_t> slot_version;
+  std::vector<const ir::Loop*> loops;
+  std::vector<ir::BlockId> ordered;
+  StampedSet defined_inside;
+  StampedSet stored_slots;
+  StampedSet hoisted_defs;
+  std::vector<Instr> hoisted;
+  std::vector<Reg> freed;
+};
 
 bool is_pure(const Instr& instr) {
   switch (instr.op) {
@@ -40,16 +219,20 @@ bool can_fault(const Instr& instr) {
          (instr.bin_op == BinOp::kDiv || instr.bin_op == BinOp::kRem);
 }
 
-std::vector<int> count_defs(const Function& function) {
-  std::vector<int> defs(static_cast<std::size_t>(function.next_reg), 0);
+// Fills scratch.defs with each register's definition count and
+// scratch.slots with the local slot range the function uses.
+void count_defs(const Function& function, Scratch& scratch) {
+  scratch.defs.assign(static_cast<std::size_t>(function.next_reg), 0);
+  std::int32_t max_slot = -1;
   for (const auto& block : function.blocks) {
     for (const Instr& instr : block->instrs) {
       if (instr.dst != ir::kNoReg) {
-        ++defs[static_cast<std::size_t>(instr.dst)];
+        ++scratch.defs[static_cast<std::size_t>(instr.dst)];
       }
+      max_slot = std::max(max_slot, instr.slot);
     }
   }
-  return defs;
+  scratch.slots = static_cast<std::size_t>(max_slot + 1);
 }
 
 void for_each_use(const Instr& instr, const auto& fn) {
@@ -64,15 +247,21 @@ void for_each_use(const Instr& instr, const auto& fn) {
   }
 }
 
-std::vector<int> count_uses(const Function& function) {
-  std::vector<int> uses(static_cast<std::size_t>(function.next_reg), 0);
-  for (const auto& block : function.blocks) {
-    for (const Instr& instr : block->instrs) {
-      for_each_use(instr,
-                   [&](Reg r) { ++uses[static_cast<std::size_t>(r)]; });
+// Keeps, in order, the instructions for which `keep` returns true,
+// compacting the vector in place. `keep` sees each instruction once and may
+// move from one it rejects.
+void compact(std::vector<Instr>& instrs, const auto& keep) {
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < instrs.size(); ++i) {
+    if (keep(instrs[i])) {
+      if (kept != i) {
+        instrs[kept] = std::move(instrs[i]);
+      }
+      ++kept;
     }
   }
-  return uses;
+  instrs.erase(instrs.begin() + static_cast<std::ptrdiff_t>(kept),
+               instrs.end());
 }
 
 // --- 1. strength reduction ---------------------------------------------
@@ -88,18 +277,32 @@ int log2_exact(std::int32_t v) {
   return shift;
 }
 
-std::uint64_t strength_reduce(Function& function,
-                              const std::vector<int>& defs) {
+std::uint64_t strength_reduce(Function& function, Scratch& scratch) {
+  const std::vector<int>& defs = scratch.defs;
+  StampedMap<std::int32_t>& known = scratch.reg_map;
+  std::vector<Instr>& out = scratch.rebuilt;
   std::uint64_t changed = 0;
   for (auto& block : function.blocks) {
     // Constants known at this point of the block (single-def regs only).
-    std::map<Reg, std::int32_t> known;
-    std::vector<Instr> out;
-    out.reserve(block->instrs.size());
-    for (Instr& instr : block->instrs) {
+    known.clear(static_cast<std::size_t>(function.next_reg));
+    std::vector<Instr>& instrs = block->instrs;
+    // A block is rebuilt into `out` only from its first expansion on; until
+    // then every rewrite is in place.
+    bool rebuilding = false;
+    for (std::size_t i = 0; i < instrs.size(); ++i) {
+      Instr& instr = instrs[i];
+      const auto start_rebuild = [&] {
+        if (!rebuilding) {
+          out.clear();
+          out.insert(out.end(), std::make_move_iterator(instrs.begin()),
+                     std::make_move_iterator(instrs.begin() +
+                                             static_cast<std::ptrdiff_t>(i)));
+          rebuilding = true;
+        }
+      };
       if (instr.op == Opcode::kConstInt &&
           defs[static_cast<std::size_t>(instr.dst)] == 1) {
-        known[instr.dst] = instr.int_imm;
+        known.set(instr.dst, instr.int_imm);
       }
       // Signed division / remainder by a power-of-two constant: GCC at the
       // highest level emits a shift with a sign fix-up, not idiv. Expand to
@@ -110,11 +313,12 @@ std::uint64_t strength_reduce(Function& function,
       //   rem: r = x - (t & ~(C-1))
       if (instr.op == Opcode::kBin && instr.type == ir::Type::kInt &&
           (instr.bin_op == BinOp::kDiv || instr.bin_op == BinOp::kRem)) {
-        const auto it = known.find(instr.src1);
-        const int shift = it != known.end() ? log2_exact(it->second) : -1;
+        const std::int32_t* divisor = known.find(instr.src1);
+        const int shift = divisor != nullptr ? log2_exact(*divisor) : -1;
         if (shift > 0) {
+          start_rebuild();
           const bool is_div = instr.bin_op == BinOp::kDiv;
-          const std::int32_t mask = it->second - 1;
+          const std::int32_t mask = *divisor - 1;
           const Reg x = instr.src0;
           auto emit_const = [&](std::int32_t value) {
             Instr c;
@@ -164,12 +368,12 @@ std::uint64_t strength_reduce(Function& function,
           instr.bin_op == BinOp::kMul) {
         // x * C with C a power of two -> x << log2(C).
         auto try_rewrite = [&](Reg value, Reg const_reg) -> bool {
-          const auto it = known.find(const_reg);
-          if (it == known.end()) {
+          const std::int32_t* constant = known.find(const_reg);
+          if (constant == nullptr) {
             return false;
           }
-          const int shift = log2_exact(it->second);
-          if (it->second == 1) {
+          const int shift = log2_exact(*constant);
+          if (*constant == 1) {
             instr.op = Opcode::kMove;
             instr.src0 = value;
             instr.src1 = ir::kNoReg;
@@ -179,6 +383,7 @@ std::uint64_t strength_reduce(Function& function,
           if (shift < 0) {
             return false;
           }
+          start_rebuild();
           Instr shift_const;
           shift_const.op = Opcode::kConstInt;
           shift_const.type = ir::Type::kInt;
@@ -201,74 +406,64 @@ std::uint64_t strength_reduce(Function& function,
       if (instr.dst != ir::kNoReg && instr.op != Opcode::kConstInt) {
         known.erase(instr.dst);
       }
-      out.push_back(std::move(instr));
+      if (rebuilding) {
+        out.push_back(std::move(instr));
+      }
     }
-    block->instrs = std::move(out);
+    if (rebuilding) {
+      instrs.swap(out);
+    }
   }
   return changed;
 }
 
 // --- 2. local value numbering (CSE) --------------------------------------
 
-struct ValueKey {
-  Opcode op;
-  ir::Type type;
-  int sub_op;
-  Reg src0;
-  Reg src1;
-  std::int64_t imm;
-  std::int32_t slot_or_symbol;
-
-  auto tie() const {
-    return std::tie(op, type, sub_op, src0, src1, imm, slot_or_symbol);
+std::uint64_t local_cse(Function& function, Scratch& scratch) {
+  const std::vector<int>& defs = scratch.defs;
+  const std::size_t regs = static_cast<std::size_t>(function.next_reg);
+  std::vector<std::uint32_t>& reg_version = scratch.reg_version;
+  std::vector<std::uint32_t>& slot_version = scratch.slot_version;
+  if (reg_version.size() < regs) {
+    reg_version.resize(regs, 0);
   }
-  bool operator<(const ValueKey& other) const { return tie() < other.tie(); }
-};
-
-std::uint64_t local_cse(Function& function, const std::vector<int>& defs) {
+  if (slot_version.size() < scratch.slots) {
+    slot_version.resize(scratch.slots, 0);
+  }
+  const auto version_of = [&](Reg r) {
+    return r == ir::kNoReg ? 0U : reg_version[static_cast<std::size_t>(r)];
+  };
   std::uint64_t changed = 0;
   const auto single = [&](Reg r) {
     return r == ir::kNoReg || defs[static_cast<std::size_t>(r)] == 1;
   };
+  ValueTable& table = scratch.values;
+  // Copy resolution: operands are canonicalised through kMove chains so
+  // that value keys match across CSE-introduced copies.
+  StampedMap<Reg>& representative = scratch.reg_map;
+  const auto rep_of = [&](Reg r) {
+    const Reg* rep = representative.find(r);
+    return rep != nullptr ? *rep : r;
+  };
   for (auto& block : function.blocks) {
-    std::map<ValueKey, Reg> table;
-    // Copy resolution: operands are canonicalised through kMove chains so
-    // that value keys match across CSE-introduced copies.
-    std::map<Reg, Reg> representative;
-    const auto rep_of = [&](Reg r) {
-      const auto it = representative.find(r);
-      return it != representative.end() ? it->second : r;
-    };
+    table.clear();
+    representative.clear(regs);
     for (Instr& instr : block->instrs) {
       if (instr.dst != ir::kNoReg) {
-        // A definition invalidates every cached value computed from the
-        // previous contents of that register.
-        for (auto it = table.begin(); it != table.end();) {
-          if (it->first.src0 == instr.dst || it->first.src1 == instr.dst ||
-              it->second == instr.dst) {
-            it = table.erase(it);
-          } else {
-            ++it;
-          }
-        }
+        // A definition invalidates every cached value computed from, or
+        // held in, the previous contents of that register.
+        ++reg_version[static_cast<std::size_t>(instr.dst)];
         if (instr.op == Opcode::kMove && instr.src0 != ir::kNoReg &&
             single(instr.dst) && single(instr.src0)) {
-          representative[instr.dst] = rep_of(instr.src0);
+          representative.set(instr.dst, rep_of(instr.src0));
         } else {
-          representative[instr.dst] = instr.dst;
+          representative.set(instr.dst, instr.dst);
         }
       }
       if (instr.op == Opcode::kStoreLocal) {
         // Kills cached loads of that slot. (Calls cannot touch caller
         // locals, so they do not invalidate.)
-        for (auto it = table.begin(); it != table.end();) {
-          if (it->first.op == Opcode::kLoadLocal &&
-              it->first.slot_or_symbol == instr.slot) {
-            it = table.erase(it);
-          } else {
-            ++it;
-          }
-        }
+        ++slot_version[static_cast<std::size_t>(instr.slot)];
       }
       // kLoadLocal joins the CSE-able set: local slots have no aliases, so
       // a repeated load between two stores always yields the same value.
@@ -287,6 +482,8 @@ std::uint64_t local_cse(Function& function, const std::vector<int>& defs) {
                                              : 0;
       key.src0 = instr.src0 == ir::kNoReg ? ir::kNoReg : rep_of(instr.src0);
       key.src1 = instr.src1 == ir::kNoReg ? ir::kNoReg : rep_of(instr.src1);
+      key.src0_version = version_of(key.src0);
+      key.src1_version = version_of(key.src1);
       key.imm = instr.op == Opcode::kConstInt ? instr.int_imm
                 : instr.op == Opcode::kConstFloat
                     ? static_cast<std::int64_t>(
@@ -297,22 +494,32 @@ std::uint64_t local_cse(Function& function, const std::vector<int>& defs) {
               ? instr.slot
           : instr.op == Opcode::kAddrGlobal ? instr.symbol
                                             : -1;
-      const auto [it, inserted] = table.emplace(key, instr.dst);
-      if (!inserted) {
-        // Same value already available: turn into a cheap copy.
-        const ir::SymbolId array_ref = instr.array_ref;
-        const Reg existing = it->second;
-        Instr replacement;
-        replacement.op = Opcode::kMove;
-        replacement.type = instr.type;
-        replacement.dst = instr.dst;
-        replacement.src0 = existing;
-        replacement.loop = instr.loop;
-        replacement.loc = instr.loc;
-        replacement.array_ref = array_ref;
-        instr = replacement;
-        ++changed;
+      key.slot_version =
+          instr.op == Opcode::kLoadLocal
+              ? slot_version[static_cast<std::size_t>(instr.slot)]
+              : 0;
+      bool found = false;
+      ValueTable::Entry& entry = table.find_or_claim(key, found);
+      if (!found || entry.value_version != version_of(entry.value)) {
+        // New value, or its register has since been redefined: this
+        // instruction's result becomes the one to reuse.
+        entry.value = instr.dst;
+        entry.value_version = version_of(instr.dst);
+        continue;
       }
+      // Same value already available: turn into a cheap copy.
+      const ir::SymbolId array_ref = instr.array_ref;
+      const Reg existing = entry.value;
+      Instr replacement;
+      replacement.op = Opcode::kMove;
+      replacement.type = instr.type;
+      replacement.dst = instr.dst;
+      replacement.src0 = existing;
+      replacement.loop = instr.loop;
+      replacement.loc = instr.loc;
+      replacement.array_ref = array_ref;
+      instr = replacement;
+      ++changed;
     }
   }
   return changed;
@@ -323,37 +530,40 @@ std::uint64_t local_cse(Function& function, const std::vector<int>& defs) {
 // Function-wide: uses of a single-def kMove destination are rewritten to the
 // (single-def) source. In this structured-code IR every definition dominates
 // its uses, so the rewrite is always legal; DCE then removes the dead moves.
-std::uint64_t copy_propagate(Function& function,
-                             const std::vector<int>& defs) {
+std::uint64_t copy_propagate(Function& function, Scratch& scratch) {
+  const std::vector<int>& defs = scratch.defs;
   const auto single = [&](Reg r) {
     return r != ir::kNoReg && defs[static_cast<std::size_t>(r)] == 1;
   };
 
-  std::map<Reg, Reg> rep;
+  StampedMap<Reg>& rep = scratch.reg_map;
+  rep.clear(static_cast<std::size_t>(function.next_reg));
+  bool any = false;
   for (const auto& block : function.blocks) {
     for (const Instr& instr : block->instrs) {
       if (instr.op == Opcode::kMove && single(instr.dst) &&
           single(instr.src0)) {
-        const auto it = rep.find(instr.src0);
-        rep[instr.dst] = it != rep.end() ? it->second : instr.src0;
+        const Reg* source = rep.find(instr.src0);
+        rep.set(instr.dst, source != nullptr ? *source : instr.src0);
+        any = true;
       }
     }
   }
-  if (rep.empty()) {
+  if (!any) {
     return 0;
   }
 
   std::uint64_t rewritten = 0;
   const auto rewrite = [&](Reg& r) {
-    const auto it = rep.find(r);
-    if (it != rep.end()) {
-      r = it->second;
+    const Reg* source = rep.find(r);
+    if (source != nullptr) {
+      r = *source;
       ++rewritten;
     }
   };
   for (auto& block : function.blocks) {
     for (Instr& instr : block->instrs) {
-      if (instr.op == Opcode::kMove && rep.count(instr.dst) != 0) {
+      if (instr.op == Opcode::kMove && rep.contains(instr.dst)) {
         continue; // the move itself dies in DCE
       }
       if (instr.src0 != ir::kNoReg) {
@@ -372,11 +582,14 @@ std::uint64_t copy_propagate(Function& function,
 
 // --- 3. loop-invariant code motion ---------------------------------------
 
-std::uint64_t licm(Function& function, const std::vector<int>& defs) {
+std::uint64_t licm(Function& function, Scratch& scratch) {
+  const std::vector<int>& defs = scratch.defs;
+  const std::size_t regs = static_cast<std::size_t>(function.next_reg);
   std::uint64_t hoisted_total = 0;
 
   // Deepest loops first, so invariants bubble outward one level at a time.
-  std::vector<const ir::Loop*> loops;
+  std::vector<const ir::Loop*>& loops = scratch.loops;
+  loops.clear();
   for (const ir::Loop& loop : function.loops) {
     loops.push_back(&loop);
   }
@@ -385,12 +598,15 @@ std::uint64_t licm(Function& function, const std::vector<int>& defs) {
               return a->depth > b->depth;
             });
 
+  StampedSet& defined_inside = scratch.defined_inside;
+  StampedSet& stored_slots = scratch.stored_slots;
+  StampedSet& hoisted_defs = scratch.hoisted_defs;
+  std::vector<Instr>& hoisted = scratch.hoisted;
+  std::vector<ir::BlockId>& ordered = scratch.ordered;
   for (const ir::Loop* loop : loops) {
-    std::set<ir::BlockId> body(loop->body.begin(), loop->body.end());
-
     // Registers (re)defined and local slots stored anywhere inside the loop.
-    std::set<Reg> defined_inside;
-    std::set<std::int32_t> stored_slots;
+    defined_inside.clear(regs);
+    stored_slots.clear(scratch.slots);
     for (ir::BlockId block_id : loop->body) {
       for (const Instr& instr : function.block(block_id).instrs) {
         if (instr.dst != ir::kNoReg) {
@@ -402,38 +618,33 @@ std::uint64_t licm(Function& function, const std::vector<int>& defs) {
       }
     }
 
-    std::vector<Instr> hoisted;
-    std::set<Reg> hoisted_defs;
-    std::vector<ir::BlockId> ordered(loop->body.begin(), loop->body.end());
+    hoisted.clear();
+    hoisted_defs.clear(regs);
+    ordered.assign(loop->body.begin(), loop->body.end());
     std::sort(ordered.begin(), ordered.end());
     for (ir::BlockId block_id : ordered) {
-      BasicBlock& block = function.block(block_id);
-      std::vector<Instr> kept;
-      kept.reserve(block.instrs.size());
-      for (Instr& instr : block.instrs) {
+      compact(function.block(block_id).instrs, [&](Instr& instr) {
         // kLoadLocal is hoistable when no store to that slot occurs in the
         // loop (slots are per-frame: calls cannot alias them).
-        const bool invariant_load =
-            instr.op == Opcode::kLoadLocal &&
-            stored_slots.count(instr.slot) == 0;
+        const bool invariant_load = instr.op == Opcode::kLoadLocal &&
+                                    !stored_slots.contains(instr.slot);
         bool movable = (is_pure(instr) || invariant_load) &&
                        !can_fault(instr) && instr.dst != ir::kNoReg &&
                        defs[static_cast<std::size_t>(instr.dst)] == 1;
         if (movable) {
           for_each_use(instr, [&](Reg r) {
             const bool invariant =
-                defined_inside.count(r) == 0 || hoisted_defs.count(r) != 0;
+                !defined_inside.contains(r) || hoisted_defs.contains(r);
             movable = movable && invariant;
           });
         }
-        if (movable) {
-          hoisted_defs.insert(instr.dst);
-          hoisted.push_back(std::move(instr));
-        } else {
-          kept.push_back(std::move(instr));
+        if (!movable) {
+          return true;
         }
-      }
-      block.instrs = std::move(kept);
+        hoisted_defs.insert(instr.dst);
+        hoisted.push_back(std::move(instr));
+        return false;
+      });
     }
 
     if (!hoisted.empty()) {
@@ -454,45 +665,55 @@ std::uint64_t licm(Function& function, const std::vector<int>& defs) {
 
 // --- 4. dead code elimination ---------------------------------------------
 
-std::uint64_t dce(Function& function) {
+// Each round removes the pure instructions whose result had no use when the
+// round began; the next round's counts are this round's minus the uses the
+// removed instructions held.
+std::uint64_t dce(Function& function, Scratch& scratch) {
+  std::vector<int>& uses = scratch.uses;
+  uses.assign(static_cast<std::size_t>(function.next_reg), 0);
+  for (const auto& block : function.blocks) {
+    for (const Instr& instr : block->instrs) {
+      for_each_use(instr,
+                   [&](Reg r) { ++uses[static_cast<std::size_t>(r)]; });
+    }
+  }
+  std::vector<Reg>& freed = scratch.freed;
   std::uint64_t removed_total = 0;
   for (int round = 0; round < 8; ++round) {
-    const std::vector<int> uses = count_uses(function);
+    freed.clear();
     std::uint64_t removed = 0;
     for (auto& block : function.blocks) {
-      std::vector<Instr> kept;
-      kept.reserve(block->instrs.size());
-      for (Instr& instr : block->instrs) {
+      compact(block->instrs, [&](const Instr& instr) {
         const bool dead = is_pure(instr) && instr.dst != ir::kNoReg &&
                           uses[static_cast<std::size_t>(instr.dst)] == 0;
         if (dead) {
+          for_each_use(instr, [&](Reg r) { freed.push_back(r); });
           ++removed;
-        } else {
-          kept.push_back(std::move(instr));
         }
-      }
-      block->instrs = std::move(kept);
+        return !dead;
+      });
     }
     removed_total += removed;
     if (removed == 0) {
       break;
     }
+    for (Reg r : freed) {
+      --uses[static_cast<std::size_t>(r)];
+    }
   }
   return removed_total;
 }
 
-} // namespace
-
-OptStats optimize_function(ir::Function& function) {
+OptStats optimize(ir::Function& function, Scratch& scratch) {
   OptStats stats;
   for (int round = 0; round < 3; ++round) {
-    const std::vector<int> defs = count_defs(function);
-    const std::uint64_t reduced = strength_reduce(function, defs);
-    const std::vector<int> defs2 = count_defs(function);
-    const std::uint64_t replaced = local_cse(function, defs2);
-    const std::uint64_t propagated = copy_propagate(function, defs2);
-    const std::uint64_t hoisted = licm(function, defs2);
-    const std::uint64_t removed = dce(function);
+    count_defs(function, scratch);
+    const std::uint64_t reduced = strength_reduce(function, scratch);
+    count_defs(function, scratch);
+    const std::uint64_t replaced = local_cse(function, scratch);
+    const std::uint64_t propagated = copy_propagate(function, scratch);
+    const std::uint64_t hoisted = licm(function, scratch);
+    const std::uint64_t removed = dce(function, scratch);
     stats.strength_reduced += reduced;
     stats.cse_replaced += replaced;
     stats.copies_propagated += propagated;
@@ -502,13 +723,26 @@ OptStats optimize_function(ir::Function& function) {
       break;
     }
   }
+  // The sub-passes compact blocks in place. Give the slack back once, so the
+  // optimised IR a compiled program keeps holds no spare capacity.
+  for (auto& block : function.blocks) {
+    block->instrs.shrink_to_fit();
+  }
   return stats;
+}
+
+} // namespace
+
+OptStats optimize_function(ir::Function& function) {
+  Scratch scratch;
+  return optimize(function, scratch);
 }
 
 OptStats optimize_module(ir::Module& module) {
   OptStats stats;
+  Scratch scratch;
   for (auto& function : module.functions) {
-    const OptStats fn_stats = optimize_function(*function);
+    const OptStats fn_stats = optimize(*function, scratch);
     stats.strength_reduced += fn_stats.strength_reduced;
     stats.cse_replaced += fn_stats.cse_replaced;
     stats.copies_propagated += fn_stats.copies_propagated;

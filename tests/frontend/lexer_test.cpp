@@ -35,6 +35,33 @@ TEST(Lexer, IntegerLiterals) {
   EXPECT_EQ(tokens[3].int_value, 0xFF);
 }
 
+TEST(Lexer, IntegerLiteralsUpToTheirLimits) {
+  const auto tokens = lex_ok("2147483647 0xFFFFFFFF 0x80000000 0x00000000FF");
+  EXPECT_EQ(tokens[0].int_value, 2147483647);
+  EXPECT_EQ(tokens[1].int_value, -1); // a hex literal keeps its bit pattern
+  EXPECT_EQ(tokens[2].int_value, -2147483647 - 1);
+  EXPECT_EQ(tokens[3].int_value, 0xFF);
+}
+
+TEST(Lexer, IntegerLiteralPastItsLimitIsOneError) {
+  for (const char* literal :
+       {"2147483648", "0x100000000", "99999999999999999999999999",
+        "0xFFFFFFFFFFFFFFFFFFFF"}) {
+    const std::string source = std::string("x = ") + literal + ";";
+    DiagnosticSink diagnostics;
+    Lexer lexer(source, diagnostics);
+    const auto tokens = lexer.lex();
+    EXPECT_EQ(diagnostics.error_count(), 1) << literal;
+    EXPECT_NE(diagnostics.to_string().find("integer literal out of range"),
+              std::string::npos)
+        << literal;
+    // Lexing goes on past the bad literal.
+    ASSERT_EQ(tokens.size(), 5U) << literal;
+    EXPECT_EQ(tokens[2].kind, TokenKind::kIntLit) << literal;
+    EXPECT_EQ(tokens[3].kind, TokenKind::kSemicolon) << literal;
+  }
+}
+
 TEST(Lexer, FloatLiterals) {
   const auto tokens = lex_ok("1.5 0.25 2e3 1.5e-2");
   EXPECT_EQ(tokens[0].kind, TokenKind::kFloatLit);

@@ -225,7 +225,7 @@ TEST(ServeLoop, SnapshotPoolAmortisesMachineBuilds) {
   EXPECT_EQ(first_metrics_difference(pooled, rebuilt), "");
 }
 
-TEST(ServeLoop, KillSwitchForcesArmedServingOffTheSnapshotPath) {
+TEST(ServeLoop, EnableSnapshotOffKeepsArmedServingOffTheSnapshotPath) {
   CompileResult program = compile_mode(passes::CheckMode::kCash);
   ASSERT_TRUE(program.ok()) << program.error;
   faultinject::FaultPlan plan;

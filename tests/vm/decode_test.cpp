@@ -335,7 +335,7 @@ int main() {
   }
 }
 
-TEST(DecodeTransparency, EnvVarForcesInterpreter) {
+TEST(DecodeTransparency, EnablePredecodeOffForcesInterpreter) {
   // config.enable_predecode = false selects the reference interpreter even
   // though the program carries a decoded image and traces are on: the
   // results match, and no trace forms.
@@ -535,7 +535,7 @@ TEST(DecodeFusion, PtrEventsScaleAcrossModes) {
   EXPECT_EQ(bcc, 2 * cash);
 }
 
-TEST(DecodeFusion, EnvVarDisablesFusion) {
+TEST(DecodeFusion, EnableFusionOffDisablesFusion) {
   CompileOptions options;
   options.lower.mode = CheckMode::kCash;
   CompileResult compiled = compile(kFusedClean, options);
@@ -648,7 +648,7 @@ TEST(DecodeTrace, BudgetExpiresInsideSuperblock) {
   }
 }
 
-TEST(DecodeTrace, EnvVarDisablesTraces) {
+TEST(DecodeTrace, EnableTraceOffDisablesTraces) {
   const std::string src = superblock_fault_source(-1, false);
   CompileOptions options;
   options.lower.mode = CheckMode::kCash;

@@ -13,10 +13,17 @@ namespace cash::frontend {
 // Hand-written MiniC lexer. Supports // and /* */ comments, decimal and hex
 // integer literals, and float literals with optional exponent. A decimal
 // literal above 2147483647, or a hex literal above 0xFFFFFFFF, is an error.
+//
+// The lexer views its source and does not copy it, so the source must
+// outlive it. Constructing one from a temporary std::string does not
+// compile; a string literal (static storage) does.
 class Lexer {
  public:
   Lexer(std::string_view source, DiagnosticSink& diagnostics)
       : source_(source), diagnostics_(&diagnostics) {}
+  Lexer(const char* source, DiagnosticSink& diagnostics)
+      : Lexer(std::string_view(source), diagnostics) {}
+  Lexer(const std::string&& source, DiagnosticSink& diagnostics) = delete;
 
   // Tokenizes the whole buffer; always ends with a kEof token.
   std::vector<Token> lex();

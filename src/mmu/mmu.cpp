@@ -5,91 +5,22 @@ namespace cash::mmu {
 using x86seg::Access;
 using x86seg::SegReg;
 
-namespace {
-constexpr std::uint32_t kPageMask = paging::kPageSize - 1;
-
-constexpr std::uint32_t phys_of(const paging::TlbEntry& e,
-                                std::uint32_t linear) noexcept {
-  return (e.frame << paging::kPageShift) | (linear & kPageMask);
-}
-} // namespace
-
-Result<std::uint32_t> Mmu::read32(SegReg reg, std::uint32_t offset) {
-  ++access_count_;
-  std::uint32_t lin = 0;
-  if (!seg_->translate_fast(reg, offset, 4, Access::kRead, &lin)) {
-    Result<std::uint32_t> linear =
-        seg_->translate(reg, offset, 4, Access::kRead);
-    if (!linear.ok()) {
-      return linear.fault();
-    }
-    lin = linear.value();
+Result<std::uint32_t> Mmu::read32_slow(SegReg reg, std::uint32_t offset) {
+  Result<std::uint32_t> linear = seg_->translate(reg, offset, 4, Access::kRead);
+  if (!linear.ok()) {
+    return linear.fault();
   }
-  if ((lin & kPageMask) <= paging::kPageSize - 4) {
-    if (const paging::TlbEntry* e = tlb_->probe(
-            lin >> paging::kPageShift, /*write=*/false, /*user_mode=*/true)) {
-      return memory_->read32(phys_of(*e, lin));
-    }
-    pages_->map_range(lin, 4);
-    Result<std::uint32_t> phys =
-        pages_->translate(lin, 4, /*write=*/false, /*user_mode=*/true);
-    if (!phys.ok()) {
-      return phys.fault();
-    }
-    return memory_->read32(phys.value());
-  }
-  // Word straddles a page boundary: frames are not physically contiguous,
-  // so compose the word byte by byte.
-  pages_->map_range(lin, 4);
-  std::uint32_t value = 0;
-  for (std::uint32_t i = 0; i < 4; ++i) {
-    Result<std::uint32_t> phys =
-        pages_->translate(lin + i, 1, /*write=*/false, /*user_mode=*/true);
-    if (!phys.ok()) {
-      return phys.fault();
-    }
-    value |= static_cast<std::uint32_t>(memory_->read8(phys.value()))
-             << (8 * i);
-  }
-  return value;
+  return read32_paged(linear.value(), /*user_mode=*/true);
 }
 
-Status Mmu::write32(SegReg reg, std::uint32_t offset, std::uint32_t value) {
-  ++access_count_;
-  std::uint32_t lin = 0;
-  if (!seg_->translate_fast(reg, offset, 4, Access::kWrite, &lin)) {
-    Result<std::uint32_t> linear =
-        seg_->translate(reg, offset, 4, Access::kWrite);
-    if (!linear.ok()) {
-      return linear.fault();
-    }
-    lin = linear.value();
+Status Mmu::write32_slow(SegReg reg, std::uint32_t offset,
+                         std::uint32_t value) {
+  Result<std::uint32_t> linear =
+      seg_->translate(reg, offset, 4, Access::kWrite);
+  if (!linear.ok()) {
+    return linear.fault();
   }
-  if ((lin & kPageMask) <= paging::kPageSize - 4) {
-    if (const paging::TlbEntry* e = tlb_->probe(
-            lin >> paging::kPageShift, /*write=*/true, /*user_mode=*/true)) {
-      memory_->write32(phys_of(*e, lin), value);
-      return {};
-    }
-    pages_->map_range(lin, 4);
-    Result<std::uint32_t> phys =
-        pages_->translate(lin, 4, /*write=*/true, /*user_mode=*/true);
-    if (!phys.ok()) {
-      return phys.fault();
-    }
-    memory_->write32(phys.value(), value);
-    return {};
-  }
-  pages_->map_range(lin, 4);
-  for (std::uint32_t i = 0; i < 4; ++i) {
-    Result<std::uint32_t> phys =
-        pages_->translate(lin + i, 1, /*write=*/true, /*user_mode=*/true);
-    if (!phys.ok()) {
-      return phys.fault();
-    }
-    memory_->write8(phys.value(), static_cast<std::uint8_t>(value >> (8 * i)));
-  }
-  return {};
+  return write32_paged(linear.value(), value, /*user_mode=*/true);
 }
 
 Result<std::uint8_t> Mmu::read8(SegReg reg, std::uint32_t offset) {
@@ -142,26 +73,29 @@ Status Mmu::write8(SegReg reg, std::uint32_t offset, std::uint8_t value) {
   return {};
 }
 
-Result<std::uint32_t> Mmu::read32_linear(std::uint32_t linear) {
+Result<std::uint32_t> Mmu::read32_paged(std::uint32_t linear,
+                                        bool user_mode) {
   if ((linear & kPageMask) <= paging::kPageSize - 4) {
     if (const paging::TlbEntry* e =
             tlb_->probe(linear >> paging::kPageShift, /*write=*/false,
-                        /*user_mode=*/false)) {
+                        user_mode)) {
       return memory_->read32(phys_of(*e, linear));
     }
     pages_->map_range(linear, 4);
     Result<std::uint32_t> phys =
-        pages_->translate(linear, 4, /*write=*/false, /*user_mode=*/false);
+        pages_->translate(linear, 4, /*write=*/false, user_mode);
     if (!phys.ok()) {
       return phys.fault();
     }
     return memory_->read32(phys.value());
   }
+  // Word straddles a page boundary: frames are not physically contiguous,
+  // so compose the word byte by byte.
   pages_->map_range(linear, 4);
   std::uint32_t value = 0;
   for (std::uint32_t i = 0; i < 4; ++i) {
     Result<std::uint32_t> phys =
-        pages_->translate(linear + i, 1, /*write=*/false, /*user_mode=*/false);
+        pages_->translate(linear + i, 1, /*write=*/false, user_mode);
     if (!phys.ok()) {
       return phys.fault();
     }
@@ -171,17 +105,18 @@ Result<std::uint32_t> Mmu::read32_linear(std::uint32_t linear) {
   return value;
 }
 
-Status Mmu::write32_linear(std::uint32_t linear, std::uint32_t value) {
+Status Mmu::write32_paged(std::uint32_t linear, std::uint32_t value,
+                          bool user_mode) {
   if ((linear & kPageMask) <= paging::kPageSize - 4) {
     if (const paging::TlbEntry* e =
             tlb_->probe(linear >> paging::kPageShift, /*write=*/true,
-                        /*user_mode=*/false)) {
+                        user_mode)) {
       memory_->write32(phys_of(*e, linear), value);
       return {};
     }
     pages_->map_range(linear, 4);
     Result<std::uint32_t> phys =
-        pages_->translate(linear, 4, /*write=*/true, /*user_mode=*/false);
+        pages_->translate(linear, 4, /*write=*/true, user_mode);
     if (!phys.ok()) {
       return phys.fault();
     }
@@ -191,7 +126,7 @@ Status Mmu::write32_linear(std::uint32_t linear, std::uint32_t value) {
   pages_->map_range(linear, 4);
   for (std::uint32_t i = 0; i < 4; ++i) {
     Result<std::uint32_t> phys =
-        pages_->translate(linear + i, 1, /*write=*/true, /*user_mode=*/false);
+        pages_->translate(linear + i, 1, /*write=*/true, user_mode);
     if (!phys.ok()) {
       return phys.fault();
     }

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 
+#include "common/hot_inline.hpp"
 #include "common/result.hpp"
 #include "paging/page_table.hpp"
 #include "paging/physical_memory.hpp"
@@ -28,18 +29,54 @@ class Mmu {
   // through the full walk; results must be bit-identical either way.
   const paging::TlbStats& tlb_stats() const noexcept { return tlb_->stats(); }
 
-  // Segment-relative word access (the VM's data path).
-  Result<std::uint32_t> read32(x86seg::SegReg reg, std::uint32_t offset);
-  Status write32(x86seg::SegReg reg, std::uint32_t offset,
-                 std::uint32_t value);
+  // Segment-relative word access (the VM's data path). The common case —
+  // an in-bounds expand-up segment and an in-page word whose page the TLB
+  // holds — is inline here, so both engines run it without a call; any
+  // other access (segment fallback, TLB miss, a word straddling two pages,
+  // a fault) goes to the out-of-line slow path.
+  CASH_HOT_INLINE Result<std::uint32_t> read32(x86seg::SegReg reg,
+                                               std::uint32_t offset) {
+    ++access_count_;
+    std::uint32_t lin = 0;
+    if (seg_->translate_fast(reg, offset, 4, x86seg::Access::kRead, &lin)) {
+      if (const paging::TlbEntry* e = cached_word(lin, false, true)) {
+        return memory_->read32(phys_of(*e, lin));
+      }
+    }
+    return read32_slow(reg, offset);
+  }
+  CASH_HOT_INLINE Status write32(x86seg::SegReg reg, std::uint32_t offset,
+                                 std::uint32_t value) {
+    ++access_count_;
+    std::uint32_t lin = 0;
+    if (seg_->translate_fast(reg, offset, 4, x86seg::Access::kWrite, &lin)) {
+      if (const paging::TlbEntry* e = cached_word(lin, true, true)) {
+        memory_->write32(phys_of(*e, lin), value);
+        return {};
+      }
+    }
+    return write32_slow(reg, offset, value);
+  }
   Result<std::uint8_t> read8(x86seg::SegReg reg, std::uint32_t offset);
   Status write8(x86seg::SegReg reg, std::uint32_t offset, std::uint8_t value);
 
   // Linear-address access, bypassing segmentation (used by the simulated
   // kernel and the runtime's trusted bookkeeping, which run with a flat
-  // view). Pages are still consulted.
-  Result<std::uint32_t> read32_linear(std::uint32_t linear);
-  Status write32_linear(std::uint32_t linear, std::uint32_t value);
+  // view). Pages are still consulted; the TLB-hit case is inline as above.
+  CASH_HOT_INLINE Result<std::uint32_t> read32_linear(std::uint32_t linear) {
+    if (const paging::TlbEntry* e = cached_word(linear, false, false)) {
+      return memory_->read32(phys_of(*e, linear));
+    }
+    return read32_paged(linear, false);
+  }
+  CASH_HOT_INLINE Status write32_linear(std::uint32_t linear,
+                                        std::uint32_t value) {
+    if (const paging::TlbEntry* e = cached_word(linear, true, false)) {
+      memory_->write32(phys_of(*e, linear), value);
+      return {};
+    }
+    return write32_paged(linear, value, false);
+  }
 
   std::uint64_t access_count() const noexcept { return access_count_; }
 
@@ -49,6 +86,34 @@ class Mmu {
   }
 
  private:
+  static constexpr std::uint32_t kPageMask = paging::kPageSize - 1;
+
+  static constexpr std::uint32_t phys_of(const paging::TlbEntry& e,
+                                         std::uint32_t linear) noexcept {
+    return (e.frame << paging::kPageShift) | (linear & kPageMask);
+  }
+
+  // The TLB entry serving an in-page word access, counted as a hit; null
+  // when the word straddles a page or the TLB misses. The slow paths probe
+  // again and count the miss, so each access counts once, hit or miss.
+  CASH_HOT_INLINE const paging::TlbEntry* cached_word(
+      std::uint32_t linear, bool write, bool user_mode) noexcept {
+    if ((linear & kPageMask) > paging::kPageSize - 4) {
+      return nullptr;
+    }
+    return tlb_->hit(linear >> paging::kPageShift, write, user_mode);
+  }
+
+  // Slow paths: the full segmentation stage, then the paged word access.
+  Result<std::uint32_t> read32_slow(x86seg::SegReg reg, std::uint32_t offset);
+  Status write32_slow(x86seg::SegReg reg, std::uint32_t offset,
+                      std::uint32_t value);
+  // The paging stage of a word access: TLB probe, page walk on a miss, and
+  // the byte-by-byte path for a word that straddles two pages.
+  Result<std::uint32_t> read32_paged(std::uint32_t linear, bool user_mode);
+  Status write32_paged(std::uint32_t linear, std::uint32_t value,
+                       bool user_mode);
+
   x86seg::SegmentationUnit* seg_;
   paging::PageTable* pages_;
   paging::PhysicalMemory* memory_;

@@ -38,21 +38,6 @@ std::uint32_t PhysicalMemory::allocate_frame() {
   return frame;
 }
 
-std::uint32_t PhysicalMemory::read32(std::uint32_t phys) const {
-  std::uint32_t value = 0;
-  std::memcpy(&value, &bytes_[phys], sizeof(value));
-  return value;
-}
-
-void PhysicalMemory::write32(std::uint32_t phys, std::uint32_t value) {
-  std::memcpy(&bytes_[phys], &value, sizeof(value));
-  if (tracking_) {
-    // A 4-byte store can straddle two frames; mark both ends.
-    mark_dirty(phys >> kPageShift);
-    mark_dirty((phys + 3) >> kPageShift);
-  }
-}
-
 PhysicalMemory::Image PhysicalMemory::capture_image() {
   Image image;
   image.next_frame = next_frame_;

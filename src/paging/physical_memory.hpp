@@ -1,8 +1,10 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
+#include "common/hot_inline.hpp"
 #include "faultinject/faultinject.hpp"
 
 namespace cash::paging {
@@ -43,8 +45,19 @@ class PhysicalMemory {
     }
   }
 
-  std::uint32_t read32(std::uint32_t phys) const;
-  void write32(std::uint32_t phys, std::uint32_t value);
+  CASH_HOT_INLINE std::uint32_t read32(std::uint32_t phys) const {
+    std::uint32_t value = 0;
+    std::memcpy(&value, &bytes_[phys], sizeof(value));
+    return value;
+  }
+  CASH_HOT_INLINE void write32(std::uint32_t phys, std::uint32_t value) {
+    std::memcpy(&bytes_[phys], &value, sizeof(value));
+    if (tracking_) {
+      // A 4-byte store can straddle two frames; mark both ends.
+      mark_dirty(phys >> kPageShift);
+      mark_dirty((phys + 3) >> kPageShift);
+    }
+  }
 
   // --- snapshot support (vm/snapshot.hpp) ---
 
@@ -67,7 +80,7 @@ class PhysicalMemory {
   void restore_image(const Image& image);
 
  private:
-  void mark_dirty(std::uint32_t frame) {
+  CASH_HOT_INLINE void mark_dirty(std::uint32_t frame) {
     if (frame < dirty_flags_.size() && dirty_flags_[frame] == 0) {
       dirty_flags_[frame] = 1;
       dirty_frames_.push_back(frame);

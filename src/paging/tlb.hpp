@@ -3,6 +3,8 @@
 #include <array>
 #include <cstdint>
 
+#include "common/hot_inline.hpp"
+
 namespace cash::paging {
 
 // Host-side TLB statistics. These describe simulator implementation
@@ -51,12 +53,24 @@ class Tlb {
     if (!enabled_) {
       return nullptr;
     }
+    const TlbEntry* e = hit(page, write, user_mode);
+    if (e == nullptr) {
+      ++stats_.misses;
+    }
+    return e;
+  }
+
+  // probe() that counts only a hit: the MMU's inlined hit path. Its caller
+  // sends a miss on to a slow path whose probe() counts it, so every access
+  // is still counted once. Needs no enabled() test: a disabled TLB holds
+  // no valid entry (set_enabled(false) flushes, fill() is then a no-op).
+  CASH_HOT_INLINE const TlbEntry* hit(std::uint32_t page, bool write,
+                                      bool user_mode) noexcept {
     const TlbEntry& e = entries_[page & (kEntries - 1)];
     if (e.tag == page && (!write || e.writable) && (!user_mode || e.user)) {
       ++stats_.hits;
       return &e;
     }
-    ++stats_.misses;
     return nullptr;
   }
 

@@ -22,14 +22,19 @@ CashHeap::Object CashHeap::allocate(std::uint32_t bytes) {
 
   if (arrays_->mode() == passes::CheckMode::kEfence) {
     // Electric Fence: the object ends exactly at a page boundary and the
-    // following page is an inaccessible guard page.
-    const std::uint32_t span = align_up(bytes, paging::kPageSize);
+    // following page is an inaccessible guard page. The fit check runs in
+    // 64 bits: a size near 4 GB (malloc(-4)) would wrap the page rounding
+    // and the sums to small values.
+    const std::uint64_t span64 =
+        (std::uint64_t{bytes} + paging::kPageSize - 1) &
+        ~std::uint64_t{paging::kPageSize - 1};
     const std::uint32_t base = align_up(next_, paging::kPageSize);
-    const std::uint32_t data = base + span - bytes;
-    const std::uint32_t guard_page = (base + span) >> paging::kPageShift;
-    if (base + span + paging::kPageSize > limit_) {
+    if (base + span64 + paging::kPageSize > limit_) {
       return out; // out of simulated heap
     }
+    const auto span = static_cast<std::uint32_t>(span64);
+    const std::uint32_t data = base + span - bytes;
+    const std::uint32_t guard_page = (base + span) >> paging::kPageShift;
     mmu_->page_table().map_range(base, span);
     mmu_->page_table().set_guard(guard_page, true);
     ++stats_.guard_pages;
@@ -49,8 +54,8 @@ CashHeap::Object CashHeap::allocate(std::uint32_t bytes) {
   } else {
     const std::uint32_t info = align_up(next_, 8);
     data = info + kInfoBytes;
-    if (data + bytes > limit_) {
-      return out;
+    if (std::uint64_t{data} + bytes > limit_) {
+      return out; // out of simulated heap (64-bit: the sum must not wrap)
     }
     next_ = data + bytes;
   }

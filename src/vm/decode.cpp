@@ -5,6 +5,7 @@
 #include <limits>
 #include <sstream>
 
+#include "common/hot_inline.hpp"
 #include "vm/machine_impl.hpp"
 
 // Computed-goto threaded dispatch is a GNU extension (labels as values,
@@ -16,15 +17,6 @@
 #define CASH_THREADED_DISPATCH 1
 #else
 #define CASH_THREADED_DISPATCH 0
-#endif
-
-// Force-inline the member-loop helpers (exec_bin and the exec_load /
-// exec_store / bound_fault lambdas): at -O2 GCC leaves them as out-of-line
-// calls, which costs the dispatch loop ~40% on load/store-heavy kernels.
-#if defined(__GNUC__) || defined(__clang__)
-#define CASH_HOT_INLINE __attribute__((always_inline))
-#else
-#define CASH_HOT_INLINE
 #endif
 
 namespace cash::vm {
@@ -1118,15 +1110,15 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
   const bool fusion_on = impl.config.enable_fusion;
 
   // Hot-trace superblock engine (DESIGN.md §11): same per-run gating shape
-  // as the other transparent layers. Trace state lives on the machine and
-  // persists across runs (and snapshots); coverage is reported per run.
+  // as the other transparent layers. The trace cache lives on the machine
+  // and persists across runs and restores; coverage is reported per run.
   const bool trace_on =
       impl.config.enable_trace && impl.config.trace_threshold != 0;
   const std::uint32_t trace_threshold = impl.config.trace_threshold;
-  if (trace_on && impl.trace.fns.size() != prog.functions().size()) {
-    impl.trace.fns.resize(prog.functions().size());
+  if (trace_on && impl.trace_fns.size() != prog.functions().size()) {
+    impl.trace_fns.resize(prog.functions().size());
   }
-  const std::uint64_t trace_instr_base = impl.trace.stats.trace_instructions;
+  const std::uint64_t trace_instr_base = impl.trace_stats.trace_instructions;
 
   struct DFrame {
     const DecodedFunction* dfn{nullptr};
@@ -1144,16 +1136,21 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
   std::vector<DFrame> frames;
   Value return_value;
 
-  // Per-function self-cycle attribution, updated only at call boundaries.
-  std::unordered_map<const ir::Function*, FunctionProfile> profile;
-  const ir::Function* profiled_fn = nullptr;
+  // Per-function self-cycle attribution, updated only at call boundaries
+  // and indexed like DecodedProgram::functions(). A function is reported
+  // once it has been called.
+  std::vector<FunctionProfile> profile(prog.functions().size());
+  const auto profile_of = [&](const DecodedFunction* dfn) {
+    return &profile[static_cast<std::size_t>(dfn - prog.functions().data())];
+  };
+  FunctionProfile* profiled = nullptr;
   std::uint64_t span_start = cycles;
-  const auto account_span = [&](const ir::Function* next) {
-    if (profiled_fn != nullptr) {
-      profile[profiled_fn].self_cycles += cycles - span_start;
+  const auto account_span = [&](FunctionProfile* next) {
+    if (profiled != nullptr) {
+      profiled->self_cycles += cycles - span_start;
     }
     span_start = cycles;
-    profiled_fn = next;
+    profiled = next;
   };
 
   const auto fail = [&](Fault fault, const ir::Instr* instr) {
@@ -1189,7 +1186,7 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
     if (trace_on) {
       const std::size_t fi =
           static_cast<std::size_t>(dfn - prog.functions().data());
-      FnTraceState& ts = impl.trace.fns[fi];
+      FnTraceState& ts = impl.trace_fns[fi];
       if (ts.stream != frame.stream) {
         // First use: size the state to the active stream.
         ts.stream = frame.stream;
@@ -1251,8 +1248,8 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
       runtime_cy += 1;
     }
     frames.push_back(std::move(frame));
-    account_span(fn);
-    ++profile[fn].calls;
+    account_span(profile_of(dfn));
+    ++profiled->calls;
     return true;
   };
 
@@ -1274,7 +1271,7 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
     }
     impl.sp = frame.saved_sp;
     frames.pop_back();
-    account_span(frames.empty() ? nullptr : frames.back().dfn->fn);
+    account_span(frames.empty() ? nullptr : profile_of(frames.back().dfn));
   };
 
   // Member-loop working set. Function scope (not per-group locals) so the
@@ -1525,7 +1522,7 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
           if (ti == kTraceNone &&
               ++ts.hot[frame.pc] == trace_threshold) {
             ti = try_form_trace(ts, *frame.stream, frame.pc,
-                                impl.trace.stats);
+                                impl.trace_stats);
           }
           if (ti >= 0) {
             const Trace& tr = ts.traces[static_cast<std::size_t>(ti)];
@@ -1534,7 +1531,7 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
             // dispatch, whose per-group check truncates exactly like the
             // interpreter; later entries re-check.
             if (ctr.instructions + tr.total.count <= max_instructions) {
-              ++impl.trace.stats.trace_execs;
+              ++impl.trace_stats.trace_execs;
               cur_trace = &tr;
               grp = &tr.total;
               regs = frame.regs.data();
@@ -2068,8 +2065,8 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
         const TraceBlock& tb = cur_trace->blocks[cur_trace->block_of[pc]];
         apply_cost(tb.cum_cost);
         ctr.instructions += tb.cum_count;
-        impl.trace.stats.trace_instructions += tb.cum_count;
-        ++impl.trace.stats.guard_exits;
+        impl.trace_stats.trace_instructions += tb.cum_count;
+        ++impl.trace_stats.guard_exits;
         cur_trace = nullptr;
         frame.pc = next_pc;
         break;
@@ -2085,9 +2082,9 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
         // interpreter.
         apply_cost(grp->cost);
         ctr.instructions += grp->count;
-        impl.trace.stats.trace_instructions += grp->count;
+        impl.trace_stats.trace_instructions += grp->count;
         if (ctr.instructions + grp->count <= max_instructions) {
-          ++impl.trace.stats.trace_execs;
+          ++impl.trace_stats.trace_execs;
           pc = 0;
           goto member_dispatch;
         }
@@ -2598,7 +2595,7 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
         if (cur_trace != nullptr) {
           // grp is the trace's whole-trace aggregate: the superblock ran
           // to its final terminator, retiring every constituent block.
-          impl.trace.stats.trace_instructions += grp->count;
+          impl.trace_stats.trace_instructions += grp->count;
           cur_trace = nullptr;
         }
         frame.pc = next_pc;
@@ -2625,7 +2622,7 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
             const TraceBlock& prev = tr.blocks[bi - 1];
             apply_cost(prev.cum_cost);
             ctr.instructions += prev.cum_count;
-            impl.trace.stats.trace_instructions += prev.cum_count;
+            impl.trace_stats.trace_instructions += prev.cum_count;
           }
           const std::uint32_t fdone = tr.plain_done[pc] + fault_sub;
           const std::uint32_t fstart = tr.blocks[bi].plain_first;
@@ -2820,8 +2817,10 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
 
 run_end:
   account_span(nullptr); // flush the final span
-  for (const auto& [fn, prof] : profile) {
-    result.profile[fn->name] = prof;
+  for (std::size_t fi = 0; fi < profile.size(); ++fi) {
+    if (profile[fi].calls != 0) {
+      result.profile[prog.functions()[fi].fn->name] = profile[fi];
+    }
   }
   result.cycles = cycles;
   result.shadow_cycles = shadow_cy;
@@ -2835,11 +2834,11 @@ run_end:
   result.heap_stats = impl.heap.stats();
   result.kernel_account = impl.kernel.account(impl.pid);
   result.fault_stats = impl.injector.stats();
-  result.trace_stats = impl.trace.stats;
+  result.trace_stats = impl.trace_stats;
   result.trace_stats.coverage =
       ctr.instructions == 0
           ? 0.0
-          : static_cast<double>(impl.trace.stats.trace_instructions -
+          : static_cast<double>(impl.trace_stats.trace_instructions -
                                 trace_instr_base) /
                 static_cast<double>(ctr.instructions);
   return result;

@@ -71,8 +71,9 @@ struct MachineConfig {
   // Block execution count at which a hot block is promoted into a
   // superblock. Promotion is a pure function of the simulated instruction
   // stream (never of host timing or job count), so results — including
-  // TraceStats — replay identically across host jobs and
-  // snapshot/restore. 0 disables promotion entirely.
+  // TraceStats — replay identically across host jobs. Formed traces
+  // outlive restore(), so a restored machine forms fewer of them than a
+  // fresh one; no simulated field moves. 0 disables promotion entirely.
   std::uint32_t trace_threshold{16};
   // Deterministic fault injection (DESIGN.md §8). Off by default: an empty
   // plan is bit-transparent — cycles, breakdowns and counters are identical
@@ -88,7 +89,8 @@ struct RunCounters {
   std::uint64_t sw_checks{0};           // software bound checks executed
   std::uint64_t seg_reg_loads{0};       // hoisted loads executed
   std::uint64_t ptr_word_copies{0};     // fat-pointer extra-word copies
-  std::uint64_t calls{0};
+  std::uint64_t calls{0};               // user calls, builtins (abs(),
+                                        // print_int, ...), malloc, free
   std::uint64_t malloc_calls{0};
 };
 
@@ -113,10 +115,11 @@ struct FunctionProfile {
 };
 
 // Hot-trace superblock statistics (DESIGN.md §11). Host-side only, like
-// TlbStats: the counters are cumulative across runs of one Machine and all
-// zero when the trace engine is off (enable_trace=false, trace_threshold=0,
-// or the reference interpreter). `coverage` is per-run: the fraction of
-// this run's retired IR instructions that executed inside a superblock.
+// TlbStats: the counters are cumulative across runs of one Machine, rewound
+// by restore() to their captured values, and all zero when the trace engine
+// is off (enable_trace=false, trace_threshold=0, or the reference
+// interpreter). `coverage` is per-run: the fraction of this run's retired
+// IR instructions that executed inside a superblock.
 struct TraceStats {
   std::uint64_t traces_formed{0};
   std::uint64_t trace_execs{0};         // superblock entries
@@ -147,9 +150,9 @@ struct RunResult {
   // zero when config.fault_plan is empty).
   faultinject::FaultStats fault_stats;
   // Host-side hot-trace statistics (cumulative across runs of the same
-  // Machine, coverage per-run). Like tlb_stats, exempt from the
-  // bit-identity contract: turning the trace engine on or off changes
-  // these and nothing else.
+  // Machine and rewound by restore(); coverage per-run). Like tlb_stats,
+  // exempt from the bit-identity contract: turning the trace engine on or
+  // off changes these and nothing else.
   TraceStats trace_stats;
   std::map<std::string, FunctionProfile> profile; // per-function self costs
   std::string output;             // print_int / print_float stream
@@ -235,7 +238,8 @@ class Machine {
   // capture (each capture() re-arms the dirty baselines, invalidating older
   // snapshots). All simulated state is rewound bit-exactly; the host-side
   // TLB statistics keep accumulating (they are explicitly host-only, like
-  // RunResult::tlb_stats).
+  // RunResult::tlb_stats), and formed hot traces stay formed (only
+  // TraceStats rewinds).
   void restore(const MachineSnapshot& snap);
 
   x86seg::SegmentationUnit& segmentation() noexcept;

@@ -87,9 +87,11 @@ struct Frame {
 
 // --- hot-trace superblock engine state (decode.cpp; DESIGN.md §11). Lives
 // per Machine, not in the shared-const DecodedProgram: machines on
-// different host threads promote and execute traces independently, and the
-// snapshot layer captures/restores the whole structure so a restored
-// machine replays promotion decisions exactly like a fresh one. ---
+// different host threads promote and execute traces independently. The
+// per-function cache below lives as long as its Machine — restore() leaves
+// it alone, so every request a restored machine serves runs the traces the
+// earlier ones formed. Traces are transparent, so which of them exist never
+// changes a simulated result. ---
 
 // Branch-bias counters, indexed by the terminator's micro-op index in the
 // active stream. Recorded only during non-trace execution (trace-local pcs
@@ -142,11 +144,6 @@ struct FnTraceState {
   std::vector<Trace> traces;
 };
 
-struct TraceState {
-  std::vector<FnTraceState> fns; // parallel to DecodedProgram::functions()
-  TraceStats stats;              // cumulative, machine lifetime
-};
-
 struct Machine::Impl {
   const ir::Module* module;
   MachineConfig config;
@@ -169,9 +166,14 @@ struct Machine::Impl {
   // CompiledProgram; null when the machine runs the reference interpreter).
   const DecodedProgram* decoded{nullptr};
 
-  // Hot-trace superblock state: counters, bias edges and formed traces
-  // (decode.cpp). Captured/restored wholesale by the snapshot layer.
-  TraceState trace;
+  // Hot-trace superblock cache: counters, bias edges and formed traces
+  // (decode.cpp), parallel to DecodedProgram::functions(). Not part of the
+  // snapshot: it outlives restore().
+  std::vector<FnTraceState> trace_fns;
+  // Hot-trace statistics: cumulative across runs, and part of the snapshot,
+  // so restore() rewinds them and a run's RunResult::trace_stats counts
+  // from the captured values.
+  TraceStats trace_stats;
 
   bool program_initialized{false};
   std::uint64_t init_cycles{0};
@@ -320,7 +322,7 @@ struct Machine::Impl {
       r.heap_stats = heap.stats();
       r.kernel_account = kernel.account(pid);
       r.fault_stats = injector.stats();
-      r.trace_stats = trace.stats;
+      r.trace_stats = trace_stats;
       return r;
     } catch (const std::exception& e) {
       RunResult r;

@@ -31,7 +31,7 @@ struct MachineSnapshot::Data {
         mem_ptr_info(impl.mem_ptr_info),
         sp(impl.sp),
         rng_state(impl.rng_state),
-        trace(impl.trace) {}
+        trace_stats(impl.trace_stats) {}
 
   paging::PhysicalMemory::Image phys;
   kernel::KernelSim::ProcessSnapshot proc;
@@ -50,12 +50,13 @@ struct MachineSnapshot::Data {
   std::unordered_map<std::uint32_t, std::uint32_t> mem_ptr_info;
   std::uint32_t sp;
   std::uint32_t rng_state;
-  // Hot-trace engine state: counters, edge biases, and the formed traces
-  // themselves (DESIGN.md §11). Promotion is a pure function of the
-  // simulated stream, so rewinding it keeps restore == fresh-replay even
-  // when a capture lands mid-trace-formation. Value-type throughout; the
-  // cached uop copies splice immutable DecodedProgram streams.
-  TraceState trace;
+  // Hot-trace statistics only (DESIGN.md §11). The trace cache itself —
+  // heat counters, bias edges, formed superblocks — is not captured: it
+  // lives as long as the machine, so requests served after a restore run
+  // the traces earlier requests formed. Traces are transparent, so that
+  // cannot change a simulated result; rewinding the statistics keeps
+  // RunResult::trace_stats a description of the restored run.
+  TraceStats trace_stats;
 };
 
 MachineSnapshot::MachineSnapshot(std::unique_ptr<Data> data)
@@ -98,7 +99,7 @@ void Machine::restore(const MachineSnapshot& snap) {
   impl.mem_ptr_info = d.mem_ptr_info;
   impl.sp = d.sp;
   impl.rng_state = d.rng_state;
-  impl.trace = d.trace;
+  impl.trace_stats = d.trace_stats;
 }
 
 } // namespace cash::vm

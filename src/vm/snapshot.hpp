@@ -14,8 +14,11 @@
 // Contract: a snapshot is valid only for the machine that captured it, and
 // only until that machine's next capture() (each capture re-arms the dirty
 // baselines). Restores are repeatable: capture → run → restore → run →
-// restore ... rewinds bit-exactly every time. Host-side TLB statistics are
-// exempt (they keep accumulating, like RunResult::tlb_stats).
+// restore ... rewinds bit-exactly every time. Two host-side layers are
+// exempt: TLB statistics keep accumulating (like RunResult::tlb_stats), and
+// the hot-trace cache keeps the superblocks it formed, so a restored
+// machine runs them at once instead of forming them again. Only the trace
+// statistics rewind.
 
 namespace cash::vm {
 

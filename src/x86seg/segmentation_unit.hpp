@@ -3,6 +3,7 @@
 #include <array>
 #include <cstdint>
 
+#include "common/hot_inline.hpp"
 #include "common/result.hpp"
 #include "x86seg/descriptor_table.hpp"
 #include "x86seg/selector.hpp"
@@ -96,8 +97,9 @@ class SegmentationUnit {
   // *linear when the access hits the precomputed in-bounds expand-up case;
   // false means "run translate() for the full pipeline" (which may still
   // succeed, e.g. expand-down segments), not "fault".
-  bool translate_fast(SegReg reg, std::uint32_t offset, std::uint32_t size,
-                      Access access, std::uint32_t* linear) const noexcept {
+  CASH_HOT_INLINE bool translate_fast(SegReg reg, std::uint32_t offset,
+                                      std::uint32_t size, Access access,
+                                      std::uint32_t* linear) const noexcept {
     const SegmentRegister& sr = regs_[static_cast<int>(reg)];
     if (sr.valid && sr.fast_expand_up && size != 0 &&
         ((sr.fast_access >> static_cast<unsigned>(access)) & 1U) != 0 &&

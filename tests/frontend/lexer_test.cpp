@@ -1,10 +1,24 @@
 // Lexer unit tests: token kinds, literals, comments, locations, errors.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <type_traits>
+
 #include "frontend/lexer.hpp"
 
 namespace cash::frontend {
 namespace {
+
+// The lexer keeps a view of its source: a temporary string would dangle,
+// so it must not convert; literals and named strings must.
+static_assert(!std::is_constructible_v<Lexer, std::string, DiagnosticSink&>);
+static_assert(
+    !std::is_constructible_v<Lexer, const std::string, DiagnosticSink&>);
+static_assert(std::is_constructible_v<Lexer, const char (&)[4],
+                                      DiagnosticSink&>);
+static_assert(std::is_constructible_v<Lexer, std::string&, DiagnosticSink&>);
+static_assert(
+    std::is_constructible_v<Lexer, std::string_view, DiagnosticSink&>);
 
 std::vector<Token> lex_ok(std::string_view source) {
   DiagnosticSink diagnostics;

@@ -5,6 +5,7 @@
 // semantics — a descriptor-table rewrite stays invisible until reload.
 #include <gtest/gtest.h>
 
+#include "core/cash.hpp"
 #include "kernel/kernel_sim.hpp"
 #include "mmu/mmu.hpp"
 
@@ -143,6 +144,64 @@ TEST_F(TlbTest, FlushDropsAllEntriesAndCounts) {
   // Next access misses (refill), then hits again.
   ASSERT_TRUE(mmu_.read32(SegReg::kDs, 0xA000).ok());
   EXPECT_EQ(pages_.tlb().stats().misses, before.misses + 1);
+}
+
+TEST_F(TlbTest, WordAccessesCountEachProbeOnce) {
+  const paging::TlbStats before = pages_.tlb().stats();
+  ASSERT_TRUE(mmu_.write32(SegReg::kDs, 0x5000, 1).ok()); // miss, refill
+  ASSERT_TRUE(mmu_.read32(SegReg::kDs, 0x5000).ok());     // hit
+  ASSERT_TRUE(mmu_.read32_linear(0x5004).ok());           // hit
+  ASSERT_TRUE(mmu_.write32_linear(0x9000, 2).ok());       // miss, refill
+  // A word straddling two pages is composed byte by byte by page walks,
+  // with no probe at all.
+  ASSERT_TRUE(mmu_.read32(SegReg::kDs, 0x5FFE).ok());
+  EXPECT_EQ(pages_.tlb().stats().hits - before.hits, 2U);
+  EXPECT_EQ(pages_.tlb().stats().misses - before.misses, 2U);
+}
+
+// One fixed program's TLB hit and miss counts, pinned per check mode and
+// engine to the values recorded when every word access still ran out of
+// line. The global array's pages and the heap block's share TLB sets, so
+// the loops take conflict misses as well as hits. A hit path that counts a
+// miss twice, or drops a hit, moves these numbers.
+TEST(TlbCounts, FixedProgramHitsAndMissesArePinned) {
+  constexpr const char* kProgram = R"(
+int g[2048];
+int main() {
+  int *h; int i; int s;
+  h = malloc(8192);
+  s = 0;
+  for (i = 0; i < 2048; i++) { g[i] = i; h[i] = g[i] * 2; }
+  for (i = 0; i < 2048; i = i + 7) { s = s + h[i] + g[2047 - i]; }
+  print_int(s);
+  return 0;
+}
+)";
+  struct Pinned {
+    passes::CheckMode mode;
+    bool predecode;
+    std::uint64_t hits;
+    std::uint64_t misses;
+  };
+  const Pinned cells[] = {
+      {passes::CheckMode::kCash, true, 2632, 4108},
+      {passes::CheckMode::kCash, false, 2632, 4108},
+      {passes::CheckMode::kBcc, true, 13454, 6742},
+      {passes::CheckMode::kBcc, false, 13454, 6742},
+  };
+  for (const Pinned& cell : cells) {
+    CompileOptions options;
+    options.lower.mode = cell.mode;
+    options.machine.enable_predecode = cell.predecode;
+    CompileResult compiled = compile(kProgram, options);
+    ASSERT_TRUE(compiled.ok()) << compiled.error;
+    const vm::RunResult r = compiled.program->make_machine()->run();
+    ASSERT_TRUE(r.ok) << (r.fault ? r.fault->detail : r.error);
+    const std::string ctx = std::string(to_string(cell.mode)) +
+                            (cell.predecode ? " decoded" : " interpreter");
+    EXPECT_EQ(r.tlb_stats.hits, cell.hits) << ctx;
+    EXPECT_EQ(r.tlb_stats.misses, cell.misses) << ctx;
+  }
 }
 
 } // namespace

@@ -3,6 +3,7 @@
 // Electric-Fence guard-page placement.
 #include <gtest/gtest.h>
 
+#include "core/cash.hpp"
 #include "kernel/kernel_sim.hpp"
 #include "mmu/mmu.hpp"
 #include "runtime/heap.hpp"
@@ -48,6 +49,19 @@ TEST_P(HeapTest, ObjectsDontOverlap) {
   const auto a = heap_.allocate(64);
   const auto b = heap_.allocate(64);
   EXPECT_GE(b.data, a.data + 64);
+}
+
+TEST_P(HeapTest, SizeThatWrapsIsOutOfMemory) {
+  // malloc(-4) asks for 0xFFFFFFFC bytes. The fit check must not wrap in
+  // 32 bits and hand out a block that moves the heap cursor backwards, or
+  // the next malloc(16) lands inside it.
+  const auto huge = heap_.allocate(0xFFFFFFFCU);
+  EXPECT_EQ(huge.data, 0U);
+  const auto next = heap_.allocate(16);
+  CashHeap fresh(mmu_, arrays_, 0x10000000, 0x20000000);
+  EXPECT_EQ(next.data, fresh.allocate(16).data);
+  const auto after = heap_.allocate(16);
+  EXPECT_GE(after.data, next.data + 16);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, HeapTest,
@@ -172,6 +186,37 @@ TEST_F(EfenceHeapTest, ConsecutiveAllocationsDontShareGuards) {
   EXPECT_FALSE(mmu_.write32_linear(a.data + 64, 1).ok());
   EXPECT_FALSE(mmu_.write32_linear(b.data + 64, 1).ok());
   EXPECT_EQ(heap_.stats().guard_pages, 2U);
+}
+
+// The same request from a program ends the run in the heap-exhausted
+// fault, in both engines.
+TEST(HeapProgram, MallocOfAWrappingSizeIsHeapExhausted) {
+  constexpr const char* kProgram = R"(
+int main() {
+  int *p; int *q;
+  p = malloc(-4);
+  q = malloc(16);
+  q[0] = 7;
+  return p[2];
+}
+)";
+  for (passes::CheckMode mode :
+       {passes::CheckMode::kCash, passes::CheckMode::kEfence}) {
+    for (bool predecode : {true, false}) {
+      CompileOptions options;
+      options.lower.mode = mode;
+      options.machine.enable_predecode = predecode;
+      CompileResult compiled = compile(kProgram, options);
+      ASSERT_TRUE(compiled.ok()) << compiled.error;
+      const vm::RunResult r = compiled.program->make_machine()->run();
+      const std::string ctx = std::string(to_string(mode)) +
+                              (predecode ? " decoded" : " interpreter");
+      ASSERT_TRUE(r.fault.has_value()) << ctx;
+      EXPECT_EQ(r.fault->kind, FaultKind::kResourceExhausted) << ctx;
+      EXPECT_NE(r.fault->detail.find("malloc(4294967292)"), std::string::npos)
+          << ctx << ": " << r.fault->detail;
+    }
+  }
 }
 
 } // namespace

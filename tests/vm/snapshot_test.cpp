@@ -367,21 +367,22 @@ int main() { return 0; }
 }
 
 TEST(Snapshot, CapturesMidTraceFormation) {
-  // The hot-trace engine's state — per-block heat counters, formed
-  // superblocks, lifetime stats — is part of the snapshot. kServer's init
-  // loop (32 iterations) is past the formation threshold (16) when
-  // capture() runs, while handle_request's loop is still cold: restoring
-  // must put both halves of that mid-formation picture back exactly, so
-  // every restore replays the fresh-replay trajectory bit for bit,
-  // including the trace activity itself.
+  // The hot-trace cache outlives restore(); only TraceStats is part of the
+  // snapshot. kServer's init loop (32 iterations) is past the formation
+  // threshold (16) when capture() runs, while handle_request's loop is
+  // still cold and forms its traces in the first request. Every restored
+  // request must still equal a fresh replay bit for bit — traces are
+  // transparent — and, its traces formed by that first request, form none
+  // again and run inside them from the start.
   for (CheckMode mode : {CheckMode::kNoCheck, CheckMode::kCash,
                          CheckMode::kShadow}) {
     auto program = compile_server(mode);
     ASSERT_TRUE(program->options().machine.enable_trace);
-    std::unique_ptr<vm::Machine> m = fresh_after_init(*program);
+    std::unique_ptr<vm::Machine> m = program->make_machine();
+    const vm::RunResult init = m->run_function("server_init");
+    ASSERT_TRUE(init.ok);
     std::unique_ptr<vm::MachineSnapshot> snap = m->capture();
 
-    bool any_trace = false;
     for (std::uint32_t seed = 0; seed < 4; ++seed) {
       if (seed != 0) {
         m->restore(*snap);
@@ -397,26 +398,23 @@ TEST(Snapshot, CapturesMidTraceFormation) {
       const std::string ctx = "mode=" + std::to_string(static_cast<int>(mode)) +
                               " seed=" + std::to_string(40 + seed);
       expect_identical(from_replay, from_snapshot, ctx);
-      // trace_stats is exempt from expect_identical (host-side, like
-      // tlb_stats) — pin it explicitly: restored trace state must replay
-      // the same formation/execution trajectory a fresh machine produces.
-      EXPECT_EQ(from_replay.trace_stats.traces_formed,
-                from_snapshot.trace_stats.traces_formed)
+      // A fresh machine forms handle_request's traces, so the zero below
+      // is not vacuous.
+      EXPECT_GT(from_replay.trace_stats.traces_formed,
+                init.trace_stats.traces_formed)
           << ctx;
-      EXPECT_EQ(from_replay.trace_stats.trace_execs,
-                from_snapshot.trace_stats.trace_execs)
+      if (seed == 0) {
+        continue; // the warm-up request forms the traces
+      }
+      // TraceStats rewound to init's values, so the differences are this
+      // request's alone.
+      EXPECT_EQ(from_snapshot.trace_stats.traces_formed,
+                init.trace_stats.traces_formed)
           << ctx;
-      EXPECT_EQ(from_replay.trace_stats.guard_exits,
-                from_snapshot.trace_stats.guard_exits)
+      EXPECT_GT(from_snapshot.trace_stats.trace_execs,
+                init.trace_stats.trace_execs)
           << ctx;
-      EXPECT_EQ(from_replay.trace_stats.trace_instructions,
-                from_snapshot.trace_stats.trace_instructions)
-          << ctx;
-      any_trace |= from_snapshot.trace_stats.trace_execs > 0;
     }
-    // The warm-started machine actually runs inside superblocks — the
-    // comparison above is not vacuous.
-    EXPECT_TRUE(any_trace) << "mode=" << static_cast<int>(mode);
   }
 }
 

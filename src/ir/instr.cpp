@@ -15,28 +15,11 @@ const char* to_string(Type type) noexcept {
 
 const char* to_string(Opcode op) noexcept {
   switch (op) {
-    case Opcode::kConstInt:      return "const.i";
-    case Opcode::kConstFloat:    return "const.f";
-    case Opcode::kMove:          return "move";
-    case Opcode::kBin:           return "bin";
-    case Opcode::kUn:            return "un";
-    case Opcode::kLoad:          return "load";
-    case Opcode::kStore:         return "store";
-    case Opcode::kLoadLocal:     return "load.local";
-    case Opcode::kStoreLocal:    return "store.local";
-    case Opcode::kLoadGlobal:    return "load.global";
-    case Opcode::kStoreGlobal:   return "store.global";
-    case Opcode::kAddrLocal:     return "addr.local";
-    case Opcode::kAddrGlobal:    return "addr.global";
-    case Opcode::kPtrAdd:        return "ptradd";
-    case Opcode::kCall:          return "call";
-    case Opcode::kRet:           return "ret";
-    case Opcode::kJump:          return "jump";
-    case Opcode::kBranch:        return "branch";
-    case Opcode::kSegLoad:       return "segload";
-    case Opcode::kBoundCheckSw:  return "boundcheck.sw";
-    case Opcode::kBoundCheckBnd: return "boundcheck.bnd";
-    case Opcode::kBoundCheckShadow: return "boundcheck.shadow";
+#define CASH_IR_OPCODE_TEXT(name, text) \
+  case Opcode::name:                    \
+    return text;
+    CASH_IR_OPCODE_LIST(CASH_IR_OPCODE_TEXT)
+#undef CASH_IR_OPCODE_TEXT
   }
   return "?";
 }

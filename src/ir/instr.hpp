@@ -19,41 +19,76 @@ inline constexpr SymbolId kNoSymbol = -1;
 using LoopId = std::int32_t;
 inline constexpr LoopId kNoLoop = -1;
 
+// The IR opcode set, one row per opcode: X(name, text), where `text` is
+// the opcode's name in the printed IR (to_string). The Opcode enum and
+// to_string(Opcode) are both expanded from this list.
+//
+//   kConstInt      dst <- int_imm
+//   kConstFloat    dst <- float_imm
+//   kMove          dst <- src0 (copies pointer shadow info too)
+//   kBin           dst <- src0 BINOP src1
+//   kUn            dst <- UNOP src0
+//   kLoad          dst <- mem[src0]; src0 holds a linear address (or a
+//                  segment-relative offset once `rebased` is set)
+//   kStore         mem[src0] <- src1
+//   kLoadLocal     dst <- local scalar slot `slot`
+//   kStoreLocal    local scalar slot `slot` <- src0
+//   kLoadGlobal    dst <- global scalar `symbol`
+//   kStoreGlobal   global scalar `symbol` <- src0
+//   kAddrLocal     dst <- address of local array `slot` (attaches shadow
+//                  info)
+//   kAddrGlobal    dst <- address of global array `symbol` (attaches info)
+//   kPtrAdd        dst <- src0 + src1 bytes (propagates shadow info)
+//   kCall          dst? <- call `callee`(srcs...)
+//   kRet           return src0?
+//   kJump          goto target0
+//   kBranch        if src0 != 0 goto target0 else target1
+//
+// Instrumentation, inserted by the lowering passes:
+//
+//   kSegLoad       load segment register `seg` with the segment of array
+//                  `symbol` (shadow info reachable through src0); 4 cycles
+//   kBoundCheckSw  software bound check of address src0 against the bounds
+//                  of the object src0's shadow points to; 6 cycles. With
+//                  src1 set, the interval form: checks [src0, src1] and
+//                  only applies when src0 <= src1 (an empty range passes),
+//                  so a hoisted check for a zero-trip loop can never fault;
+//                  costs kIntervalCheckExtra more
+//   kBoundCheckBnd the same check via the x86 `bound` instruction; 7 cycles
+//                  (interval form as above)
+//   kBoundCheckShadow
+//                  enqueue the address for a shadow processor that runs the
+//                  derived checking program concurrently (Patil & Fischer);
+//                  1 cycle on the main CPU (the interval form enqueues src1
+//                  too: 2 cycles)
+#define CASH_IR_OPCODE_LIST(X)                                               \
+  X(kConstInt, "const.i")                                                    \
+  X(kConstFloat, "const.f")                                                  \
+  X(kMove, "move")                                                           \
+  X(kBin, "bin")                                                             \
+  X(kUn, "un")                                                               \
+  X(kLoad, "load")                                                           \
+  X(kStore, "store")                                                         \
+  X(kLoadLocal, "load.local")                                                \
+  X(kStoreLocal, "store.local")                                              \
+  X(kLoadGlobal, "load.global")                                              \
+  X(kStoreGlobal, "store.global")                                            \
+  X(kAddrLocal, "addr.local")                                                \
+  X(kAddrGlobal, "addr.global")                                              \
+  X(kPtrAdd, "ptradd")                                                       \
+  X(kCall, "call")                                                           \
+  X(kRet, "ret")                                                             \
+  X(kJump, "jump")                                                           \
+  X(kBranch, "branch")                                                       \
+  X(kSegLoad, "segload")                                                     \
+  X(kBoundCheckSw, "boundcheck.sw")                                          \
+  X(kBoundCheckBnd, "boundcheck.bnd")                                        \
+  X(kBoundCheckShadow, "boundcheck.shadow")
+
 enum class Opcode : std::uint8_t {
-  kConstInt,    // dst <- int_imm
-  kConstFloat,  // dst <- float_imm
-  kMove,        // dst <- src0 (copies pointer shadow info too)
-  kBin,         // dst <- src0 BINOP src1
-  kUn,          // dst <- UNOP src0
-  kLoad,        // dst <- mem[src0]; src0 holds a linear address (or a
-                //   segment-relative offset once `rebased` is set)
-  kStore,       // mem[src0] <- src1
-  kLoadLocal,   // dst <- local scalar slot `slot`
-  kStoreLocal,  // local scalar slot `slot` <- src0
-  kLoadGlobal,  // dst <- global scalar `symbol`
-  kStoreGlobal, // global scalar `symbol` <- src0
-  kAddrLocal,   // dst <- address of local array `slot` (attaches shadow info)
-  kAddrGlobal,  // dst <- address of global array `symbol` (attaches info)
-  kPtrAdd,      // dst <- src0 + src1 bytes (propagates shadow info)
-  kCall,        // dst? <- call `callee`(srcs...)
-  kRet,         // return src0?
-  kJump,        // goto target0
-  kBranch,      // if src0 != 0 goto target0 else target1
-  // --- instrumentation (inserted by lowering passes) ---
-  kSegLoad,     // load segment register `seg` with the segment of array
-                //   `symbol` (shadow info reachable through src0); 4 cycles
-  kBoundCheckSw,  // software bound check of address src0 against the bounds
-                  //   of the object src0's shadow points to; 6 cycles.
-                  //   With src1 set, the interval form: checks [src0, src1]
-                  //   and only applies when src0 <= src1 (an empty range
-                  //   passes), so a hoisted check for a zero-trip loop can
-                  //   never fault; costs kIntervalCheckExtra more
-  kBoundCheckBnd, // same check via the x86 `bound` instruction; 7 cycles
-                  //   (interval form as above)
-  kBoundCheckShadow, // enqueue the address for a shadow processor that runs
-                     //   the derived checking program concurrently
-                     //   (Patil & Fischer); 1 cycle on the main CPU
-                     //   (interval form enqueues src1 too: 2 cycles)
+#define CASH_IR_OPCODE_ENUM(name, text) name,
+  CASH_IR_OPCODE_LIST(CASH_IR_OPCODE_ENUM)
+#undef CASH_IR_OPCODE_ENUM
 };
 
 enum class BinOp : std::uint8_t {

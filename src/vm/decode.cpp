@@ -105,7 +105,6 @@ StaticCost static_cost(const MicroInstr& u) noexcept {
     // (tests/vm/static_cost_test.cpp pins this). Local-load/store
     // constituents are scalar by construction (fusion requires !is_ptr),
     // so their register_op_cost carries no ptr event.
-    case UOp::kFusedConstBin:
     case UOp::kFusedLoadLocalBin:
       c = costs::register_op_cost() + bin_static_cost(u.bin_op, u.type);
       break;
@@ -120,17 +119,11 @@ StaticCost static_cost(const MicroInstr& u) noexcept {
       c = bin_static_cost(u.bin_op, u.type); // always a compare: kAluOp
       c.cycles += costs::kBranch;
       break;
-    case UOp::kFusedPtrAddBound:
-      c = costs::register_op_cost() +
-          costs::bound_check_cost(bound_kind(u.sub_op));
-      break;
     case UOp::kFusedPtrAddLoad:
-    case UOp::kFusedPtrAddStore:
       c = costs::register_op_cost() +
           costs::load_store_cost(u.is_ptr, u.rebased);
       break;
     case UOp::kFusedPtrAddBoundLoad:
-    case UOp::kFusedPtrAddBoundStore:
       c = costs::register_op_cost() +
           costs::bound_check_cost(bound_kind(u.sub_op)) +
           costs::load_store_cost(u.is_ptr, u.rebased);
@@ -559,17 +552,14 @@ std::uint32_t try_fuse(const MicroInstr* m, std::uint32_t n,
       out.src = a.src;
       return 3;
     }
-    // kPtrAdd + kBound* on its result + kLoad/kStore through it. Interval
-    // checks (src1 set) never fuse: the fused layout reuses src1 for the
-    // ptr-add operands and the fused cost assumes the plain check.
+    // kPtrAdd + kBound* on its result + kLoad through it. Interval checks
+    // (src1 set) never fuse: the fused layout reuses src1 for the ptr-add
+    // operands and the fused cost assumes the plain check.
     if (a.op == UOp::kPtrAdd && is_bound(b->op) && b->src0 == a.dst &&
-        b->src1 == ir::kNoReg &&
-        (c->op == UOp::kLoad || c->op == UOp::kStore) && c->src0 == a.dst) {
+        b->src1 == ir::kNoReg && c->op == UOp::kLoad && c->src0 == a.dst) {
       out = *c;
-      out.op = c->op == UOp::kLoad ? UOp::kFusedPtrAddBoundLoad
-                                   : UOp::kFusedPtrAddBoundStore;
+      out.op = UOp::kFusedPtrAddBoundLoad;
       out.sub_op = b->op;
-      out.dst = c->op == UOp::kLoad ? c->dst : c->src1;
       out.src0 = a.src0;
       out.src1 = a.src1;
       out.slot = a.dst;
@@ -580,36 +570,13 @@ std::uint32_t try_fuse(const MicroInstr* m, std::uint32_t n,
   if (b == nullptr) {
     return 0;
   }
-  // kPtrAdd + kBound* on its result (the access itself didn't follow
-  // immediately, or was itemized away). Plain checks only, as above.
-  if (a.op == UOp::kPtrAdd && is_bound(b->op) && b->src0 == a.dst &&
-      b->src1 == ir::kNoReg) {
-    out = a;
-    out.op = UOp::kFusedPtrAddBound;
-    out.sub_op = b->op;
-    out.slot = a.dst;
-    out.is_ptr = false;
-    return 2;
-  }
-  // kPtrAdd + kLoad/kStore through it (unchecked and hardware-checked
-  // modes have no bound micro-op between the two).
-  if (a.op == UOp::kPtrAdd && (b->op == UOp::kLoad || b->op == UOp::kStore) &&
-      b->src0 == a.dst) {
+  // kPtrAdd + kLoad through it (unchecked and hardware-checked modes have
+  // no bound micro-op between the two).
+  if (a.op == UOp::kPtrAdd && b->op == UOp::kLoad && b->src0 == a.dst) {
     out = *b;
-    out.op =
-        b->op == UOp::kLoad ? UOp::kFusedPtrAddLoad : UOp::kFusedPtrAddStore;
-    out.dst = b->op == UOp::kLoad ? b->dst : b->src1;
+    out.op = UOp::kFusedPtrAddLoad;
     out.src0 = a.src0;
     out.src1 = a.src1;
-    out.slot = a.dst;
-    out.src = a.src;
-    return 2;
-  }
-  // kConstInt + kBin reading the constant.
-  if (a.op == UOp::kConstInt && b->op == UOp::kBin && bin_reads(*b, a.dst)) {
-    out = *b;
-    out.op = UOp::kFusedConstBin;
-    out.imm = a.imm;
     out.slot = a.dst;
     out.src = a.src;
     return 2;
@@ -1041,17 +1008,8 @@ std::int32_t try_form_trace(FnTraceState& ts, const UopStream& s,
     } else if (a == UOp::kBin && b == UOp::kStore) {
       tr.uops[i].op = UOp::kTraceBinStore;
       ++i;
-    } else if (a == UOp::kStore && b == UOp::kBin) {
-      tr.uops[i].op = UOp::kTraceStoreBin;
-      ++i;
     } else if (a == UOp::kFusedLoadLocalBin && b == UOp::kBin) {
       tr.uops[i].op = UOp::kTraceLoadBinBin;
-      ++i;
-    } else if (a == UOp::kBin && b == UOp::kPtrAdd) {
-      tr.uops[i].op = UOp::kTraceBinPtrAdd;
-      ++i;
-    } else if (a == UOp::kFusedLoadLocalBin && b == UOp::kStore) {
-      tr.uops[i].op = UOp::kTraceLoadBinStore;
       ++i;
     } else if (a == UOp::kFusedLoadLocalBin &&
                b == UOp::kFusedBinStoreLocal) {
@@ -1441,73 +1399,14 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
   }
 
 #if CASH_THREADED_DISPATCH
-  // Label-address dispatch table, indexed by UOp. Group headers and
-  // itemized micro-ops never appear as group members; they map to the
-  // corrupt-stream handler.
+  // Label-address dispatch table, indexed by UOp (CASH_UOP_LIST's label
+  // column). Group headers and itemized micro-ops never appear as group
+  // members; they map to the corrupt-stream handler.
   static const void* const kDispatch[] = {
-      &&m_corrupt,      // kGroup
-      &&m_const,        // kConstInt
-      &&m_const,        // kConstFloat
-      &&m_move,         // kMove
-      &&m_bin,          // kBin
-      &&m_un,           // kUn
-      &&m_load,         // kLoad
-      &&m_store,        // kStore
-      &&m_load_local,   // kLoadLocal
-      &&m_store_local,  // kStoreLocal
-      &&m_load_global,  // kLoadGlobal
-      &&m_store_global, // kStoreGlobal
-      &&m_addr_local,   // kAddrLocal
-      &&m_addr_global,  // kAddrGlobal
-      &&m_ptr_add,      // kPtrAdd
-      &&m_bound,        // kBoundSw
-      &&m_bound,        // kBoundBnd
-      &&m_bound,        // kBoundShadow
-      &&m_builtin,      // kBuiltin
-      &&m_jump,         // kJump
-      &&m_branch,       // kBranch
-      &&m_fused_const_bin,
-      &&m_fused_load_local_bin,
-      &&m_fused_bin_store_local,
-      &&m_fused_load_bin_store,
-      &&m_fused_cmp_branch,
-      &&m_fused_ptr_add_bound,
-      &&m_fused_ptr_add_load,
-      &&m_fused_ptr_add_store,
-      &&m_fused_ptr_add_bound_load,
-      &&m_fused_ptr_add_bound_store,
-      &&m_guard_branch,     // kGuardBranch
-      &&m_guard_cmp_branch, // kGuardCmpBranch
-      &&m_trace_loop,           // kTraceLoop
-      &&m_trace_bin_bin,        // kTraceBinBin
-      &&m_trace_load_bin_guard, // kTraceLoadBinGuard
-      &&m_trace_bin_pabl,       // kTraceBinPtrAddBoundLoad
-      &&m_trace_pabl_bin,       // kTracePtrAddBoundLoadBin
-      &&m_trace_bin_pal,        // kTraceBinPtrAddLoad
-      &&m_trace_pal_bin,        // kTracePtrAddLoadBin
-      &&m_trace_bin_bin_bin,    // kTraceBinBinBin
-      &&m_trace_lbs_llb,        // kTraceLoadBinStoreLoadBin
-      &&m_trace_bin_bsl,        // kTraceBinBinStoreLocal
-      &&m_trace_bin_store,      // kTraceBinStore
-      &&m_trace_store_bin,      // kTraceStoreBin
-      &&m_trace_llb_bin,        // kTraceLoadBinBin
-      &&m_trace_bin_ptr_add,    // kTraceBinPtrAdd
-      &&m_trace_llb_store,      // kTraceLoadBinStore
-      &&m_trace_llb_bsl,        // kTraceLoadBinBinStoreLocal
-      &&m_trace_lbs_llb_guard,  // kTraceLoadBinStoreLoadBinGuard
-      &&m_trace_bin_bound_store, // kTraceBinBoundStore
-      &&m_trace_un_bin,         // kTraceUnBin
-      &&m_trace_llb_guard_cmp,  // kTraceLoadBinGuardCmp
-      &&m_corrupt, // kSegLoad
-      &&m_corrupt, // kCallUser
-      &&m_corrupt, // kMalloc
-      &&m_corrupt, // kFree
-      &&m_corrupt, // kRet
-      &&m_corrupt, // kBlockEndError
+#define CASH_UOP_LABEL(name, width, label) &&label,
+      CASH_UOP_LIST(CASH_UOP_LABEL)
+#undef CASH_UOP_LABEL
   };
-  static_assert(sizeof(kDispatch) / sizeof(kDispatch[0]) ==
-                    static_cast<std::size_t>(UOp::kCount),
-                "dispatch table must cover every UOp");
 #endif
 
   while (!frames.empty()) {
@@ -1585,59 +1484,11 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
         goto* kDispatch[static_cast<std::size_t>(mcode[pc].op)];
 #else
         switch (mcode[pc].op) {
-          case UOp::kConstInt:
-          case UOp::kConstFloat: goto m_const;
-          case UOp::kMove: goto m_move;
-          case UOp::kBin: goto m_bin;
-          case UOp::kUn: goto m_un;
-          case UOp::kLoad: goto m_load;
-          case UOp::kStore: goto m_store;
-          case UOp::kLoadLocal: goto m_load_local;
-          case UOp::kStoreLocal: goto m_store_local;
-          case UOp::kLoadGlobal: goto m_load_global;
-          case UOp::kStoreGlobal: goto m_store_global;
-          case UOp::kAddrLocal: goto m_addr_local;
-          case UOp::kAddrGlobal: goto m_addr_global;
-          case UOp::kPtrAdd: goto m_ptr_add;
-          case UOp::kBoundSw:
-          case UOp::kBoundBnd:
-          case UOp::kBoundShadow: goto m_bound;
-          case UOp::kBuiltin: goto m_builtin;
-          case UOp::kJump: goto m_jump;
-          case UOp::kBranch: goto m_branch;
-          case UOp::kFusedConstBin: goto m_fused_const_bin;
-          case UOp::kFusedLoadLocalBin: goto m_fused_load_local_bin;
-          case UOp::kFusedBinStoreLocal: goto m_fused_bin_store_local;
-          case UOp::kFusedLoadBinStore: goto m_fused_load_bin_store;
-          case UOp::kFusedCmpBranch: goto m_fused_cmp_branch;
-          case UOp::kFusedPtrAddBound: goto m_fused_ptr_add_bound;
-          case UOp::kFusedPtrAddLoad: goto m_fused_ptr_add_load;
-          case UOp::kFusedPtrAddStore: goto m_fused_ptr_add_store;
-          case UOp::kFusedPtrAddBoundLoad: goto m_fused_ptr_add_bound_load;
-          case UOp::kFusedPtrAddBoundStore: goto m_fused_ptr_add_bound_store;
-          case UOp::kGuardBranch: goto m_guard_branch;
-          case UOp::kGuardCmpBranch: goto m_guard_cmp_branch;
-          case UOp::kTraceLoop: goto m_trace_loop;
-          case UOp::kTraceBinBin: goto m_trace_bin_bin;
-          case UOp::kTraceLoadBinGuard: goto m_trace_load_bin_guard;
-          case UOp::kTraceBinPtrAddBoundLoad: goto m_trace_bin_pabl;
-          case UOp::kTracePtrAddBoundLoadBin: goto m_trace_pabl_bin;
-          case UOp::kTraceBinPtrAddLoad: goto m_trace_bin_pal;
-          case UOp::kTracePtrAddLoadBin: goto m_trace_pal_bin;
-          case UOp::kTraceBinBinBin: goto m_trace_bin_bin_bin;
-          case UOp::kTraceLoadBinStoreLoadBin: goto m_trace_lbs_llb;
-          case UOp::kTraceBinBinStoreLocal: goto m_trace_bin_bsl;
-          case UOp::kTraceBinStore: goto m_trace_bin_store;
-          case UOp::kTraceStoreBin: goto m_trace_store_bin;
-          case UOp::kTraceLoadBinBin: goto m_trace_llb_bin;
-          case UOp::kTraceBinPtrAdd: goto m_trace_bin_ptr_add;
-          case UOp::kTraceLoadBinStore: goto m_trace_llb_store;
-          case UOp::kTraceLoadBinBinStoreLocal: goto m_trace_llb_bsl;
-          case UOp::kTraceLoadBinStoreLoadBinGuard:
-            goto m_trace_lbs_llb_guard;
-          case UOp::kTraceBinBoundStore: goto m_trace_bin_bound_store;
-          case UOp::kTraceUnBin: goto m_trace_un_bin;
-          case UOp::kTraceLoadBinGuardCmp: goto m_trace_llb_guard_cmp;
+#define CASH_UOP_CASE(name, width, label) \
+  case UOp::name:                         \
+    goto label;
+          CASH_UOP_LIST(CASH_UOP_CASE)
+#undef CASH_UOP_CASE
           default: goto m_corrupt;
         }
 #endif
@@ -1873,21 +1724,6 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
       // charge from the plain stream. Fault context comes from the
       // constituent's own source instruction: pcode[v.aux + k].src.
 
-      m_fused_const_bin: {
-        const MicroInstr& v = mcode[pc];
-        regs[v.slot] = Value{v.imm, 0};
-        Value out;
-        const int st = exec_bin(v, regs[v.src0], regs[v.src1], out);
-        regs[v.dst] = out;
-        if (st != 0) {
-          bin_fail(st, pcode[v.aux + 1].src);
-          partial = 2;
-          fault_sub = 1;
-          goto group_fault;
-        }
-      }
-        CASH_MEMBER_NEXT();
-
       m_fused_load_local_bin: {
         const MicroInstr& v = mcode[pc];
         regs[v.imm] = slots[v.slot];
@@ -1949,40 +1785,12 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
         goto group_done;
       }
 
-      m_fused_ptr_add_bound: {
-        const MicroInstr& v = mcode[pc];
-        const Value base = regs[v.src0];
-        const Value addr{base.bits + regs[v.src1].bits, base.info};
-        regs[v.slot] = addr;
-        if (bound_fault(v.sub_op, addr, pcode[v.aux + 1].src)) {
-          partial = 2;
-          fault_sub = 1;
-          goto group_fault;
-        }
-      }
-        CASH_MEMBER_NEXT();
-
       m_fused_ptr_add_load: {
         const MicroInstr& v = mcode[pc];
         const Value base = regs[v.src0];
         const Value addr{base.bits + regs[v.src1].bits, base.info};
         regs[v.slot] = addr;
         const int st = exec_load(v, addr, pcode[v.aux + 1].src);
-        if (st != 0) {
-          partial = st == 1 ? 1 : 0;
-          fault_sub = 1;
-          goto group_fault;
-        }
-      }
-        CASH_MEMBER_NEXT();
-
-      m_fused_ptr_add_store: {
-        const MicroInstr& v = mcode[pc];
-        const Value base = regs[v.src0];
-        const Value addr{base.bits + regs[v.src1].bits, base.info};
-        regs[v.slot] = addr;
-        const int st =
-            exec_store(v, addr, regs[v.dst], pcode[v.aux + 1].src);
         if (st != 0) {
           partial = st == 1 ? 1 : 0;
           fault_sub = 1;
@@ -2002,26 +1810,6 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
           goto group_fault;
         }
         const int st = exec_load(v, addr, pcode[v.aux + 2].src);
-        if (st != 0) {
-          partial = st == 1 ? 1 : 0;
-          fault_sub = 2;
-          goto group_fault;
-        }
-      }
-        CASH_MEMBER_NEXT();
-
-      m_fused_ptr_add_bound_store: {
-        const MicroInstr& v = mcode[pc];
-        const Value base = regs[v.src0];
-        const Value addr{base.bits + regs[v.src1].bits, base.info};
-        regs[v.slot] = addr;
-        if (bound_fault(v.sub_op, addr, pcode[v.aux + 1].src)) {
-          partial = 2;
-          fault_sub = 1;
-          goto group_fault;
-        }
-        const int st =
-            exec_store(v, addr, regs[v.dst], pcode[v.aux + 2].src);
         if (st != 0) {
           partial = st == 1 ? 1 : 0;
           fault_sub = 2;
@@ -2339,26 +2127,6 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
       }
         CASH_MEMBER_NEXT();
 
-      m_trace_store_bin: {
-        const MicroInstr& v = mcode[pc];
-        int st = exec_store(v, regs[v.src0], regs[v.src1], v.src);
-        if (st != 0) {
-          partial = st == 1 ? 1 : 0;
-          goto group_fault;
-        }
-        const MicroInstr& w = mcode[pc + 1];
-        ++pc; // the kBin's slot
-        Value out;
-        st = exec_bin(w, regs[w.src0], regs[w.src1], out);
-        regs[w.dst] = out;
-        if (st != 0) {
-          bin_fail(st, w.src);
-          partial = 2;
-          goto group_fault;
-        }
-      }
-        CASH_MEMBER_NEXT();
-
       m_trace_llb_bin: {
         const MicroInstr& v = mcode[pc];
         regs[v.imm] = slots[v.slot];
@@ -2378,45 +2146,6 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
         if (st != 0) {
           bin_fail(st, w.src);
           partial = 2;
-          goto group_fault;
-        }
-      }
-        CASH_MEMBER_NEXT();
-
-      m_trace_bin_ptr_add: {
-        const MicroInstr& v = mcode[pc];
-        Value out;
-        const int st = exec_bin(v, regs[v.src0], regs[v.src1], out);
-        regs[v.dst] = out;
-        if (st != 0) {
-          bin_fail(st, v.src);
-          partial = 2;
-          goto group_fault;
-        }
-        const MicroInstr& w = mcode[pc + 1];
-        ++pc; // the kPtrAdd's slot (never faults)
-        const Value base = regs[w.src0];
-        regs[w.dst] = Value{base.bits + regs[w.src1].bits, base.info};
-      }
-        CASH_MEMBER_NEXT();
-
-      m_trace_llb_store: {
-        const MicroInstr& v = mcode[pc];
-        regs[v.imm] = slots[v.slot];
-        Value out;
-        int st = exec_bin(v, regs[v.src0], regs[v.src1], out);
-        regs[v.dst] = out;
-        if (st != 0) {
-          bin_fail(st, pcode[v.aux + 1].src);
-          partial = 2;
-          fault_sub = 1;
-          goto group_fault;
-        }
-        const MicroInstr& w = mcode[pc + 1];
-        ++pc; // the kStore's slot
-        st = exec_store(w, regs[w.src0], regs[w.src1], w.src);
-        if (st != 0) {
-          partial = st == 1 ? 1 : 0;
           goto group_fault;
         }
       }

@@ -26,9 +26,9 @@
 //
 //   plain — one micro-op per IR instruction, exactly the PR-5 layout; and
 //   fused — a superinstruction stream where dependent pairs/triples inside
-//           a group (const+bin, local-load+bin+local-store, ptr-add+bound+
-//           load/store, compare+branch) are merged into single fused
-//           micro-ops with pre-summed static costs.
+//           a group (local-load+bin+local-store, ptr-add(+bound)+load,
+//           compare+branch) are merged into single fused micro-ops with
+//           pre-summed static costs.
 //
 // The engine picks a stream per run from MachineConfig.enable_fusion, so
 // one decoded image serves every configuration. Member dispatch is
@@ -66,126 +66,131 @@ inline Builtin builtin_of(const std::string& name) noexcept {
   return Builtin::kNone;
 }
 
+// The micro-op set, one row per opcode: X(name, width, label).
+//
+//   name   the UOp enumerator.
+//   width  IR instructions the micro-op covers (uop_width): 1 for plain
+//          micro-ops, 2 or 3 for fused superinstructions. A trace peephole
+//          counts only its first slot, because each constituent after it
+//          keeps its own slot; kTraceLoop is bookkeeping and covers none.
+//   label  its member handler in execute_decoded (decode.cpp). Group
+//          headers and itemized micro-ops never run as group members and
+//          map to m_corrupt.
+//
+// The UOp enum, uop_width, the computed-goto dispatch table and the
+// portable switch fallback are all expanded from this list, so a row whose
+// label has no handler fails to compile under either dispatch. static_cost
+// stays hand-written: its cases are the cost model.
+//
+// The sections, in order:
+//   - kGroup, the group header: `imm` member micro-ops follow, `aux` is the
+//     FoldedGroup index. Members are foldable ops only; a terminator may
+//     appear only as the last member.
+//   - foldable micro-ops, which only ever appear inside a group.
+//   - fused superinstructions: fused stream only, built at decode time by
+//     merging dependent constituents inside one group (try_fuse in
+//     decode.cpp). Their patterns, in list order: a scalar local load + a
+//     bin reading it; a bin + the scalar local store of its result; the
+//     two around one bin; a compare + the branch on its result (a
+//     terminator); a ptr-add + the load through it, without or with a
+//     bound check between them.
+//   - trace-only micro-ops: superblock streams built at run time by the
+//     hot-trace engine (DESIGN.md §11), never in the decoded plain/fused
+//     streams. A guard is an interior branch: imm != 0 when the trace
+//     follows the taken arm, target0 = the off-trace exit micro-op index.
+//     kTraceLoop is a looping trace's tail: it retires the whole pass and
+//     restarts at micro-op 0 without leaving the superblock. The
+//     kTrace* peepholes combine ops the straight-line superblock puts side
+//     by side (across member/terminator and spliced-block boundaries, which
+//     the block-local fusion pass cannot see). Only the FIRST slot's opcode
+//     is rewritten; the other constituents stay in the following slots
+//     with their own operands and block_of/plain_done entries, so a
+//     combined handler faults by advancing pc to the faulting slot and the
+//     cold-path accounting needs no new bookkeeping. A peephole's name
+//     lists its constituents: LoadBin is kFusedLoadLocalBin, LoadBinStore
+//     is kFusedLoadBinStore, PtrAdd[Bound]Load is kFusedPtrAdd[Bound]Load,
+//     BinStoreLocal is kFusedBinStoreLocal, Guard[Cmp] is the block's
+//     guard terminator, and Bin/Un/Store/Bound are the plain micro-ops.
+//   - itemized micro-ops: dynamic cost and/or control flow. kBlockEndError
+//     is control falling off the end of a block (no terminator); it
+//     reproduces the interpreter's "fell off the end of block ..." error,
+//     with the block id in `symbol`.
+#define CASH_UOP_LIST(X)                                                     \
+  X(kGroup, 1, m_corrupt)                                                    \
+  X(kConstInt, 1, m_const)                                                   \
+  X(kConstFloat, 1, m_const)                                                 \
+  X(kMove, 1, m_move)                                                        \
+  X(kBin, 1, m_bin)                                                          \
+  X(kUn, 1, m_un)                                                            \
+  X(kLoad, 1, m_load)                                                        \
+  X(kStore, 1, m_store)                                                      \
+  X(kLoadLocal, 1, m_load_local)                                             \
+  X(kStoreLocal, 1, m_store_local)                                           \
+  X(kLoadGlobal, 1, m_load_global)                                           \
+  X(kStoreGlobal, 1, m_store_global)                                         \
+  X(kAddrLocal, 1, m_addr_local)                                             \
+  X(kAddrGlobal, 1, m_addr_global)                                           \
+  X(kPtrAdd, 1, m_ptr_add)                                                   \
+  X(kBoundSw, 1, m_bound)                                                    \
+  X(kBoundBnd, 1, m_bound)                                                   \
+  X(kBoundShadow, 1, m_bound)                                                \
+  X(kBuiltin, 1, m_builtin) /* statically-costed builtin call */             \
+  X(kJump, 1, m_jump)                                                        \
+  X(kBranch, 1, m_branch)                                                    \
+  /* fused: */                                                               \
+  X(kFusedLoadLocalBin, 2, m_fused_load_local_bin)                           \
+  X(kFusedBinStoreLocal, 2, m_fused_bin_store_local)                         \
+  X(kFusedLoadBinStore, 3, m_fused_load_bin_store)                           \
+  X(kFusedCmpBranch, 2, m_fused_cmp_branch)                                  \
+  X(kFusedPtrAddLoad, 2, m_fused_ptr_add_load)                               \
+  X(kFusedPtrAddBoundLoad, 3, m_fused_ptr_add_bound_load)                    \
+  /* trace-only: */                                                          \
+  X(kGuardBranch, 1, m_guard_branch) /* interior kBranch */                  \
+  X(kGuardCmpBranch, 2, m_guard_cmp_branch) /* interior kFusedCmpBranch */   \
+  X(kTraceLoop, 0, m_trace_loop)                                             \
+  X(kTraceBinBin, 1, m_trace_bin_bin)                                        \
+  X(kTraceLoadBinGuard, 2, m_trace_load_bin_guard)                           \
+  X(kTraceBinPtrAddBoundLoad, 1, m_trace_bin_pabl)                           \
+  X(kTracePtrAddBoundLoadBin, 3, m_trace_pabl_bin)                           \
+  X(kTraceBinPtrAddLoad, 1, m_trace_bin_pal)                                 \
+  X(kTracePtrAddLoadBin, 2, m_trace_pal_bin)                                 \
+  X(kTraceBinBinBin, 1, m_trace_bin_bin_bin)                                 \
+  X(kTraceLoadBinStoreLoadBin, 3, m_trace_lbs_llb)                           \
+  X(kTraceBinBinStoreLocal, 1, m_trace_bin_bsl)                              \
+  X(kTraceBinStore, 1, m_trace_bin_store)                                    \
+  X(kTraceLoadBinBin, 2, m_trace_llb_bin)                                    \
+  X(kTraceLoadBinBinStoreLocal, 2, m_trace_llb_bsl)                          \
+  X(kTraceLoadBinStoreLoadBinGuard, 3, m_trace_lbs_llb_guard)                \
+  X(kTraceBinBoundStore, 1, m_trace_bin_bound_store)                         \
+  X(kTraceUnBin, 1, m_trace_un_bin)                                          \
+  X(kTraceLoadBinGuardCmp, 2, m_trace_llb_guard_cmp)                         \
+  /* itemized: */                                                            \
+  X(kSegLoad, 1, m_corrupt)                                                  \
+  X(kCallUser, 1, m_corrupt)                                                 \
+  X(kMalloc, 1, m_corrupt)                                                   \
+  X(kFree, 1, m_corrupt)                                                     \
+  X(kRet, 1, m_corrupt)                                                      \
+  X(kBlockEndError, 1, m_corrupt)
+
 enum class UOp : std::uint8_t {
-  // Group header: `imm` member micro-ops follow, `aux` is the FoldedGroup
-  // index. Members are foldable ops only; a terminator may appear only as
-  // the last member.
-  kGroup,
-  // --- foldable micro-ops (only ever appear inside a group) ---
-  kConstInt,
-  kConstFloat,
-  kMove,
-  kBin,
-  kUn,
-  kLoad,
-  kStore,
-  kLoadLocal,
-  kStoreLocal,
-  kLoadGlobal,
-  kStoreGlobal,
-  kAddrLocal,
-  kAddrGlobal,
-  kPtrAdd,
-  kBoundSw,
-  kBoundBnd,
-  kBoundShadow,
-  kBuiltin, // statically-costed builtin call (math/print/rand/srand)
-  kJump,
-  kBranch,
-  // --- fused superinstructions (fused stream only; decode-time pass) ---
-  kFusedConstBin,         // kConstInt + kBin reading it
-  kFusedLoadLocalBin,     // scalar kLoadLocal + kBin reading it
-  kFusedBinStoreLocal,    // kBin + scalar kStoreLocal of its result
-  kFusedLoadBinStore,     // scalar kLoadLocal + kBin + scalar kStoreLocal
-  kFusedCmpBranch,        // compare kBin + kBranch on its result (terminator)
-  kFusedPtrAddBound,      // kPtrAdd + kBound* on its result
-  kFusedPtrAddLoad,       // kPtrAdd + kLoad through it (unchecked modes)
-  kFusedPtrAddStore,      // kPtrAdd + kStore through it (unchecked modes)
-  kFusedPtrAddBoundLoad,  // kPtrAdd + kBound* + kLoad
-  kFusedPtrAddBoundStore, // kPtrAdd + kBound* + kStore
-  // --- trace-only micro-ops (superblock streams built at run time by the
-  // hot-trace engine, DESIGN.md §11; never appear in the decoded
-  // plain/fused streams) ---
-  kGuardBranch,    // interior kBranch: imm != 0 when the trace follows the
-                   // taken arm; target0 = off-trace exit micro-op index
-  kGuardCmpBranch, // interior kFusedCmpBranch, same guard fields
-  kTraceLoop,      // looping trace's tail: retire the whole pass and
-                   // restart at micro-op 0 without leaving the superblock
-  // Trace-time peephole superinstructions: the straight-line superblock
-  // exposes adjacencies the block-local fusion pass cannot see (across
-  // member/terminator and spliced-block boundaries). Only the FIRST slot's
-  // opcode is rewritten; the second constituent stays in the following
-  // slot with its own operands and block_of/plain_done entries, so a
-  // combined handler faults by advancing pc to the faulting slot and the
-  // cold-path accounting needs no new bookkeeping.
-  kTraceBinBin,       // kBin + the kBin in the next slot
-  kTraceLoadBinGuard, // kFusedLoadLocalBin + its block's kGuardBranch
-  kTraceBinPtrAddBoundLoad, // kBin + kFusedPtrAddBoundLoad
-  kTracePtrAddBoundLoadBin, // kFusedPtrAddBoundLoad + kBin
-  kTraceBinPtrAddLoad,      // kBin + kFusedPtrAddLoad
-  kTracePtrAddLoadBin,      // kFusedPtrAddLoad + kBin
-  kTraceBinBinBin,          // a kTraceBinBin pair + a third kBin
-  kTraceLoadBinStoreLoadBin, // kFusedLoadBinStore + kFusedLoadLocalBin
-  kTraceBinBinStoreLocal,    // kBin + kFusedBinStoreLocal
-  kTraceBinStore,            // kBin + kStore
-  kTraceStoreBin,            // kStore + kBin
-  kTraceLoadBinBin,          // kFusedLoadLocalBin + kBin
-  kTraceBinPtrAdd,           // kBin + kPtrAdd
-  kTraceLoadBinStore,        // kFusedLoadLocalBin + kStore
-  kTraceLoadBinBinStoreLocal, // kFusedLoadLocalBin + kFusedBinStoreLocal
-  kTraceLoadBinStoreLoadBinGuard, // kFusedLoadBinStore + kFusedLoadLocalBin
-                                  // + the block's kGuardBranch — the
-                                  // canonical loop tail (a[i] = ...;
-                                  // i = i + 1; if (i < n) repeat)
-  kTraceBinBoundStore, // kBin + kBound + kStore (checked-store idiom)
-  kTraceUnBin,         // kUn + kBin
-  kTraceLoadBinGuardCmp, // kFusedLoadLocalBin + kGuardCmpBranch
-  // --- itemized micro-ops (dynamic cost and/or control flow) ---
-  kSegLoad,
-  kCallUser,
-  kMalloc,
-  kFree,
-  kRet,
-  // Control fell off the end of a block (no terminator): reproduces the
-  // interpreter's "fell off the end of block ..." error. `symbol` holds the
-  // block id.
-  kBlockEndError,
+#define CASH_UOP_ENUM(name, width, label) name,
+  CASH_UOP_LIST(CASH_UOP_ENUM)
+#undef CASH_UOP_ENUM
   kCount, // sentinel: dispatch-table size
 };
 
-// Number of IR instructions a micro-op covers (fused superinstructions
-// cover two or three; everything else is 1:1).
+// Number of IR instructions a micro-op covers (the list's width column).
 constexpr std::uint32_t uop_width(UOp op) noexcept {
   switch (op) {
-    case UOp::kFusedLoadBinStore:
-    case UOp::kFusedPtrAddBoundLoad:
-    case UOp::kFusedPtrAddBoundStore:
-      return 3;
-    case UOp::kFusedConstBin:
-    case UOp::kFusedLoadLocalBin:
-    case UOp::kFusedBinStoreLocal:
-    case UOp::kFusedCmpBranch:
-    case UOp::kFusedPtrAddBound:
-    case UOp::kFusedPtrAddLoad:
-    case UOp::kFusedPtrAddStore:
-    case UOp::kGuardCmpBranch: // carries its kFusedCmpBranch constituents
-    case UOp::kTraceLoadBinGuard: // first slot only: the load+bin pair (the
-                                  // guard keeps its own following slot)
-    case UOp::kTraceLoadBinGuardCmp: // same, kGuardCmpBranch flavor
-    case UOp::kTracePtrAddLoadBin: // first slot only: the kFusedPtrAddLoad
-    case UOp::kTraceLoadBinBin:    // first slot: the kFusedLoadLocalBin
-    case UOp::kTraceLoadBinStore:  // first slot: the kFusedLoadLocalBin
-    case UOp::kTraceLoadBinBinStoreLocal: // first slot: kFusedLoadLocalBin
-      return 2;
-    case UOp::kTracePtrAddBoundLoadBin: // first slot: the kFusedPtrAddBoundLoad
-    case UOp::kTraceLoadBinStoreLoadBin: // first slot: the kFusedLoadBinStore
-    case UOp::kTraceLoadBinStoreLoadBinGuard: // first slot only, same
-      return 3;
-    case UOp::kTraceLoop: // bookkeeping only, covers no IR instruction
-      return 0;
-    default:
-      return 1;
+#define CASH_UOP_WIDTH(name, width, label) \
+  case UOp::name:                          \
+    return width;
+    CASH_UOP_LIST(CASH_UOP_WIDTH)
+#undef CASH_UOP_WIDTH
+    case UOp::kCount:
+      break;
   }
+  return 1;
 }
 
 // One decoded micro-op. Wider than strictly necessary per opcode, but flat
@@ -196,18 +201,17 @@ constexpr std::uint32_t uop_width(UOp op) noexcept {
 // always holds the plain-stream index of the first constituent, so cold
 // paths can itemize; src is the first constituent's source instruction):
 //
-//   kFusedConstBin:      imm = const bits, slot = const dst reg;
+//   kFusedLoadLocalBin:  slot = load slot, imm = load dst reg;
 //                        dst/src0/src1/bin_op/type = the bin.
-//   kFusedLoadLocalBin:  slot = load slot, imm = load dst reg; bin as above.
 //   kFusedBinStoreLocal: bin as above; slot = store slot.
 //   kFusedLoadBinStore:  slot = load slot, imm = load dst reg; bin as
 //                        above; symbol = store slot.
 //   kFusedCmpBranch:     bin as above; target0/target1 = branch targets.
-//   kFusedPtrAdd*:       src0/src1 = ptr-add operands, slot = ptr-add dst
+//   kFusedPtrAdd*Load:   src0/src1 = ptr-add operands, slot = ptr-add dst
 //                        reg; sub_op = the bound op (kBoundSw/kBoundBnd/
 //                        kBoundShadow) when a bound check is fused;
-//                        dst = load dst reg or store value reg; type/seg/
-//                        rebased/is_ptr = the memory op's.
+//                        dst = load dst reg; type/seg/rebased/is_ptr = the
+//                        load's.
 struct MicroInstr {
   UOp op{UOp::kGroup};
   ir::Type type{ir::Type::kInt};
@@ -216,7 +220,7 @@ struct MicroInstr {
   bool is_ptr{false};         // value carries the fat-pointer shadow word
   bool synthetic{false};      // lowering-inserted (affects static cost only)
   Builtin builtin{};          // kBuiltin
-  UOp sub_op{UOp::kGroup};    // kFusedPtrAddBound*: fused bound-check op
+  UOp sub_op{UOp::kGroup};    // kFusedPtrAddBoundLoad: fused bound check
   ir::BinOp bin_op{ir::BinOp::kAdd};
   ir::UnOp un_op{ir::UnOp::kNeg};
   std::int32_t dst{ir::kNoReg};

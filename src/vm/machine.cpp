@@ -4,6 +4,9 @@
 #include <limits>
 #include <cstdio>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "vm/decode.hpp"
 #include "vm/machine_impl.hpp"
@@ -17,6 +20,20 @@ using ir::Instr;
 using ir::Opcode;
 using ir::UnOp;
 using x86seg::SegReg;
+
+// `table[sym]` from one of Impl's flat global tables. A zero entry or an
+// index out of range means the symbol names no global of that kind. Only
+// malformed IR meets one (the decoder rejects it, so the micro-op engine
+// never does); the throw ends the run in a simulator-limit error
+// (Impl::execute).
+std::uint32_t global_entry(const std::vector<std::uint32_t>& table,
+                           ir::SymbolId sym) {
+  if (sym < 0 || static_cast<std::size_t>(sym) >= table.size() ||
+      table[static_cast<std::size_t>(sym)] == 0) {
+    throw std::out_of_range("no global for symbol " + std::to_string(sym));
+  }
+  return table[static_cast<std::size_t>(sym)];
+}
 
 } // namespace
 
@@ -423,7 +440,8 @@ RunResult Machine::Impl::execute_interpreter(const ir::Function* entry) {
         }
         break;
       case Opcode::kLoadGlobal: {
-        const std::uint32_t addr = global_scalar_addr.at(instr.symbol);
+        const std::uint32_t addr =
+            global_entry(flat_global_scalar, instr.symbol);
         Result<std::uint32_t> loaded = mmu.read32_linear(addr);
         if (!loaded.ok()) {
           fail(loaded.fault(), frame, &instr);
@@ -442,7 +460,8 @@ RunResult Machine::Impl::execute_interpreter(const ir::Function* entry) {
         break;
       }
       case Opcode::kStoreGlobal: {
-        const std::uint32_t addr = global_scalar_addr.at(instr.symbol);
+        const std::uint32_t addr =
+            global_entry(flat_global_scalar, instr.symbol);
         Status status = mmu.write32_linear(addr, reg_of(instr.src0).bits);
         if (!status.ok()) {
           fail(status.fault(), frame, &instr);
@@ -467,8 +486,10 @@ RunResult Machine::Impl::execute_interpreter(const ir::Function* entry) {
         break;
       }
       case Opcode::kAddrGlobal: {
-        const GlobalInstance& g = globals.at(instr.symbol);
-        reg_of(instr.dst) = Value{g.data, g.info};
+        const std::uint32_t data =
+            global_entry(flat_global_data, instr.symbol);
+        reg_of(instr.dst) = Value{
+            data, flat_global_info[static_cast<std::size_t>(instr.symbol)]};
         cycles += instr.synthetic ? 0 : costs::kAluOp;
         break;
       }

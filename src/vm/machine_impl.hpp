@@ -5,9 +5,9 @@
 // (snapshot.cpp). Not part of the public API — include vm/machine.hpp
 // instead.
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -52,13 +52,6 @@ constexpr std::uint32_t align_up(std::uint32_t v, std::uint32_t a) {
 constexpr std::uint32_t align_down(std::uint32_t v, std::uint32_t a) {
   return v & ~(a - 1);
 }
-
-struct GlobalInstance {
-  std::uint32_t data{0};
-  std::uint32_t info{0}; // 0 for scalars / unchecked modes
-  bool is_array{false};
-  std::uint32_t size_bytes{0};
-};
 
 // Call sites are resolved to a CallTarget once per Machine (the IR is
 // immutable after lowering), so the interpreter's per-call dispatch is a
@@ -177,12 +170,12 @@ struct Machine::Impl {
 
   bool program_initialized{false};
   std::uint64_t init_cycles{0};
-  std::map<ir::SymbolId, GlobalInstance> globals;
-  std::map<ir::SymbolId, std::uint32_t> global_scalar_addr;
-  // Flat symbol-indexed mirrors of the two maps above, built at program
-  // initialisation for the micro-op engine (O(1) array indexing instead of
-  // a map walk per global access; the interpreter keeps the maps so its
-  // behaviour is byte-for-byte what it was).
+  // The placed globals, indexed by symbol and filled at program
+  // initialisation; both engines read them. flat_global_data holds every
+  // global's data address (scalars included), flat_global_info an array's
+  // info block (0 for scalars and in unchecked modes), flat_global_scalar
+  // a scalar's address. A zero data or scalar entry means the symbol names
+  // no global of that kind.
   std::vector<std::uint32_t> flat_global_data;
   std::vector<std::uint32_t> flat_global_info;
   std::vector<std::uint32_t> flat_global_scalar;
@@ -247,54 +240,50 @@ struct Machine::Impl {
     if (config.mode == passes::CheckMode::kCash) {
       init_cycles += segments.initialize();
     }
+    // Sized to cover every global even when hand-built IR leaves
+    // next_symbol short of a global's symbol.
+    std::size_t n =
+        static_cast<std::size_t>(module->next_symbol > 0 ? module->next_symbol
+                                                         : 0);
+    for (const ir::GlobalVar& g : module->globals) {
+      if (g.symbol >= 0) {
+        n = std::max(n, static_cast<std::size_t>(g.symbol) + 1);
+      }
+    }
+    flat_global_data.assign(n, 0);
+    flat_global_info.assign(n, 0);
+    flat_global_scalar.assign(n, 0);
     std::uint32_t cursor = kGlobalsBase;
     for (const ir::GlobalVar& g : module->globals) {
-      GlobalInstance inst;
+      std::uint32_t data = 0;
+      std::uint32_t info = 0;
       if (g.is_array) {
-        const std::uint32_t info = align_up(cursor, 8);
-        const std::uint32_t data = info + runtime::kInfoBytes;
+        const std::uint32_t block = align_up(cursor, 8);
+        data = block + runtime::kInfoBytes;
         const std::uint32_t size = g.elem_count * ir::kWordSize;
         cursor = data + size;
-        pages.map_range(info, runtime::kInfoBytes + size);
-        inst.is_array = true;
-        inst.size_bytes = size;
-        inst.data = data;
+        pages.map_range(block, runtime::kInfoBytes + size);
         if (config.mode == passes::CheckMode::kCash ||
             config.mode == passes::CheckMode::kBcc ||
             config.mode == passes::CheckMode::kBoundInsn ||
             config.mode == passes::CheckMode::kShadow) {
-          init_cycles += arrays.setup(info, data, size);
-          inst.info = info;
+          init_cycles += arrays.setup(block, data, size);
+          info = block;
         }
       } else {
-        inst.data = align_up(cursor, 4);
-        cursor = inst.data + 4;
-        pages.map_range(inst.data, 4);
-        global_scalar_addr[g.symbol] = inst.data;
+        data = align_up(cursor, 4);
+        cursor = data + 4;
+        pages.map_range(data, 4);
       }
-      globals[g.symbol] = inst;
-    }
-    rebuild_flat_globals();
-  }
-
-  // (Re)derives the flat symbol-indexed global tables from the maps.
-  void rebuild_flat_globals() {
-    const std::size_t n =
-        static_cast<std::size_t>(module->next_symbol > 0 ? module->next_symbol
-                                                         : 0);
-    flat_global_data.assign(n, 0);
-    flat_global_info.assign(n, 0);
-    flat_global_scalar.assign(n, 0);
-    for (const auto& [sym, inst] : globals) {
-      if (sym >= 0 && static_cast<std::size_t>(sym) < n) {
-        flat_global_data[static_cast<std::size_t>(sym)] = inst.data;
-        flat_global_info[static_cast<std::size_t>(sym)] = inst.info;
+      if (g.symbol < 0) {
+        continue; // placed, but no access can name it
       }
-    }
-    for (const auto& [sym, addr] : global_scalar_addr) {
-      if (sym >= 0 && static_cast<std::size_t>(sym) < n) {
-        flat_global_scalar[static_cast<std::size_t>(sym)] = addr;
+      const std::size_t sym = static_cast<std::size_t>(g.symbol);
+      if (!g.is_array) {
+        flat_global_scalar[sym] = data;
       }
+      flat_global_data[sym] = data;
+      flat_global_info[sym] = info;
     }
   }
 

@@ -23,8 +23,6 @@ struct MachineSnapshot::Data {
         mmu_access(impl.mmu.access_count()),
         program_initialized(impl.program_initialized),
         init_cycles(impl.init_cycles),
-        globals(impl.globals),
-        global_scalar_addr(impl.global_scalar_addr),
         flat_global_data(impl.flat_global_data),
         flat_global_info(impl.flat_global_info),
         flat_global_scalar(impl.flat_global_scalar),
@@ -42,8 +40,6 @@ struct MachineSnapshot::Data {
   std::uint64_t mmu_access;
   bool program_initialized;
   std::uint64_t init_cycles;
-  std::map<ir::SymbolId, GlobalInstance> globals;
-  std::map<ir::SymbolId, std::uint32_t> global_scalar_addr;
   std::vector<std::uint32_t> flat_global_data;
   std::vector<std::uint32_t> flat_global_info;
   std::vector<std::uint32_t> flat_global_scalar;
@@ -91,8 +87,6 @@ void Machine::restore(const MachineSnapshot& snap) {
   impl.mmu.set_access_count(d.mmu_access);
   impl.program_initialized = d.program_initialized;
   impl.init_cycles = d.init_cycles;
-  impl.globals = d.globals;
-  impl.global_scalar_addr = d.global_scalar_addr;
   impl.flat_global_data = d.flat_global_data;
   impl.flat_global_info = d.flat_global_info;
   impl.flat_global_scalar = d.flat_global_scalar;

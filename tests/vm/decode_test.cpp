@@ -8,9 +8,13 @@
 
 #include <cmath>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "core/cash.hpp"
 #include "vm/decode.hpp"
+#include "workloads/workloads.hpp"
 
 #include "run_result_compare.hpp"
 
@@ -574,6 +578,45 @@ int main() {
   EXPECT_LE(rate, 1.0);
   for (CheckMode mode : kAllModes) {
     run_both(kOneInstrLoop, mode);
+  }
+}
+
+TEST(DecodeFusion, EveryFusedOpcodeIsEmitted) {
+  // Each fused superinstruction in CASH_UOP_LIST must appear in the fused
+  // stream of at least one of the 18 workloads in some check mode. A
+  // pattern that never forms is dead weight in the decoder and the engine.
+  std::vector<std::pair<vm::UOp, std::string_view>> fused_ops;
+#define CASH_UOP_FUSED(name, width, label)                 \
+  if (std::string_view(#name).starts_with("kFused")) {     \
+    fused_ops.emplace_back(vm::UOp::name, #name);          \
+  }
+  CASH_UOP_LIST(CASH_UOP_FUSED)
+#undef CASH_UOP_FUSED
+  ASSERT_FALSE(fused_ops.empty());
+
+  std::vector<bool> emitted(static_cast<std::size_t>(vm::UOp::kCount));
+  for (const auto* suite : {&workloads::micro_suite(),
+                            &workloads::macro_suite(),
+                            &workloads::network_suite()}) {
+    for (const workloads::Workload& w : *suite) {
+      for (CheckMode mode : kAllModes) {
+        CompileOptions options;
+        options.lower.mode = mode;
+        CompileResult compiled = compile(w.source, options);
+        ASSERT_TRUE(compiled.ok()) << w.name << ": " << compiled.error;
+        const vm::DecodedProgram* decoded = compiled.program->decoded();
+        ASSERT_NE(decoded, nullptr) << w.name;
+        for (const vm::DecodedFunction& fn : decoded->functions()) {
+          for (const vm::MicroInstr& u : fn.fused.uops) {
+            emitted[static_cast<std::size_t>(u.op)] = true;
+          }
+        }
+      }
+    }
+  }
+  for (const auto& [op, name] : fused_ops) {
+    EXPECT_TRUE(emitted[static_cast<std::size_t>(op)])
+        << name << " is never emitted";
   }
 }
 

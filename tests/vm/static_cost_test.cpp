@@ -180,10 +180,6 @@ TEST(StaticCost, FusedOpsEqualConstituentSums) {
     MicroInstr b = make(UOp::kBin);
     b.bin_op = bin;
 
-    MicroInstr cb = make(UOp::kFusedConstBin);
-    cb.bin_op = bin;
-    expect_sum(cb, {make(UOp::kConstInt), b}, "const+bin");
-
     MicroInstr lb = make(UOp::kFusedLoadLocalBin);
     lb.bin_op = bin;
     expect_sum(lb, {make(UOp::kLoadLocal), b}, "load-local+bin");
@@ -210,13 +206,6 @@ TEST(StaticCost, FusedOpsEqualConstituentSums) {
         MicroInstr mem_load = make(UOp::kLoad);
         mem_load.rebased = rebased;
         mem_load.is_ptr = is_ptr;
-        MicroInstr mem_store = make(UOp::kStore);
-        mem_store.rebased = rebased;
-        mem_store.is_ptr = is_ptr;
-
-        MicroInstr pb = make(UOp::kFusedPtrAddBound);
-        pb.sub_op = bound;
-        expect_sum(pb, {make(UOp::kPtrAdd), make(bound)}, "ptradd+bound");
 
         MicroInstr pbl = make(UOp::kFusedPtrAddBoundLoad);
         pbl.sub_op = bound;
@@ -225,22 +214,10 @@ TEST(StaticCost, FusedOpsEqualConstituentSums) {
         expect_sum(pbl, {make(UOp::kPtrAdd), make(bound), mem_load},
                    "ptradd+bound+load");
 
-        MicroInstr pbs = make(UOp::kFusedPtrAddBoundStore);
-        pbs.sub_op = bound;
-        pbs.rebased = rebased;
-        pbs.is_ptr = is_ptr;
-        expect_sum(pbs, {make(UOp::kPtrAdd), make(bound), mem_store},
-                   "ptradd+bound+store");
-
         MicroInstr pl = make(UOp::kFusedPtrAddLoad);
         pl.rebased = rebased;
         pl.is_ptr = is_ptr;
         expect_sum(pl, {make(UOp::kPtrAdd), mem_load}, "ptradd+load");
-
-        MicroInstr ps = make(UOp::kFusedPtrAddStore);
-        ps.rebased = rebased;
-        ps.is_ptr = is_ptr;
-        expect_sum(ps, {make(UOp::kPtrAdd), mem_store}, "ptradd+store");
       }
     }
   }

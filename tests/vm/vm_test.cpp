@@ -262,5 +262,88 @@ int main() { return smash(); }
   EXPECT_NE(r.fault->detail.find("line"), std::string::npos);
 }
 
+// Hand-built IR for the test below: globals `g` (scalar, symbol 0) and `a`
+// (4-int array, symbol 1), and symbol 2, which names no global. main()
+// stores 7 to `g`, runs `op` on `symbol`, and returns `g`.
+ir::Module global_access_module(ir::Opcode op, ir::SymbolId symbol) {
+  ir::Module m;
+  ir::GlobalVar scalar;
+  scalar.name = "g";
+  scalar.symbol = m.new_symbol();
+  ir::GlobalVar array;
+  array.name = "a";
+  array.is_array = true;
+  array.elem_count = 4;
+  array.symbol = m.new_symbol();
+  m.globals = {scalar, array};
+  m.new_symbol();
+
+  auto fn = std::make_unique<ir::Function>();
+  fn->name = "main";
+  fn->return_type = ir::Type::kInt;
+  ir::BasicBlock& b = fn->new_block("entry");
+  fn->entry = b.id;
+  const auto emit = [&](ir::Opcode o, ir::SymbolId sym, ir::Reg dst,
+                        ir::Reg src0) {
+    ir::Instr in;
+    in.op = o;
+    in.symbol = sym;
+    in.dst = dst;
+    in.src0 = src0;
+    in.int_imm = 7;
+    b.instrs.push_back(in);
+  };
+  const ir::Reg seven = fn->new_reg();
+  emit(ir::Opcode::kConstInt, ir::kNoSymbol, seven, ir::kNoReg);
+  emit(ir::Opcode::kStoreGlobal, scalar.symbol, ir::kNoReg, seven);
+  if (op == ir::Opcode::kStoreGlobal) {
+    emit(op, symbol, ir::kNoReg, seven);
+  } else {
+    emit(op, symbol, fn->new_reg(), ir::kNoReg);
+  }
+  const ir::Reg result = fn->new_reg();
+  emit(ir::Opcode::kLoadGlobal, scalar.symbol, result, ir::kNoReg);
+  emit(ir::Opcode::kRet, ir::kNoSymbol, ir::kNoReg, result);
+  m.functions.push_back(std::move(fn));
+  return m;
+}
+
+TEST(Vm, InterpreterGlobalAccessToMissingSymbolIsSimulatorLimit) {
+  // A global access whose symbol names no global of its kind is malformed
+  // IR that the front end never emits. The reference interpreter (a
+  // Machine built straight from the Module has no decoded image) ends such
+  // a run in a simulator-limit error, never reads through a stray address.
+  using ir::Opcode;
+  struct Case {
+    Opcode op;
+    ir::SymbolId symbol;
+    bool ok;
+  };
+  const Case cases[] = {
+      {Opcode::kLoadGlobal, 0, true},   {Opcode::kStoreGlobal, 0, true},
+      {Opcode::kAddrGlobal, 0, true},   {Opcode::kAddrGlobal, 1, true},
+      {Opcode::kLoadGlobal, 1, false},  {Opcode::kStoreGlobal, 1, false},
+      {Opcode::kLoadGlobal, 2, false},  {Opcode::kStoreGlobal, 2, false},
+      {Opcode::kAddrGlobal, 2, false},  {Opcode::kLoadGlobal, 9, false},
+      {Opcode::kStoreGlobal, 9, false}, {Opcode::kAddrGlobal, 9, false},
+      {Opcode::kLoadGlobal, -1, false}, {Opcode::kAddrGlobal, -1, false},
+  };
+  for (const Case& c : cases) {
+    const ir::Module module = global_access_module(c.op, c.symbol);
+    vm::Machine machine(module, vm::MachineConfig{});
+    const vm::RunResult r = machine.run();
+    const std::string what =
+        std::string(ir::to_string(c.op)) + " " + std::to_string(c.symbol);
+    EXPECT_EQ(r.ok, c.ok) << what << ": " << r.error;
+    if (c.ok) {
+      EXPECT_EQ(r.exit_code, 7) << what;
+    } else {
+      EXPECT_FALSE(r.fault.has_value()) << what;
+      EXPECT_EQ(r.error.rfind("simulator limit: ", 0), 0U)
+          << what << ": " << r.error;
+    }
+  }
+}
+
 } // namespace
 } // namespace cash

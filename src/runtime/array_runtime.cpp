@@ -8,10 +8,9 @@ std::uint64_t ArrayRuntime::setup(std::uint32_t info_addr,
                                   std::uint32_t data_addr,
                                   std::uint32_t size) {
   using passes::CheckMode;
-  if (mode_ == CheckMode::kNoCheck || mode_ == CheckMode::kEfence) {
+  if (!gets_info_block(mode_)) {
     return 0; // no info structure in the unchecked builds
   }
-  // kBcc / kBoundInsn / kCash / kShadow all materialise the bounds.
 
   std::uint64_t cycles = 3; // three word stores to fill the structure
   std::uint32_t selector_raw = 0;

@@ -18,6 +18,15 @@ inline constexpr std::uint32_t kInfoLowerOff = 0;
 inline constexpr std::uint32_t kInfoUpperOff = 4;
 inline constexpr std::uint32_t kInfoSelectorOff = 8;
 
+// True when arrays get an info structure in `mode`: the checked modes
+// materialise the bounds; gcc and Electric Fence keep none.
+constexpr bool gets_info_block(passes::CheckMode mode) noexcept {
+  return mode == passes::CheckMode::kCash ||
+         mode == passes::CheckMode::kBcc ||
+         mode == passes::CheckMode::kBoundInsn ||
+         mode == passes::CheckMode::kShadow;
+}
+
 // Fills/clears info structures and drives the SegmentManager when arrays are
 // created and destroyed. Shared by global-array initialisation, function
 // prologues/epilogues (local arrays), and cash_malloc/cash_free.

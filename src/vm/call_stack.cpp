@@ -1,0 +1,140 @@
+// The call-frame stack, prologue and epilogue that the reference
+// interpreter and the micro-op engine share (DESIGN.md §7).
+#include "vm/machine_impl.hpp"
+
+namespace cash::vm {
+
+void CallStack::reset(std::size_t functions, std::uint64_t now) {
+  frames_.clear();
+  values_.clear();
+  segs_.clear();
+  returned_ = Value{};
+  profile_.assign(functions, FunctionProfile{});
+  profiled_ = nullptr;
+  span_start_ = now;
+}
+
+void CallStack::account(std::uint64_t now, FunctionProfile* next) noexcept {
+  if (profiled_ != nullptr) {
+    profiled_->self_cycles += now - span_start_;
+  }
+  span_start_ = now;
+  profiled_ = next;
+}
+
+FrameCharge CallStack::push(Machine::Impl& impl, std::uint32_t fn_index,
+                            ir::Reg ret_dst,
+                            const std::vector<ir::Reg>& args,
+                            std::uint64_t now) {
+  FrameCharge charge;
+  if (frames_.size() >= kMaxCallDepth) {
+    charge.overflow = true;
+    return charge;
+  }
+  const ir::Function& fn = *impl.module->functions[fn_index];
+  CallFrame frame;
+  frame.fn = &fn;
+  frame.fn_index = fn_index;
+  frame.ret_dst = ret_dst;
+  frame.saved_sp = impl.sp;
+  frame.base = static_cast<std::uint32_t>(values_.size());
+  frame.seg_base = static_cast<std::uint32_t>(segs_.size());
+  frame.block = fn.entry;
+  // Registers, slots and the local-array table, zeroed.
+  values_.resize(frame.base + static_cast<std::size_t>(fn.next_reg) +
+                 2 * fn.locals.size());
+  Value* regs = values_.data() + frame.base;
+  Value* slots = frame_slots(regs, fn);
+  Value* arrays = frame_arrays(regs, fn);
+
+  if (!frames_.empty()) {
+    const Value* caller = values_.data() + frames_.back().base;
+    const std::uint64_t penalty = impl.ptr_copy_penalty();
+    for (std::size_t i = 0; i < fn.params.size() && i < args.size(); ++i) {
+      slots[static_cast<std::size_t>(fn.params[i].slot)] =
+          caller[static_cast<std::size_t>(args[i])];
+      if (ir::is_pointer(fn.params[i].type)) {
+        charge.runtime += penalty;
+        charge.ptr_copies += penalty;
+      }
+    }
+  }
+
+  // Stack space + segment set-up for local arrays.
+  for (std::size_t i = 0; i < fn.locals.size(); ++i) {
+    const ir::LocalSlot& slot = fn.locals[i];
+    if (!slot.is_array) {
+      continue;
+    }
+    const std::uint32_t size = slot.elem_count * ir::kWordSize;
+    const std::uint32_t info =
+        align_down(impl.sp - (runtime::kInfoBytes + size), 8);
+    if (info < kStackLimit) {
+      values_.resize(frame.base);
+      charge.overflow = true;
+      return charge;
+    }
+    impl.sp = info;
+    const std::uint32_t data = info + runtime::kInfoBytes;
+    impl.pages.map_range(info, runtime::kInfoBytes + size);
+    arrays[i].bits = data;
+    if (runtime::gets_info_block(impl.config.mode)) {
+      charge.runtime += impl.arrays.setup(info, data, size);
+      arrays[i].info = info;
+    }
+  }
+
+  // Save clobbered segment registers (Section 3.7).
+  for (std::int8_t reg : fn.used_seg_regs) {
+    const auto seg = static_cast<x86seg::SegReg>(reg);
+    segs_.emplace_back(seg, impl.seg_unit.reg(seg));
+    charge.runtime += 1;
+  }
+  frames_.push_back(frame);
+  account(now + charge.runtime, &profile_[fn_index]);
+  ++profiled_->calls;
+  return charge;
+}
+
+FrameCharge CallStack::pop(Machine::Impl& impl, Value result,
+                           std::uint64_t now) {
+  FrameCharge charge;
+  const CallFrame frame = frames_.back();
+  const ir::Function& fn = *frame.fn;
+  const Value* arrays = frame_arrays(values_.data() + frame.base, fn);
+  for (std::size_t i = 0; i < fn.locals.size(); ++i) {
+    if (arrays[i].info != 0) {
+      charge.runtime += impl.arrays.teardown(arrays[i].info);
+    }
+  }
+  for (std::size_t i = segs_.size(); i-- > frame.seg_base;) {
+    impl.seg_unit.restore(segs_[i].first, segs_[i].second);
+    charge.runtime += 1;
+  }
+  impl.sp = frame.saved_sp;
+  frames_.pop_back();
+  values_.resize(frame.base);
+  segs_.resize(frame.seg_base);
+  if (frames_.empty()) {
+    returned_ = result;
+    account(now + charge.runtime, nullptr);
+  } else {
+    if (frame.ret_dst != ir::kNoReg) {
+      regs(frames_.back())[static_cast<std::size_t>(frame.ret_dst)] = result;
+    }
+    account(now + charge.runtime, &profile_[frames_.back().fn_index]);
+  }
+  return charge;
+}
+
+void CallStack::flush_profile(const ir::Module& module, std::uint64_t now,
+                              std::map<std::string, FunctionProfile>& out) {
+  account(now, nullptr);
+  for (std::size_t i = 0; i < profile_.size(); ++i) {
+    if (profile_[i].calls != 0) {
+      out[module.functions[i]->name] = profile_[i];
+    }
+  }
+}
+
+} // namespace cash::vm

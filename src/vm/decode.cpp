@@ -1,7 +1,5 @@
 #include "vm/decode.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <limits>
 #include <sstream>
 
@@ -130,33 +128,7 @@ StaticCost static_cost(const MicroInstr& u) noexcept {
       break;
     case UOp::kBuiltin:
       c.calls = 1;
-      switch (u.builtin) {
-        case Builtin::kSqrt:
-        case Builtin::kSin:
-        case Builtin::kCos:
-        case Builtin::kExp:
-        case Builtin::kLog:
-        case Builtin::kPow:
-          c.cycles = costs::kMathBuiltin;
-          break;
-        case Builtin::kFabs:
-        case Builtin::kFloor:
-        case Builtin::kAbs:
-          c.cycles = costs::kAluOp;
-          break;
-        case Builtin::kPrintInt:
-        case Builtin::kPrintFloat:
-          c.cycles = 10;
-          break;
-        case Builtin::kRand:
-          c.cycles = 5;
-          break;
-        case Builtin::kSrand:
-          c.cycles = 2;
-          break;
-        default:
-          break;
-      }
+      c.cycles = builtin_cycles(u.builtin);
       break;
     default:
       // Itemized micro-ops account for themselves in the engine.
@@ -1047,12 +1019,14 @@ std::int32_t try_form_trace(FnTraceState& ts, const UopStream& s,
 RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
   const DecodedProgram& prog = *impl.decoded;
   RunResult result;
-  impl.initialize_program();
-  std::uint64_t cycles = impl.init_cycles;
-  std::uint64_t checking_cy = 0;          // bound-check work
-  std::uint64_t shadow_cy = 0;            // the shadow processor's workload
-  std::uint64_t runtime_cy = impl.init_cycles; // set-up/teardown/bookkeeping
-  impl.init_cycles = 0; // charged once, to the first run
+  const FrameCharge opening = impl.begin_run(entry, result);
+  if (!result.error.empty()) {
+    return result;
+  }
+  std::uint64_t cycles = opening.runtime;
+  std::uint64_t checking_cy = 0; // bound-check work
+  std::uint64_t shadow_cy = 0;   // the shadow processor's workload
+  std::uint64_t runtime_cy = opening.runtime; // set-up/teardown/bookkeeping
   RunCounters& ctr = result.counters;
 
   const std::uint64_t ptr_penalty = impl.ptr_copy_penalty();
@@ -1078,42 +1052,47 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
   }
   const std::uint64_t trace_instr_base = impl.trace_stats.trace_instructions;
 
-  struct DFrame {
-    const DecodedFunction* dfn{nullptr};
-    const UopStream* stream{nullptr}; // plain or fused, fixed per run
-    FnTraceState* tstate{nullptr};    // null when the trace engine is off
-    std::vector<Value> regs;
-    std::vector<Value> slots;
-    std::uint32_t pc{0};
-    ir::Reg ret_dst{ir::kNoReg};
-    std::uint32_t saved_sp{0};
-    std::vector<std::uint32_t> array_data;
-    std::vector<std::uint32_t> array_info;
-    std::vector<std::pair<SegReg, x86seg::SegmentRegister>> saved_segs;
-  };
-  std::vector<DFrame> frames;
-  Value return_value;
-
-  // Per-function self-cycle attribution, updated only at call boundaries
-  // and indexed like DecodedProgram::functions(). A function is reported
-  // once it has been called.
-  std::vector<FunctionProfile> profile(prog.functions().size());
-  const auto profile_of = [&](const DecodedFunction* dfn) {
-    return &profile[static_cast<std::size_t>(dfn - prog.functions().data())];
-  };
-  FunctionProfile* profiled = nullptr;
-  std::uint64_t span_start = cycles;
-  const auto account_span = [&](FunctionProfile* next) {
-    if (profiled != nullptr) {
-      profiled->self_cycles += cycles - span_start;
+  // The top frame, cached in locals the dispatch loop reads; load_top()
+  // re-derives them after every push and pop (the stack's arenas move
+  // when they grow). fpc is the frame's micro-op index in its stream.
+  CallStack& stack = impl.stack;
+  const DecodedFunction* dfn = nullptr;
+  const UopStream* stream = nullptr; // plain or fused, fixed per run
+  FnTraceState* tstate = nullptr;    // null when the trace engine is off
+  std::uint32_t fpc = 0;
+  Value* regs = nullptr;
+  Value* slots = nullptr;
+  Value* local_arrays = nullptr;
+  const auto load_top = [&] {
+    const CallFrame& top = stack.top();
+    dfn = &prog.functions()[top.fn_index];
+    stream = fusion_on ? &dfn->fused : &dfn->plain;
+    fpc = top.pos;
+    regs = stack.regs(top);
+    slots = frame_slots(regs, *dfn->fn);
+    local_arrays = frame_arrays(regs, *dfn->fn);
+    if (trace_on) {
+      FnTraceState& ts = impl.trace_fns[top.fn_index];
+      if (ts.stream != stream) {
+        // First use: size the state to the active stream.
+        ts.stream = stream;
+        ts.hot.assign(stream->uops.size(), 0);
+        ts.edges.assign(stream->uops.size(), TraceEdge{});
+        ts.trace_at.assign(stream->uops.size(), kTraceNone);
+        ts.traces.clear();
+      }
+      tstate = &ts;
     }
-    span_start = cycles;
-    profiled = next;
+  };
+  // Enters the callee the stack just pushed, at its entry block.
+  const auto enter_top = [&] {
+    load_top();
+    fpc = stream->block_entry[static_cast<std::size_t>(dfn->fn->entry)];
   };
 
   const auto fail = [&](Fault fault, const ir::Instr* instr) {
     std::ostringstream ctx;
-    ctx << fault.detail << " [in " << frames.back().dfn->fn->name;
+    ctx << fault.detail << " [in " << dfn->fn->name;
     if (instr != nullptr && instr->loc.line > 0) {
       ctx << " at line " << instr->loc.line;
     }
@@ -1135,110 +1114,11 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
     ctr.calls += c.calls;
   };
 
-  const auto push_frame = [&](const DecodedFunction* dfn, ir::Reg ret_dst,
-                              const std::vector<Value>& args) -> bool {
-    const ir::Function* fn = dfn->fn;
-    DFrame frame;
-    frame.dfn = dfn;
-    frame.stream = fusion_on ? &dfn->fused : &dfn->plain;
-    if (trace_on) {
-      const std::size_t fi =
-          static_cast<std::size_t>(dfn - prog.functions().data());
-      FnTraceState& ts = impl.trace_fns[fi];
-      if (ts.stream != frame.stream) {
-        // First use: size the state to the active stream.
-        ts.stream = frame.stream;
-        ts.hot.assign(frame.stream->uops.size(), 0);
-        ts.edges.assign(frame.stream->uops.size(), TraceEdge{});
-        ts.trace_at.assign(frame.stream->uops.size(), kTraceNone);
-        ts.traces.clear();
-      }
-      frame.tstate = &ts;
-    }
-    frame.regs.resize(static_cast<std::size_t>(fn->next_reg));
-    frame.slots.resize(fn->locals.size());
-    frame.pc = frame.stream->block_entry[static_cast<std::size_t>(fn->entry)];
-    frame.ret_dst = ret_dst;
-    frame.saved_sp = impl.sp;
-    frame.array_data.assign(fn->locals.size(), 0);
-    frame.array_info.assign(fn->locals.size(), 0);
-
-    for (std::size_t i = 0; i < fn->params.size() && i < args.size(); ++i) {
-      frame.slots[static_cast<std::size_t>(fn->params[i].slot)] = args[i];
-      if (ir::is_pointer(fn->params[i].type)) {
-        cycles += ptr_penalty;
-        runtime_cy += ptr_penalty;
-        ctr.ptr_word_copies += ptr_penalty;
-      }
-    }
-
-    for (std::size_t i = 0; i < fn->locals.size(); ++i) {
-      const ir::LocalSlot& slot = fn->locals[i];
-      if (!slot.is_array) {
-        continue;
-      }
-      const std::uint32_t size = slot.elem_count * ir::kWordSize;
-      std::uint32_t base =
-          align_down(impl.sp - (runtime::kInfoBytes + size), 8);
-      if (base < kStackLimit) {
-        return false;
-      }
-      impl.sp = base;
-      const std::uint32_t info = base;
-      const std::uint32_t data = base + runtime::kInfoBytes;
-      impl.pages.map_range(info, runtime::kInfoBytes + size);
-      frame.array_data[i] = data;
-      if (impl.config.mode == passes::CheckMode::kCash ||
-          impl.config.mode == passes::CheckMode::kBcc ||
-          impl.config.mode == passes::CheckMode::kBoundInsn ||
-          impl.config.mode == passes::CheckMode::kShadow) {
-        const std::uint64_t setup = impl.arrays.setup(info, data, size);
-        cycles += setup;
-        runtime_cy += setup;
-        frame.array_info[i] = info;
-      }
-    }
-
-    for (std::int8_t reg : fn->used_seg_regs) {
-      const SegReg seg = static_cast<SegReg>(reg);
-      frame.saved_segs.emplace_back(seg, impl.seg_unit.reg(seg));
-      cycles += 1;
-      runtime_cy += 1;
-    }
-    frames.push_back(std::move(frame));
-    account_span(profile_of(dfn));
-    ++profiled->calls;
-    return true;
-  };
-
-  const auto pop_frame = [&]() {
-    DFrame& frame = frames.back();
-    for (std::size_t i = 0; i < frame.array_info.size(); ++i) {
-      if (frame.array_info[i] != 0) {
-        const std::uint64_t teardown =
-            impl.arrays.teardown(frame.array_info[i]);
-        cycles += teardown;
-        runtime_cy += teardown;
-      }
-    }
-    for (auto it = frame.saved_segs.rbegin(); it != frame.saved_segs.rend();
-         ++it) {
-      impl.seg_unit.restore(it->first, it->second);
-      cycles += 1;
-      runtime_cy += 1;
-    }
-    impl.sp = frame.saved_sp;
-    frames.pop_back();
-    account_span(frames.empty() ? nullptr : profile_of(frames.back().dfn));
-  };
-
   // Member-loop working set. Function scope (not per-group locals) so the
   // computed gotos between handlers never jump across an initialization.
   const MicroInstr* mcode = nullptr; // member array the hot loop executes
   const MicroInstr* pcode = nullptr; // plain constituents (cold paths)
   const FoldedGroup* grp = nullptr;
-  Value* regs = nullptr;
-  Value* slots = nullptr;
   std::uint32_t start = 0;
   std::uint32_t end = 0;
   std::uint32_t pc = 0;
@@ -1388,15 +1268,7 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
     }
   };
 
-  const DecodedFunction* entry_dfn = prog.function(entry);
-  if (entry_dfn == nullptr) {
-    result.error = "no such function: " + (entry ? entry->name : "<null>");
-    return result;
-  }
-  if (!push_frame(entry_dfn, ir::kNoReg, {})) {
-    result.error = "stack overflow at program start";
-    return result;
-  }
+  enter_top();
 
 #if CASH_THREADED_DISPATCH
   // Label-address dispatch table, indexed by UOp (CASH_UOP_LIST's label
@@ -1409,19 +1281,16 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
   };
 #endif
 
-  while (!frames.empty()) {
-    DFrame& frame = frames.back();
-    const MicroInstr* code = frame.stream->uops.data();
-    const MicroInstr& u = code[frame.pc];
+  for (;;) {
+    const MicroInstr* code = stream->uops.data();
+    const MicroInstr& u = code[fpc];
     switch (u.op) {
       case UOp::kGroup: {
-        if (frame.tstate != nullptr) {
-          FnTraceState& ts = *frame.tstate;
-          std::int32_t ti = ts.trace_at[frame.pc];
-          if (ti == kTraceNone &&
-              ++ts.hot[frame.pc] == trace_threshold) {
-            ti = try_form_trace(ts, *frame.stream, frame.pc,
-                                impl.trace_stats);
+        if (tstate != nullptr) {
+          FnTraceState& ts = *tstate;
+          std::int32_t ti = ts.trace_at[fpc];
+          if (ti == kTraceNone && ++ts.hot[fpc] == trace_threshold) {
+            ti = try_form_trace(ts, *stream, fpc, impl.trace_stats);
           }
           if (ti >= 0) {
             const Trace& tr = ts.traces[static_cast<std::size_t>(ti)];
@@ -1433,12 +1302,10 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
               ++impl.trace_stats.trace_execs;
               cur_trace = &tr;
               grp = &tr.total;
-              regs = frame.regs.data();
-              slots = frame.slots.data();
-              pcode = frame.dfn->plain.uops.data();
+              pcode = dfn->plain.uops.data();
               mcode = tr.uops.data();
               end = static_cast<std::uint32_t>(tr.uops.size());
-              next_pc = frame.pc; // the final terminator always overwrites
+              next_pc = fpc; // the final terminator always overwrites
               partial = 0;
               fault_sub = 0;
               truncated = false;
@@ -1452,12 +1319,10 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
           brec = nullptr;
         }
         cur_trace = nullptr;
-        grp = &frame.stream->groups[u.aux];
-        regs = frame.regs.data();
-        slots = frame.slots.data();
-        pcode = frame.dfn->plain.uops.data();
+        grp = &stream->groups[u.aux];
+        pcode = dfn->plain.uops.data();
         pstart = grp->plain_first;
-        start = frame.pc + 1;
+        start = fpc + 1;
         end = start + u.imm;
         next_pc = end;
         partial = 0;
@@ -1606,8 +1471,7 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
 
       m_addr_local: {
         const MicroInstr& v = mcode[pc];
-        regs[v.dst] =
-            Value{frame.array_data[v.slot], frame.array_info[v.slot]};
+        regs[v.dst] = local_arrays[v.slot];
       }
         CASH_MEMBER_NEXT();
 
@@ -1639,67 +1503,8 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
         CASH_MEMBER_NEXT();
       m_builtin: {
         const MicroInstr& v = mcode[pc];
-        switch (v.builtin) {
-                case Builtin::kSqrt:
-                  regs[v.dst] =
-                      from_float(std::sqrt(as_float(regs[v.src0])));
-                  break;
-                case Builtin::kFabs:
-                  regs[v.dst] =
-                      from_float(std::fabs(as_float(regs[v.src0])));
-                  break;
-                case Builtin::kSin:
-                  regs[v.dst] = from_float(std::sin(as_float(regs[v.src0])));
-                  break;
-                case Builtin::kCos:
-                  regs[v.dst] = from_float(std::cos(as_float(regs[v.src0])));
-                  break;
-                case Builtin::kExp:
-                  regs[v.dst] = from_float(std::exp(as_float(regs[v.src0])));
-                  break;
-                case Builtin::kLog:
-                  regs[v.dst] = from_float(std::log(as_float(regs[v.src0])));
-                  break;
-                case Builtin::kFloor:
-                  regs[v.dst] =
-                      from_float(std::floor(as_float(regs[v.src0])));
-                  break;
-                case Builtin::kPow:
-                  regs[v.dst] = from_float(std::pow(as_float(regs[v.src0]),
-                                                    as_float(regs[v.src1])));
-                  break;
-                case Builtin::kAbs: {
-                  const Value a = regs[v.src0];
-                  const std::int32_t val = as_int(a);
-                  regs[v.dst] =
-                      val < 0 ? Value{0U - a.bits, 0} : from_int(val);
-                  break;
-                }
-                case Builtin::kPrintInt:
-                  result.output += std::to_string(as_int(regs[v.src0]));
-                  result.output += '\n';
-                  break;
-                case Builtin::kPrintFloat: {
-                  char buffer[32];
-                  std::snprintf(
-                      buffer, sizeof(buffer), "%.6g",
-                      static_cast<double>(as_float(regs[v.src0])));
-                  result.output += buffer;
-                  result.output += '\n';
-                  break;
-                }
-                case Builtin::kRand:
-                  impl.rng_state = impl.rng_state * 1103515245U + 12345U;
-                  regs[v.dst] = from_int(static_cast<std::int32_t>(
-                      (impl.rng_state >> 16) & 0x7FFF));
-                  break;
-                case Builtin::kSrand:
-                  impl.rng_state =
-                      v.src0 == ir::kNoReg ? 1 : regs[v.src0].bits;
-                  break;
-                default:
-                  break;
-        }
+        run_builtin(v.builtin, regs, v.dst, v.src0, v.src1, result.output,
+                    impl.rng_state);
       }
         CASH_MEMBER_NEXT();
 
@@ -1856,7 +1661,7 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
         impl.trace_stats.trace_instructions += tb.cum_count;
         ++impl.trace_stats.guard_exits;
         cur_trace = nullptr;
-        frame.pc = next_pc;
+        fpc = next_pc;
         break;
       }
 
@@ -1876,7 +1681,7 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
           pc = 0;
           goto member_dispatch;
         }
-        frame.pc = cur_trace->entry_pc;
+        fpc = cur_trace->entry_pc;
         cur_trace = nullptr;
         break;
       }
@@ -2327,7 +2132,7 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
           impl.trace_stats.trace_instructions += grp->count;
           cur_trace = nullptr;
         }
-        frame.pc = next_pc;
+        fpc = next_pc;
         break;
 
       group_fault: {
@@ -2395,43 +2200,17 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
               "instruction budget exceeded (possible infinite loop)";
           goto run_end;
         }
-        const Value ptr = frame.regs[static_cast<std::size_t>(u.src0)];
-        std::uint32_t selector_word = 0;
-        if (ptr.info != 0) {
-          Result<std::uint32_t> sel =
-              mmu.read32_linear(ptr.info + runtime::kInfoSelectorOff);
-          if (sel.ok()) {
-            selector_word = sel.value();
-          }
-        }
-        std::uint32_t selector_raw = selector_word & 0xFFFFU;
-        if (selector_word == 0) {
-          selector_raw = kernel::flat_user_data_selector().raw();
-        } else if (x86seg::Selector(static_cast<std::uint16_t>(selector_raw))
-                       .is_local()) {
-          const kernel::LdtId target_ldt = selector_word >> 16;
-          if (target_ldt != impl.kernel.active_ldt(impl.pid)) {
-            Status switched = impl.kernel.switch_ldt(impl.pid, target_ldt);
-            if (!switched.ok()) {
-              fail(switched.fault(), u.src);
-              goto run_end;
-            }
-            impl.seg_unit.set_ldt(impl.kernel.ldt(impl.pid));
-            cycles += costs::kLdtSwitch;
-            checking_cy += costs::kLdtSwitch;
-          }
-        }
-        Status status = impl.seg_unit.load(
-            static_cast<SegReg>(u.seg),
-            x86seg::Selector(static_cast<std::uint16_t>(selector_raw)));
+        std::uint64_t cost = 0;
+        const Status status =
+            impl.load_segment(static_cast<SegReg>(u.seg), regs[u.src0], cost);
+        cycles += cost;
+        checking_cy += cost;
         if (!status.ok()) {
           fail(status.fault(), u.src);
           goto run_end;
         }
-        cycles += costs::kSegRegLoad + 2;
-        checking_cy += costs::kSegRegLoad + 2;
         ++ctr.seg_reg_loads;
-        ++frame.pc;
+        ++fpc;
         break;
       }
 
@@ -2442,24 +2221,22 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
           goto run_end;
         }
         const Instr& in = *u.src;
-        std::vector<Value> args;
-        args.reserve(in.args.size());
-        for (ir::Reg arg : in.args) {
-          args.push_back(frame.regs[static_cast<std::size_t>(arg)]);
-        }
         ++ctr.calls;
         if (u.callee < 0) {
           result.error = "call to unknown function " + in.callee;
           goto run_end;
         }
         cycles += costs::kCallRet;
-        frame.pc += 1; // return to the next micro-op
-        const DecodedFunction* target =
-            &prog.functions()[static_cast<std::size_t>(u.callee)];
-        if (!push_frame(target, u.dst, args)) {
+        stack.top().pos = fpc + 1; // return to the next micro-op
+        const FrameCharge charge =
+            stack.push(impl, static_cast<std::uint32_t>(u.callee), u.dst,
+                       in.args, cycles);
+        charge.book(cycles, runtime_cy, ctr);
+        if (charge.overflow) {
           result.error = "stack overflow calling " + in.callee;
           goto run_end;
         }
+        enter_top();
         break;
       }
 
@@ -2471,9 +2248,7 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
         }
         ++ctr.calls;
         const std::uint32_t bytes =
-            u.src0 == ir::kNoReg
-                ? 0
-                : frame.regs[static_cast<std::size_t>(u.src0)].bits;
+            u.src0 == ir::kNoReg ? 0 : regs[u.src0].bits;
         runtime::CashHeap::Object obj = impl.heap.allocate(bytes);
         cycles += obj.cycles;
         runtime_cy += obj.cycles;
@@ -2485,9 +2260,8 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
                u.src);
           goto run_end;
         }
-        frame.regs[static_cast<std::size_t>(u.dst)] =
-            Value{obj.data, obj.info};
-        ++frame.pc;
+        regs[u.dst] = Value{obj.data, obj.info};
+        ++fpc;
         break;
       }
 
@@ -2499,13 +2273,11 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
         }
         ++ctr.calls;
         const std::uint32_t ptr =
-            u.src0 == ir::kNoReg
-                ? 0
-                : frame.regs[static_cast<std::size_t>(u.src0)].bits;
+            u.src0 == ir::kNoReg ? 0 : regs[u.src0].bits;
         const std::uint64_t released = impl.heap.release(ptr);
         cycles += released;
         runtime_cy += released;
-        ++frame.pc;
+        ++fpc;
         break;
       }
 
@@ -2517,24 +2289,22 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
         }
         Value value;
         if (u.src0 != ir::kNoReg) {
-          value = frame.regs[static_cast<std::size_t>(u.src0)];
+          value = regs[u.src0];
         }
         cycles += costs::kCallRet;
-        const ir::Reg ret_dst = frame.ret_dst;
-        pop_frame();
-        if (frames.empty()) {
-          return_value = value;
-        } else if (ret_dst != ir::kNoReg) {
-          frames.back().regs[static_cast<std::size_t>(ret_dst)] = value;
+        stack.pop(impl, value, cycles).book(cycles, runtime_cy, ctr);
+        if (stack.empty()) {
+          goto run_end;
         }
+        load_top();
         break;
       }
 
       case UOp::kBlockEndError: {
         const ir::BasicBlock& block =
-            frame.dfn->fn->block(static_cast<ir::BlockId>(u.symbol));
+            dfn->fn->block(static_cast<ir::BlockId>(u.symbol));
         result.error = "fell off the end of block " + block.name + " in " +
-                       frame.dfn->fn->name;
+                       dfn->fn->name;
         goto run_end;
       }
 
@@ -2545,24 +2315,7 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
   }
 
 run_end:
-  account_span(nullptr); // flush the final span
-  for (std::size_t fi = 0; fi < profile.size(); ++fi) {
-    if (profile[fi].calls != 0) {
-      result.profile[prog.functions()[fi].fn->name] = profile[fi];
-    }
-  }
-  result.cycles = cycles;
-  result.shadow_cycles = shadow_cy;
-  result.breakdown.checking = checking_cy;
-  result.breakdown.runtime = runtime_cy;
-  result.breakdown.base = cycles - checking_cy - runtime_cy;
-  result.exit_code = as_int(return_value);
-  result.ok = !result.fault.has_value() && result.error.empty();
-  result.tlb_stats = impl.pages.tlb().stats();
-  result.segment_stats = impl.segments.stats();
-  result.heap_stats = impl.heap.stats();
-  result.kernel_account = impl.kernel.account(impl.pid);
-  result.fault_stats = impl.injector.stats();
+  impl.finish_run(result, cycles, checking_cy, shadow_cy, runtime_cy);
   result.trace_stats = impl.trace_stats;
   result.trace_stats.coverage =
       ctr.instructions == 0

@@ -66,6 +66,32 @@ inline Builtin builtin_of(const std::string& name) noexcept {
   return Builtin::kNone;
 }
 
+// Cycles a builtin other than malloc and free charges, in both engines.
+constexpr std::uint64_t builtin_cycles(Builtin builtin) noexcept {
+  switch (builtin) {
+    case Builtin::kSqrt:
+    case Builtin::kSin:
+    case Builtin::kCos:
+    case Builtin::kExp:
+    case Builtin::kLog:
+    case Builtin::kPow:
+      return costs::kMathBuiltin;
+    case Builtin::kFabs:
+    case Builtin::kFloor:
+    case Builtin::kAbs:
+      return costs::kAluOp;
+    case Builtin::kPrintInt:
+    case Builtin::kPrintFloat:
+      return 10;
+    case Builtin::kRand:
+      return 5;
+    case Builtin::kSrand:
+      return 2;
+    default:
+      return 0;
+  }
+}
+
 // The micro-op set, one row per opcode: X(name, width, label).
 //
 //   name   the UOp enumerator.

@@ -1,8 +1,6 @@
 #include "vm/machine.hpp"
 
-#include <cmath>
 #include <limits>
-#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -40,7 +38,10 @@ std::uint32_t global_entry(const std::vector<std::uint32_t>& table,
 Machine::Machine(const ir::Module& module, MachineConfig config,
                  const DecodedProgram* predecoded)
     : impl_(std::make_unique<Impl>(module, config)) {
-  if (predecoded != nullptr && predecoded->ok() && config.enable_predecode) {
+  // The decoded image shares the module's function order, which the call
+  // stack's frames and profile are indexed by.
+  if (predecoded != nullptr && predecoded->ok() && config.enable_predecode &&
+      &predecoded->module() == &module) {
     impl_->decoded = predecoded;
   }
 }
@@ -98,37 +99,77 @@ RunResult Machine::Impl::execute_impl(const ir::Function* entry) {
   return execute_interpreter(entry);
 }
 
+Status Machine::Impl::load_segment(SegReg seg, Value ptr,
+                                   std::uint64_t& cost) {
+  std::uint32_t selector_word = 0;
+  if (ptr.info != 0) {
+    Result<std::uint32_t> sel =
+        mmu.read32_linear(ptr.info + runtime::kInfoSelectorOff);
+    if (sel.ok()) {
+      selector_word = sel.value();
+    }
+  }
+  std::uint32_t selector_raw = selector_word & 0xFFFFU;
+  if (selector_word == 0) {
+    // Unchecked object: use the global segment (Section 3.4).
+    selector_raw = kernel::flat_user_data_selector().raw();
+  } else if (x86seg::Selector(static_cast<std::uint16_t>(selector_raw))
+                 .is_local()) {
+    // Multi-LDT extension: the segment may live in another LDT — repoint
+    // the LDTR first (282-cycle slim syscall).
+    const kernel::LdtId target_ldt = selector_word >> 16;
+    if (target_ldt != kernel.active_ldt(pid)) {
+      Status switched = kernel.switch_ldt(pid, target_ldt);
+      if (!switched.ok()) {
+        return switched;
+      }
+      seg_unit.set_ldt(kernel.ldt(pid));
+      cost += costs::kLdtSwitch;
+    }
+  }
+  Status status = seg_unit.load(
+      seg, x86seg::Selector(static_cast<std::uint16_t>(selector_raw)));
+  if (status.ok()) {
+    // mov shadow + movw %seg (4 cy) + subl base: the per-array-use cost.
+    cost += costs::kSegRegLoad + 2;
+  }
+  return status;
+}
+
 RunResult Machine::Impl::execute_interpreter(const ir::Function* entry) {
   RunResult result;
-  initialize_program();
-  std::uint64_t cycles = init_cycles;
-  std::uint64_t checking_cy = 0;        // bound-check work
-  std::uint64_t shadow_cy = 0;          // the shadow processor's workload
-  std::uint64_t runtime_cy = init_cycles; // set-up/teardown/bookkeeping
-  init_cycles = 0; // charged once, to the first run
+  const FrameCharge opening = begin_run(entry, result);
+  if (!result.error.empty()) {
+    return result;
+  }
+  std::uint64_t cycles = opening.runtime;
+  std::uint64_t checking_cy = 0; // bound-check work
+  std::uint64_t shadow_cy = 0;   // the shadow processor's workload
+  std::uint64_t runtime_cy = opening.runtime; // set-up/teardown/bookkeeping
   RunCounters& ctr = result.counters;
-
   const std::uint64_t ptr_penalty = ptr_copy_penalty();
-  std::vector<Frame> frames;
-  Value return_value;
 
-  // Per-function self-cycle attribution, updated only at call boundaries
-  // (zero per-instruction cost).
-  std::unordered_map<const ir::Function*, FunctionProfile> profile;
-  const ir::Function* profiled_fn = nullptr;
-  std::uint64_t span_start = cycles;
-  auto account_span = [&](const ir::Function* next) {
-    if (profiled_fn != nullptr) {
-      profile[profiled_fn].self_cycles += cycles - span_start;
-    }
-    span_start = cycles;
-    profiled_fn = next;
+  // The top frame, cached in locals; load_top() re-derives them after
+  // every push and pop (the stack's arenas move when they grow).
+  const ir::Function* fn = nullptr;
+  ir::BlockId cur_block = ir::kNoBlock;
+  std::size_t ip = 0;
+  Value* regs = nullptr;
+  Value* slots = nullptr;
+  Value* local_arrays = nullptr;
+  const auto load_top = [&] {
+    const CallFrame& top = stack.top();
+    fn = top.fn;
+    cur_block = top.block;
+    ip = top.pos;
+    regs = stack.regs(top);
+    slots = frame_slots(regs, *fn);
+    local_arrays = frame_arrays(regs, *fn);
   };
 
-  auto fail = [&](Fault fault, const Frame& frame,
-                  const Instr* instr) -> void {
+  auto fail = [&](Fault fault, const Instr* instr) -> void {
     std::ostringstream ctx;
-    ctx << fault.detail << " [in " << frame.func->name;
+    ctx << fault.detail << " [in " << fn->name;
     if (instr != nullptr && instr->loc.line > 0) {
       ctx << " at line " << instr->loc.line;
     }
@@ -137,105 +178,16 @@ RunResult Machine::Impl::execute_interpreter(const ir::Function* entry) {
     result.fault = std::move(fault);
   };
 
-  // Pushes a frame for `fn`; returns false on stack overflow.
-  auto push_frame = [&](const ir::Function* fn, ir::Reg ret_dst,
-                        const std::vector<Value>& args) -> bool {
-    Frame frame;
-    frame.func = fn;
-    frame.regs.resize(static_cast<std::size_t>(fn->next_reg));
-    frame.slots.resize(fn->locals.size());
-    frame.block = fn->entry;
-    frame.ip = 0;
-    frame.ret_dst = ret_dst;
-    frame.saved_sp = sp;
-    frame.array_data.assign(fn->locals.size(), 0);
-    frame.array_info.assign(fn->locals.size(), 0);
+  load_top();
 
-    for (std::size_t i = 0; i < fn->params.size() && i < args.size(); ++i) {
-      frame.slots[static_cast<std::size_t>(fn->params[i].slot)] = args[i];
-      if (ir::is_pointer(fn->params[i].type)) {
-        cycles += ptr_penalty;
-        runtime_cy += ptr_penalty;
-        ctr.ptr_word_copies += ptr_penalty;
-      }
-    }
-
-    // Function prologue: stack space + segment set-up for local arrays.
-    for (std::size_t i = 0; i < fn->locals.size(); ++i) {
-      const ir::LocalSlot& slot = fn->locals[i];
-      if (!slot.is_array) {
-        continue;
-      }
-      const std::uint32_t size = slot.elem_count * ir::kWordSize;
-      std::uint32_t base = align_down(sp - (runtime::kInfoBytes + size), 8);
-      if (base < kStackLimit) {
-        return false;
-      }
-      sp = base;
-      const std::uint32_t info = base;
-      const std::uint32_t data = base + runtime::kInfoBytes;
-      pages.map_range(info, runtime::kInfoBytes + size);
-      frame.array_data[i] = data;
-      if (config.mode == passes::CheckMode::kCash ||
-          config.mode == passes::CheckMode::kBcc ||
-          config.mode == passes::CheckMode::kBoundInsn ||
-          config.mode == passes::CheckMode::kShadow) {
-        const std::uint64_t setup = arrays.setup(info, data, size);
-        cycles += setup;
-        runtime_cy += setup;
-        frame.array_info[i] = info;
-      }
-    }
-
-    // Save clobbered segment registers (Section 3.7).
-    for (std::int8_t reg : fn->used_seg_regs) {
-      const SegReg seg = static_cast<SegReg>(reg);
-      frame.saved_segs.emplace_back(seg, seg_unit.reg(seg));
-      cycles += 1;
-      runtime_cy += 1;
-    }
-    frames.push_back(std::move(frame));
-    account_span(fn);
-    ++profile[fn].calls;
-    return true;
-  };
-
-  // Pops the top frame: epilogue (segment teardown + register restore).
-  auto pop_frame = [&]() {
-    Frame& frame = frames.back();
-    for (std::size_t i = 0; i < frame.array_info.size(); ++i) {
-      if (frame.array_info[i] != 0) {
-        const std::uint64_t teardown = arrays.teardown(frame.array_info[i]);
-        cycles += teardown;
-        runtime_cy += teardown;
-      }
-    }
-    for (auto it = frame.saved_segs.rbegin(); it != frame.saved_segs.rend();
-         ++it) {
-      seg_unit.restore(it->first, it->second);
-      cycles += 1;
-      runtime_cy += 1;
-    }
-    sp = frame.saved_sp;
-    frames.pop_back();
-    account_span(frames.empty() ? nullptr : frames.back().func);
-  };
-
-  if (!push_frame(entry, ir::kNoReg, {})) {
-    result.error = "stack overflow at program start";
-    return result;
-  }
-
-  while (!frames.empty()) {
-    Frame& frame = frames.back();
-    const ir::BasicBlock& block =
-        frame.func->block(frame.block);
-    if (frame.ip >= block.instrs.size()) {
+  while (true) {
+    const ir::BasicBlock& block = fn->block(cur_block);
+    if (ip >= block.instrs.size()) {
       result.error = "fell off the end of block " + block.name + " in " +
-                     frame.func->name;
+                     fn->name;
       break;
     }
-    const Instr& instr = block.instrs[frame.ip];
+    const Instr& instr = block.instrs[ip];
 
     if (++ctr.instructions > config.max_instructions) {
       result.error = "instruction budget exceeded (possible infinite loop)";
@@ -243,7 +195,7 @@ RunResult Machine::Impl::execute_interpreter(const ir::Function* entry) {
     }
 
     auto reg_of = [&](ir::Reg r) -> Value& {
-      return frame.regs[static_cast<std::size_t>(r)];
+      return regs[static_cast<std::size_t>(r)];
     };
 
     bool advance = true;
@@ -315,7 +267,7 @@ RunResult Machine::Impl::execute_interpreter(const ir::Function* entry) {
                 fail(Fault{FaultKind::kInvalidOpcode, 0, 0,
                            y == 0 ? "integer division by zero"
                                   : "integer division overflow"},
-                     frame, &instr);
+                     &instr);
               } else {
                 out = from_int(instr.bin_op == BinOp::kDiv ? x / y : x % y);
               }
@@ -376,7 +328,7 @@ RunResult Machine::Impl::execute_interpreter(const ir::Function* entry) {
           if (!sr.valid) {
             fail(Fault{FaultKind::kGeneralProtection, addr.bits, 0,
                        "rebased access through unloaded segment register"},
-                 frame, &instr);
+                 &instr);
             break;
           }
           // The hoisted `subl base` of Section 3.3.
@@ -387,7 +339,7 @@ RunResult Machine::Impl::execute_interpreter(const ir::Function* entry) {
         if (is_store) {
           Status status = mmu.write32(seg, offset, reg_of(instr.src1).bits);
           if (!status.ok()) {
-            fail(status.fault(), frame, &instr);
+            fail(status.fault(), &instr);
             break;
           }
           if (ir::is_pointer(instr.type)) {
@@ -402,7 +354,7 @@ RunResult Machine::Impl::execute_interpreter(const ir::Function* entry) {
         } else {
           Result<std::uint32_t> loaded = mmu.read32(seg, offset);
           if (!loaded.ok()) {
-            fail(loaded.fault(), frame, &instr);
+            fail(loaded.fault(), &instr);
             break;
           }
           std::uint32_t info = 0;
@@ -421,7 +373,7 @@ RunResult Machine::Impl::execute_interpreter(const ir::Function* entry) {
         break;
       }
       case Opcode::kLoadLocal:
-        reg_of(instr.dst) = frame.slots[static_cast<std::size_t>(instr.slot)];
+        reg_of(instr.dst) = slots[static_cast<std::size_t>(instr.slot)];
         cycles += costs::kRegisterOp;
         if (ir::is_pointer(instr.type)) {
           cycles += ptr_penalty;
@@ -430,8 +382,7 @@ RunResult Machine::Impl::execute_interpreter(const ir::Function* entry) {
         }
         break;
       case Opcode::kStoreLocal:
-        frame.slots[static_cast<std::size_t>(instr.slot)] =
-            reg_of(instr.src0);
+        slots[static_cast<std::size_t>(instr.slot)] = reg_of(instr.src0);
         cycles += costs::kRegisterOp;
         if (ir::is_pointer(instr.type)) {
           cycles += ptr_penalty;
@@ -444,7 +395,7 @@ RunResult Machine::Impl::execute_interpreter(const ir::Function* entry) {
             global_entry(flat_global_scalar, instr.symbol);
         Result<std::uint32_t> loaded = mmu.read32_linear(addr);
         if (!loaded.ok()) {
-          fail(loaded.fault(), frame, &instr);
+          fail(loaded.fault(), &instr);
           break;
         }
         std::uint32_t info = 0;
@@ -464,7 +415,7 @@ RunResult Machine::Impl::execute_interpreter(const ir::Function* entry) {
             global_entry(flat_global_scalar, instr.symbol);
         Status status = mmu.write32_linear(addr, reg_of(instr.src0).bits);
         if (!status.ok()) {
-          fail(status.fault(), frame, &instr);
+          fail(status.fault(), &instr);
           break;
         }
         if (ir::is_pointer(instr.type)) {
@@ -477,9 +428,8 @@ RunResult Machine::Impl::execute_interpreter(const ir::Function* entry) {
         break;
       }
       case Opcode::kAddrLocal: {
-        const std::size_t slot = static_cast<std::size_t>(instr.slot);
         reg_of(instr.dst) =
-            Value{frame.array_data[slot], frame.array_info[slot]};
+            local_arrays[static_cast<std::size_t>(instr.slot)];
         // lea; free when it is lowering-inserted set-up (its cost is part
         // of the segment-load charge).
         cycles += instr.synthetic ? 0 : costs::kAluOp;
@@ -502,71 +452,51 @@ RunResult Machine::Impl::execute_interpreter(const ir::Function* entry) {
         break;
       }
       case Opcode::kJump:
-        frame.block = instr.target0;
-        frame.ip = 0;
+        cur_block = instr.target0;
+        ip = 0;
         advance = false;
         cycles += costs::kBranch;
         break;
       case Opcode::kBranch:
-        frame.block = as_int(reg_of(instr.src0)) != 0 ? instr.target0
-                                                      : instr.target1;
-        frame.ip = 0;
+        cur_block = as_int(reg_of(instr.src0)) != 0 ? instr.target0
+                                                    : instr.target1;
+        ip = 0;
         advance = false;
         cycles += costs::kBranch;
         break;
       case Opcode::kSegLoad: {
-        const Value ptr = reg_of(instr.src0);
-        std::uint32_t selector_word = 0;
-        if (ptr.info != 0) {
-          Result<std::uint32_t> sel =
-              mmu.read32_linear(ptr.info + runtime::kInfoSelectorOff);
-          if (sel.ok()) {
-            selector_word = sel.value();
-          }
-        }
-        std::uint32_t selector_raw = selector_word & 0xFFFFU;
-        if (selector_word == 0) {
-          // Unchecked object: use the global segment (Section 3.4).
-          selector_raw = kernel::flat_user_data_selector().raw();
-        } else if (x86seg::Selector(
-                       static_cast<std::uint16_t>(selector_raw))
-                       .is_local()) {
-          // Multi-LDT extension: the segment may live in another LDT —
-          // repoint the LDTR first (282-cycle slim syscall).
-          const kernel::LdtId target_ldt = selector_word >> 16;
-          if (target_ldt != kernel.active_ldt(pid)) {
-            Status switched = kernel.switch_ldt(pid, target_ldt);
-            if (!switched.ok()) {
-              fail(switched.fault(), frame, &instr);
-              break;
-            }
-            seg_unit.set_ldt(kernel.ldt(pid));
-            cycles += costs::kLdtSwitch;
-            checking_cy += costs::kLdtSwitch;
-          }
-        }
-        Status status = seg_unit.load(
-            static_cast<SegReg>(instr.seg),
-            x86seg::Selector(static_cast<std::uint16_t>(selector_raw)));
+        std::uint64_t cost = 0;
+        const Status status = load_segment(static_cast<SegReg>(instr.seg),
+                                           reg_of(instr.src0), cost);
+        cycles += cost;
+        checking_cy += cost;
         if (!status.ok()) {
-          fail(status.fault(), frame, &instr);
+          fail(status.fault(), &instr);
           break;
         }
-        // mov shadow + movw %seg (4 cy) + subl base: the per-array-use cost.
-        cycles += costs::kSegRegLoad + 2;
-        checking_cy += costs::kSegRegLoad + 2;
         ++ctr.seg_reg_loads;
         break;
       }
-      case Opcode::kBoundCheckShadow: {
-        // Main CPU: one store into the address queue (two for the interval
-        // form). Shadow CPU: re-derive the address context and run the
-        // 6-instruction check (Patil & Fischer's derived program).
+      case Opcode::kBoundCheckShadow:
+      case Opcode::kBoundCheckSw:
+      case Opcode::kBoundCheckBnd: {
         const bool interval = instr.src1 != ir::kNoReg;
-        cycles += interval ? 2 : 1;
-        checking_cy += interval ? 2 : 1;
-        shadow_cy += 2 + costs::kSoftwareBoundCheck +
-                     (interval ? costs::kIntervalCheckExtra : 0);
+        const std::uint64_t extra = interval ? costs::kIntervalCheckExtra : 0;
+        std::uint64_t check_cost = costs::kSoftwareBoundCheck + extra;
+        const char* what = "software check";
+        if (instr.op == Opcode::kBoundCheckShadow) {
+          // Main CPU: one store into the address queue (two for the
+          // interval form). Shadow CPU: re-derive the address context and
+          // run the 6-instruction check (Patil & Fischer's derived program).
+          shadow_cy += 2 + check_cost;
+          check_cost = interval ? 2 : 1;
+          what = "shadow-processor check";
+        } else if (instr.op == Opcode::kBoundCheckBnd) {
+          check_cost = costs::kBoundInstruction + extra;
+          what = "bound instruction";
+        }
+        cycles += check_cost;
+        checking_cy += check_cost;
         ++ctr.sw_checks;
         const Value addr = reg_of(instr.src0);
         const Value hi = interval ? reg_of(instr.src1) : addr;
@@ -581,7 +511,7 @@ RunResult Machine::Impl::execute_interpreter(const ir::Function* entry) {
               (addr.bits < lower.value() ||
                hi.bits + 4 > upper.value())) {
             std::ostringstream detail;
-            detail << "shadow-processor check: ";
+            detail << what << ": ";
             if (interval) {
               detail << "range [0x" << std::hex << addr.bits << ", 0x"
                      << hi.bits << "]";
@@ -591,149 +521,63 @@ RunResult Machine::Impl::execute_interpreter(const ir::Function* entry) {
             detail << " outside [0x" << lower.value() << ", 0x"
                    << upper.value() << ")";
             fail(Fault{FaultKind::kBoundRange, addr.bits, 0, detail.str()},
-                 frame, &instr);
-          }
-        }
-        break;
-      }
-      case Opcode::kBoundCheckSw:
-      case Opcode::kBoundCheckBnd: {
-        const bool is_bound_insn = instr.op == Opcode::kBoundCheckBnd;
-        const bool interval = instr.src1 != ir::kNoReg;
-        const std::uint64_t check_cost =
-            (is_bound_insn ? costs::kBoundInstruction
-                           : costs::kSoftwareBoundCheck) +
-            (interval ? costs::kIntervalCheckExtra : 0);
-        cycles += check_cost;
-        checking_cy += check_cost;
-        ++ctr.sw_checks;
-        const Value addr = reg_of(instr.src0);
-        const Value hi = interval ? reg_of(instr.src1) : addr;
-        // Interval form: an empty range (lo > hi) passes unconditionally.
-        if (addr.info != 0 && addr.bits <= hi.bits) {
-          Result<std::uint32_t> lower =
-              mmu.read32_linear(addr.info + runtime::kInfoLowerOff);
-          Result<std::uint32_t> upper =
-              mmu.read32_linear(addr.info + runtime::kInfoUpperOff);
-          if (lower.ok() && upper.ok() &&
-              (addr.bits < lower.value() ||
-               hi.bits + 4 > upper.value())) {
-            std::ostringstream detail;
-            detail << (is_bound_insn ? "bound instruction" : "software check")
-                   << ": ";
-            if (interval) {
-              detail << "range [0x" << std::hex << addr.bits << ", 0x"
-                     << hi.bits << "]";
-            } else {
-              detail << "address 0x" << std::hex << addr.bits;
-            }
-            detail << " outside [0x" << lower.value() << ", 0x"
-                   << upper.value() << ")";
-            fail(Fault{FaultKind::kBoundRange, addr.bits, 0, detail.str()},
-                 frame, &instr);
+                 &instr);
           }
         }
         break;
       }
       case Opcode::kCall: {
         const std::string& callee = instr.callee;
-        std::vector<Value> args;
-        args.reserve(instr.args.size());
-        for (ir::Reg arg : instr.args) {
-          args.push_back(reg_of(arg));
-        }
+        const ir::Reg a0 = instr.args.empty() ? ir::kNoReg : instr.args[0];
+        const std::uint32_t a0_bits = a0 == ir::kNoReg ? 0 : reg_of(a0).bits;
         ++ctr.calls;
 
         const auto target_it = call_targets.find(&instr);
-        const CallTarget target =
-            target_it != call_targets.end()
-                ? target_it->second
-                : CallTarget{builtin_of(callee), module->find_function(callee)};
+        const CallTarget target = target_it != call_targets.end()
+                                      ? target_it->second
+                                      : resolve_call(callee);
 
         // --- builtins ---
         if (target.builtin == Builtin::kMalloc) {
-          runtime::CashHeap::Object obj =
-              heap.allocate(args.empty() ? 0 : args[0].bits);
+          runtime::CashHeap::Object obj = heap.allocate(a0_bits);
           cycles += obj.cycles;
           runtime_cy += obj.cycles;
           ++ctr.malloc_calls;
           if (obj.data == 0) {
             fail(Fault{FaultKind::kResourceExhausted, 0, 0,
                        "simulated heap exhausted: malloc(" +
-                           std::to_string(args.empty() ? 0 : args[0].bits) +
-                           ")"},
-                 frame, &instr);
+                           std::to_string(a0_bits) + ")"},
+                 &instr);
             break;
           }
           reg_of(instr.dst) = Value{obj.data, obj.info};
         } else if (target.builtin == Builtin::kFree) {
-          const std::uint64_t released =
-              heap.release(args.empty() ? 0 : args[0].bits);
+          const std::uint64_t released = heap.release(a0_bits);
           cycles += released;
           runtime_cy += released;
-        } else if (target.builtin == Builtin::kSqrt) {
-          reg_of(instr.dst) = from_float(std::sqrt(as_float(args[0])));
-          cycles += costs::kMathBuiltin;
-        } else if (target.builtin == Builtin::kFabs) {
-          reg_of(instr.dst) = from_float(std::fabs(as_float(args[0])));
-          cycles += costs::kAluOp;
-        } else if (target.builtin == Builtin::kSin) {
-          reg_of(instr.dst) = from_float(std::sin(as_float(args[0])));
-          cycles += costs::kMathBuiltin;
-        } else if (target.builtin == Builtin::kCos) {
-          reg_of(instr.dst) = from_float(std::cos(as_float(args[0])));
-          cycles += costs::kMathBuiltin;
-        } else if (target.builtin == Builtin::kExp) {
-          reg_of(instr.dst) = from_float(std::exp(as_float(args[0])));
-          cycles += costs::kMathBuiltin;
-        } else if (target.builtin == Builtin::kLog) {
-          reg_of(instr.dst) = from_float(std::log(as_float(args[0])));
-          cycles += costs::kMathBuiltin;
-        } else if (target.builtin == Builtin::kFloor) {
-          reg_of(instr.dst) = from_float(std::floor(as_float(args[0])));
-          cycles += costs::kAluOp;
-        } else if (target.builtin == Builtin::kPow) {
-          reg_of(instr.dst) =
-              from_float(std::pow(as_float(args[0]), as_float(args[1])));
-          cycles += costs::kMathBuiltin;
-        } else if (target.builtin == Builtin::kAbs) {
-          // Defined for INT_MIN too (wraps to itself, like x86 neg).
-          const std::int32_t v = as_int(args[0]);
-          reg_of(instr.dst) =
-              v < 0 ? Value{0U - args[0].bits, 0} : from_int(v);
-          cycles += costs::kAluOp;
-        } else if (target.builtin == Builtin::kPrintInt) {
-          result.output += std::to_string(as_int(args[0]));
-          result.output += '\n';
-          cycles += 10;
-        } else if (target.builtin == Builtin::kPrintFloat) {
-          char buffer[32];
-          std::snprintf(buffer, sizeof(buffer), "%.6g",
-                        static_cast<double>(as_float(args[0])));
-          result.output += buffer;
-          result.output += '\n';
-          cycles += 10;
-        } else if (target.builtin == Builtin::kRand) {
-          rng_state = rng_state * 1103515245U + 12345U;
-          reg_of(instr.dst) =
-              from_int(static_cast<std::int32_t>((rng_state >> 16) & 0x7FFF));
-          cycles += 5;
-        } else if (target.builtin == Builtin::kSrand) {
-          rng_state = args.empty() ? 1 : args[0].bits;
-          cycles += 2;
+        } else if (target.builtin != Builtin::kNone) {
+          run_builtin(target.builtin, regs, instr.dst, a0,
+                      instr.args.size() > 1 ? instr.args[1] : ir::kNoReg,
+                      result.output, rng_state);
+          cycles += builtin_cycles(target.builtin);
         } else {
           // --- user function ---
-          const ir::Function* fn = target.fn;
-          if (fn == nullptr) {
+          if (target.fn_index < 0) {
             result.error = "call to unknown function " + callee;
             break;
           }
           cycles += costs::kCallRet;
-          ++frame.ip; // return to the next instruction
-          if (!push_frame(fn, instr.dst, args)) {
+          stack.top().block = cur_block;
+          stack.top().pos = static_cast<std::uint32_t>(ip + 1);
+          const FrameCharge charge =
+              stack.push(*this, static_cast<std::uint32_t>(target.fn_index),
+                         instr.dst, instr.args, cycles);
+          charge.book(cycles, runtime_cy, ctr);
+          if (charge.overflow) {
             result.error = "stack overflow calling " + callee;
             break;
           }
+          load_top();
           advance = false;
         }
         break;
@@ -744,42 +588,24 @@ RunResult Machine::Impl::execute_interpreter(const ir::Function* entry) {
           value = reg_of(instr.src0);
         }
         cycles += costs::kCallRet;
-        const ir::Reg ret_dst = frame.ret_dst;
-        pop_frame();
-        if (frames.empty()) {
-          return_value = value;
-        } else if (ret_dst != ir::kNoReg) {
-          frames.back().regs[static_cast<std::size_t>(ret_dst)] = value;
+        stack.pop(*this, value, cycles).book(cycles, runtime_cy, ctr);
+        if (!stack.empty()) {
+          load_top();
         }
         advance = false;
         break;
       }
     }
 
-    if (result.fault.has_value() || !result.error.empty()) {
+    if (result.fault.has_value() || !result.error.empty() || stack.empty()) {
       break;
     }
-    if (advance && !frames.empty()) {
-      ++frames.back().ip;
+    if (advance) {
+      ++ip;
     }
   }
 
-  account_span(nullptr); // flush the final span
-  for (const auto& [fn, prof] : profile) {
-    result.profile[fn->name] = prof;
-  }
-  result.cycles = cycles;
-  result.shadow_cycles = shadow_cy;
-  result.breakdown.checking = checking_cy;
-  result.breakdown.runtime = runtime_cy;
-  result.breakdown.base = cycles - checking_cy - runtime_cy;
-  result.exit_code = as_int(return_value);
-  result.ok = !result.fault.has_value() && result.error.empty();
-  result.tlb_stats = pages.tlb().stats();
-  result.segment_stats = segments.stats();
-  result.heap_stats = heap.stats();
-  result.kernel_account = kernel.account(pid);
-  result.fault_stats = injector.stats();
+  finish_run(result, cycles, checking_cy, shadow_cy, runtime_cy);
   return result;
 }
 

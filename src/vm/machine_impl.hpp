@@ -7,11 +7,16 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <map>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/hot_inline.hpp"
 #include "runtime/array_runtime.hpp"
 #include "vm/decode.hpp"
 #include "vm/machine.hpp"
@@ -39,12 +44,66 @@ inline Value from_float(float f) noexcept {
   return {std::bit_cast<std::uint32_t>(f), 0};
 }
 
+// Runs a builtin other than malloc and free, in both engines: reads its
+// arguments from regs[src0] and regs[src1], writes its result to
+// regs[dst] and appends what it prints to `output`. It costs
+// builtin_cycles().
+CASH_HOT_INLINE inline void run_builtin(Builtin builtin, Value* regs,
+                                        ir::Reg dst, ir::Reg src0,
+                                        ir::Reg src1, std::string& output,
+                                        std::uint32_t& rng_state) {
+  const auto x = [&] { return as_float(regs[src0]); };
+  switch (builtin) {
+    case Builtin::kSqrt: regs[dst] = from_float(std::sqrt(x())); break;
+    case Builtin::kFabs: regs[dst] = from_float(std::fabs(x())); break;
+    case Builtin::kSin: regs[dst] = from_float(std::sin(x())); break;
+    case Builtin::kCos: regs[dst] = from_float(std::cos(x())); break;
+    case Builtin::kExp: regs[dst] = from_float(std::exp(x())); break;
+    case Builtin::kLog: regs[dst] = from_float(std::log(x())); break;
+    case Builtin::kFloor: regs[dst] = from_float(std::floor(x())); break;
+    case Builtin::kPow:
+      regs[dst] = from_float(std::pow(x(), as_float(regs[src1])));
+      break;
+    case Builtin::kAbs: {
+      // Defined for INT_MIN too (wraps to itself, like x86 neg).
+      const Value a = regs[src0];
+      regs[dst] = as_int(a) < 0 ? Value{0U - a.bits, 0} : from_int(as_int(a));
+      break;
+    }
+    case Builtin::kPrintInt:
+      output += std::to_string(as_int(regs[src0]));
+      output += '\n';
+      break;
+    case Builtin::kPrintFloat: {
+      char buffer[32];
+      std::snprintf(buffer, sizeof(buffer), "%.6g", static_cast<double>(x()));
+      output += buffer;
+      output += '\n';
+      break;
+    }
+    case Builtin::kRand:
+      rng_state = rng_state * 1103515245U + 12345U;
+      regs[dst] =
+          from_int(static_cast<std::int32_t>((rng_state >> 16) & 0x7FFF));
+      break;
+    case Builtin::kSrand:
+      rng_state = src0 == ir::kNoReg ? 1 : regs[src0].bits;
+      break;
+    default:
+      break;
+  }
+}
+
 // Memory map of the simulated process.
 inline constexpr std::uint32_t kGlobalsBase = 0x08100000;
 inline constexpr std::uint32_t kHeapBase = 0x10000000;
 inline constexpr std::uint32_t kHeapLimit = 0xA0000000;
 inline constexpr std::uint32_t kStackTop = 0xBF000000;
 inline constexpr std::uint32_t kStackLimit = 0xBB000000; // 64 MB of stack
+// Deepest call nesting, the entry frame included. A call past it overflows
+// the stack like one whose local arrays do not fit above kStackLimit. No
+// workload, fuzz program or test comes near it (CHANGES.md).
+inline constexpr std::size_t kMaxCallDepth = std::size_t{1} << 16;
 
 constexpr std::uint32_t align_up(std::uint32_t v, std::uint32_t a) {
   return (v + a - 1) & ~(a - 1);
@@ -60,23 +119,97 @@ constexpr std::uint32_t align_down(std::uint32_t v, std::uint32_t a) {
 // resolves them once per program instead (vm/decode.hpp).
 struct CallTarget {
   Builtin builtin{Builtin::kNone};
-  const ir::Function* fn{nullptr}; // resolved callee when builtin == kNone
+  // Resolved callee's index in module->functions when builtin == kNone;
+  // -1 when no function has the name.
+  std::int32_t fn_index{-1};
 };
 
-struct Frame {
-  const ir::Function* func{nullptr};
-  std::vector<Value> regs;
-  std::vector<Value> slots;
-  ir::BlockId block{ir::kNoBlock};
-  std::size_t ip{0};
+// --- the call-frame stack both engines share (call_stack.cpp; DESIGN.md
+// §7) ---
+
+// A frame's fixed header. Its registers, then its slots, then its
+// local-array table (per slot: an array's data address and info block)
+// live in the stack's value arena from `base` on; the segment registers it
+// clobbers are saved from `seg_base` on. The engine stores where the frame
+// resumes when it calls: the interpreter's block and ip, or the micro-op
+// engine's pc (in `pos`).
+struct CallFrame {
+  const ir::Function* fn{nullptr};
+  std::uint32_t fn_index{0}; // index in module->functions
   ir::Reg ret_dst{ir::kNoReg};
   std::uint32_t saved_sp{0};
-  // Local array instances, indexed by slot (0 when the slot is no array).
-  std::vector<std::uint32_t> array_data;
-  std::vector<std::uint32_t> array_info;
-  // Segment registers this function clobbers, saved at entry.
-  std::vector<std::pair<x86seg::SegReg, x86seg::SegmentRegister>> saved_segs;
+  std::uint32_t base{0};
+  std::uint32_t seg_base{0};
+  ir::BlockId block{ir::kNoBlock};
+  std::uint32_t pos{0};
 };
+
+// What a prologue or epilogue charges, all of it runtime work;
+// `ptr_copies` is its pointer-argument part. `overflow`: the push did not
+// fit.
+struct FrameCharge {
+  std::uint64_t runtime{0};
+  std::uint64_t ptr_copies{0};
+  bool overflow{false};
+
+  void book(std::uint64_t& cycles, std::uint64_t& runtime_cy,
+            RunCounters& ctr) const noexcept {
+    cycles += runtime;
+    runtime_cy += runtime;
+    ctr.ptr_word_copies += ptr_copies;
+  }
+};
+
+// The frames of a run and the per-function profile, which is updated only
+// at calls and returns. The arenas keep their storage across pops and
+// runs, so a call allocates nothing once the stack has been that deep. A
+// pointer into an arena is valid until the next push or pop.
+class CallStack {
+ public:
+  // Drops what an earlier run left and zeroes the profile; `now` is the
+  // run's starting cycle count.
+  void reset(std::size_t functions, std::uint64_t now);
+
+  // The call prologue: pushes a frame for module function `fn_index`,
+  // copies its parameters from the caller's registers `args`, carves and
+  // sets up its local arrays and saves the segment registers it clobbers
+  // (paper §3.7). `now` is the cycle count before the charge. On overflow
+  // no frame is pushed, and the charge made until then stands.
+  FrameCharge push(Machine::Impl& impl, std::uint32_t fn_index,
+                   ir::Reg ret_dst, const std::vector<ir::Reg>& args,
+                   std::uint64_t now);
+  // The epilogue: undoes the top frame's prologue, pops it and delivers
+  // `result` to the caller's `ret_dst` (from the entry frame: returned()).
+  FrameCharge pop(Machine::Impl& impl, Value result, std::uint64_t now);
+
+  bool empty() const noexcept { return frames_.empty(); }
+  CallFrame& top() noexcept { return frames_.back(); }
+  Value* regs(const CallFrame& f) noexcept { return values_.data() + f.base; }
+  Value returned() const noexcept { return returned_; }
+
+  // Closes the open profile span and reports each called function.
+  void flush_profile(const ir::Module& module, std::uint64_t now,
+                     std::map<std::string, FunctionProfile>& out);
+
+ private:
+  void account(std::uint64_t now, FunctionProfile* next) noexcept;
+
+  std::vector<CallFrame> frames_;
+  std::vector<Value> values_;
+  std::vector<std::pair<x86seg::SegReg, x86seg::SegmentRegister>> segs_;
+  Value returned_;
+  std::vector<FunctionProfile> profile_; // indexed like module->functions
+  FunctionProfile* profiled_{nullptr};   // whose span is open
+  std::uint64_t span_start_{0};
+};
+
+// A frame's slots and local-array table, from its registers.
+inline Value* frame_slots(Value* regs, const ir::Function& fn) noexcept {
+  return regs + fn.next_reg;
+}
+inline Value* frame_arrays(Value* regs, const ir::Function& fn) noexcept {
+  return regs + fn.next_reg + fn.locals.size();
+}
 
 // --- hot-trace superblock engine state (decode.cpp; DESIGN.md §11). Lives
 // per Machine, not in the shared-const DecodedProgram: machines on
@@ -186,6 +319,9 @@ struct Machine::Impl {
   std::uint32_t rng_state;
   // Call-resolution cache: one entry per kCall site in the module.
   std::unordered_map<const ir::Instr*, CallTarget> call_targets;
+  // The running program's frames and profile. Not part of the snapshot:
+  // every run starts it afresh.
+  CallStack stack;
 
   Impl(const ir::Module& m, MachineConfig cfg)
       : module(&m),
@@ -219,12 +355,7 @@ struct Machine::Impl {
           if (in.op != ir::Opcode::kCall) {
             continue;
           }
-          CallTarget target;
-          target.builtin = builtin_of(in.callee);
-          if (target.builtin == Builtin::kNone) {
-            target.fn = module->find_function(in.callee);
-          }
-          call_targets.emplace(&in, target);
+          call_targets.emplace(&in, resolve_call(in.callee));
         }
       }
     }
@@ -263,10 +394,7 @@ struct Machine::Impl {
         const std::uint32_t size = g.elem_count * ir::kWordSize;
         cursor = data + size;
         pages.map_range(block, runtime::kInfoBytes + size);
-        if (config.mode == passes::CheckMode::kCash ||
-            config.mode == passes::CheckMode::kBcc ||
-            config.mode == passes::CheckMode::kBoundInsn ||
-            config.mode == passes::CheckMode::kShadow) {
+        if (runtime::gets_info_block(config.mode)) {
           init_cycles += arrays.setup(block, data, size);
           info = block;
         }
@@ -287,6 +415,83 @@ struct Machine::Impl {
     }
   }
 
+  // `fn`'s index in module->functions (the call stack's and the decoded
+  // image's function order), or -1.
+  std::int32_t function_index(const ir::Function* fn) const noexcept {
+    for (std::size_t i = 0; fn != nullptr && i < module->functions.size();
+         ++i) {
+      if (module->functions[i].get() == fn) {
+        return static_cast<std::int32_t>(i);
+      }
+    }
+    return -1;
+  }
+
+  CallTarget resolve_call(const std::string& callee) const {
+    CallTarget target;
+    target.builtin = builtin_of(callee);
+    if (target.builtin == Builtin::kNone) {
+      target.fn_index = function_index(module->find_function(callee));
+    }
+    return target;
+  }
+
+  // Starts a run on either engine: loads the program (its one-time set-up
+  // is charged to the first run), starts the call stack afresh and pushes
+  // `entry`'s frame. Returns the run's opening charge, or sets r.error.
+  FrameCharge begin_run(const ir::Function* entry, RunResult& r) {
+    initialize_program();
+    FrameCharge charge;
+    charge.runtime = init_cycles;
+    init_cycles = 0;
+    stack.reset(module->functions.size(), charge.runtime);
+    const std::int32_t index = function_index(entry);
+    if (index < 0) {
+      r.error = "no such function: " + (entry ? entry->name : "<null>");
+      return charge;
+    }
+    const FrameCharge entered = stack.push(
+        *this, static_cast<std::uint32_t>(index), ir::kNoReg, {},
+        charge.runtime);
+    if (entered.overflow) {
+      r.error = "stack overflow at program start";
+    }
+    charge.runtime += entered.runtime;
+    return charge;
+  }
+
+  // The component statistics every RunResult carries, faulted runs
+  // included.
+  void fill_stats(RunResult& r) const {
+    r.tlb_stats = pages.tlb().stats();
+    r.segment_stats = segments.stats();
+    r.heap_stats = heap.stats();
+    r.kernel_account = kernel.account(pid);
+    r.fault_stats = injector.stats();
+  }
+
+  // The result tail both engines share: the profile, the cycle totals and
+  // their breakdown, the exit code and the component statistics.
+  void finish_run(RunResult& r, std::uint64_t cycles, std::uint64_t checking,
+                  std::uint64_t shadow, std::uint64_t runtime) {
+    stack.flush_profile(*module, cycles, r.profile);
+    r.cycles = cycles;
+    r.shadow_cycles = shadow;
+    r.breakdown.checking = checking;
+    r.breakdown.runtime = runtime;
+    r.breakdown.base = cycles - checking - runtime;
+    r.exit_code = as_int(stack.returned());
+    r.ok = !r.fault.has_value() && r.error.empty();
+    fill_stats(r);
+  }
+
+  // The segment-register load of kSegLoad, for both engines: loads `seg`
+  // with the selector in the info block `ptr` points to (the flat data
+  // segment for unchecked objects), repointing the LDTR first when the
+  // segment lives in another LDT. Adds the cycles it charges, all checking
+  // work, to `cost`.
+  Status load_segment(x86seg::SegReg seg, Value ptr, std::uint64_t& cost);
+
   std::uint64_t ptr_copy_penalty() const noexcept {
     switch (config.mode) {
       case passes::CheckMode::kCash:      return 1; // 2-word pointers
@@ -306,11 +511,7 @@ struct Machine::Impl {
     } catch (const FaultException& e) {
       RunResult r;
       r.fault = e.fault();
-      r.tlb_stats = pages.tlb().stats();
-      r.segment_stats = segments.stats();
-      r.heap_stats = heap.stats();
-      r.kernel_account = kernel.account(pid);
-      r.fault_stats = injector.stats();
+      fill_stats(r);
       r.trace_stats = trace_stats;
       return r;
     } catch (const std::exception& e) {

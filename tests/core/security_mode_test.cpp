@@ -99,21 +99,37 @@ TEST(SecurityMode, BccAlsoSupportsWriteOnlyChecking) {
 }
 
 TEST(Vm, RunawayRecursionReportsStackOverflow) {
-  constexpr const char* kDeep = R"(
+  // The first program runs out of simulated stack for its local arrays;
+  // the second has none and reaches the call-depth limit instead. Both
+  // engines must stop at the same instruction with the same error.
+  constexpr const char* kPrograms[] = {R"(
 int dive(int n) {
   int pad[256];
   pad[0] = n;
   return dive(n + 1) + pad[0];
 }
 int main() { return dive(0); }
-)";
-  CompileOptions options;
-  options.lower.mode = CheckMode::kNoCheck;
-  CompileResult compiled = compile(kDeep, options);
-  ASSERT_TRUE(compiled.ok());
-  const vm::RunResult r = compiled.program->run();
-  EXPECT_FALSE(r.ok);
-  EXPECT_NE(r.error.find("stack overflow"), std::string::npos) << r.error;
+)",
+                                       R"(
+int f(int n) { return f(n + 1) + 1; }
+int main() { return f(0); }
+)"};
+  for (const char* source : kPrograms) {
+    CompileOptions options;
+    options.lower.mode = CheckMode::kNoCheck;
+    CompileResult compiled = compile(source, options);
+    ASSERT_TRUE(compiled.ok());
+    vm::MachineConfig interp_cfg = compiled.program->options().machine;
+    interp_cfg.enable_predecode = false;
+    const vm::RunResult interp =
+        compiled.program->make_machine(interp_cfg)->run();
+    const vm::RunResult decoded = compiled.program->run();
+    EXPECT_FALSE(interp.ok);
+    EXPECT_NE(interp.error.find("stack overflow calling"), std::string::npos)
+        << interp.error;
+    EXPECT_EQ(decoded.error, interp.error);
+    EXPECT_EQ(decoded.counters.instructions, interp.counters.instructions);
+  }
 }
 
 } // namespace

@@ -10,7 +10,8 @@
 // inside traces.
 //
 // The cells are the six micro kernels at small sizes, each under two check
-// modes, so that together they cover every lowering. Machines run the way a
+// modes, so that together they cover every lowering, plus a deep recursion
+// under cash and bcc that exercises the call stack. Machines run the way a
 // forked server does: built and loaded once, then restore() + run() from the
 // post-load image, twice, so the second run starts from a machine that has
 // already formed traces.
@@ -46,6 +47,37 @@ void PrintTo(const Cell& cell, std::ostream* os) {
   *os << to_string(cell.mode);
 }
 
+// Each frame walks its caller's array into a local array of its own, so
+// a call takes a pointer argument and sets up and tears down an array; at
+// 3,000 frames deep the call stack's arenas regrow in the middle of calls.
+std::string recurse_source() {
+  return R"(
+int walk(int *p, int depth) {
+  int local[8];
+  int i; int s = 0;
+  for (i = 0; i < 8; i++) {
+    local[i] = p[i] + depth;
+  }
+  if (depth > 0) {
+    s = walk(local, depth - 1);
+  }
+  for (i = 0; i < 8; i++) {
+    s = s + local[i];
+  }
+  return s;
+}
+int main() {
+  int seed[8];
+  int i;
+  for (i = 0; i < 8; i++) {
+    seed[i] = i;
+  }
+  print_int(walk(seed, 3000));
+  return 0;
+}
+)";
+}
+
 const Cell kCells[] = {
     {"matmul_cash", CheckMode::kCash,
      [] { return workloads::matmul_source(16); }},
@@ -69,6 +101,8 @@ const Cell kCells[] = {
      [] { return workloads::svd_source(16, 12, 3); }},
     {"svd_efence", CheckMode::kEfence,
      [] { return workloads::svd_source(16, 12, 3); }},
+    {"recurse_cash", CheckMode::kCash, recurse_source},
+    {"recurse_bcc", CheckMode::kBcc, recurse_source},
 };
 
 enum class Engine { kTrace, kTracePlain, kFused, kPlain, kInterp };

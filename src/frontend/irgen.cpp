@@ -2,6 +2,7 @@
 
 #include <map>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "frontend/lexer.hpp"
@@ -93,9 +94,42 @@ struct FuncSig {
   std::vector<Type> params;
 };
 
+struct LoopTargets {
+  BlockId break_target;
+  BlockId continue_target;
+};
+
+// A declaration in scope. Names point into the AST, which outlives the
+// generator.
+struct ScopedVar {
+  std::string_view name;
+  VarInfo info;
+};
+
+// The generator's working tables, kept per thread and reused across
+// compiles. Instructions are emitted into one buffer per block and copied
+// into the function once it is complete, so each block's vector is
+// allocated once, at its final size.
+struct Scratch {
+  std::vector<std::vector<Instr>> blocks; // by block id
+  std::vector<ScopedVar> vars;            // innermost declarations last
+  std::vector<std::size_t> scope_starts;  // first var of each open scope
+  std::vector<LoopId> loop_stack;
+  std::vector<LoopTargets> loop_targets;
+};
+
+Scratch& scratch() {
+  thread_local Scratch tables;
+  return tables;
+}
+
 class IrGen {
  public:
-  explicit IrGen(DiagnosticSink& diagnostics) : diag_(&diagnostics) {}
+  explicit IrGen(DiagnosticSink& diagnostics)
+      : diag_(&diagnostics),
+        s_(scratch()),
+        loop_stack_(s_.loop_stack),
+        loop_targets_(s_.loop_targets) {}
 
   std::unique_ptr<Module> run(const TranslationUnit& unit);
 
@@ -105,14 +139,25 @@ class IrGen {
     diag_->error(loc, std::move(message));
   }
 
+  // The current block's instructions so far.
+  std::vector<Instr>& cur_instrs() {
+    return s_.blocks[static_cast<std::size_t>(cur_->id)];
+  }
+
   Instr& emit(Instr instr) {
     instr.loop = loop_stack_.empty() ? kNoLoop : loop_stack_.back();
-    cur_->instrs.push_back(std::move(instr));
-    return cur_->instrs.back();
+    std::vector<Instr>& instrs = cur_instrs();
+    instrs.push_back(std::move(instr));
+    return instrs.back();
   }
 
   BasicBlock& new_block(std::string name, bool in_current_loops = true) {
     BasicBlock& block = func_->new_block(std::move(name));
+    const auto id = static_cast<std::size_t>(block.id);
+    if (s_.blocks.size() <= id) {
+      s_.blocks.resize(id + 1);
+    }
+    s_.blocks[id].clear();
     if (in_current_loops) {
       for (LoopId loop : loop_stack_) {
         func_->loops[static_cast<std::size_t>(loop)].body.push_back(block.id);
@@ -123,8 +168,9 @@ class IrGen {
 
   void set_block(BasicBlock& block) { cur_ = &block; }
 
-  bool terminated() const {
-    return !cur_->instrs.empty() && cur_->instrs.back().is_terminator();
+  bool terminated() {
+    const std::vector<Instr>& instrs = cur_instrs();
+    return !instrs.empty() && instrs.back().is_terminator();
   }
 
   void ensure_jump_to(BlockId target, SourceLoc loc) {
@@ -194,25 +240,30 @@ class IrGen {
   }
 
   // --- scopes -------------------------------------------------------------
-  void push_scope() { scopes_.emplace_back(); }
-  void pop_scope() { scopes_.pop_back(); }
+  void push_scope() { s_.scope_starts.push_back(s_.vars.size()); }
+  void pop_scope() {
+    s_.vars.resize(s_.scope_starts.back());
+    s_.scope_starts.pop_back();
+  }
 
-  const VarInfo* lookup(const std::string& name) const {
-    for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-      auto found = it->find(name);
-      if (found != it->end()) {
-        return &found->second;
+  // The innermost declaration of `name`. Valid until the next declare().
+  const VarInfo* lookup(std::string_view name) const {
+    for (auto it = s_.vars.rbegin(); it != s_.vars.rend(); ++it) {
+      if (it->name == name) {
+        return &it->info;
       }
     }
     return nullptr;
   }
 
   void declare(const std::string& name, VarInfo info, SourceLoc loc) {
-    if (scopes_.back().count(name) != 0) {
-      error(loc, "redeclaration of '" + name + "'");
-      return;
+    for (std::size_t i = s_.scope_starts.back(); i < s_.vars.size(); ++i) {
+      if (s_.vars[i].name == name) {
+        error(loc, "redeclaration of '" + name + "'");
+        return;
+      }
     }
-    scopes_.back()[name] = info;
+    s_.vars.push_back({name, info});
   }
 
   void register_array_sym(ir::ArraySym sym) {
@@ -292,16 +343,12 @@ class IrGen {
   std::optional<RV> gen_pointer_value(const Expr& expr);
 
   DiagnosticSink* diag_;
+  Scratch& s_;
   std::unique_ptr<Module> module_;
   Function* func_{nullptr};
   BasicBlock* cur_{nullptr};
-  std::vector<std::map<std::string, VarInfo>> scopes_;
-  std::vector<LoopId> loop_stack_;
-  struct LoopTargets {
-    BlockId break_target;
-    BlockId continue_target;
-  };
-  std::vector<LoopTargets> loop_targets_;
+  std::vector<LoopId>& loop_stack_;
+  std::vector<LoopTargets>& loop_targets_;
   std::map<std::string, FuncSig> signatures_;
 };
 
@@ -325,6 +372,11 @@ void IrGen::collect_signatures(const TranslationUnit& unit) {
 }
 
 std::unique_ptr<Module> IrGen::run(const TranslationUnit& unit) {
+  // A compile that threw part-way may have left entries behind.
+  s_.vars.clear();
+  s_.scope_starts.clear();
+  loop_stack_.clear();
+  loop_targets_.clear();
   module_ = std::make_unique<Module>();
   collect_signatures(unit);
 
@@ -398,7 +450,7 @@ void IrGen::gen_function(const FunctionDecl& decl) {
     }
   }
 
-  BasicBlock& entry = func_->new_block("entry");
+  BasicBlock& entry = new_block("entry");
   func_->entry = entry.id;
   set_block(entry);
 
@@ -416,6 +468,12 @@ void IrGen::gen_function(const FunctionDecl& decl) {
     emit(ret);
   }
   pop_scope();
+
+  for (auto& block : func_->blocks) {
+    std::vector<Instr>& instrs = s_.blocks[static_cast<std::size_t>(block->id)];
+    block->instrs.assign(std::make_move_iterator(instrs.begin()),
+                         std::make_move_iterator(instrs.end()));
+  }
 
   module_->functions.push_back(std::move(function));
   func_ = nullptr;
@@ -1294,6 +1352,7 @@ RV IrGen::gen_call(const Expr& expr) {
   call.callee = expr.name;
   call.type = return_type;
   call.loc = expr.loc;
+  call.args.reserve(expr.args.size());
   for (std::size_t i = 0; i < expr.args.size(); ++i) {
     RV arg = gen_expr(*expr.args[i]);
     if (i < param_types.size()) {

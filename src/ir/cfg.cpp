@@ -4,10 +4,17 @@
 
 namespace cash::ir {
 
-Cfg::Cfg(const Function& function)
-    : entry_(function.entry),
-      succs_(function.blocks.size()),
-      preds_(function.blocks.size()) {
+void Cfg::assign(const Function& function) {
+  entry_ = function.entry;
+  blocks_ = function.blocks.size();
+  if (succs_.size() < blocks_) {
+    succs_.resize(blocks_);
+    preds_.resize(blocks_);
+  }
+  for (std::size_t b = 0; b < blocks_; ++b) {
+    succs_[b].clear();
+    preds_[b].clear();
+  }
   for (const auto& block : function.blocks) {
     const Instr* term = block->terminator();
     if (term == nullptr) {
@@ -34,33 +41,33 @@ Cfg::Cfg(const Function& function)
         break; // kRet: no successors
     }
   }
+  compute_reverse_post_order();
 }
 
-std::vector<BlockId> Cfg::reverse_post_order() const {
-  std::vector<BlockId> post_order;
-  std::vector<char> visited(succs_.size(), 0);
+void Cfg::compute_reverse_post_order() {
+  rpo_.clear();
+  visited_.assign(blocks_, 0);
   // Iterative DFS with an explicit stack of (block, next-successor-index).
-  std::vector<std::pair<BlockId, std::size_t>> stack;
+  stack_.clear();
   if (entry_ != kNoBlock) {
-    stack.emplace_back(entry_, 0);
-    visited[static_cast<size_t>(entry_)] = 1;
+    stack_.emplace_back(entry_, 0);
+    visited_[static_cast<size_t>(entry_)] = 1;
   }
-  while (!stack.empty()) {
-    auto& [block, next] = stack.back();
+  while (!stack_.empty()) {
+    auto& [block, next] = stack_.back();
     const auto& succs = succs_[static_cast<size_t>(block)];
     if (next < succs.size()) {
       const BlockId succ = succs[next++];
-      if (!visited[static_cast<size_t>(succ)]) {
-        visited[static_cast<size_t>(succ)] = 1;
-        stack.emplace_back(succ, 0);
+      if (!visited_[static_cast<size_t>(succ)]) {
+        visited_[static_cast<size_t>(succ)] = 1;
+        stack_.emplace_back(succ, 0);
       }
     } else {
-      post_order.push_back(block);
-      stack.pop_back();
+      rpo_.push_back(block);
+      stack_.pop_back();
     }
   }
-  std::reverse(post_order.begin(), post_order.end());
-  return post_order;
+  std::reverse(rpo_.begin(), rpo_.end());
 }
 
 } // namespace cash::ir

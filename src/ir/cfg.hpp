@@ -1,5 +1,6 @@
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "ir/function.hpp"
@@ -10,7 +11,13 @@ namespace cash::ir {
 // implicit in the terminators; analyses want both directions).
 class Cfg {
  public:
-  explicit Cfg(const Function& function);
+  Cfg() = default;
+  explicit Cfg(const Function& function) { assign(function); }
+
+  // Rebuilds the graph for `function`, reusing this object's storage, so a
+  // pass that keeps one Cfg across functions stops allocating once it has
+  // seen the largest.
+  void assign(const Function& function);
 
   const std::vector<BlockId>& successors(BlockId block) const {
     return succs_[static_cast<size_t>(block)];
@@ -18,16 +25,23 @@ class Cfg {
   const std::vector<BlockId>& predecessors(BlockId block) const {
     return preds_[static_cast<size_t>(block)];
   }
-  std::size_t block_count() const noexcept { return succs_.size(); }
+  std::size_t block_count() const noexcept { return blocks_; }
   BlockId entry() const noexcept { return entry_; }
 
   // Blocks in reverse post-order from the entry (unreachable blocks absent).
-  std::vector<BlockId> reverse_post_order() const;
+  const std::vector<BlockId>& reverse_post_order() const { return rpo_; }
 
  private:
-  BlockId entry_;
+  void compute_reverse_post_order();
+
+  BlockId entry_{kNoBlock};
+  std::size_t blocks_{0};
+  // Sized to the largest function seen; entries [0, blocks_) are current.
   std::vector<std::vector<BlockId>> succs_;
   std::vector<std::vector<BlockId>> preds_;
+  std::vector<BlockId> rpo_;
+  std::vector<char> visited_;
+  std::vector<std::pair<BlockId, std::size_t>> stack_;
 };
 
 } // namespace cash::ir

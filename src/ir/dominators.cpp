@@ -2,11 +2,11 @@
 
 namespace cash::ir {
 
-DominatorTree::DominatorTree(const Cfg& cfg)
-    : entry_(cfg.entry()),
-      idom_(cfg.block_count(), kNoBlock),
-      rpo_index_(cfg.block_count(), -1) {
-  const std::vector<BlockId> rpo = cfg.reverse_post_order();
+void DominatorTree::assign(const Cfg& cfg) {
+  entry_ = cfg.entry();
+  idom_.assign(cfg.block_count(), kNoBlock);
+  rpo_index_.assign(cfg.block_count(), -1);
+  const std::vector<BlockId>& rpo = cfg.reverse_post_order();
   for (std::size_t i = 0; i < rpo.size(); ++i) {
     rpo_index_[static_cast<size_t>(rpo[i])] = static_cast<int>(i);
   }

@@ -10,7 +10,11 @@ namespace cash::ir {
 // Used by NaturalLoops to validate the front end's syntactic loop records.
 class DominatorTree {
  public:
-  explicit DominatorTree(const Cfg& cfg);
+  DominatorTree() = default;
+  explicit DominatorTree(const Cfg& cfg) { assign(cfg); }
+
+  // Recomputes the tree for `cfg`, reusing this object's storage.
+  void assign(const Cfg& cfg);
 
   // Immediate dominator; entry's idom is itself; unreachable -> kNoBlock.
   BlockId idom(BlockId block) const {
@@ -21,7 +25,7 @@ class DominatorTree {
   bool dominates(BlockId a, BlockId b) const;
 
  private:
-  BlockId entry_;
+  BlockId entry_{kNoBlock};
   std::vector<BlockId> idom_;
   std::vector<int> rpo_index_;
 };

@@ -1,13 +1,58 @@
 #include "ir/verifier.hpp"
 
-#include <set>
+#include <algorithm>
 #include <sstream>
+
+#include "common/dense_table.hpp"
 
 namespace cash::ir {
 
 namespace {
 
-void check_function(const Function& f, std::vector<std::string>& problems) {
+// Per-thread tables reused across calls, so verifying a valid module
+// allocates nothing once they have grown.
+struct Scratch {
+  StampedSet body;
+  StampedSet parent_body;
+  std::vector<std::size_t> order; // function indices sorted by name
+  std::vector<char> duplicate;    // by function index
+};
+
+Scratch& scratch() {
+  thread_local Scratch tables;
+  return tables;
+}
+
+// Loads a loop body into `set`. Ids outside [0, blocks) cannot be stamped;
+// `contains` falls back to scanning the body for them.
+void load_body(StampedSet& set, const Loop& loop, std::size_t blocks) {
+  set.clear(blocks);
+  for (BlockId b : loop.body) {
+    if (b >= 0 && static_cast<std::size_t>(b) < blocks) {
+      set.insert(b);
+    }
+  }
+}
+
+bool contains(const StampedSet& set, const Loop& loop, BlockId b,
+              std::size_t blocks) {
+  if (b >= 0 && static_cast<std::size_t>(b) < blocks) {
+    return set.contains(b);
+  }
+  return std::find(loop.body.begin(), loop.body.end(), b) != loop.body.end();
+}
+
+// "block <name> instr <i><what>". Out of line: the checks run on every
+// instruction, the messages almost never.
+[[gnu::cold]] std::string instr_problem(const BasicBlock& block,
+                                        std::size_t i, const char* what) {
+  std::ostringstream msg;
+  msg << "block " << block.name << " instr " << i << what;
+  return msg.str();
+}
+
+void check_function(const Function& f, std::vector<std::string>& problems,
+                    Scratch& scratch) {
   auto complain = [&](const std::string& what) {
     problems.push_back(f.name + ": " + what);
   };
@@ -18,6 +63,12 @@ void check_function(const Function& f, std::vector<std::string>& problems) {
     return;
   }
 
+  const auto bad_reg = [&](Reg r) {
+    return r != kNoReg && (r < 0 || r >= f.next_reg);
+  };
+  const auto bad_target = [&](BlockId t) {
+    return t == kNoBlock || static_cast<std::size_t>(t) >= f.blocks.size();
+  };
   for (const auto& block : f.blocks) {
     if (block->instrs.empty() || block->terminator() == nullptr) {
       std::ostringstream msg;
@@ -26,55 +77,45 @@ void check_function(const Function& f, std::vector<std::string>& problems) {
       complain(msg.str());
       continue;
     }
-    for (std::size_t i = 0; i < block->instrs.size(); ++i) {
+    const std::size_t n = block->instrs.size();
+    for (std::size_t i = 0; i < n; ++i) {
       const Instr& instr = block->instrs[i];
-      const bool is_last = (i + 1 == block->instrs.size());
-      if (instr.is_terminator() != is_last) {
-        std::ostringstream msg;
-        msg << "block " << block->name << " instr " << i
-            << (instr.is_terminator() ? ": terminator in the middle"
-                                      : ": non-terminator at the end");
-        complain(msg.str());
+      if (instr.is_terminator() != (i + 1 == n)) {
+        complain(instr_problem(*block, i,
+                               instr.is_terminator()
+                                   ? ": terminator in the middle"
+                                   : ": non-terminator at the end"));
       }
-      auto check_reg = [&](Reg r, const char* role) {
-        if (r != kNoReg && (r < 0 || r >= f.next_reg)) {
-          std::ostringstream msg;
-          msg << "block " << block->name << " instr " << i << ": " << role
-              << " register out of range";
-          complain(msg.str());
-        }
-      };
-      check_reg(instr.dst, "dst");
-      check_reg(instr.src0, "src0");
-      check_reg(instr.src1, "src1");
+      if (bad_reg(instr.dst)) {
+        complain(instr_problem(*block, i, ": dst register out of range"));
+      }
+      if (bad_reg(instr.src0)) {
+        complain(instr_problem(*block, i, ": src0 register out of range"));
+      }
+      if (bad_reg(instr.src1)) {
+        complain(instr_problem(*block, i, ": src1 register out of range"));
+      }
       for (Reg arg : instr.args) {
-        check_reg(arg, "arg");
-      }
-      auto check_target = [&](BlockId t) {
-        if (t == kNoBlock || static_cast<std::size_t>(t) >= f.blocks.size()) {
-          std::ostringstream msg;
-          msg << "block " << block->name << " instr " << i
-              << ": branch target out of range";
-          complain(msg.str());
+        if (bad_reg(arg)) {
+          complain(instr_problem(*block, i, ": arg register out of range"));
         }
-      };
-      if (instr.op == Opcode::kJump) {
-        check_target(instr.target0);
       }
-      if (instr.op == Opcode::kBranch) {
-        check_target(instr.target0);
-        check_target(instr.target1);
+      if ((instr.op == Opcode::kJump || instr.op == Opcode::kBranch) &&
+          bad_target(instr.target0)) {
+        complain(instr_problem(*block, i, ": branch target out of range"));
       }
+      if (instr.op == Opcode::kBranch && bad_target(instr.target1)) {
+        complain(instr_problem(*block, i, ": branch target out of range"));
+      }
+      const bool bad_slot =
+          instr.slot < 0 ||
+          static_cast<std::size_t>(instr.slot) >= f.locals.size();
       if ((instr.op == Opcode::kLoadLocal || instr.op == Opcode::kStoreLocal ||
            instr.op == Opcode::kAddrLocal) &&
-          (instr.slot < 0 ||
-           static_cast<std::size_t>(instr.slot) >= f.locals.size())) {
-        std::ostringstream msg;
-        msg << "block " << block->name << " instr " << i
-            << ": local slot out of range";
-        complain(msg.str());
+          bad_slot) {
+        complain(instr_problem(*block, i, ": local slot out of range"));
       }
-      if (instr.op == Opcode::kAddrLocal &&
+      if (instr.op == Opcode::kAddrLocal && !bad_slot &&
           !f.locals[static_cast<std::size_t>(instr.slot)].is_array) {
         complain("addr.local of a non-array slot (scalars have no address)");
       }
@@ -82,19 +123,20 @@ void check_function(const Function& f, std::vector<std::string>& problems) {
   }
 
   // Loop records must reference valid blocks, with headers inside bodies.
+  const std::size_t blocks = f.blocks.size();
   for (const Loop& loop : f.loops) {
-    std::set<BlockId> body(loop.body.begin(), loop.body.end());
-    if (!body.count(loop.header)) {
+    load_body(scratch.body, loop, blocks);
+    if (!contains(scratch.body, loop, loop.header, blocks)) {
       complain("loop header not contained in its own body");
     }
-    if (body.count(loop.preheader)) {
+    if (contains(scratch.body, loop, loop.preheader, blocks)) {
       complain("loop preheader must be outside the loop body");
     }
     if (loop.parent != kNoLoop) {
       const Loop& parent = f.loops[static_cast<std::size_t>(loop.parent)];
-      std::set<BlockId> parent_body(parent.body.begin(), parent.body.end());
+      load_body(scratch.parent_body, parent, blocks);
       for (BlockId b : loop.body) {
-        if (!parent_body.count(b)) {
+        if (!contains(scratch.parent_body, parent, b, blocks)) {
           complain("nested loop body escapes its parent loop");
           break;
         }
@@ -107,19 +149,37 @@ void check_function(const Function& f, std::vector<std::string>& problems) {
 
 std::vector<std::string> verify(const Function& function) {
   std::vector<std::string> problems;
-  check_function(function, problems);
+  check_function(function, problems, scratch());
   return problems;
 }
 
 std::vector<std::string> verify(const Module& module) {
+  Scratch& tables = scratch();
   std::vector<std::string> problems;
-  for (const auto& f : module.functions) {
-    check_function(*f, problems);
+  const auto& functions = module.functions;
+  for (const auto& f : functions) {
+    check_function(*f, problems, tables);
   }
-  std::set<std::string> names;
-  for (const auto& f : module.functions) {
-    if (!names.insert(f->name).second) {
-      problems.push_back("duplicate function name: " + f->name);
+  // Every function after the first of its name is a duplicate, reported in
+  // module order.
+  std::vector<std::size_t>& order = tables.order;
+  order.resize(functions.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    order[i] = i;
+  }
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const int c = functions[a]->name.compare(functions[b]->name);
+    return c != 0 ? c < 0 : a < b;
+  });
+  tables.duplicate.assign(functions.size(), 0);
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    if (functions[order[i]]->name == functions[order[i - 1]]->name) {
+      tables.duplicate[order[i]] = 1;
+    }
+  }
+  for (std::size_t i = 0; i < functions.size(); ++i) {
+    if (tables.duplicate[i] != 0) {
+      problems.push_back("duplicate function name: " + functions[i]->name);
     }
   }
   return problems;

@@ -1,28 +1,38 @@
 #include "passes/array_use.hpp"
 
 #include <algorithm>
-#include <set>
+
+#include "common/dense_table.hpp"
 
 namespace cash::passes {
 
-LoopArrays analyze_loop(const ir::Function& function, const ir::Loop& loop) {
-  LoopArrays out;
+void analyze_loop(const ir::Function& function, const ir::Loop& loop,
+                  LoopArrays& out) {
+  struct Scratch {
+    std::vector<ir::BlockId> blocks;
+    StampedSet body;
+    std::vector<const ir::Loop*> nested;
+  };
+  thread_local Scratch scratch;
   out.loop = loop.id;
   out.depth = loop.depth;
+  out.arrays.clear();
+  out.reassigned.clear();
 
   // Body blocks in creation (= source) order gives FCFS in parse order,
   // matching how the Cash compiler encounters arrays during parsing.
-  std::vector<ir::BlockId> blocks = loop.body;
+  std::vector<ir::BlockId>& blocks = scratch.blocks;
+  blocks.assign(loop.body.begin(), loop.body.end());
   std::sort(blocks.begin(), blocks.end());
 
-  std::set<ir::SymbolId> seen;
   for (ir::BlockId block_id : blocks) {
     const ir::BasicBlock& block = function.block(block_id);
     for (const ir::Instr& instr : block.instrs) {
       if (!instr.is_memory_access() || instr.array_ref == ir::kNoSymbol) {
         continue;
       }
-      if (seen.insert(instr.array_ref).second) {
+      if (std::find(out.arrays.begin(), out.arrays.end(), instr.array_ref) ==
+          out.arrays.end()) {
         out.arrays.push_back(instr.array_ref);
       }
     }
@@ -30,24 +40,32 @@ LoopArrays analyze_loop(const ir::Function& function, const ir::Loop& loop) {
 
   // Union of reassignment records over this loop and every loop nested in
   // it (a pointer re-seated in an inner loop is just as unsafe to hoist).
-  std::set<ir::BlockId> body(loop.body.begin(), loop.body.end());
-  std::set<ir::SymbolId> reassigned(loop.reassigned_ptrs.begin(),
-                                    loop.reassigned_ptrs.end());
+  scratch.body.clear(function.blocks.size());
+  for (ir::BlockId b : loop.body) {
+    scratch.body.insert(b);
+  }
+  scratch.nested.clear();
+  scratch.nested.push_back(&loop);
   for (const ir::Loop& other : function.loops) {
-    if (other.id == loop.id || other.body.empty()) {
-      continue;
-    }
-    const bool nested = body.count(other.header) != 0;
-    if (nested) {
-      reassigned.insert(other.reassigned_ptrs.begin(),
-                        other.reassigned_ptrs.end());
+    if (other.id != loop.id && !other.body.empty() &&
+        scratch.body.contains(other.header)) {
+      scratch.nested.push_back(&other);
     }
   }
   for (ir::SymbolId sym : out.arrays) {
-    if (reassigned.count(sym) != 0) {
-      out.reassigned.push_back(sym);
+    for (const ir::Loop* l : scratch.nested) {
+      if (std::find(l->reassigned_ptrs.begin(), l->reassigned_ptrs.end(),
+                    sym) != l->reassigned_ptrs.end()) {
+        out.reassigned.push_back(sym);
+        break;
+      }
     }
   }
+}
+
+LoopArrays analyze_loop(const ir::Function& function, const ir::Loop& loop) {
+  LoopArrays out;
+  analyze_loop(function, loop, out);
   return out;
 }
 

@@ -26,4 +26,8 @@ std::vector<LoopArrays> analyze_loops(const ir::Function& function);
 // Analyses one loop (with its whole nest).
 LoopArrays analyze_loop(const ir::Function& function, const ir::Loop& loop);
 
+// The same, into `out`, reusing its vectors' storage.
+void analyze_loop(const ir::Function& function, const ir::Loop& loop,
+                  LoopArrays& out);
+
 } // namespace cash::passes

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <map>
 #include <optional>
-#include <set>
 #include <tuple>
 #include <vector>
 
+#include "common/dense_table.hpp"
 #include "ir/cfg.hpp"
 #include "ir/dominators.hpp"
 #include "passes/array_use.hpp"
@@ -35,12 +34,63 @@ using ir::SymbolId;
 // never wraps the 32-bit address computation the program actually performs.
 constexpr std::int64_t kMagnitudeCap = std::int64_t{1} << 28;
 
+// How deep the affine evaluation of a register follows its definitions.
+constexpr int kMaxEvalDepth = 64;
+
 // A position inside the function: (block, instruction index). Stable across
 // the whole analysis because transformations only set flags until the final
 // insertion step.
 struct Site {
   BlockId block{kNoBlock};
   int index{-1};
+};
+
+// The slot coefficients of an affine form, sorted by slot (the order in
+// which materialised code and widening keys visit them). Affine forms here
+// have a handful of terms, so a flat vector beats a tree.
+class SlotCoeffs {
+ public:
+  using Term = std::pair<std::int32_t, std::int64_t>; // (slot, coefficient)
+  using const_iterator = std::vector<Term>::const_iterator;
+
+  const_iterator begin() const { return terms_.begin(); }
+  const_iterator end() const { return terms_.end(); }
+  std::size_t size() const { return terms_.size(); }
+  bool empty() const { return terms_.empty(); }
+  const_iterator find(std::int32_t slot) const {
+    const auto it = lower_bound(slot);
+    return it != terms_.end() && it->first == slot ? it : terms_.end();
+  }
+  std::size_t count(std::int32_t slot) const {
+    return find(slot) != end() ? 1 : 0;
+  }
+  // The coefficient of a slot that is present.
+  std::int64_t at(std::int32_t slot) const { return find(slot)->second; }
+  // The coefficient of `slot`, inserted as 0 when absent.
+  std::int64_t& operator[](std::int32_t slot) {
+    auto it = terms_.begin() + (lower_bound(slot) - terms_.cbegin());
+    if (it == terms_.end() || it->first != slot) {
+      it = terms_.insert(it, Term{slot, 0});
+    }
+    return it->second;
+  }
+  void erase(std::int32_t slot) {
+    const auto it = find(slot);
+    if (it != end()) {
+      terms_.erase(it);
+    }
+  }
+  void clear() { terms_.clear(); }
+  bool operator==(const SlotCoeffs&) const = default;
+
+ private:
+  const_iterator lower_bound(std::int32_t slot) const {
+    return std::lower_bound(
+        terms_.begin(), terms_.end(), slot,
+        [](const Term& t, std::int32_t s) { return t.first < s; });
+  }
+
+  std::vector<Term> terms_;
 };
 
 // A symbolic value as an affine form over local scalar slots:
@@ -51,8 +101,16 @@ struct Site {
 struct Linear {
   bool ok{false};
   std::int64_t constant{0};
-  std::map<std::int32_t, std::int64_t> coeffs; // slot -> coefficient
+  SlotCoeffs coeffs;
   std::vector<std::pair<std::int32_t, Site>> loads; // (slot, load site)
+
+  // Back to the failed, empty form, keeping the storage.
+  void reset() {
+    ok = false;
+    constant = 0;
+    coeffs.clear();
+    loads.clear();
+  }
 };
 
 // Resolved shape of a memory-access address: a base object plus an affine
@@ -65,6 +123,15 @@ struct AddrInfo {
   SymbolId base_global{kNoSymbol};
   Site base_load;                 // kPointerSlot: the contributing load
   Linear offset;                  // bytes from the base pointer
+
+  void reset() {
+    ok = false;
+    base = Base::kLocalArray;
+    base_slot = -1;
+    base_global = kNoSymbol;
+    base_load = Site{};
+    offset.reset();
+  }
 };
 
 // Recognised counted-loop induction variable: a scalar slot with exactly one
@@ -81,6 +148,19 @@ struct IvInfo {
   bool const_range{false};        // init and bound are compile-time constants
   std::int64_t lo{0};             // pre-step IV values lie in [lo, hi] when
   std::int64_t hi{0};             // const_range (lo > hi: loop never entered)
+
+  void reset() {
+    ok = false;
+    slot = -1;
+    step = 0;
+    step_store = Site{};
+    bound.reset();
+    cond_off = 0;
+    cmp = BinOp::kCmpLt;
+    const_range = false;
+    lo = 0;
+    hi = 0;
+  }
 };
 
 struct Interval {
@@ -128,15 +208,144 @@ Opcode interval_check_op(CheckMode mode) {
   }
 }
 
+// One group per (address shape, constant offset). Keeping the constant in
+// the group key makes the emptiness test exact: with a single constant,
+// lo > hi at run time if and only if the loop is zero-trip, so the
+// interval check passes exactly when no member would have executed.
+struct HoistGroup {
+  AddrInfo addr;
+  std::int64_t iv_coeff{0};
+  SymbolId array_ref{kNoSymbol};
+  SourceLoc loc;
+  std::vector<Site> members;
+};
+
+// Leaf identity inside one block: a load from another block is a fixed
+// value (same site, same value); a load in this block stands for "the
+// slot's current value", valid while no store intervenes.
+struct WidenLeaf {
+  std::int32_t slot{-1};
+  bool local{false};
+  Site remote_site;   // !local
+  int version{0};     // local: store count at the access
+  bool operator<(const WidenLeaf& o) const {
+    return std::tie(slot, local, remote_site.block, remote_site.index,
+                    version) < std::tie(o.slot, o.local,
+                                        o.remote_site.block,
+                                        o.remote_site.index, o.version);
+  }
+  bool operator==(const WidenLeaf& o) const {
+    return slot == o.slot && local == o.local &&
+           remote_site.block == o.remote_site.block &&
+           remote_site.index == o.remote_site.index &&
+           version == o.version;
+  }
+};
+
+struct WidenKey {
+  int base_kind{0};
+  std::int32_t base_slot{-1};
+  SymbolId base_global{kNoSymbol};
+  WidenLeaf base_leaf;           // pointer-slot base identity
+  std::vector<std::pair<WidenLeaf, std::int64_t>> coeffs;
+  bool operator<(const WidenKey& o) const {
+    return std::tie(base_kind, base_slot, base_global, base_leaf, coeffs) <
+           std::tie(o.base_kind, o.base_slot, o.base_global, o.base_leaf,
+                    o.coeffs);
+  }
+};
+
+struct WidenGroup {
+  std::vector<Site> members;
+  std::vector<std::int64_t> consts; // per member, byte offsets
+  Reg first_addr{kNoReg};           // first member's address register
+  std::int64_t first_const{0};
+  SymbolId array_ref{kNoSymbol};
+  LoopId loop{kNoLoop};
+  SourceLoc loc;
+};
+
+// Every table the pass uses, kept per thread and reused across functions
+// and calls: storage only grows, so an analysis allocates nothing once it
+// has seen a function as large as the current one.
+struct Scratch {
+  ir::Cfg cfg;
+  ir::DominatorTree dom;
+  std::vector<Site> def_sites;               // by register
+  std::vector<std::vector<Site>> slot_stores; // by local slot
+  std::vector<char> block_has_call;          // by block id
+  std::vector<Linear> linear_memo;           // by register
+  StampedSet linear_known;                   // registers with a memo entry
+  std::vector<Linear> eval_temps =           // by eval() depth
+      std::vector<Linear>(kMaxEvalDepth + 1);
+  std::vector<IvInfo> ivs;                   // by loop id
+  std::vector<SymbolId> seg_assigned;        // Cash prediction
+  LoopArrays use;
+  std::vector<SymbolId> candidates;
+  ReuseList<Insertion> insertions; // pending splices
+  std::vector<std::size_t> order;
+  AddrInfo addr;
+  Linear iv_lhs;
+  Linear iv_rhs;
+  // Graph walks.
+  StampedSet body;
+  StampedSet seen;
+  StampedSet from_reach;
+  StampedSet to_reach;
+  std::vector<BlockId> work;
+  std::vector<BlockId> reached;
+  std::vector<BlockId> latches;
+  // Phase (a'): checked accesses with a constant offset, in RPO order.
+  struct FixedAccess {
+    SymbolId array_ref;
+    std::int64_t offset;
+    std::size_t rpo_order;
+    Site site;
+  };
+  std::vector<FixedAccess> fixed;
+  std::vector<Site> covering;
+  // Phase (b): the loop's hoist groups.
+  ReuseList<HoistGroup> hoist_groups;
+  // Phase (c): the groups open in the block, sorted by key (the order they
+  // are finalized in).
+  struct OpenWiden {
+    WidenKey key;
+    WidenGroup group;
+  };
+  ReuseList<OpenWiden> open;
+  WidenKey probe;
+  StampedMap<int> version; // slot -> stores seen so far in the block
+};
+
+Scratch& scratch() {
+  thread_local Scratch tables;
+  return tables;
+}
+
 class FunctionEliminator {
  public:
   FunctionEliminator(ir::Module& module, Function& function,
-                     const LowerOptions& options)
+                     const LowerOptions& options, Scratch& scratch)
       : module_(module),
         function_(function),
         options_(options),
-        cfg_(function),
-        dom_(cfg_) {
+        s_(scratch),
+        cfg_(scratch.cfg),
+        dom_(scratch.dom),
+        def_sites_(scratch.def_sites),
+        block_has_call_(scratch.block_has_call),
+        ivs_(scratch.ivs),
+        seg_assigned_(scratch.seg_assigned) {
+    cfg_.assign(function);
+    dom_.assign(cfg_);
+    s_.insertions.clear();
+    seg_assigned_.clear();
+    const std::size_t regs = static_cast<std::size_t>(function.next_reg);
+    if (s_.linear_memo.size() < regs) {
+      s_.linear_memo.resize(regs);
+    }
+    s_.linear_known.clear(regs);
+    memo_regs_ = regs;
     index_defs();
     index_slots_and_calls();
     recognize_loops();
@@ -169,18 +378,33 @@ class FunctionEliminator {
   }
 
   void index_slots_and_calls() {
+    const std::size_t slots = function_.locals.size();
+    if (s_.slot_stores.size() < slots) {
+      s_.slot_stores.resize(slots);
+    }
+    for (std::size_t slot = 0; slot < slots; ++slot) {
+      s_.slot_stores[slot].clear();
+    }
+    block_has_call_.assign(function_.blocks.size(), 0);
     for (const auto& block : function_.blocks) {
-      bool has_call = false;
       for (int i = 0; i < static_cast<int>(block->instrs.size()); ++i) {
         const Instr& instr = block->instrs[i];
         if (instr.op == Opcode::kStoreLocal) {
-          slot_stores_[instr.slot].push_back(Site{block->id, i});
+          s_.slot_stores[static_cast<std::size_t>(instr.slot)].push_back(
+              Site{block->id, i});
         } else if (instr.op == Opcode::kCall) {
-          has_call = true;
+          block_has_call_[static_cast<std::size_t>(block->id)] = 1;
         }
       }
-      block_has_call_.push_back(has_call);
     }
+  }
+
+  // The in-function stores to `slot`, in block order.
+  const std::vector<Site>& stores_to(std::int32_t slot) const {
+    static const std::vector<Site> kNone;
+    return slot >= 0 && static_cast<std::size_t>(slot) < function_.locals.size()
+               ? s_.slot_stores[static_cast<std::size_t>(slot)]
+               : kNone;
   }
 
   const Instr& at(Site s) const {
@@ -229,14 +453,16 @@ class FunctionEliminator {
   // immutable during analysis.
   const Linear& eval(Reg r, int depth = 0) {
     static const Linear kBad{};
-    if (r == kNoReg || depth > 64) {
+    // Registers made after indexing (by this pass) have no definition here.
+    if (r < 0 || static_cast<std::size_t>(r) >= memo_regs_ ||
+        depth > kMaxEvalDepth) {
       return kBad;
     }
-    auto it = linear_memo_.find(r);
-    if (it != linear_memo_.end()) {
-      return it->second;
+    if (s_.linear_known.contains(r)) {
+      return s_.linear_memo[static_cast<std::size_t>(r)];
     }
-    Linear result;
+    Linear& result = s_.eval_temps[static_cast<std::size_t>(depth)];
+    result.reset();
     const Instr* def = def_of(r);
     if (def != nullptr) {
       switch (def->op) {
@@ -289,60 +515,61 @@ class FunctionEliminator {
       }
     }
     if (!result.ok) {
-      result = Linear{};
+      result.reset();
     }
-    return linear_memo_.emplace(r, std::move(result)).first->second;
+    // A deeper evaluation of the same register (a cycle through a
+    // redefined register) may have stored first; that entry stays.
+    Linear& memo = s_.linear_memo[static_cast<std::size_t>(r)];
+    if (s_.linear_known.add(r)) {
+      memo = result;
+    }
+    return memo;
   }
 
-  std::optional<AddrInfo> resolve_addr(Reg addr, int depth = 0) {
+  // Resolves an address register into `info`; false (with `info` in no
+  // particular state) when its shape is not recognised.
+  bool resolve_addr(Reg addr, AddrInfo& info, int depth = 0) {
     const Instr* def = def_of(addr);
     if (def == nullptr || depth > 16) {
-      return std::nullopt;
+      return false;
     }
     switch (def->op) {
-      case Opcode::kAddrLocal: {
-        AddrInfo info;
+      case Opcode::kAddrLocal:
+        info.reset();
         info.ok = true;
         info.base = AddrInfo::Base::kLocalArray;
         info.base_slot = def->slot;
         info.offset.ok = true;
-        return info;
-      }
-      case Opcode::kAddrGlobal: {
-        AddrInfo info;
+        return true;
+      case Opcode::kAddrGlobal:
+        info.reset();
         info.ok = true;
         info.base = AddrInfo::Base::kGlobalArray;
         info.base_global = def->symbol;
         info.offset.ok = true;
-        return info;
-      }
-      case Opcode::kLoadLocal: {
+        return true;
+      case Opcode::kLoadLocal:
         if (!ir::is_pointer(def->type)) {
-          return std::nullopt;
+          return false;
         }
-        AddrInfo info;
+        info.reset();
         info.ok = true;
         info.base = AddrInfo::Base::kPointerSlot;
         info.base_slot = def->slot;
         info.base_load = def_site_of(addr);
         info.offset.ok = true;
-        return info;
-      }
+        return true;
       case Opcode::kMove:
-        return resolve_addr(def->src0, depth + 1);
+        return resolve_addr(def->src0, info, depth + 1);
       case Opcode::kPtrAdd: {
-        std::optional<AddrInfo> base = resolve_addr(def->src0, depth + 1);
-        if (!base.has_value()) {
-          return std::nullopt;
+        if (!resolve_addr(def->src0, info, depth + 1)) {
+          return false;
         }
         const Linear& off = eval(def->src1);
-        if (!off.ok || !add_scaled(base->offset, off, 1)) {
-          return std::nullopt;
-        }
-        return base;
+        return off.ok && add_scaled(info.offset, off, 1);
       }
       default:
-        return std::nullopt;
+        return false;
     }
   }
 
@@ -372,8 +599,11 @@ class FunctionEliminator {
     return std::find(l.body.begin(), l.body.end(), block) != l.body.end();
   }
 
-  std::vector<BlockId> latches_of(const ir::Loop& loop) const {
-    std::vector<BlockId> latches;
+  // The loop's latches, in body order (in scratch storage that the next
+  // call overwrites).
+  const std::vector<BlockId>& latches_of(const ir::Loop& loop) {
+    std::vector<BlockId>& latches = s_.latches;
+    latches.clear();
     for (BlockId b : loop.body) {
       const Instr* term = function_.block(b).terminator();
       if (term != nullptr &&
@@ -388,17 +618,24 @@ class FunctionEliminator {
   // `from` without re-entering the loop header? Same-block forward ranges
   // count as reachable.
   bool reaches_within_iteration(const ir::Loop& loop, Site from,
-                                Site to) const {
+                                Site to) {
     if (from.block == to.block) {
       if (to.index > from.index) {
         return true;
       }
     }
-    std::set<BlockId> body(loop.body.begin(), loop.body.end());
-    std::vector<BlockId> work;
-    std::set<BlockId> seen;
+    const std::size_t blocks = function_.blocks.size();
+    StampedSet& body = s_.body;
+    body.clear(blocks);
+    for (BlockId b : loop.body) {
+      body.insert(b);
+    }
+    StampedSet& seen = s_.seen;
+    seen.clear(blocks);
+    std::vector<BlockId>& work = s_.work;
+    work.clear();
     auto push = [&](BlockId b) {
-      if (b != loop.header && body.count(b) != 0 && seen.insert(b).second) {
+      if (b != loop.header && body.contains(b) && seen.add(b)) {
         work.push_back(b);
       }
     };
@@ -419,11 +656,7 @@ class FunctionEliminator {
   }
 
   bool stores_in_body(const ir::Loop& loop, std::int32_t slot) const {
-    const auto it = slot_stores_.find(slot);
-    if (it == slot_stores_.end()) {
-      return false;
-    }
-    for (const Site& s : it->second) {
+    for (const Site& s : stores_to(slot)) {
       if (in_body(loop.id, s.block)) {
         return true;
       }
@@ -458,42 +691,49 @@ class FunctionEliminator {
   }
 
   void recognize_loops() {
-    ivs_.resize(function_.loops.size());
+    if (ivs_.size() < function_.loops.size()) {
+      ivs_.resize(function_.loops.size());
+    }
     for (const ir::Loop& loop : function_.loops) {
-      ivs_[static_cast<std::size_t>(loop.id)] = recognize_iv(loop);
+      IvInfo& iv = ivs_[static_cast<std::size_t>(loop.id)];
+      iv.reset();
+      recognize_iv(loop, iv);
     }
   }
 
-  IvInfo recognize_iv(const ir::Loop& loop) {
-    IvInfo iv;
+  // Fills `iv` (reset by the caller) when `loop` has a recognised counted
+  // induction variable; returns early, leaving it unrecognised, otherwise.
+  void recognize_iv(const ir::Loop& loop, IvInfo& iv) {
     if (loop.header == kNoBlock || loop.preheader == kNoBlock) {
-      return iv;
+      return;
     }
     // Continue-condition from the header: kBranch on an integer compare with
     // exactly one side inside the loop.
     const Instr* term = function_.block(loop.header).terminator();
     if (term == nullptr || term->op != Opcode::kBranch) {
-      return iv;
+      return;
     }
     const bool t0_in = in_body(loop.id, term->target0);
     const bool t1_in = in_body(loop.id, term->target1);
     if (t0_in == t1_in) {
-      return iv;
+      return;
     }
     const Instr* cond = def_of(term->src0);
     if (cond == nullptr || cond->op != Opcode::kBin ||
         cond->type != ir::Type::kInt) {
-      return iv;
+      return;
     }
     BinOp op = cond->bin_op;
     if (op != BinOp::kCmpLt && op != BinOp::kCmpLe && op != BinOp::kCmpGt &&
         op != BinOp::kCmpGe) {
-      return iv;
+      return;
     }
-    Linear lhs = eval(cond->src0);
-    Linear rhs = eval(cond->src1);
+    Linear& lhs = s_.iv_lhs;
+    Linear& rhs = s_.iv_rhs;
+    lhs = eval(cond->src0);
+    rhs = eval(cond->src1);
     if (!lhs.ok || !rhs.ok) {
-      return iv;
+      return;
     }
     // Normalize to `iv_side OP bound_side` with the IV on the left.
     auto mirror = [](BinOp o) {
@@ -527,7 +767,7 @@ class FunctionEliminator {
     if (slot < 0) {
       slot = iv_slot_of(rhs);
       if (slot < 0) {
-        return iv;
+        return;
       }
       std::swap(lhs, rhs);
       op = mirror(op);
@@ -536,50 +776,46 @@ class FunctionEliminator {
       op = negate(op); // the branch continues the loop on false
     }
     if (op == BinOp::kCmpEq || op == BinOp::kCmpNe) {
-      return iv;
+      return;
     }
     // The bound side must be loop-invariant.
     for (const auto& [bslot, site] : rhs.loads) {
       if (bslot == slot || !invariant_leaf(loop, bslot, site)) {
-        return iv;
+        return;
       }
     }
     if (!rhs.coeffs.empty() &&
         rhs.coeffs.count(slot) != 0) {
-      return iv;
+      return;
     }
 
     // Exactly one in-body store to the slot, of the form s = s + step, in a
     // block that dominates every latch (so it runs each iteration).
-    const auto stores_it = slot_stores_.find(slot);
-    if (stores_it == slot_stores_.end()) {
-      return iv;
-    }
     Site step_store{};
     int in_body_stores = 0;
-    for (const Site& s : stores_it->second) {
+    for (const Site& s : stores_to(slot)) {
       if (in_body(loop.id, s.block)) {
         ++in_body_stores;
         step_store = s;
       }
     }
     if (in_body_stores != 1) {
-      return iv;
+      return;
     }
     const Linear& stepped = eval(at(step_store).src0);
     if (!stepped.ok || stepped.coeffs.size() != 1 ||
         stepped.coeffs.count(slot) == 0 ||
         stepped.coeffs.at(slot) != 1 || stepped.constant == 0) {
-      return iv;
+      return;
     }
     for (const auto& [lslot, site] : stepped.loads) {
       if (lslot == slot) {
         // The step's own read of s must happen before the store.
         if (site.block == step_store.block && site.index > step_store.index) {
-          return iv;
+          return;
         }
       } else if (!invariant_leaf(loop, lslot, site)) {
-        return iv;
+        return;
       }
     }
     const std::int64_t step = stepped.constant;
@@ -587,11 +823,11 @@ class FunctionEliminator {
     // bound (kCmpLt/kCmpLe), a decreasing one a lower bound.
     const bool upper = op == BinOp::kCmpLt || op == BinOp::kCmpLe;
     if ((step > 0) != upper) {
-      return iv;
+      return;
     }
     for (BlockId latch : latches_of(loop)) {
       if (!dom_.dominates(step_store.block, latch)) {
-        return iv;
+        return;
       }
     }
 
@@ -631,7 +867,6 @@ class FunctionEliminator {
       iv.lo = lo;
       iv.hi = hi;
     }
-    return iv;
   }
 
   // --- phase (a): statically proven in-bounds ------------------------------
@@ -704,16 +939,16 @@ class FunctionEliminator {
         if (!mode_would_check(options_, instr)) {
           continue;
         }
-        std::optional<AddrInfo> addr = resolve_addr(instr.src0);
-        if (!addr.has_value()) {
+        AddrInfo& addr = s_.addr;
+        if (!resolve_addr(instr.src0, addr)) {
           continue;
         }
-        std::optional<std::int64_t> extent = array_extent(*addr);
+        std::optional<std::int64_t> extent = array_extent(addr);
         if (!extent.has_value()) {
           continue;
         }
         std::optional<Interval> range =
-            const_interval(addr->offset, instr.loop);
+            const_interval(addr.offset, instr.loop);
         if (!range.has_value()) {
           continue;
         }
@@ -734,7 +969,7 @@ class FunctionEliminator {
 
   // No kCall on any path from just after `from` to just before `to`
   // (`from` strictly dominates `to`, or precedes it in the same block).
-  bool call_free_between(Site from, Site to) const {
+  bool call_free_between(Site from, Site to) {
     const auto calls_in = [&](BlockId b, int begin, int end) {
       const BasicBlock& block = function_.block(b);
       end = std::min(end, static_cast<int>(block.instrs.size()));
@@ -751,16 +986,18 @@ class FunctionEliminator {
         if (!block_has_call_[static_cast<std::size_t>(from.block)]) {
           return true;
         }
-        std::set<BlockId> seen;
-        std::vector<BlockId> work(cfg_.successors(from.block).begin(),
-                                  cfg_.successors(from.block).end());
+        StampedSet& seen = s_.seen;
+        seen.clear(function_.blocks.size());
+        std::vector<BlockId>& work = s_.work;
+        work.assign(cfg_.successors(from.block).begin(),
+                    cfg_.successors(from.block).end());
         while (!work.empty()) {
           const BlockId b = work.back();
           work.pop_back();
           if (b == from.block) {
             return false; // looped back through the full block
           }
-          if (!seen.insert(b).second) {
+          if (!seen.add(b)) {
             continue;
           }
           for (BlockId s : cfg_.successors(b)) {
@@ -781,34 +1018,41 @@ class FunctionEliminator {
     // lies on some path; none may contain a call. Re-entering an endpoint
     // block through a cycle passes all of it, so endpoints on such paths
     // must be call-free outright.
-    std::set<BlockId> from_reach;
-    std::vector<BlockId> work(cfg_.successors(from.block).begin(),
-                              cfg_.successors(from.block).end());
+    const std::size_t blocks = function_.blocks.size();
+    StampedSet& from_reach = s_.from_reach;
+    from_reach.clear(blocks);
+    std::vector<BlockId>& reached = s_.reached; // from_reach's members
+    reached.clear();
+    std::vector<BlockId>& work = s_.work;
+    work.assign(cfg_.successors(from.block).begin(),
+                cfg_.successors(from.block).end());
     while (!work.empty()) {
       const BlockId b = work.back();
       work.pop_back();
-      if (!from_reach.insert(b).second) {
+      if (!from_reach.add(b)) {
         continue;
       }
+      reached.push_back(b);
       for (BlockId s : cfg_.successors(b)) {
         work.push_back(s);
       }
     }
-    std::set<BlockId> to_reach; // blocks that reach `to`
+    StampedSet& to_reach = s_.to_reach; // blocks that reach `to`
+    to_reach.clear(blocks);
     work.assign(cfg_.predecessors(to.block).begin(),
                 cfg_.predecessors(to.block).end());
     while (!work.empty()) {
       const BlockId b = work.back();
       work.pop_back();
-      if (!to_reach.insert(b).second) {
+      if (!to_reach.add(b)) {
         continue;
       }
       for (BlockId p : cfg_.predecessors(b)) {
         work.push_back(p);
       }
     }
-    for (BlockId b : from_reach) {
-      if (to_reach.count(b) == 0 && b != to.block) {
+    for (BlockId b : reached) {
+      if (!to_reach.contains(b) && b != to.block) {
         continue;
       }
       if (b == from.block || b == to.block) {
@@ -827,37 +1071,54 @@ class FunctionEliminator {
   void delete_dominated_duplicates() {
     // Key: (array symbol, constant byte offset) — a fixed element of a named
     // array, whose address value is identical wherever it is recomputed.
-    std::map<std::pair<SymbolId, std::int64_t>, std::vector<Site>> kept;
+    // Only accesses with the same key can cover one another, so each key's
+    // accesses are judged on their own, in reverse post-order.
+    auto& fixed = s_.fixed;
+    fixed.clear();
     for (BlockId b : cfg_.reverse_post_order()) {
-      BasicBlock& block = function_.block(b);
+      const BasicBlock& block = function_.block(b);
       for (int i = 0; i < static_cast<int>(block.instrs.size()); ++i) {
-        Instr& instr = block.instrs[i];
+        const Instr& instr = block.instrs[i];
         if (!mode_would_check(options_, instr)) {
           continue;
         }
-        std::optional<AddrInfo> addr = resolve_addr(instr.src0);
-        if (!addr.has_value() || !addr->offset.coeffs.empty() ||
-            addr->base == AddrInfo::Base::kPointerSlot) {
+        AddrInfo& addr = s_.addr;
+        if (!resolve_addr(instr.src0, addr) || !addr.offset.coeffs.empty() ||
+            addr.base == AddrInfo::Base::kPointerSlot) {
           continue;
         }
-        const std::pair<SymbolId, std::int64_t> key{instr.array_ref,
-                                                    addr->offset.constant};
-        auto& sites = kept[key];
-        bool covered = false;
-        for (const Site& y : sites) {
-          const bool dominates =
-              y.block == b ? y.index < i : dom_.dominates(y.block, b);
-          if (dominates && call_free_between(y, Site{b, i})) {
-            covered = true;
-            break;
-          }
+        fixed.push_back({instr.array_ref, addr.offset.constant, fixed.size(),
+                         Site{b, i}});
+      }
+    }
+    std::sort(fixed.begin(), fixed.end(), [](const auto& x, const auto& y) {
+      return std::tie(x.array_ref, x.offset, x.rpo_order) <
+             std::tie(y.array_ref, y.offset, y.rpo_order);
+    });
+    std::vector<Site>& kept = s_.covering;
+    for (std::size_t k = 0; k < fixed.size(); ++k) {
+      if (k == 0 || fixed[k].array_ref != fixed[k - 1].array_ref ||
+          fixed[k].offset != fixed[k - 1].offset) {
+        kept.clear();
+      }
+      const Site site = fixed[k].site;
+      bool covered = false;
+      for (const Site& y : kept) {
+        const bool dominates = y.block == site.block
+                                   ? y.index < site.index
+                                   : dom_.dominates(y.block, site.block);
+        if (dominates && call_free_between(y, site)) {
+          covered = true;
+          break;
         }
-        if (covered) {
-          instr.check_elided = true;
-          ++stats_.checks_deleted;
-        } else {
-          sites.push_back(Site{b, i});
-        }
+      }
+      if (covered) {
+        function_.block(site.block)
+            .instrs[static_cast<std::size_t>(site.index)]
+            .check_elided = true;
+        ++stats_.checks_deleted;
+      } else {
+        kept.push_back(site);
       }
     }
   }
@@ -871,31 +1132,40 @@ class FunctionEliminator {
     if (options_.mode != CheckMode::kCash) {
       return;
     }
-    for (const ir::Loop* loop : function_.outermost_loops()) {
-      const LoopArrays use = analyze_loop(function_, *loop);
-      const std::set<SymbolId> reassigned(use.reassigned.begin(),
-                                          use.reassigned.end());
+    for (const ir::Loop& loop : function_.loops) {
+      if (loop.parent != kNoLoop) {
+        continue; // outermost nests only, in program order
+      }
+      LoopArrays& use = s_.use;
+      analyze_loop(function_, loop, use);
+      cash_segment_candidates(function_, loop, use, options_, s_.candidates);
       int next_reg = 0;
-      for (SymbolId sym :
-           cash_segment_candidates(function_, *loop, options_)) {
+      for (SymbolId sym : s_.candidates) {
         if (next_reg >= options_.num_seg_regs) {
           break;
         }
-        if (reassigned.count(sym) != 0 ||
+        if (std::find(use.reassigned.begin(), use.reassigned.end(), sym) !=
+                use.reassigned.end() ||
             function_.find_array_sym(sym) == nullptr) {
           continue;
         }
         ++next_reg;
-        seg_assigned_.insert(sym);
+        if (!seg_assigned(sym)) {
+          seg_assigned_.push_back(sym);
+        }
       }
     }
+  }
+
+  bool seg_assigned(SymbolId sym) const {
+    return std::find(seg_assigned_.begin(), seg_assigned_.end(), sym) !=
+           seg_assigned_.end();
   }
 
   // Accesses Cash would check in hardware for free stay untouched by the
   // interval transformations.
   bool interval_profitable(const Instr& instr) const {
-    return options_.mode != CheckMode::kCash ||
-           seg_assigned_.count(instr.array_ref) == 0;
+    return options_.mode != CheckMode::kCash || !seg_assigned(instr.array_ref);
   }
 
   // --- phase (b): monotone-loop hoisting -----------------------------------
@@ -947,18 +1217,6 @@ class FunctionEliminator {
     return true;
   }
 
-  // One group per (address shape, constant offset). Keeping the constant in
-  // the group key makes the emptiness test exact: with a single constant,
-  // lo > hi at run time if and only if the loop is zero-trip, so the
-  // interval check passes exactly when no member would have executed.
-  struct HoistGroup {
-    AddrInfo addr;
-    std::int64_t iv_coeff{0};
-    SymbolId array_ref{kNoSymbol};
-    SourceLoc loc;
-    std::vector<Site> members;
-  };
-
   void hoist_loops() {
     for (const ir::Loop& loop : function_.loops) {
       const IvInfo& iv = ivs_[static_cast<std::size_t>(loop.id)];
@@ -968,8 +1226,9 @@ class FunctionEliminator {
       if (!loop_is_hoist_safe(loop)) {
         continue;
       }
-      const std::vector<BlockId> latches = latches_of(loop);
-      std::vector<HoistGroup> groups;
+      const std::vector<BlockId>& latches = latches_of(loop);
+      ReuseList<HoistGroup>& groups = s_.hoist_groups;
+      groups.clear();
       for (BlockId b : loop.body) {
         BasicBlock& block = function_.block(b);
         for (int i = 0; i < static_cast<int>(block.instrs.size()); ++i) {
@@ -988,28 +1247,28 @@ class FunctionEliminator {
               reaches_within_iteration(loop, iv.step_store, Site{b, i})) {
             continue;
           }
-          std::optional<AddrInfo> addr = resolve_addr(instr.src0);
-          if (!addr.has_value()) {
+          AddrInfo& addr = s_.addr;
+          if (!resolve_addr(instr.src0, addr)) {
             continue;
           }
-          if (!hoistable_addr(loop, iv, *addr)) {
+          if (!hoistable_addr(loop, iv, addr)) {
             continue;
           }
-          const std::int64_t coeff = addr->offset.coeffs.at(iv.slot);
+          const std::int64_t coeff = addr.offset.coeffs.at(iv.slot);
           HoistGroup* group = nullptr;
           for (HoistGroup& g : groups) {
-            if (same_hoist_shape(g.addr, *addr)) {
+            if (same_hoist_shape(g.addr, addr)) {
               group = &g;
               break;
             }
           }
           if (group == nullptr) {
-            groups.push_back(HoistGroup{});
-            group = &groups.back();
-            group->addr = *addr;
+            group = &groups.claim();
+            group->addr = addr;
             group->iv_coeff = coeff;
             group->array_ref = instr.array_ref;
             group->loc = instr.loc;
+            group->members.clear();
           }
           group->members.push_back(Site{b, i});
         }
@@ -1064,7 +1323,8 @@ class FunctionEliminator {
   // `[lo, hi]` that passes vacuously when the loop is zero-trip.
   void emit_hoisted_check(const ir::Loop& loop, const IvInfo& iv,
                           const HoistGroup& group) {
-    std::vector<Instr> prefix;
+    std::vector<Instr>& prefix = new_insertion(
+        loop.preheader, terminator_index(function_.block(loop.preheader)));
     const LoopId outer = loop.parent;
     auto emit = [&](Instr instr) -> Reg {
       instr.loop = outer;
@@ -1193,11 +1453,15 @@ class FunctionEliminator {
     check.src1 = hi;
     check.array_ref = group.array_ref;
     emit(check);
+  }
 
-    insertions_.push_back(Insertion{
-        loop.preheader,
-        terminator_index(function_.block(loop.preheader)),
-        std::move(prefix)});
+  // Claims the next pending splice and returns its (empty) instructions.
+  std::vector<Instr>& new_insertion(BlockId block, int before_index) {
+    Insertion& ins = s_.insertions.claim();
+    ins.block = block;
+    ins.before_index = before_index;
+    ins.instrs.clear();
+    return ins.instrs;
   }
 
   static int terminator_index(const BasicBlock& block) {
@@ -1211,79 +1475,60 @@ class FunctionEliminator {
 
   // --- phase (c): in-block interval widening -------------------------------
 
-  // Leaf identity inside one block: a load from another block is a fixed
-  // value (same site, same value); a load in this block stands for "the
-  // slot's current value", valid while no store intervenes.
-  struct WidenLeaf {
-    std::int32_t slot{-1};
-    bool local{false};
-    Site remote_site;   // !local
-    int version{0};     // local: store count at the access
-    bool operator<(const WidenLeaf& o) const {
-      return std::tie(slot, local, remote_site.block, remote_site.index,
-                      version) < std::tie(o.slot, o.local,
-                                          o.remote_site.block,
-                                          o.remote_site.index, o.version);
+  // Finalizes the open groups whose key `close` selects, in key order,
+  // and drops them.
+  template <typename Close>
+  void close_widen_groups(BasicBlock& block, const Close& close) {
+    auto& open = s_.open;
+    std::size_t kept = 0;
+    for (std::size_t g = 0; g < open.size(); ++g) {
+      if (close(open[g].key)) {
+        finalize_widen_group(block, open[g].group);
+      } else {
+        if (kept != g) {
+          std::swap(open[kept], open[g]);
+        }
+        ++kept;
+      }
     }
-    bool operator==(const WidenLeaf& o) const {
-      return slot == o.slot && local == o.local &&
-             remote_site.block == o.remote_site.block &&
-             remote_site.index == o.remote_site.index &&
-             version == o.version;
-    }
-  };
+    open.truncate(kept);
+  }
 
-  struct WidenKey {
-    int base_kind{0};
-    std::int32_t base_slot{-1};
-    SymbolId base_global{kNoSymbol};
-    WidenLeaf base_leaf;           // pointer-slot base identity
-    std::vector<std::pair<WidenLeaf, std::int64_t>> coeffs;
-    bool operator<(const WidenKey& o) const {
-      return std::tie(base_kind, base_slot, base_global, base_leaf, coeffs) <
-             std::tie(o.base_kind, o.base_slot, o.base_global, o.base_leaf,
-                      o.coeffs);
+  // The open group with `key`, claimed empty when there is none.
+  WidenGroup& open_widen_group(const WidenKey& key) {
+    auto& open = s_.open;
+    const auto* at = std::lower_bound(
+        open.begin(), open.end(), key,
+        [](const Scratch::OpenWiden& o, const WidenKey& k) { return o.key < k; });
+    if (at != open.end() && !(key < at->key)) {
+      return open[static_cast<std::size_t>(at - open.begin())].group;
     }
-  };
-
-  struct WidenGroup {
-    std::vector<Site> members;
-    std::vector<std::int64_t> consts; // per member, byte offsets
-    Reg first_addr{kNoReg};           // first member's address register
-    std::int64_t first_const{0};
-    SymbolId array_ref{kNoSymbol};
-    LoopId loop{kNoLoop};
-    SourceLoc loc;
-  };
+    const auto pos = at - open.begin();
+    open.claim();
+    // Rotate the claimed entry (and its storage) into place.
+    std::rotate(open.begin() + pos, open.end() - 1, open.end());
+    Scratch::OpenWiden& fresh = open[static_cast<std::size_t>(pos)];
+    fresh.key = key;
+    fresh.group.members.clear();
+    fresh.group.consts.clear();
+    return fresh.group;
+  }
 
   void widen_blocks() {
+    StampedMap<int>& version = s_.version;
     for (auto& block : function_.blocks) {
-      std::map<std::int32_t, int> version; // slot -> stores seen so far
-      std::map<WidenKey, WidenGroup> open;
-      auto flush_one = [&](WidenGroup& g) {
-        finalize_widen_group(*block, g);
-        g = WidenGroup{};
-      };
-      auto flush_all = [&] {
-        for (auto& [key, g] : open) {
-          flush_one(g);
-        }
-        open.clear();
-      };
+      version.clear(function_.locals.size());
+      s_.open.clear();
+      const auto all = [](const WidenKey&) { return true; };
       for (int i = 0; i < static_cast<int>(block->instrs.size()); ++i) {
         const Instr& instr = block->instrs[i];
         if (instr.op == Opcode::kStoreLocal) {
-          ++version[instr.slot];
+          ++version.get(instr.slot, [](int& v) { v = 0; });
           // Groups keyed on an older version of this slot can no longer
           // grow (and are keyed distinctly), so finalize them now.
-          for (auto it = open.begin(); it != open.end();) {
-            if (widen_key_uses_slot(it->first, instr.slot)) {
-              flush_one(it->second);
-              it = open.erase(it);
-            } else {
-              ++it;
-            }
-          }
+          close_widen_groups(*block, [&](const WidenKey& key) {
+            return widen_key_uses_slot(key, instr.slot);
+          });
           continue;
         }
         if (instr.op == Opcode::kCall ||
@@ -1293,34 +1538,32 @@ class FunctionEliminator {
              !nonzero_const(instr.src1))) {
           // A call or potential fault between members would reorder
           // observable behaviour against the widened check.
-          flush_all();
+          close_widen_groups(*block, all);
           continue;
         }
         if (!mode_would_check(options_, instr) ||
             !interval_profitable(instr)) {
           continue;
         }
-        std::optional<AddrInfo> addr = resolve_addr(instr.src0);
-        if (!addr.has_value()) {
+        AddrInfo& addr = s_.addr;
+        if (!resolve_addr(instr.src0, addr)) {
           continue;
         }
-        std::optional<WidenKey> key =
-            widen_key_for(*block, *addr, version);
-        if (!key.has_value()) {
+        if (!widen_key_for(*block, addr, version, s_.probe)) {
           continue;
         }
-        WidenGroup& group = open[*key];
+        WidenGroup& group = open_widen_group(s_.probe);
         if (group.members.empty()) {
           group.first_addr = instr.src0;
-          group.first_const = addr->offset.constant;
+          group.first_const = addr.offset.constant;
           group.array_ref = instr.array_ref;
           group.loop = instr.loop;
           group.loc = instr.loc;
         }
         group.members.push_back(Site{block->id, i});
-        group.consts.push_back(addr->offset.constant);
+        group.consts.push_back(addr.offset.constant);
       }
-      flush_all();
+      close_widen_groups(*block, all);
     }
   }
 
@@ -1343,9 +1586,10 @@ class FunctionEliminator {
     return false;
   }
 
-  std::optional<WidenKey> widen_key_for(
-      const BasicBlock& block, const AddrInfo& addr,
-      const std::map<std::int32_t, int>& version) {
+  // Builds the widening key of an access into `key`; false when some leaf
+  // has no stable identity at this point of the block.
+  bool widen_key_for(const BasicBlock& block, const AddrInfo& addr,
+                     const StampedMap<int>& version, WidenKey& key) {
     auto leaf_of = [&](std::int32_t slot,
                        Site load) -> std::optional<WidenLeaf> {
       WidenLeaf leaf;
@@ -1361,8 +1605,8 @@ class FunctionEliminator {
             ++version_at_load;
           }
         }
-        const auto it = version.find(slot);
-        const int current = it == version.end() ? 0 : it->second;
+        const int* stores = version.find(slot);
+        const int current = stores == nullptr ? 0 : *stores;
         if (version_at_load != current) {
           return std::nullopt;
         }
@@ -1373,7 +1617,10 @@ class FunctionEliminator {
       }
       return leaf;
     };
-    WidenKey key;
+    key.base_slot = -1;
+    key.base_global = kNoSymbol;
+    key.base_leaf = WidenLeaf{};
+    key.coeffs.clear();
     switch (addr.base) {
       case AddrInfo::Base::kLocalArray:
         key.base_kind = 0;
@@ -1388,7 +1635,7 @@ class FunctionEliminator {
         std::optional<WidenLeaf> leaf =
             leaf_of(addr.base_slot, addr.base_load);
         if (!leaf.has_value()) {
-          return std::nullopt;
+          return false;
         }
         key.base_leaf = *leaf;
         break;
@@ -1404,16 +1651,16 @@ class FunctionEliminator {
         }
         std::optional<WidenLeaf> one = leaf_of(slot, site);
         if (!one.has_value() || (leaf.has_value() && !(*leaf == *one))) {
-          return std::nullopt;
+          return false;
         }
         leaf = one;
       }
       if (!leaf.has_value()) {
-        return std::nullopt;
+        return false;
       }
       key.coeffs.emplace_back(*leaf, coeff);
     }
-    return key;
+    return true;
   }
 
   // A group of two or more same-shape accesses with at least two distinct
@@ -1433,7 +1680,8 @@ class FunctionEliminator {
     if (lo == hi) {
       return; // identical addresses: one plain check is already cheaper
     }
-    std::vector<Instr> prefix;
+    std::vector<Instr>& prefix =
+        new_insertion(block.id, group.members.front().index);
     auto adjusted = [&](std::int64_t target) -> Reg {
       if (target == group.first_const) {
         return group.first_addr;
@@ -1464,8 +1712,6 @@ class FunctionEliminator {
     check.loop = group.loop;
     check.loc = group.loc;
     prefix.push_back(check);
-    insertions_.push_back(
-        Insertion{block.id, group.members.front().index, std::move(prefix)});
     for (const Site& s : group.members) {
       block.instrs[static_cast<std::size_t>(s.index)].check_elided = true;
       ++stats_.checks_widened;
@@ -1476,14 +1722,37 @@ class FunctionEliminator {
   // --- final splice --------------------------------------------------------
 
   void apply_insertions() {
-    std::stable_sort(insertions_.begin(), insertions_.end(),
-                     [](const Insertion& a, const Insertion& b) {
-                       return a.block != b.block ? a.block < b.block
-                                                 : a.before_index >
-                                                       b.before_index;
-                     });
-    for (Insertion& ins : insertions_) {
+    // By block, then from the back of the block, so the indices still to
+    // apply stay valid; ties keep their order of creation.
+    const ReuseList<Insertion>& insertions = s_.insertions;
+    std::vector<std::size_t>& order = s_.order;
+    order.resize(insertions.size());
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      order[k] = k;
+    }
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      const Insertion& x = insertions[a];
+      const Insertion& y = insertions[b];
+      if (x.block != y.block) {
+        return x.block < y.block;
+      }
+      return x.before_index != y.before_index
+                 ? x.before_index > y.before_index
+                 : a < b;
+    });
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      Insertion& ins = s_.insertions[order[k]];
       auto& instrs = function_.block(ins.block).instrs;
+      if (k == 0 || insertions[order[k - 1]].block != ins.block) {
+        // Grow each block once, to its final size.
+        std::size_t added = 0;
+        for (std::size_t j = k; j < order.size() &&
+                                insertions[order[j]].block == ins.block;
+             ++j) {
+          added += insertions[order[j]].instrs.size();
+        }
+        instrs.reserve(instrs.size() + added);
+      }
       instrs.insert(instrs.begin() + ins.before_index,
                     std::make_move_iterator(ins.instrs.begin()),
                     std::make_move_iterator(ins.instrs.end()));
@@ -1493,15 +1762,14 @@ class FunctionEliminator {
   ir::Module& module_;
   Function& function_;
   const LowerOptions& options_;
-  ir::Cfg cfg_;
-  ir::DominatorTree dom_;
-  std::vector<Site> def_sites_;                      // by register
-  std::map<std::int32_t, std::vector<Site>> slot_stores_;
-  std::vector<bool> block_has_call_;                 // by block id
-  std::map<Reg, Linear> linear_memo_;
-  std::vector<IvInfo> ivs_;                          // by loop id
-  std::set<SymbolId> seg_assigned_;                  // Cash prediction
-  std::vector<Insertion> insertions_;
+  Scratch& s_;
+  ir::Cfg& cfg_;
+  ir::DominatorTree& dom_;
+  std::vector<Site>& def_sites_;        // by register
+  std::vector<char>& block_has_call_;   // by block id
+  std::vector<IvInfo>& ivs_;            // by loop id
+  std::vector<SymbolId>& seg_assigned_; // Cash prediction
+  std::size_t memo_regs_{0};            // registers eval() may memoize
   ElideStats stats_;
 };
 
@@ -1513,7 +1781,7 @@ ElideStats elide_function(ir::Module& module, ir::Function& function,
       options.mode == CheckMode::kEfence) {
     return {};
   }
-  return FunctionEliminator(module, function, options).run();
+  return FunctionEliminator(module, function, options, scratch()).run();
 }
 
 ElideStats elide_module(ir::Module& module, const LowerOptions& options) {

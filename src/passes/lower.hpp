@@ -1,8 +1,10 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "ir/function.hpp"
+#include "passes/array_use.hpp"
 
 namespace cash::passes {
 
@@ -76,12 +78,14 @@ LowerStats lower_function(ir::Function& function, const LowerOptions& options);
 
 // The arrays that claim a segment register in this outer nest under Cash, in
 // FCFS order: every array with at least one qualifying (mode-relevant,
-// not-elided) access in the nest. Shared between the Cash lowering and the
-// elision pass so elision predicts segment assignment exactly — an array
-// whose accesses were all proven in-bounds stops consuming a register (and
-// its hoisted segment load disappears).
-std::vector<ir::SymbolId> cash_segment_candidates(const ir::Function& function,
-                                                  const ir::Loop& loop,
-                                                  const LowerOptions& options);
+// not-elided) access in the nest. `use` is analyze_loop()'s result for the
+// nest; the list is written to `candidates`, reusing its storage. Shared
+// between the Cash lowering and the elision pass so elision predicts segment
+// assignment exactly — an array whose accesses were all proven in-bounds
+// stops consuming a register (and its hoisted segment load disappears).
+void cash_segment_candidates(const ir::Function& function,
+                             const ir::Loop& loop, const LoopArrays& use,
+                             const LowerOptions& options,
+                             std::vector<ir::SymbolId>& candidates);
 
 } // namespace cash::passes

@@ -4,6 +4,8 @@
 #include <bit>
 #include <vector>
 
+#include "common/dense_table.hpp"
+
 namespace cash::passes {
 
 namespace {
@@ -14,59 +16,6 @@ using ir::Function;
 using ir::Instr;
 using ir::Opcode;
 using ir::Reg;
-
-// A dense set of small non-negative ids (registers, local slots) that
-// empties in O(1): an id is present only while its stamp equals the current
-// epoch, so clear() just advances the epoch. Storage only grows, and is
-// reused across blocks, loops and functions.
-class StampedSet {
- public:
-  // Empties the set and makes ids [0, ids) insertable.
-  void clear(std::size_t ids) {
-    if (stamps_.size() < ids) {
-      stamps_.resize(ids, 0);
-    }
-    if (++epoch_ == 0) {
-      std::fill(stamps_.begin(), stamps_.end(), 0);
-      epoch_ = 1;
-    }
-  }
-  bool contains(Reg id) const {
-    const auto i = static_cast<std::size_t>(id);
-    return i < stamps_.size() && stamps_[i] == epoch_;
-  }
-  void insert(Reg id) { stamps_[static_cast<std::size_t>(id)] = epoch_; }
-  void erase(Reg id) { stamps_[static_cast<std::size_t>(id)] = 0; }
-
- private:
-  std::vector<std::uint32_t> stamps_;
-  std::uint32_t epoch_{0};
-};
-
-// A StampedSet with a value per id.
-template <typename T>
-class StampedMap {
- public:
-  void clear(std::size_t ids) {
-    keys_.clear(ids);
-    if (values_.size() < ids) {
-      values_.resize(ids);
-    }
-  }
-  bool contains(Reg id) const { return keys_.contains(id); }
-  const T* find(Reg id) const {
-    return contains(id) ? &values_[static_cast<std::size_t>(id)] : nullptr;
-  }
-  void set(Reg id, T value) {
-    keys_.insert(id);
-    values_[static_cast<std::size_t>(id)] = value;
-  }
-  void erase(Reg id) { keys_.erase(id); }
-
- private:
-  StampedSet keys_;
-  std::vector<T> values_;
-};
 
 // --- the CSE value table ------------------------------------------------
 
@@ -175,6 +124,8 @@ class ValueTable {
 
 // Tables reused by every sub-pass of one optimize_module call, so that no
 // sub-pass allocates per function, block or loop once they have grown.
+// Unlike the other passes' scratch they live for one call; DESIGN.md §7
+// ("Pass scratch") says why.
 struct Scratch {
   std::vector<int> defs;
   std::vector<int> uses;
@@ -193,7 +144,17 @@ struct Scratch {
   StampedSet stored_slots;
   StampedSet hoisted_defs;
   std::vector<Instr> hoisted;
+  // Dead code elimination.
+  struct PureDef {
+    std::size_t at; // position in the function
+    const Instr* instr;
+  };
+  std::vector<PureDef> pure_defs;
+  std::vector<std::uint32_t> def_begin;
+  std::vector<std::uint32_t> def_fill;
+  std::vector<char> dead;
   std::vector<Reg> freed;
+  std::vector<Reg> unused;
 };
 
 bool is_pure(const Instr& instr) {
@@ -667,38 +628,89 @@ std::uint64_t licm(Function& function, Scratch& scratch) {
 
 // Each round removes the pure instructions whose result had no use when the
 // round began; the next round's counts are this round's minus the uses the
-// removed instructions held.
+// removed instructions held. The first round scans the function; a later
+// round can only remove definitions of registers whose last use the round
+// before removed, so it visits just those. Rounds only mark instructions
+// dead; the blocks are compacted once, after the last round.
 std::uint64_t dce(Function& function, Scratch& scratch) {
+  const std::size_t regs = static_cast<std::size_t>(function.next_reg);
   std::vector<int>& uses = scratch.uses;
-  uses.assign(static_cast<std::size_t>(function.next_reg), 0);
+  uses.assign(regs, 0);
+  // Pure definitions grouped by destination register: those of register r
+  // are pure_defs[def_begin[r], def_begin[r + 1]).
+  std::vector<std::uint32_t>& def_begin = scratch.def_begin;
+  def_begin.assign(regs + 1, 0);
+  const auto removable = [](const Instr& instr) {
+    return is_pure(instr) && instr.dst != ir::kNoReg;
+  };
+  std::size_t instrs = 0;
   for (const auto& block : function.blocks) {
+    instrs += block->instrs.size();
     for (const Instr& instr : block->instrs) {
       for_each_use(instr,
                    [&](Reg r) { ++uses[static_cast<std::size_t>(r)]; });
+      if (removable(instr)) {
+        ++def_begin[static_cast<std::size_t>(instr.dst) + 1];
+      }
     }
   }
+  for (std::size_t r = 0; r < regs; ++r) {
+    def_begin[r + 1] += def_begin[r];
+  }
+  std::vector<Scratch::PureDef>& pure_defs = scratch.pure_defs;
+  pure_defs.resize(def_begin[regs]);
+  std::vector<std::uint32_t>& fill = scratch.def_fill;
+  fill.assign(def_begin.begin(), def_begin.end() - 1);
+  std::vector<char>& dead = scratch.dead; // by position in the function
+  dead.assign(instrs, 0);
   std::vector<Reg>& freed = scratch.freed;
-  std::uint64_t removed_total = 0;
-  for (int round = 0; round < 8; ++round) {
-    freed.clear();
-    std::uint64_t removed = 0;
-    for (auto& block : function.blocks) {
-      compact(block->instrs, [&](const Instr& instr) {
-        const bool dead = is_pure(instr) && instr.dst != ir::kNoReg &&
-                          uses[static_cast<std::size_t>(instr.dst)] == 0;
-        if (dead) {
-          for_each_use(instr, [&](Reg r) { freed.push_back(r); });
+  freed.clear();
+  const auto remove = [&](std::size_t at, const Instr& instr) {
+    dead[at] = 1;
+    for_each_use(instr, [&](Reg r) { freed.push_back(r); });
+  };
+
+  std::uint64_t removed = 0;
+  std::size_t at = 0;
+  for (const auto& block : function.blocks) {
+    for (const Instr& instr : block->instrs) {
+      if (removable(instr)) {
+        const auto r = static_cast<std::size_t>(instr.dst);
+        pure_defs[fill[r]++] = {at, &instr};
+        if (uses[r] == 0) {
+          remove(at, instr);
           ++removed;
         }
-        return !dead;
-      });
+      }
+      ++at;
+    }
+  }
+  std::uint64_t removed_total = removed;
+  std::vector<Reg>& unused = scratch.unused;
+  for (int round = 1; round < 8 && removed != 0; ++round) {
+    unused.clear();
+    for (Reg r : freed) {
+      if (--uses[static_cast<std::size_t>(r)] == 0) {
+        unused.push_back(r);
+      }
+    }
+    freed.clear();
+    removed = 0;
+    for (Reg r : unused) {
+      const auto reg = static_cast<std::size_t>(r);
+      for (std::uint32_t k = def_begin[reg]; k < def_begin[reg + 1]; ++k) {
+        if (dead[pure_defs[k].at] == 0) {
+          remove(pure_defs[k].at, *pure_defs[k].instr);
+          ++removed;
+        }
+      }
     }
     removed_total += removed;
-    if (removed == 0) {
-      break;
-    }
-    for (Reg r : freed) {
-      --uses[static_cast<std::size_t>(r)];
+  }
+  if (removed_total != 0) {
+    at = 0;
+    for (auto& block : function.blocks) {
+      compact(block->instrs, [&](const Instr&) { return dead[at++] == 0; });
     }
   }
   return removed_total;
@@ -709,7 +721,8 @@ OptStats optimize(ir::Function& function, Scratch& scratch) {
   for (int round = 0; round < 3; ++round) {
     count_defs(function, scratch);
     const std::uint64_t reduced = strength_reduce(function, scratch);
-    count_defs(function, scratch);
+    // Strength reduction defines only new registers, each once.
+    scratch.defs.resize(static_cast<std::size_t>(function.next_reg), 1);
     const std::uint64_t replaced = local_cse(function, scratch);
     const std::uint64_t propagated = copy_propagate(function, scratch);
     const std::uint64_t hoisted = licm(function, scratch);

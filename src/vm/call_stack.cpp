@@ -6,6 +6,7 @@ namespace cash::vm {
 
 void CallStack::reset(std::size_t functions, std::uint64_t now) {
   frames_.clear();
+  partial_ = CallFrame{};
   values_.clear();
   segs_.clear();
   returned_ = Value{};
@@ -70,7 +71,7 @@ FrameCharge CallStack::push(Machine::Impl& impl, std::uint32_t fn_index,
     const std::uint32_t info =
         align_down(impl.sp - (runtime::kInfoBytes + size), 8);
     if (info < kStackLimit) {
-      values_.resize(frame.base);
+      partial_ = frame;
       charge.overflow = true;
       return charge;
     }
@@ -96,25 +97,31 @@ FrameCharge CallStack::push(Machine::Impl& impl, std::uint32_t fn_index,
   return charge;
 }
 
-FrameCharge CallStack::pop(Machine::Impl& impl, Value result,
-                           std::uint64_t now) {
-  FrameCharge charge;
-  const CallFrame frame = frames_.back();
+std::uint64_t CallStack::release(Machine::Impl& impl, const CallFrame& frame) {
+  std::uint64_t runtime = 0;
   const ir::Function& fn = *frame.fn;
   const Value* arrays = frame_arrays(values_.data() + frame.base, fn);
   for (std::size_t i = 0; i < fn.locals.size(); ++i) {
     if (arrays[i].info != 0) {
-      charge.runtime += impl.arrays.teardown(arrays[i].info);
+      runtime += impl.arrays.teardown(arrays[i].info);
     }
   }
   for (std::size_t i = segs_.size(); i-- > frame.seg_base;) {
     impl.seg_unit.restore(segs_[i].first, segs_[i].second);
-    charge.runtime += 1;
+    runtime += 1;
   }
   impl.sp = frame.saved_sp;
-  frames_.pop_back();
   values_.resize(frame.base);
   segs_.resize(frame.seg_base);
+  return runtime;
+}
+
+FrameCharge CallStack::pop(Machine::Impl& impl, Value result,
+                           std::uint64_t now) {
+  FrameCharge charge;
+  const CallFrame frame = frames_.back();
+  frames_.pop_back();
+  charge.runtime = release(impl, frame);
   if (frames_.empty()) {
     returned_ = result;
     account(now + charge.runtime, nullptr);
@@ -125,6 +132,18 @@ FrameCharge CallStack::pop(Machine::Impl& impl, Value result,
     account(now + charge.runtime, &profile_[frames_.back().fn_index]);
   }
   return charge;
+}
+
+void CallStack::unwind(Machine::Impl& impl) {
+  if (partial_.fn != nullptr) {
+    release(impl, partial_);
+    partial_ = CallFrame{};
+  }
+  while (!frames_.empty()) {
+    const CallFrame frame = frames_.back();
+    frames_.pop_back();
+    release(impl, frame);
+  }
 }
 
 void CallStack::flush_profile(const ir::Module& module, std::uint64_t now,

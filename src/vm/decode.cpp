@@ -139,20 +139,39 @@ StaticCost static_cost(const MicroInstr& u) noexcept {
 
 namespace {
 
-// Decodes one function. Any precondition the interpreter silently assumes
-// (register/slot/block ranges, builtin arities, resolvable globals) is
-// checked here; a violation marks the function undecodable and the whole
-// module falls back to the reference interpreter, preserving legacy
-// behaviour exactly.
-DecodedFunction decode_function(
+// Streams are built in per-thread scratch and copied out at their final
+// size, so decoding allocates each of a function's vectors once.
+struct Scratch {
+  UopStream stream;
+  std::vector<MicroInstr> pending;
+  std::vector<std::uint32_t> remap;
+  std::vector<std::uint8_t> sym_kind;
+};
+
+Scratch& scratch() {
+  thread_local Scratch tables;
+  return tables;
+}
+
+// Copies `from` into `to`, each vector allocated at its exact size.
+void copy_stream(const UopStream& from, UopStream& to) {
+  to.uops.assign(from.uops.begin(), from.uops.end());
+  to.groups.assign(from.groups.begin(), from.groups.end());
+  to.block_entry.assign(from.block_entry.begin(), from.block_entry.end());
+}
+
+// Decodes one function into its plain stream. Any precondition the
+// interpreter silently assumes (register/slot/block ranges, builtin
+// arities, resolvable globals) is checked here; a violation returns false,
+// which marks the function undecodable, and the whole module falls back to
+// the reference interpreter, preserving legacy behaviour exactly.
+bool decode_plain(
     const ir::Module& module, const ir::Function& fn,
     const std::unordered_map<const ir::Function*, std::size_t>& fn_index,
-    const std::vector<std::uint8_t>& sym_kind) {
+    const std::vector<std::uint8_t>& sym_kind, UopStream& plain,
+    std::vector<MicroInstr>& pending) {
   constexpr std::uint8_t kSymScalar = 1;
   constexpr std::uint8_t kSymArray = 2;
-
-  DecodedFunction out;
-  out.fn = &fn;
 
   const auto valid_reg = [&](ir::Reg r) { return r >= 0 && r < fn.next_reg; };
   const auto valid_slot = [&](std::int32_t s) {
@@ -168,22 +187,22 @@ DecodedFunction decode_function(
   };
 
   if (!valid_block(fn.entry)) {
-    return out;
+    return false;
   }
   for (const ir::Param& p : fn.params) {
     if (!valid_slot(p.slot)) {
-      return out;
+      return false;
     }
   }
   for (std::size_t i = 0; i < fn.blocks.size(); ++i) {
     if (fn.blocks[i] == nullptr ||
         fn.blocks[i]->id != static_cast<ir::BlockId>(i)) {
-      return out;
+      return false;
     }
   }
 
-  out.plain.block_entry.assign(fn.blocks.size(), 0);
-  std::vector<MicroInstr> pending;
+  plain.block_entry.assign(fn.blocks.size(), 0);
+  pending.clear();
 
   const auto flush = [&]() {
     if (pending.empty()) {
@@ -192,24 +211,22 @@ DecodedFunction decode_function(
     MicroInstr head;
     head.op = UOp::kGroup;
     head.imm = static_cast<std::uint32_t>(pending.size());
-    head.aux = static_cast<std::uint32_t>(out.plain.groups.size());
+    head.aux = static_cast<std::uint32_t>(plain.groups.size());
     FoldedGroup g;
     g.count = static_cast<std::uint32_t>(pending.size());
-    g.plain_first = static_cast<std::uint32_t>(out.plain.uops.size()) + 1;
+    g.plain_first = static_cast<std::uint32_t>(plain.uops.size()) + 1;
     for (const MicroInstr& m : pending) {
       g.cost += static_cost(m);
     }
-    out.plain.groups.push_back(g);
-    out.plain.uops.push_back(head);
-    out.plain.uops.insert(out.plain.uops.end(), pending.begin(),
-                          pending.end());
+    plain.groups.push_back(g);
+    plain.uops.push_back(head);
+    plain.uops.insert(plain.uops.end(), pending.begin(), pending.end());
     pending.clear();
   };
 
   for (std::size_t bi = 0; bi < fn.blocks.size(); ++bi) {
     const ir::BasicBlock& block = *fn.blocks[bi];
-    out.plain.block_entry[bi] =
-        static_cast<std::uint32_t>(out.plain.uops.size());
+    plain.block_entry[bi] = static_cast<std::uint32_t>(plain.uops.size());
     bool terminated = false;
     for (const Instr& in : block.instrs) {
       MicroInstr m;
@@ -220,19 +237,19 @@ DecodedFunction decode_function(
       bool itemized = false;
       switch (in.op) {
         case Opcode::kConstInt:
-          if (!valid_reg(in.dst)) return out;
+          if (!valid_reg(in.dst)) return false;
           m.op = UOp::kConstInt;
           m.dst = in.dst;
           m.imm = static_cast<std::uint32_t>(in.int_imm);
           break;
         case Opcode::kConstFloat:
-          if (!valid_reg(in.dst)) return out;
+          if (!valid_reg(in.dst)) return false;
           m.op = UOp::kConstFloat;
           m.dst = in.dst;
           m.imm = std::bit_cast<std::uint32_t>(in.float_imm);
           break;
         case Opcode::kMove:
-          if (!valid_reg(in.dst) || !valid_reg(in.src0)) return out;
+          if (!valid_reg(in.dst) || !valid_reg(in.src0)) return false;
           m.op = UOp::kMove;
           m.dst = in.dst;
           m.src0 = in.src0;
@@ -240,7 +257,7 @@ DecodedFunction decode_function(
         case Opcode::kBin:
           if (!valid_reg(in.dst) || !valid_reg(in.src0) ||
               !valid_reg(in.src1)) {
-            return out;
+            return false;
           }
           m.op = UOp::kBin;
           m.dst = in.dst;
@@ -249,15 +266,15 @@ DecodedFunction decode_function(
           m.bin_op = in.bin_op;
           break;
         case Opcode::kUn:
-          if (!valid_reg(in.dst) || !valid_reg(in.src0)) return out;
+          if (!valid_reg(in.dst) || !valid_reg(in.src0)) return false;
           m.op = UOp::kUn;
           m.dst = in.dst;
           m.src0 = in.src0;
           m.un_op = in.un_op;
           break;
         case Opcode::kLoad:
-          if (!valid_reg(in.dst) || !valid_reg(in.src0)) return out;
-          if (in.rebased && !valid_seg(in.seg)) return out;
+          if (!valid_reg(in.dst) || !valid_reg(in.src0)) return false;
+          if (in.rebased && !valid_seg(in.seg)) return false;
           m.op = UOp::kLoad;
           m.dst = in.dst;
           m.src0 = in.src0;
@@ -265,8 +282,8 @@ DecodedFunction decode_function(
           m.rebased = in.rebased;
           break;
         case Opcode::kStore:
-          if (!valid_reg(in.src0) || !valid_reg(in.src1)) return out;
-          if (in.rebased && !valid_seg(in.seg)) return out;
+          if (!valid_reg(in.src0) || !valid_reg(in.src1)) return false;
+          if (in.rebased && !valid_seg(in.seg)) return false;
           m.op = UOp::kStore;
           m.src0 = in.src0;
           m.src1 = in.src1;
@@ -274,33 +291,33 @@ DecodedFunction decode_function(
           m.rebased = in.rebased;
           break;
         case Opcode::kLoadLocal:
-          if (!valid_reg(in.dst) || !valid_slot(in.slot)) return out;
+          if (!valid_reg(in.dst) || !valid_slot(in.slot)) return false;
           m.op = UOp::kLoadLocal;
           m.dst = in.dst;
           m.slot = in.slot;
           break;
         case Opcode::kStoreLocal:
-          if (!valid_reg(in.src0) || !valid_slot(in.slot)) return out;
+          if (!valid_reg(in.src0) || !valid_slot(in.slot)) return false;
           m.op = UOp::kStoreLocal;
           m.src0 = in.src0;
           m.slot = in.slot;
           break;
         case Opcode::kLoadGlobal:
-          if (!valid_reg(in.dst) || !sym_is(in.symbol, kSymScalar)) return out;
+          if (!valid_reg(in.dst) || !sym_is(in.symbol, kSymScalar)) return false;
           m.op = UOp::kLoadGlobal;
           m.dst = in.dst;
           m.symbol = in.symbol;
           break;
         case Opcode::kStoreGlobal:
           if (!valid_reg(in.src0) || !sym_is(in.symbol, kSymScalar)) {
-            return out;
+            return false;
           }
           m.op = UOp::kStoreGlobal;
           m.src0 = in.src0;
           m.symbol = in.symbol;
           break;
         case Opcode::kAddrLocal:
-          if (!valid_reg(in.dst) || !valid_slot(in.slot)) return out;
+          if (!valid_reg(in.dst) || !valid_slot(in.slot)) return false;
           m.op = UOp::kAddrLocal;
           m.dst = in.dst;
           m.slot = in.slot;
@@ -309,7 +326,7 @@ DecodedFunction decode_function(
           if (!valid_reg(in.dst) ||
               (!sym_is(in.symbol, kSymArray) &&
                !sym_is(in.symbol, kSymScalar))) {
-            return out;
+            return false;
           }
           m.op = UOp::kAddrGlobal;
           m.dst = in.dst;
@@ -318,7 +335,7 @@ DecodedFunction decode_function(
         case Opcode::kPtrAdd:
           if (!valid_reg(in.dst) || !valid_reg(in.src0) ||
               !valid_reg(in.src1)) {
-            return out;
+            return false;
           }
           m.op = UOp::kPtrAdd;
           m.dst = in.dst;
@@ -326,14 +343,14 @@ DecodedFunction decode_function(
           m.src1 = in.src1;
           break;
         case Opcode::kJump:
-          if (!valid_block(in.target0)) return out;
+          if (!valid_block(in.target0)) return false;
           m.op = UOp::kJump;
           m.target0 = static_cast<std::uint32_t>(in.target0);
           break;
         case Opcode::kBranch:
           if (!valid_reg(in.src0) || !valid_block(in.target0) ||
               !valid_block(in.target1)) {
-            return out;
+            return false;
           }
           m.op = UOp::kBranch;
           m.src0 = in.src0;
@@ -341,7 +358,7 @@ DecodedFunction decode_function(
           m.target1 = static_cast<std::uint32_t>(in.target1);
           break;
         case Opcode::kSegLoad:
-          if (!valid_reg(in.src0) || !valid_seg(in.seg)) return out;
+          if (!valid_reg(in.src0) || !valid_seg(in.seg)) return false;
           m.op = UOp::kSegLoad;
           m.src0 = in.src0;
           m.seg = static_cast<std::uint8_t>(in.seg);
@@ -350,9 +367,9 @@ DecodedFunction decode_function(
         case Opcode::kBoundCheckSw:
         case Opcode::kBoundCheckBnd:
         case Opcode::kBoundCheckShadow:
-          if (!valid_reg(in.src0)) return out;
+          if (!valid_reg(in.src0)) return false;
           // Interval form: src1 carries the range's upper address.
-          if (in.src1 != ir::kNoReg && !valid_reg(in.src1)) return out;
+          if (in.src1 != ir::kNoReg && !valid_reg(in.src1)) return false;
           m.op = in.op == Opcode::kBoundCheckSw    ? UOp::kBoundSw
                  : in.op == Opcode::kBoundCheckBnd ? UOp::kBoundBnd
                                                    : UOp::kBoundShadow;
@@ -360,14 +377,14 @@ DecodedFunction decode_function(
           m.src1 = in.src1;
           break;
         case Opcode::kRet:
-          if (in.src0 != ir::kNoReg && !valid_reg(in.src0)) return out;
+          if (in.src0 != ir::kNoReg && !valid_reg(in.src0)) return false;
           m.op = UOp::kRet;
           m.src0 = in.src0;
           itemized = true;
           break;
         case Opcode::kCall: {
           for (ir::Reg a : in.args) {
-            if (!valid_reg(a)) return out;
+            if (!valid_reg(a)) return false;
           }
           const Builtin b = builtin_of(in.callee);
           const auto arg_or_none = [&](std::size_t i) {
@@ -378,7 +395,7 @@ DecodedFunction decode_function(
               const ir::Function* callee = module.find_function(in.callee);
               m.op = UOp::kCallUser;
               m.dst = in.dst; // may be kNoReg for void calls
-              if (in.dst != ir::kNoReg && !valid_reg(in.dst)) return out;
+              if (in.dst != ir::kNoReg && !valid_reg(in.dst)) return false;
               if (callee != nullptr) {
                 m.callee = static_cast<std::int32_t>(fn_index.at(callee));
               }
@@ -386,7 +403,7 @@ DecodedFunction decode_function(
               break;
             }
             case Builtin::kMalloc:
-              if (!valid_reg(in.dst)) return out;
+              if (!valid_reg(in.dst)) return false;
               m.op = UOp::kMalloc;
               m.dst = in.dst;
               m.src0 = arg_or_none(0);
@@ -398,7 +415,7 @@ DecodedFunction decode_function(
               itemized = true;
               break;
             case Builtin::kPow:
-              if (!valid_reg(in.dst) || in.args.size() < 2) return out;
+              if (!valid_reg(in.dst) || in.args.size() < 2) return false;
               m.op = UOp::kBuiltin;
               m.builtin = b;
               m.dst = in.dst;
@@ -407,13 +424,13 @@ DecodedFunction decode_function(
               break;
             case Builtin::kPrintInt:
             case Builtin::kPrintFloat:
-              if (in.args.empty()) return out;
+              if (in.args.empty()) return false;
               m.op = UOp::kBuiltin;
               m.builtin = b;
               m.src0 = in.args[0];
               break;
             case Builtin::kRand:
-              if (!valid_reg(in.dst)) return out;
+              if (!valid_reg(in.dst)) return false;
               m.op = UOp::kBuiltin;
               m.builtin = b;
               m.dst = in.dst;
@@ -425,7 +442,7 @@ DecodedFunction decode_function(
               break;
             default:
               // One-float-argument math builtins (sqrt/fabs/... and abs).
-              if (!valid_reg(in.dst) || in.args.empty()) return out;
+              if (!valid_reg(in.dst) || in.args.empty()) return false;
               m.op = UOp::kBuiltin;
               m.builtin = b;
               m.dst = in.dst;
@@ -437,7 +454,7 @@ DecodedFunction decode_function(
       }
       if (itemized) {
         flush();
-        out.plain.uops.push_back(m);
+        plain.uops.push_back(m);
       } else {
         pending.push_back(m);
         if (m.op == UOp::kJump || m.op == UOp::kBranch) {
@@ -457,21 +474,37 @@ DecodedFunction decode_function(
       MicroInstr m;
       m.op = UOp::kBlockEndError;
       m.symbol = static_cast<std::int32_t>(bi);
-      out.plain.uops.push_back(m);
+      plain.uops.push_back(m);
     }
   }
 
   // Branch targets were recorded as block ids; rewrite them as micro-op
   // indices now that every block's entry offset is known.
-  for (MicroInstr& m : out.plain.uops) {
+  for (MicroInstr& m : plain.uops) {
     if (m.op == UOp::kJump || m.op == UOp::kBranch) {
-      m.target0 = out.plain.block_entry[m.target0];
+      m.target0 = plain.block_entry[m.target0];
       if (m.op == UOp::kBranch) {
-        m.target1 = out.plain.block_entry[m.target1];
+        m.target1 = plain.block_entry[m.target1];
       }
     }
   }
-  out.ok = true;
+  return true;
+}
+
+DecodedFunction decode_function(
+    const ir::Module& module, const ir::Function& fn,
+    const std::unordered_map<const ir::Function*, std::size_t>& fn_index,
+    const std::vector<std::uint8_t>& sym_kind) {
+  Scratch& tables = scratch();
+  UopStream& plain = tables.stream;
+  plain.uops.clear();
+  plain.groups.clear();
+  plain.block_entry.clear();
+  DecodedFunction out;
+  out.fn = &fn;
+  out.ok =
+      decode_plain(module, fn, fn_index, sym_kind, plain, tables.pending);
+  copy_stream(plain, out.plain);
   return out;
 }
 
@@ -590,10 +623,12 @@ std::uint32_t try_fuse(const MicroInstr* m, std::uint32_t n,
 // becomes the fused member count.
 void fuse_function(DecodedFunction& fn) {
   const UopStream& plain = fn.plain;
-  UopStream out;
-  out.uops.reserve(plain.uops.size());
-  out.groups.reserve(plain.groups.size());
-  std::vector<std::uint32_t> remap(plain.uops.size(), 0);
+  Scratch& tables = scratch();
+  UopStream& out = tables.stream;
+  out.uops.clear();
+  out.groups.clear();
+  std::vector<std::uint32_t>& remap = tables.remap;
+  remap.assign(plain.uops.size(), 0);
   std::size_t i = 0;
   while (i < plain.uops.size()) {
     const MicroInstr& u = plain.uops[i];
@@ -647,7 +682,7 @@ void fuse_function(DecodedFunction& fn) {
   for (std::size_t b = 0; b < plain.block_entry.size(); ++b) {
     out.block_entry[b] = remap[plain.block_entry[b]];
   }
-  fn.fused = std::move(out);
+  copy_stream(out, fn.fused);
 }
 
 } // namespace
@@ -659,7 +694,8 @@ DecodedProgram::DecodedProgram(const ir::Module& module) : module_(&module) {
     fn_index.emplace(module.functions[i].get(), i);
   }
 
-  std::vector<std::uint8_t> sym_kind(
+  std::vector<std::uint8_t>& sym_kind = scratch().sym_kind;
+  sym_kind.assign(
       module.next_symbol > 0 ? static_cast<std::size_t>(module.next_symbol)
                              : 0,
       0);

@@ -174,13 +174,22 @@ class CallStack {
   // copies its parameters from the caller's registers `args`, carves and
   // sets up its local arrays and saves the segment registers it clobbers
   // (paper §3.7). `now` is the cycle count before the charge. On overflow
-  // no frame is pushed, and the charge made until then stands.
+  // no frame is pushed, and the charge made until then stands; the local
+  // arrays already carved stay live until unwind().
   FrameCharge push(Machine::Impl& impl, std::uint32_t fn_index,
                    ir::Reg ret_dst, const std::vector<ir::Reg>& args,
                    std::uint64_t now);
   // The epilogue: undoes the top frame's prologue, pops it and delivers
   // `result` to the caller's `ret_dst` (from the entry frame: returned()).
   FrameCharge pop(Machine::Impl& impl, Value result, std::uint64_t now);
+
+  // Undoes what a run that ended inside calls (a fault, the instruction
+  // budget, a stack overflow) left live: the local arrays and saved
+  // segment registers of its frames, and of a prologue that overflowed
+  // part-way, top first; the simulated stack pointer ends where the entry
+  // frame found it. Called once the run's result is final, so the cycles
+  // these epilogues would charge are booked nowhere.
+  void unwind(Machine::Impl& impl);
 
   bool empty() const noexcept { return frames_.empty(); }
   CallFrame& top() noexcept { return frames_.back(); }
@@ -193,8 +202,13 @@ class CallStack {
 
  private:
   void account(std::uint64_t now, FunctionProfile* next) noexcept;
+  // An epilogue without the result delivery: tears down `frame`'s local
+  // arrays, restores its saved segment registers and the stack pointer,
+  // and drops its arena space. Returns the runtime cycles it costs.
+  std::uint64_t release(Machine::Impl& impl, const CallFrame& frame);
 
   std::vector<CallFrame> frames_;
+  CallFrame partial_; // an overflowed prologue's frame, if fn != nullptr
   std::vector<Value> values_;
   std::vector<std::pair<x86seg::SegReg, x86seg::SegmentRegister>> segs_;
   Value returned_;
@@ -501,11 +515,20 @@ struct Machine::Impl {
     }
   }
 
+  // Runs `entry`; once the result is final, undoes the frames a run that
+  // ended inside calls left live, so the next run on this machine starts
+  // from a clean stack.
+  RunResult execute(const ir::Function* entry) {
+    RunResult r = execute_guarded(entry);
+    stack.unwind(*this);
+    return r;
+  }
+
   // Converts simulator-resource exhaustion (physical memory, etc.) into a
   // clean result. Structured faults (FaultException — e.g. frame-pool
   // exhaustion, injected or genuine) land in RunResult.fault with the
   // machine's counters attached; anything else is a simulator limit.
-  RunResult execute(const ir::Function* entry) {
+  RunResult execute_guarded(const ir::Function* entry) {
     try {
       return execute_impl(entry);
     } catch (const FaultException& e) {

@@ -132,5 +132,64 @@ int main() { return f(0); }
   }
 }
 
+TEST(Vm, EarlyEndedRunsUnwindTheirFrames) {
+  // A run that ends inside calls leaves its frames live: here on a stack
+  // overflow after thousands of frames, each holding a segment for its
+  // local array, and on a bound fault inside a callee. Once the result is
+  // final the machine undoes them, so every later run on the same machine
+  // ends the same way and the segments come back.
+  constexpr const char* kPrograms[] = {R"(
+int dive(int n) {
+  int pad[256];
+  pad[0] = n;
+  return dive(n + 1) + pad[0];
+}
+int main() { return dive(0); }
+)",
+                                       R"(
+int walk(int n) {
+  int a[8];
+  int i;
+  for (i = 0; i <= n; i++) {
+    a[i] = i;
+  }
+  return a[0];
+}
+int main() { return walk(3) + walk(20); }
+)"};
+  for (const char* source : kPrograms) {
+    CompileOptions options;
+    options.lower.mode = CheckMode::kCash;
+    CompileResult compiled = compile(source, options);
+    ASSERT_TRUE(compiled.ok()) << compiled.error;
+    for (bool predecode : {false, true}) {
+      SCOPED_TRACE(predecode ? "decoded engine" : "interpreter");
+      vm::MachineConfig cfg = compiled.program->options().machine;
+      cfg.enable_predecode = predecode;
+      std::unique_ptr<vm::Machine> machine =
+          compiled.program->make_machine(cfg);
+      machine->prepare();
+      const std::uint64_t in_use =
+          machine->segment_manager().stats().segments_in_use;
+      const vm::RunResult first = machine->run();
+      EXPECT_FALSE(first.ok);
+      EXPECT_TRUE(first.fault.has_value() || !first.error.empty());
+      EXPECT_GT(first.counters.instructions, 100U);
+      for (int run = 0; run < 3; ++run) {
+        const vm::RunResult again = run == 0 ? first : machine->run();
+        EXPECT_EQ(again.error, first.error) << "run " << run;
+        EXPECT_EQ(again.fault.has_value(), first.fault.has_value());
+        if (again.fault.has_value() && first.fault.has_value()) {
+          EXPECT_EQ(again.fault->kind, first.fault->kind);
+        }
+        EXPECT_EQ(again.counters.instructions, first.counters.instructions)
+            << "run " << run;
+        EXPECT_EQ(machine->segment_manager().stats().segments_in_use, in_use)
+            << "run " << run;
+      }
+    }
+  }
+}
+
 } // namespace
 } // namespace cash

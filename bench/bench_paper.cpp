@@ -1,8 +1,9 @@
 // Regenerates the paper's evaluation (Tables 1-8, Figures 1-2, Sections
-// 3.4, 3.6/4.1, 4.2 and 4.5, and the checking-strategy ablation) as one
-// text of simulated results only, with no host times or thread counts.
-// bench/paper_expected.txt is that text; after a change that moves
-// simulated cycles, re-record it with
+// 3.4, 3.6/4.1, 4.2 and 4.5, and the checking-strategy ablation), then the
+// simulator's extensions (check elision, the chaos matrix and the tenant
+// kernel), as one text of simulated results only, with no host times or
+// thread counts. bench/paper_expected.txt is that text; after a change that
+// moves simulated cycles, re-record it with
 //
 //   build/bench/bench_paper > bench/paper_expected.txt
 //
@@ -12,9 +13,10 @@
 // directory) is not a verbatim slice of it.
 //
 // Each section registers its simulated cells and a printer that reads their
-// outcomes. Every cell fills its own slot, so the text is the same for any
-// $CASH_JOBS. A compile or host error exits non-zero and names the cell; a
-// simulated fault is data, printed in its table.
+// outcomes. Every cell fills its own slot, and runs any work of its own on
+// one thread, so the text is the same for any $CASH_JOBS. A compile or host
+// error exits non-zero and names the cell; a simulated fault is data,
+// printed in its table.
 #include <algorithm>
 #include <atomic>
 #include <cstdarg>
@@ -23,6 +25,7 @@
 #include <fstream>
 #include <functional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -33,6 +36,8 @@
 #include "paging/page_table.hpp"
 #include "paging/physical_memory.hpp"
 #include "runtime/segment_manager.hpp"
+#include "workloads/chaos.hpp"
+#include "workloads/tenants.hpp"
 #include "workloads/workloads.hpp"
 #include "x86seg/descriptor.hpp"
 #include "x86seg/segmentation_unit.hpp"
@@ -82,26 +87,36 @@ void emit_title(const char* title) {
 
 enum class Action { kRun, kServe };
 
-struct Cell {
-  std::string name;
-  std::string source;
-  CompileOptions options;
-  Action action;
-};
-
 struct Outcome {
   std::string error; // a compile or host failure: bench_paper exits 1
   passes::LowerStats stats;
   passes::CodeSize size;
   passes::ProgramStats program;
   vm::RunResult run;            // Action::kRun
-  netsim::ServerMetrics served; // Action::kServe
+  netsim::ServerMetrics served; // Action::kServe, or a fill cell's serving
+  workloads::ChaosReport chaos;            // fill cells only
+  std::vector<workloads::TenantCell> tenants; // fill cells only
 };
 
 using Outcomes = std::vector<Outcome>;
 
+// A cell compiles `source` and runs or serves it, unless it has a `fill`:
+// then that fills the outcome instead (a chaos seed, a tenant kernel, a
+// serving run with a fault plan or tenants).
+struct Cell {
+  std::string name;
+  std::string source;
+  CompileOptions options;
+  Action action;
+  std::function<void(Outcome&)> fill;
+};
+
 Outcome evaluate(const Cell& cell) {
   Outcome out;
+  if (cell.fill) {
+    cell.fill(out);
+    return out;
+  }
   const CompileResult compiled = compile(cell.source, cell.options);
   if (!compiled.ok()) {
     out.error = "compile failed: " + compiled.error;
@@ -143,7 +158,11 @@ struct Plan {
   std::size_t add(std::string name, std::string source, CompileOptions options,
                   Action action = Action::kRun) {
     cells.push_back(
-        {std::move(name), std::move(source), std::move(options), action});
+        {std::move(name), std::move(source), std::move(options), action, {}});
+    return cells.size() - 1;
+  }
+  std::size_t add(std::string name, std::function<void(Outcome&)> fill) {
+    cells.push_back({std::move(name), {}, {}, Action::kRun, std::move(fill)});
     return cells.size() - 1;
   }
 
@@ -183,6 +202,11 @@ double share_pct(std::uint64_t part, std::uint64_t whole, double if_empty) {
   return whole == 0 ? if_empty
                     : 100.0 * static_cast<double>(part) /
                           static_cast<double>(whole);
+}
+
+// The share of `base` that `after` no longer spends, in percent.
+double cut_pct(double base, double after) {
+  return base == 0 ? 0.0 : 100.0 * (1.0 - after / base);
 }
 
 double cycles(const Outcome& cell) {
@@ -607,6 +631,323 @@ int main() {
   });
 }
 
+// For the fill cells: the program compiled for `mode`, or a host error.
+CompileResult compile_or_throw(const std::string& source, CheckMode mode) {
+  CompileResult compiled = compile(source, mode_options(mode));
+  if (!compiled.ok()) {
+    throw std::runtime_error("compile failed: " + compiled.error);
+  }
+  return compiled;
+}
+
+// Extension: whole-program check elision (passes/elide.cpp), which deletes,
+// hoists and widens the checks it proves redundant. The six micro kernels
+// under the four checked modes, elision off and on; then
+// workloads::kOverrunProbe, which both compilations must catch.
+void elision(Plan& plan) {
+  static const char* const kKernels[] = {"matmul", "gauss",  "fft2d",
+                                         "edge",   "volren", "svd"};
+  const std::string sources[] = {
+      workloads::matmul_source(56),     workloads::gauss_source(56),
+      workloads::fft2d_source(32),      workloads::edge_source(192, 128),
+      workloads::volren_source(32, 64), workloads::svd_source(48, 32, 8)};
+  static const std::pair<const char*, CheckMode> kModes[] = {
+      {"bcc", CheckMode::kBcc},
+      {"cash", CheckMode::kCash},
+      {"bound", CheckMode::kBoundInsn},
+      {"shadow", CheckMode::kShadow}};
+  // Each program gets one cell per mode with elision off, then on.
+  const auto add_pairs = [&plan](const char* what, const std::string& source) {
+    for (const auto& [name, mode] : kModes) {
+      for (bool elide : {false, true}) {
+        CompileOptions options = mode_options(mode);
+        options.lower.elide_checks = elide;
+        plan.add(format("Elision / %s / %s / elide %s", what, name,
+                        elide ? "on" : "off"),
+                 source, options);
+      }
+    }
+  };
+  const std::size_t first = plan.cells.size();
+  for (std::size_t k = 0; k < std::size(kKernels); ++k) {
+    add_pairs(kKernels[k], sources[k]);
+  }
+  const std::size_t probed = plan.cells.size();
+  add_pairs("probe", workloads::kOverrunProbe);
+  plan.printers.push_back([first, probed](const Outcomes& out) {
+    emit_title("Extension: whole-program check elision, off vs on");
+    emit("%-8s %-7s %12s %12s %7s %5s %6s %6s %10s\n", "kernel", "mode",
+         "base chk-cy", "elide chk-cy", "redux", "del", "hoist", "widen",
+         "identical");
+    std::uint64_t base_total = 0;
+    std::uint64_t elided_total = 0;
+    std::uint64_t removed = 0;
+    std::uint64_t static_checks = 0;
+    int improved_bcc = 0;
+    int improved_cash = 0;
+    const Outcome* cell = &out[first];
+    for (const char* kernel : kKernels) {
+      for (const auto& [name, mode] : kModes) {
+        const Outcome& base = cell[0];
+        const Outcome& elided = cell[1];
+        const std::string failure = first_failure(cell, 2);
+        cell += 2;
+        if (!failure.empty()) {
+          emit("%-8s %-7s %s\n", kernel, name, failure.c_str());
+          continue;
+        }
+        const std::uint64_t base_chk = base.run.breakdown.checking;
+        const std::uint64_t elided_chk = elided.run.breakdown.checking;
+        const passes::ElideStats& s = elided.run.elide_stats;
+        base_total += base_chk;
+        elided_total += elided_chk;
+        removed += s.checks_removed();
+        static_checks += base.stats.sw_checks + base.stats.hw_checks;
+        if (s.checks_deleted + s.checks_hoisted > 0) {
+          improved_bcc += mode == CheckMode::kBcc;
+          improved_cash += mode == CheckMode::kCash;
+        }
+        const bool identical = base.run.output == elided.run.output &&
+                               base.run.exit_code == elided.run.exit_code;
+        emit("%-8s %-7s %12llu %12llu %6.1f%% %5llu %6llu %6llu %10s\n",
+             kernel, name, ull(base_chk), ull(elided_chk),
+             cut_pct(base_chk, elided_chk), ull(s.checks_deleted),
+             ull(s.checks_hoisted), ull(s.checks_widened),
+             identical ? "yes" : "NO");
+      }
+    }
+    emit("%-8s %-7s %12llu %12llu %6.1f%%   (removed %llu of %llu static "
+         "checks)\n",
+         "total", "-", ull(base_total), ull(elided_total),
+         cut_pct(base_total, elided_total), ull(removed), ull(static_checks));
+    emit("kernels with deleted+hoisted > 0: bcc %d/%zu, cash %d/%zu\n",
+         improved_bcc, std::size(kKernels), improved_cash,
+         std::size(kKernels));
+    emit("\nViolating probe: walk(p, n) reads p[0..n-1] with n = 0, then n = "
+         "101 on a 100-element array\n");
+    emit("%-7s %-14s %-14s %s\n", "mode", "base fault", "elide fault",
+         "output-identical");
+    cell = &out[probed];
+    for (const auto& [name, mode] : kModes) {
+      const vm::RunResult& base = cell[0].run;
+      const vm::RunResult& elided = cell[1].run;
+      cell += 2;
+      emit("%-7s %-14s %-14s %s\n", name,
+           base.bound_violation() ? "violation" : "MISSED",
+           elided.bound_violation() ? "violation" : "MISSED",
+           base.output == elided.output ? "yes" : "NO");
+    }
+  });
+}
+
+// Extension: fault injection (faultinject/). The chaos matrix runs each
+// seed's fuzz program under every named fault plan: a run must complete
+// with the clean run's output, possibly on a degraded path, or end in a
+// structured fault. Then one armed plan on the serving loop.
+void chaos(Plan& plan) {
+  constexpr std::uint32_t kSeeds = 24; // seeds 1..24
+  constexpr int kArmedRequests = 400;
+  const std::size_t matrix = plan.add("Chaos / matrix", [](Outcome& out) {
+    out.chaos =
+        workloads::run_chaos_matrix(1, kSeeds + 1, exec::ExecutorConfig{1});
+  });
+  plan.add("Chaos / armed serving", [](Outcome& out) {
+    // One request in four times out (retried, budget 2), and every fifth
+    // segment allocation inside the children degrades.
+    faultinject::FaultPlan armed;
+    armed.seed = 7;
+    armed.net_retry_budget = 2;
+    armed.rules.push_back(
+        {faultinject::FaultSite::kNetRequestTimeout, 0, 1, 0, 4});
+    armed.rules.push_back({faultinject::FaultSite::kSegAllocate, 0, 5, 0, 1});
+    out.served = netsim::serve_requests(
+        *compile_or_throw(workloads::network_suite().front().source,
+                          CheckMode::kCash)
+             .program,
+        kArmedRequests, 1, exec::ExecutorConfig{1}, armed);
+  });
+  plan.printers.push_back([matrix](const Outcomes& out) {
+    const std::vector<workloads::ChaosPlanSpec>& plans =
+        workloads::chaos_plans();
+    emit_title("Extension: chaos matrix, fault injection vs degradation");
+    emit("matrix: seeds [1, %u) x %zu plans\n\n", kSeeds + 1, plans.size());
+    emit("%-16s %6s %10s %9s %8s %9s %10s\n", "plan", "cells", "completed",
+         "degraded", "faulted", "injected", "violations");
+    // The report's cells are seed-major.
+    const std::vector<workloads::ChaosCell>& cells = out[matrix].chaos.cells;
+    for (std::size_t p = 0; p < plans.size(); ++p) {
+      workloads::ChaosReport row;
+      for (std::size_t c = p; c < cells.size(); c += plans.size()) {
+        row.add(cells[c]);
+      }
+      emit("%-16s %6zu %10llu %9llu %8llu %9llu %10llu\n",
+           plans[p].name.c_str(), row.cells.size(), ull(row.completed),
+           ull(row.degraded), ull(row.faulted), ull(row.faults_injected),
+           ull(row.violations));
+    }
+    const netsim::ServerMetrics& m = out[matrix + 1].served;
+    emit("\n%s under Cash, %d requests\n",
+         workloads::network_suite().front().name.c_str(), kArmedRequests);
+    emit("netsim armed plan: %llu timeouts, %llu retries, %llu degraded, "
+         "%llu failed, %llu faults injected\n",
+         ull(m.timeouts), ull(m.retries), ull(m.degraded_requests),
+         ull(m.failed_requests), ull(m.faults_injected));
+  });
+}
+
+// Extension: the multi-process kernel (DESIGN.md §10). Tenant processes
+// share one simulated kernel, scheduled round-robin, each churning its own
+// arrays through its own segment manager. Then a cell under a shared LDT
+// slot budget, a cell with tenant 0 under an armed plan beside each tenant
+// run alone, and tenanted serving per mode.
+void tenants(Plan& plan) {
+  using workloads::TenantCell;
+  using workloads::TenantOptions;
+  static const std::pair<const char*, CheckMode> kModes[] = {
+      {"gcc", CheckMode::kNoCheck},
+      {"bcc", CheckMode::kBcc},
+      {"cash", CheckMode::kCash}};
+  // Three request classes (three tenant processes) with different
+  // working-set shapes.
+  static const char* const kServer = R"(
+int table[1024];
+int *pool;
+int server_init() {
+  int i;
+  for (i = 0; i < 1024; i++) {
+    table[i] = i * 3 % 251;
+  }
+  pool = malloc(512);
+  for (i = 0; i < 128; i++) {
+    pool[i] = table[i * 8];
+  }
+  return 0;
+}
+int handle_request() {
+  int buf[64];
+  int i; int n; int s;
+  n = rand() % 48 + 16;
+  s = 0;
+  for (i = 0; i < n; i++) {
+    buf[i % 64] = table[(i * 7) % 1024] + pool[i % 128];
+    s = s + buf[i % 64];
+  }
+  return s;
+}
+int handle_large() {
+  int buf[64];
+  int i; int n; int s;
+  n = rand() % 64 + 128;
+  s = 0;
+  for (i = 0; i < n; i++) {
+    buf[i % 64] = table[(i * 13) % 1024] + pool[(i * 3) % 128];
+    s = s + buf[i % 64];
+  }
+  return s;
+}
+int handle_small() {
+  int i; int s;
+  s = 0;
+  for (i = 0; i < 12; i++) {
+    s = s + table[(i * 31) % 1024];
+  }
+  return s;
+}
+int main() { server_init(); return handle_request(); }
+)";
+  TenantOptions base;
+  base.rounds = 3;
+  base.seed = 17;
+  const std::size_t matrix = plan.add("Tenants / matrix", [base](Outcome& out) {
+    out.tenants = workloads::run_tenant_matrix(
+        {1, 2, 8}, {32, 96}, {600, 6000, 60000}, base, exec::ExecutorConfig{1});
+  });
+  TenantOptions budgeted = base;
+  budgeted.processes = 8;
+  budgeted.arrays_per_process = 64;
+  budgeted.quantum_cycles = 2000;
+  budgeted.ldt_slot_budget = 96;
+  plan.add("Tenants / budgeted", [budgeted](Outcome& out) {
+    out.tenants = {workloads::run_tenant_cell(budgeted)};
+  });
+  TenantOptions isolated = base;
+  isolated.processes = 4;
+  isolated.arrays_per_process = 48;
+  isolated.quantum_cycles = 1500;
+  isolated.tenant0_plan.rules.push_back(
+      {faultinject::FaultSite::kLdtCrossTenant, 0, 2, 0, 1});
+  plan.add("Tenants / isolation", [isolated](Outcome& out) {
+    TenantCell alone; // each tenant's record from a kernel of its own
+    for (int i = 0; i < isolated.processes; ++i) {
+      alone.tenants.push_back(workloads::run_tenant_solo(isolated, i));
+    }
+    out.tenants = {workloads::run_tenant_cell(isolated), std::move(alone)};
+  });
+  netsim::ServeOptions tenanted;
+  tenanted.classes = {{"small", "handle_small", 3},
+                      {"bulk", "handle_large", 2},
+                      {"web", "handle_request", 4}};
+  tenanted.sim_servers = 2;
+  tenanted.mean_interarrival_cycles = 2000;
+  tenanted.tenant_processes = true;
+  for (const auto& [name, mode] : kModes) {
+    plan.add(format("Tenants / serving / %s", name),
+             [mode, tenanted](Outcome& out) {
+               out.served = netsim::serve_requests(
+                   *compile_or_throw(kServer, mode).program,
+                   600, 5, exec::ExecutorConfig{1}, {}, tenanted);
+             });
+  }
+  plan.printers.push_back([matrix, budgeted](const Outcomes& out) {
+    emit_title("Extension: multi-process kernel, tenant pressure");
+    emit("%6s %7s %9s %10s %10s %9s %8s\n", "procs", "arrays", "quantum",
+         "switches", "switch-ovh", "thrash", "slots");
+    std::uint64_t total_user = 0;
+    std::uint64_t total_switch = 0;
+    for (const TenantCell& t : out[matrix].tenants) {
+      total_user += t.total_user_cycles;
+      total_switch += t.sched.context_switch_cycles;
+      emit("%6d %7d %9llu %10llu %9.4f%% %8.4f %8llu\n", t.processes,
+           t.arrays_per_process, ull(t.quantum_cycles),
+           ull(t.sched.context_switches), t.switch_overhead * 100.0,
+           t.thrash_ratio, ull(t.ldt_slots_installed));
+    }
+    emit("matrix context-switch overhead: %.4f%% of (user + switch) cycles\n",
+         share_pct(total_switch, total_user + total_switch, 0.0));
+    const TenantCell& b = out[matrix + 1].tenants[0];
+    std::uint64_t fallbacks = 0;
+    for (const workloads::TenantRecord& record : b.tenants) {
+      fallbacks += record.seg.budget_fallbacks;
+    }
+    emit("budgeted cell (%d tenants, %llu-slot budget): thrash %.4f, %llu "
+         "budget fallbacks, %llu slots live\n",
+         budgeted.processes, ull(budgeted.ldt_slot_budget), b.thrash_ratio,
+         ull(fallbacks), ull(b.ldt_slots_installed));
+    const std::vector<TenantCell>& isolation = out[matrix + 2].tenants;
+    const workloads::TenantRecord& armed = isolation[0].tenants[0];
+    emit("\nisolation: tenant 0 armed ldt-cross-tenant (%llu faults, %llu "
+         "fallbacks); neighbors %s solo baselines\n",
+         ull(armed.faults_injected), ull(armed.seg.budget_fallbacks),
+         isolation[0].tenants == isolation[1].tenants ? "match"
+                                                      : "DIVERGE from");
+    emit("\n%-5s %-7s %12s %10s %12s %14s\n", "mode", "class", "reqs",
+         "switches", "check cyc", "switch cyc");
+    const Outcome* serving = &out[matrix + 3];
+    for (const auto& [name, mode] : kModes) {
+      const netsim::ServerMetrics& m = (serving++)->served;
+      for (const netsim::ClassMetrics& c : m.classes) {
+        emit("%-5s %-7s %12llu %10llu %12llu %14llu\n", name, c.name.c_str(),
+             ull(c.requests), ull(c.context_switches_in),
+             ull(c.checking_cycles),
+             ull(c.context_switches_in * costs::kContextSwitch));
+      }
+      emit("%-5s %-7s %12d %10llu %12llu %14llu\n", name, "all", m.requests,
+           ull(m.context_switches), ull(m.checking_cycles),
+           ull(m.context_switch_cycles));
+    }
+  });
+}
+
 // Every section, in the order the text prints them.
 void plan_paper(Plan& plan) {
   // Tables 1 and 2: the micro kernels. Cash has four segment registers,
@@ -755,6 +1096,12 @@ void plan_paper(Plan& plan) {
        }},
   }});
   multildt(plan);
+
+  plan.printers.push_back(
+      [](const Outcomes&) { emit_title("Extensions: beyond the paper"); });
+  elision(plan);
+  chaos(plan);
+  tenants(plan);
 }
 
 std::vector<std::string> read_lines(std::istream&& in) {

@@ -1,10 +1,9 @@
 #pragma once
 
 // Full-RunResult equality shared by the fast-path transparency suites
-// (decode_test, engine_grid_test, snapshot_test) and the bench_elide
-// divergence gate: every simulated field must
-// match bit-for-bit. Mirrors netsim::first_metrics_difference — the
-// comparator names the first diverging field, so a failing gate says
+// (decode_test, engine_grid_test, snapshot_test, vm_test): every simulated
+// field must match bit-for-bit. Mirrors netsim::first_metrics_difference —
+// the comparator names the first diverging field, so a failing gate says
 // *what* drifted, not just that something did.
 //
 // Documented exemptions (host-side only, never compared):

@@ -16,7 +16,8 @@ namespace cash::faultinject {
 // Contract:
 //   * Off by default and bit-transparent: with an empty plan every
 //     simulated cycle, counter and output is byte-identical to a build
-//     without the layer (tests/faultinject, bench_chaos enforce this).
+//     without the layer (FaultInjectTransparency.* enforce this, for
+//     machine runs and for the serving loop).
 //   * Deterministic and replayable: firing is a pure function of
 //     (plan, seed, per-site hit index) — never of wall clock, host thread
 //     count or address-space layout. A fixed (seed, plan) replays

@@ -36,8 +36,9 @@ namespace cash::passes {
 // produces bit-identical output on every fault-free run, and catches a
 // bound violation (vm::FaultKind::kBoundRange) whenever the baseline does —
 // possibly earlier (a hoisted check fires in the preheader) and therefore
-// at a different reported address. bench_elide and the fuzz matrix enforce
-// this differentially against the same program with elision off.
+// at a different reported address. ElideKernelGrid, ElideFaultIdentity and
+// the fuzz matrix enforce this differentially against the same program with
+// elision off.
 struct ElideStats {
   std::uint64_t checks_deleted{0};   // (a): accesses proven in-bounds or
                                      // covered by a dominating check

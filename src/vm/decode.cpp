@@ -1052,7 +1052,8 @@ std::int32_t try_form_trace(FnTraceState& ts, const UopStream& s,
   } while (0)
 #endif
 
-RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
+RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry,
+                          std::string& output) {
   const DecodedProgram& prog = *impl.decoded;
   RunResult result;
   const FrameCharge opening = impl.begin_run(entry, result);
@@ -1539,7 +1540,7 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry) {
         CASH_MEMBER_NEXT();
       m_builtin: {
         const MicroInstr& v = mcode[pc];
-        run_builtin(v.builtin, regs, v.dst, v.src0, v.src1, result.output,
+        run_builtin(v.builtin, regs, v.dst, v.src0, v.src1, output,
                     impl.rng_state);
       }
         CASH_MEMBER_NEXT();

@@ -92,11 +92,12 @@ RunResult Machine::run_function(const std::string& name) {
   return impl_->execute(fn);
 }
 
-RunResult Machine::Impl::execute_impl(const ir::Function* entry) {
+RunResult Machine::Impl::execute_impl(const ir::Function* entry,
+                                      std::string& output) {
   if (decoded != nullptr) {
-    return execute_decoded(*this, entry);
+    return execute_decoded(*this, entry, output);
   }
-  return execute_interpreter(entry);
+  return execute_interpreter(entry, output);
 }
 
 Status Machine::Impl::load_segment(SegReg seg, Value ptr,
@@ -136,7 +137,8 @@ Status Machine::Impl::load_segment(SegReg seg, Value ptr,
   return status;
 }
 
-RunResult Machine::Impl::execute_interpreter(const ir::Function* entry) {
+RunResult Machine::Impl::execute_interpreter(const ir::Function* entry,
+                                             std::string& output) {
   RunResult result;
   const FrameCharge opening = begin_run(entry, result);
   if (!result.error.empty()) {
@@ -558,7 +560,7 @@ RunResult Machine::Impl::execute_interpreter(const ir::Function* entry) {
         } else if (target.builtin != Builtin::kNone) {
           run_builtin(target.builtin, regs, instr.dst, a0,
                       instr.args.size() > 1 ? instr.args[1] : ir::kNoReg,
-                      result.output, rng_state);
+                      output, rng_state);
           cycles += builtin_cycles(target.builtin);
         } else {
           // --- user function ---

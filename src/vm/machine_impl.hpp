@@ -527,18 +527,25 @@ struct Machine::Impl {
   // Converts simulator-resource exhaustion (physical memory, etc.) into a
   // clean result. Structured faults (FaultException — e.g. frame-pool
   // exhaustion, injected or genuine) land in RunResult.fault with the
-  // machine's counters attached; anything else is a simulator limit.
+  // machine's counters attached; anything else is a simulator limit. The
+  // engines print into `output`, outside their result, so that either way
+  // the result keeps what the program printed before the throw.
   RunResult execute_guarded(const ir::Function* entry) {
+    std::string output;
     try {
-      return execute_impl(entry);
+      RunResult r = execute_impl(entry, output);
+      r.output = std::move(output);
+      return r;
     } catch (const FaultException& e) {
       RunResult r;
+      r.output = std::move(output);
       r.fault = e.fault();
       fill_stats(r);
       r.trace_stats = trace_stats;
       return r;
     } catch (const std::exception& e) {
       RunResult r;
+      r.output = std::move(output);
       r.error = std::string("simulator limit: ") + e.what();
       r.fault_stats = injector.stats();
       return r;
@@ -547,14 +554,17 @@ struct Machine::Impl {
 
   // Dispatches to the micro-op engine when a decoded image is attached,
   // otherwise runs the reference interpreter. Both produce bit-identical
-  // RunResults (tests/vm/decode_test.cpp).
-  RunResult execute_impl(const ir::Function* entry);
+  // RunResults (tests/vm/decode_test.cpp), and append what the program
+  // prints to `output`.
+  RunResult execute_impl(const ir::Function* entry, std::string& output);
 
   // Reference interpreter (machine.cpp).
-  RunResult execute_interpreter(const ir::Function* entry);
+  RunResult execute_interpreter(const ir::Function* entry,
+                                std::string& output);
 };
 
 // Micro-op engine entry point (decode.cpp). Requires impl.decoded != null.
-RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry);
+RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry,
+                          std::string& output);
 
 } // namespace cash::vm

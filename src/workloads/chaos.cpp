@@ -173,27 +173,31 @@ ChaosReport run_chaos_matrix(std::uint32_t seed_begin, std::uint32_t seed_end,
 
   // Independent (seed, plan) cells, index-ordered slots: the report is a
   // pure function of the seed range, never of thread scheduling.
-  report.cells = exec::parallel_map(
+  std::vector<ChaosCell> cells = exec::parallel_map(
       num_cells, executor.jobs, [&](std::size_t index) {
         const std::uint32_t seed =
             seed_begin + static_cast<std::uint32_t>(index / plans.size());
         return run_cell(seed, plans[index % plans.size()]);
       });
-
-  for (const ChaosCell& cell : report.cells) {
-    report.faults_injected += cell.faults_injected;
-    if (!cell.ok()) {
-      ++report.violations;
-    } else if (cell.faulted) {
-      ++report.faulted;
-    } else {
-      ++report.completed;
-      if (cell.degraded) {
-        ++report.degraded;
-      }
-    }
+  for (ChaosCell& cell : cells) {
+    report.add(std::move(cell));
   }
   return report;
+}
+
+void ChaosReport::add(ChaosCell cell) {
+  faults_injected += cell.faults_injected;
+  if (!cell.ok()) {
+    ++violations;
+  } else if (cell.faulted) {
+    ++faulted;
+  } else {
+    ++completed;
+    if (cell.degraded) {
+      ++degraded;
+    }
+  }
+  cells.push_back(std::move(cell));
 }
 
 } // namespace cash::workloads

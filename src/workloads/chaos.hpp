@@ -42,6 +42,7 @@ struct ChaosCell {
   bool ok() const noexcept {
     return (completed && output_matches) || faulted;
   }
+  bool operator==(const ChaosCell&) const = default;
 };
 
 // Matrix-level aggregate. `violations` counts cells that broke the
@@ -56,6 +57,9 @@ struct ChaosReport {
   std::uint64_t violations{0};
 
   bool ok() const noexcept { return violations == 0; }
+  // Appends `cell` and counts it into the aggregates.
+  void add(ChaosCell cell);
+  bool operator==(const ChaosReport&) const = default;
 };
 
 // Runs every (seed in [seed_begin, seed_end)) x chaos_plans() cell, fanned

@@ -349,4 +349,22 @@ const std::vector<Workload>& micro_suite() {
   return kSuite;
 }
 
+const char* const kOverrunProbe = R"(
+int a[100];
+int walk(int *p, int n) {
+  int i;
+  int s;
+  s = 0;
+  for (i = 0; i < n; i = i + 1) {
+    s = s + p[i];
+  }
+  return s;
+}
+int main() {
+  print_int(walk(a, 0));
+  print_int(walk(a, 101));
+  return 0;
+}
+)";
+
 } // namespace cash::workloads

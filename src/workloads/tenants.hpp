@@ -36,10 +36,11 @@ struct TenantOptions {
 // function of (options.seed, tenant index, arrays_per_process, rounds) and
 // that tenant's own fault plan: independent of neighbor count, neighbor
 // chaos and the scheduling quantum. That invariance is the isolation
-// property the conformance suite and bench_tenants gate. (A binding shared
-// budget intentionally couples tenants — which install crosses the budget
-// line depends on the interleaving — so budgeted cells are only gated for
-// host-parallelism bit-identity, not quantum invariance.)
+// property the conformance suite gates (TenantIsolation.*,
+// TenantMatrixBitIdentical.*). (A binding shared budget intentionally
+// couples tenants — which install crosses the budget line depends on the
+// interleaving — so budgeted cells are only gated for host-parallelism
+// bit-identity, not quantum invariance.)
 struct TenantRecord {
   std::uint32_t tenant_seed{0};
   std::uint64_t user_cycles{0}; // op cycles; excludes context switches
@@ -69,6 +70,10 @@ struct TenantCell {
   double thrash_ratio{0.0};
   // Context-switch cycles over (user + context-switch) cycles.
   double switch_overhead{0.0};
+
+  // Exact, doubles included: both sides derive them from the same integer
+  // aggregates, so any drift is a determinism bug, not rounding.
+  bool operator==(const TenantCell&) const = default;
 };
 
 // Runs one cell on a fresh shared kernel. Deterministic: a pure function

@@ -40,6 +40,11 @@ std::string edge_source(int width, int height);
 std::string volren_source(int vol_n, int img_n);
 std::string svd_source(int rows, int cols, int iterations);
 
+// A loop overrun for check elision: walk(p, n) reads p[0..n-1], first with
+// n == 0, which a hoisted interval check must pass as an empty range, then
+// with n == 101 on a 100-element array, which every checked mode catches.
+extern const char* const kOverrunProbe;
+
 // Replaces each "${KEY}" in `tmpl` by the matching value. Used by the
 // workload generators; exposed for tests.
 std::string expand_template(

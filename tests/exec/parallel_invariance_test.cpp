@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/costs.hpp"
 #include "exec/executor.hpp"
 #include "faultinject/faultinject.hpp"
 #include "netsim/netsim.hpp"
@@ -184,19 +185,6 @@ TEST(ParallelInvariance, MicroSuiteGridIsThreadCountInvariant) {
   expect_grid_invariant({micro[0].source, micro[1].source}, jobs_sweep());
 }
 
-void expect_identical(const workloads::ChaosCell& a,
-                      const workloads::ChaosCell& b, int jobs) {
-  EXPECT_EQ(a.seed, b.seed) << "jobs=" << jobs;
-  EXPECT_EQ(a.plan, b.plan) << "jobs=" << jobs;
-  EXPECT_EQ(a.completed, b.completed) << "jobs=" << jobs;
-  EXPECT_EQ(a.output_matches, b.output_matches) << "jobs=" << jobs;
-  EXPECT_EQ(a.degraded, b.degraded) << "jobs=" << jobs;
-  EXPECT_EQ(a.faulted, b.faulted) << "jobs=" << jobs;
-  EXPECT_EQ(a.faults_injected, b.faults_injected) << "jobs=" << jobs;
-  EXPECT_EQ(a.cycles, b.cycles) << "jobs=" << jobs;
-  EXPECT_EQ(a.detail, b.detail) << "jobs=" << jobs;
-}
-
 TEST(ParallelInvariance, ChaosMatrixIsThreadCountInvariant) {
   // Fault injection composes with the parallel engine: every injected
   // (seed x plan) cell — degraded runs, structured faults, cycle counts,
@@ -208,15 +196,11 @@ TEST(ParallelInvariance, ChaosMatrixIsThreadCountInvariant) {
   for (int jobs : {2, 8}) {
     const workloads::ChaosReport parallel =
         workloads::run_chaos_matrix(1, 4, {jobs});
-    EXPECT_EQ(parallel.completed, serial.completed) << "jobs=" << jobs;
-    EXPECT_EQ(parallel.degraded, serial.degraded) << "jobs=" << jobs;
-    EXPECT_EQ(parallel.faulted, serial.faulted) << "jobs=" << jobs;
-    EXPECT_EQ(parallel.faults_injected, serial.faults_injected)
-        << "jobs=" << jobs;
-    EXPECT_EQ(parallel.violations, serial.violations) << "jobs=" << jobs;
+    EXPECT_TRUE(parallel == serial) << "jobs=" << jobs;
     ASSERT_EQ(parallel.cells.size(), serial.cells.size()) << "jobs=" << jobs;
     for (std::size_t i = 0; i < serial.cells.size(); ++i) {
-      expect_identical(serial.cells[i], parallel.cells[i], jobs);
+      EXPECT_EQ(parallel.cells[i], serial.cells[i])
+          << "jobs=" << jobs << ", cell " << i;
     }
   }
 }
@@ -297,21 +281,6 @@ TEST(ParallelInvariance, ArmedSnapshotServingMatchesRebuildAndReplay) {
   }
 }
 
-void expect_identical(const workloads::TenantCell& a,
-                      const workloads::TenantCell& b, int jobs) {
-  EXPECT_EQ(a.processes, b.processes) << "jobs=" << jobs;
-  EXPECT_EQ(a.arrays_per_process, b.arrays_per_process) << "jobs=" << jobs;
-  EXPECT_EQ(a.quantum_cycles, b.quantum_cycles) << "jobs=" << jobs;
-  EXPECT_EQ(a.tenants, b.tenants) << "jobs=" << jobs;
-  EXPECT_EQ(a.sched, b.sched) << "jobs=" << jobs;
-  EXPECT_EQ(a.total_user_cycles, b.total_user_cycles) << "jobs=" << jobs;
-  EXPECT_EQ(a.ldt_slots_installed, b.ldt_slots_installed) << "jobs=" << jobs;
-  // Derived doubles: identical integer inputs through identical
-  // expressions, so exact equality applies.
-  EXPECT_EQ(a.thrash_ratio, b.thrash_ratio) << "jobs=" << jobs;
-  EXPECT_EQ(a.switch_overhead, b.switch_overhead) << "jobs=" << jobs;
-}
-
 TEST(TenantMatrixBitIdentical, MatrixIsThreadCountInvariant) {
   // The multi-process tenant sweep shards (processes x arrays x quantum)
   // cells across host threads; every per-tenant record, scheduler
@@ -332,7 +301,7 @@ TEST(TenantMatrixBitIdentical, MatrixIsThreadCountInvariant) {
         workloads::run_tenant_matrix(procs, arrays, quanta, base, {jobs});
     ASSERT_EQ(parallel.size(), serial.size()) << "jobs=" << jobs;
     for (std::size_t i = 0; i < serial.size(); ++i) {
-      expect_identical(serial[i], parallel[i], jobs);
+      EXPECT_EQ(parallel[i], serial[i]) << "jobs=" << jobs << ", cell " << i;
     }
   }
 }
@@ -359,8 +328,11 @@ TEST(TenantMatrixBitIdentical, UnbudgetedRecordsAreQuantumInvariant) {
 
 TEST(TenantMatrixBitIdentical, TenantServingIsThreadCountInvariant) {
   // Multi-tenant serving (class = tenant process, context switches charged
-  // deterministically in the serial reduction) under the queue model.
-  for (CheckMode mode : {CheckMode::kNoCheck, CheckMode::kCash}) {
+  // deterministically in the serial reduction) under the queue model. Each
+  // switch costs exactly kContextSwitch, and the handlers' CPU and checking
+  // cycles equal those of the same load served without tenants.
+  for (CheckMode mode :
+       {CheckMode::kNoCheck, CheckMode::kBcc, CheckMode::kCash}) {
     CompileOptions options;
     options.lower.mode = mode;
     CompileResult program = compile(kServer, options);
@@ -375,6 +347,14 @@ TEST(TenantMatrixBitIdentical, TenantServingIsThreadCountInvariant) {
     const netsim::ServerMetrics serial =
         netsim::serve_requests(*program.program, 40, 7, {1}, {}, serve);
     EXPECT_GT(serial.context_switches, 0u);
+    EXPECT_EQ(serial.context_switch_cycles,
+              serial.context_switches * costs::kContextSwitch);
+    netsim::ServeOptions untenanted = serve;
+    untenanted.tenant_processes = false;
+    const netsim::ServerMetrics alone =
+        netsim::serve_requests(*program.program, 40, 7, {1}, {}, untenanted);
+    EXPECT_EQ(serial.total_cpu_cycles, alone.total_cpu_cycles);
+    EXPECT_EQ(serial.checking_cycles, alone.checking_cycles);
     for (int jobs : {2, 8}) {
       const netsim::ServerMetrics parallel =
           netsim::serve_requests(*program.program, 40, 7, {jobs}, {}, serve);

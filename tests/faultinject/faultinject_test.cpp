@@ -8,10 +8,12 @@
 
 #include "core/cash.hpp"
 #include "faultinject/faultinject.hpp"
+#include "netsim/netsim.hpp"
 #include "vm/machine.hpp"
 #include "vm/snapshot.hpp"
 #include "workloads/chaos.hpp"
 #include "workloads/tenants.hpp"
+#include "workloads/workloads.hpp"
 
 namespace cash::faultinject {
 namespace {
@@ -198,6 +200,29 @@ TEST(FaultInjectTransparency, NeverFiringPlanOnlyAddsHitCounts) {
   EXPECT_GT(armed.fault_stats.hits_at(FaultSite::kSegAllocate), 0U);
 }
 
+TEST(FaultInjectTransparency, EmptyAndDormantPlansServeLikeNoPlan) {
+  // The serving loop of the first network app under Cash: an empty plan
+  // gives exactly the no-plan ServerMetrics, and so does an armed plan
+  // whose rules never fire, cycles and percentiles included.
+  CompileOptions options;
+  options.lower.mode = passes::CheckMode::kCash;
+  CompileResult compiled =
+      compile(workloads::network_suite().front().source, options);
+  ASSERT_TRUE(compiled.ok()) << compiled.error;
+  const netsim::ServerMetrics clean =
+      netsim::serve_requests(*compiled.program, 40, 1, {1});
+  FaultPlan dormant;
+  dormant.rules.push_back({FaultSite::kNetRequestTimeout, 1u << 30, 1, 0, 1});
+  dormant.rules.push_back({FaultSite::kSegAllocate, 1u << 30, 1, 0, 1});
+  for (const FaultPlan& plan : {FaultPlan{}, dormant}) {
+    const netsim::ServerMetrics served =
+        netsim::serve_requests(*compiled.program, 40, 1, {1}, plan);
+    EXPECT_EQ(netsim::first_metrics_difference(clean, served), "")
+        << plan.rules.size() << " rules";
+    EXPECT_EQ(served.faults_injected, 0u);
+  }
+}
+
 TEST(FaultInjectReplay, NonEmptyPlanReplaysIdentically) {
   CompileOptions options;
   options.lower.mode = passes::CheckMode::kCash;
@@ -371,6 +396,27 @@ TEST(TenantIsolation, NeighborsOfChaoticTenantMatchSoloBaselines) {
   // Unarmed neighbors saw no chaos at all.
   EXPECT_EQ(cell.tenants[1].faults_injected, 0u);
   EXPECT_EQ(cell.tenants[2].faults_injected, 0u);
+}
+
+TEST(TenantBudget, BudgetedCellBindsWithinItsBudget) {
+  // Four tenants want far more LDT slots than the shared budget of 40: the
+  // budget binds (installs fall back to the global segment) and is not
+  // overrun.
+  workloads::TenantOptions opt;
+  opt.processes = 4;
+  opt.arrays_per_process = 24;
+  opt.quantum_cycles = 2000;
+  opt.ldt_slot_budget = 40;
+  opt.rounds = 2;
+  opt.seed = 17;
+  const workloads::TenantCell cell = workloads::run_tenant_cell(opt);
+  std::uint64_t fallbacks = 0;
+  for (const workloads::TenantRecord& record : cell.tenants) {
+    fallbacks += record.seg.budget_fallbacks;
+  }
+  EXPECT_GT(fallbacks, 0u);
+  EXPECT_GT(cell.thrash_ratio, 0.0);
+  EXPECT_LE(cell.ldt_slots_installed, opt.ldt_slot_budget);
 }
 
 // --- Re-arm semantics (armed fork-from-snapshot) --------------------------

@@ -1,14 +1,17 @@
 // Whole-program check elision (passes/elide.cpp): per-pattern tests
 // asserting via the IR printer that exactly the expected checks remain
 // after lowering, negative cases proving the pass leaves unsafe patterns
-// alone, and a seeded-violation sweep proving elided compilations catch every
-// bound violation the baseline catches.
+// alone, a grid over the micro kernels proving elision keeps their output
+// and cuts their checking cycles, and a seeded-violation sweep proving
+// elided compilations catch every bound violation the baseline catches.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "core/cash.hpp"
 #include "ir/printer.hpp"
+#include "workloads/workloads.hpp"
 
 namespace cash {
 namespace {
@@ -278,31 +281,74 @@ TEST(ElideWiden, ConsecutiveAccessesMergeIntoOneIntervalCheck) {
   EXPECT_EQ(run.output, "15\n");
 }
 
+// --- the kernel grid: elision on the six micro kernels --------------------
+
+TEST(ElideKernelGrid, KeepsOutputAndCutsCheckingOnMostKernels) {
+  // The six micro kernels at small sizes under the four checked modes, each
+  // compiled with elision off and on. Every pair gives the same output and
+  // exit code, and elision never adds checking cycles. Under bcc and under
+  // cash, at least four of the six kernels have checks deleted or hoisted.
+  // The full-size grid is the elision table of bench/paper_expected.txt.
+  const std::pair<const char*, std::string> kernels[] = {
+      {"matmul", workloads::matmul_source(16)},
+      {"gauss", workloads::gauss_source(16)},
+      {"fft2d", workloads::fft2d_source(8)},
+      {"edge", workloads::edge_source(48, 32)},
+      {"volren", workloads::volren_source(12, 24)},
+      {"svd", workloads::svd_source(16, 12, 3)},
+  };
+  std::uint64_t base_checking = 0;
+  std::uint64_t elided_checking = 0;
+  std::uint64_t removed = 0;
+  int improved_bcc = 0;
+  int improved_cash = 0;
+  for (const auto& [name, source] : kernels) {
+    for (CheckMode mode : {CheckMode::kBcc, CheckMode::kCash,
+                           CheckMode::kBoundInsn, CheckMode::kShadow}) {
+      const std::string what = std::string(name) + " " + to_string(mode);
+      vm::RunResult runs[2];
+      for (bool elide : {false, true}) {
+        CompileOptions options;
+        options.lower.mode = mode;
+        options.lower.elide_checks = elide;
+        CompileResult compiled = compile(source, options);
+        ASSERT_TRUE(compiled.ok()) << what << ": " << compiled.error;
+        runs[elide] = compiled.program->run();
+        ASSERT_TRUE(runs[elide].ok) << what << ": " << runs[elide].error;
+      }
+      const vm::RunResult& base = runs[0];
+      const vm::RunResult& elided = runs[1];
+      EXPECT_EQ(elided.output, base.output) << what;
+      EXPECT_EQ(elided.exit_code, base.exit_code) << what;
+      EXPECT_LE(elided.breakdown.checking, base.breakdown.checking) << what;
+      base_checking += base.breakdown.checking;
+      elided_checking += elided.breakdown.checking;
+      removed += elided.elide_stats.checks_removed();
+      if (elided.elide_stats.checks_deleted +
+              elided.elide_stats.checks_hoisted > 0) {
+        improved_bcc += mode == CheckMode::kBcc;
+        improved_cash += mode == CheckMode::kCash;
+      }
+    }
+  }
+  EXPECT_GE(improved_bcc, 4);
+  EXPECT_GE(improved_cash, 4);
+  EXPECT_GT(removed, 0u);
+  EXPECT_LT(elided_checking, base_checking);
+}
+
 // --- fault identity: elided runs catch every seeded violation --------------
 
 struct Violation {
   const char* name;
   const char* source;
+  // Cash checks only in-loop references, so its baseline catches the loop
+  // cases and may miss a straight-line violation.
+  bool cash_catches;
 };
 
 const Violation kViolations[] = {
-    {"loop_overrun_up", R"(
-      int a[100];
-      int walk(int *p, int n) {
-        int i;
-        int s;
-        s = 0;
-        for (i = 0; i < n; i = i + 1) {
-          s = s + p[i];
-        }
-        return s;
-      }
-      int main() {
-        print_int(walk(a, 0));
-        print_int(walk(a, 101));
-        return 0;
-      }
-    )"},
+    {"loop_overrun_up", workloads::kOverrunProbe, true},
     {"loop_overrun_down", R"(
       int a[100];
       int walkdown(int *p, int n) {
@@ -318,7 +364,7 @@ const Violation kViolations[] = {
         print_int(walkdown(a, 100));
         return 0;
       }
-    )"},
+    )", true},
     {"direct_oob_store", R"(
       int a[8];
       int main() {
@@ -327,7 +373,7 @@ const Violation kViolations[] = {
         a[9] = x;
         return 0;
       }
-    )"},
+    )", false},
     {"widened_group_oob", R"(
       int smooth(int *p, int j) {
         return p[j] + p[j + 1] + p[j + 2];
@@ -337,7 +383,7 @@ const Violation kViolations[] = {
         print_int(smooth(b, 14));
         return 0;
       }
-    )"},
+    )", false},
 };
 
 class ElideFaultIdentity : public testing::TestWithParam<int> {};
@@ -360,10 +406,9 @@ TEST_P(ElideFaultIdentity, ElidedRunCatchesEverySeededViolation) {
     // The hoisted/widened interval check may fire earlier (and, under
     // cash, as #BR instead of #GP on a spilled array), so the gate is
     // bound_violation() plus output-so-far identity — not fault equality.
-    // Cash by design leaves out-of-loop references unchecked, so its
-    // baseline may miss a straight-line violation; the invariant is that
-    // elision never loses a violation the baseline catches.
-    if (mode != CheckMode::kCash) {
+    // The invariant is that elision never loses a violation the baseline
+    // catches.
+    if (mode != CheckMode::kCash || v.cash_catches) {
       EXPECT_TRUE(base.bound_violation())
           << v.name << " mode " << to_string(mode) << " baseline missed it";
     }

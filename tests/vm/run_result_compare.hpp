@@ -2,8 +2,7 @@
 
 // gtest adapter over the shared comparator in
 // src/common/run_result_compare.hpp: asserts full simulated-field
-// equality and, on failure, names the first diverging field the same way
-// the bench divergence gates do.
+// equality and, on failure, names the first diverging field.
 
 #include <gtest/gtest.h>
 

@@ -5,6 +5,8 @@
 
 #include "core/cash.hpp"
 
+#include "run_result_compare.hpp"
+
 namespace cash {
 namespace {
 
@@ -262,9 +264,40 @@ int main() { return smash(); }
   EXPECT_NE(r.fault->detail.find("line"), std::string::npos);
 }
 
+TEST(Vm, RunEndingOnAThrownFaultKeepsItsOutput) {
+  // Physical memory runs out mid-loop: the frame allocator throws, and the
+  // run ends in the resource-exhaustion fault with the output printed before
+  // it, identically in the reference interpreter and the decoded engine.
+  CompileOptions options;
+  options.lower.mode = CheckMode::kCash;
+  options.machine.phys_frames = 512;
+  const CompileResult compiled = compile(R"(
+int main() {
+  int *a;
+  int i;
+  a = malloc(4194304);
+  print_int(7);
+  for (i = 0; i < 1048576; i = i + 1024) {
+    a[i] = i;
+  }
+  return 0;
+}
+)",
+                                         options);
+  ASSERT_TRUE(compiled.ok()) << compiled.error;
+  vm::MachineConfig interpreter = options.machine;
+  interpreter.enable_predecode = false;
+  const vm::RunResult slow = compiled.program->make_machine(interpreter)->run();
+  const vm::RunResult fast = compiled.program->make_machine()->run();
+  EXPECT_EQ(slow.output, "7\n");
+  ASSERT_TRUE(slow.fault.has_value()) << slow.error;
+  EXPECT_EQ(slow.fault->kind, FaultKind::kResourceExhausted);
+  vm::expect_identical(slow, fast, "interpreter vs decoded");
+}
+
 // Hand-built IR for the test below: globals `g` (scalar, symbol 0) and `a`
 // (4-int array, symbol 1), and symbol 2, which names no global. main()
-// stores 7 to `g`, runs `op` on `symbol`, and returns `g`.
+// stores 7 to `g`, prints 7, runs `op` on `symbol`, and returns `g`.
 ir::Module global_access_module(ir::Opcode op, ir::SymbolId symbol) {
   ir::Module m;
   ir::GlobalVar scalar;
@@ -296,6 +329,11 @@ ir::Module global_access_module(ir::Opcode op, ir::SymbolId symbol) {
   const ir::Reg seven = fn->new_reg();
   emit(ir::Opcode::kConstInt, ir::kNoSymbol, seven, ir::kNoReg);
   emit(ir::Opcode::kStoreGlobal, scalar.symbol, ir::kNoReg, seven);
+  ir::Instr print;
+  print.op = ir::Opcode::kCall;
+  print.callee = "print_int";
+  print.args = {seven};
+  b.instrs.push_back(print);
   if (op == ir::Opcode::kStoreGlobal) {
     emit(op, symbol, ir::kNoReg, seven);
   } else {
@@ -312,7 +350,8 @@ TEST(Vm, InterpreterGlobalAccessToMissingSymbolIsSimulatorLimit) {
   // A global access whose symbol names no global of its kind is malformed
   // IR that the front end never emits. The reference interpreter (a
   // Machine built straight from the Module has no decoded image) ends such
-  // a run in a simulator-limit error, never reads through a stray address.
+  // a run in a simulator-limit error, never reads through a stray address,
+  // and keeps what the program printed before it.
   using ir::Opcode;
   struct Case {
     Opcode op;
@@ -335,6 +374,7 @@ TEST(Vm, InterpreterGlobalAccessToMissingSymbolIsSimulatorLimit) {
     const std::string what =
         std::string(ir::to_string(c.op)) + " " + std::to_string(c.symbol);
     EXPECT_EQ(r.ok, c.ok) << what << ": " << r.error;
+    EXPECT_EQ(r.output, "7\n") << what;
     if (c.ok) {
       EXPECT_EQ(r.exit_code, 7) << what;
     } else {

@@ -298,7 +298,8 @@ class FunctionEmitter {
         break;
       case Opcode::kCall: {
         // Arguments right to left, PUSH or the Section 3.7 rewriting.
-        for (auto it = instr.args.rbegin(); it != instr.args.rend(); ++it) {
+        const ir::CallSite& site = func_.call_site(instr);
+        for (auto it = site.args.rbegin(); it != site.args.rend(); ++it) {
           if (options_.use_stack_segreg) {
             line("subl    $4, %esp", "PUSH rewritten (Section 3.7)");
             line("movl    " + reg_slot(*it) + ", %ecx");
@@ -307,9 +308,9 @@ class FunctionEmitter {
             line("pushl   " + reg_slot(*it));
           }
         }
-        line("call    " + instr.callee);
-        if (!instr.args.empty()) {
-          line("addl    $" + std::to_string(4 * instr.args.size()) +
+        line("call    " + site.callee);
+        if (!site.args.empty()) {
+          line("addl    $" + std::to_string(4 * site.args.size()) +
                ", %esp");
         }
         if (instr.dst != ir::kNoReg) {
@@ -387,7 +388,7 @@ std::string emit_module(const ir::Module& module, const AsmOptions& options) {
   out << "        .text\n";
   for (const ir::GlobalVar& g : module.globals) {
     out << "        .comm   sym" << g.symbol << ", "
-        << (g.is_array ? g.elem_count * 4 + 12 : 4)
+        << (g.is_array ? std::uint64_t{g.elem_count} * 4 + 12 : 4)
         << (g.is_array ? "   # 3-word info structure + data\n" : "\n");
   }
   for (const auto& function : module.functions) {

@@ -2,7 +2,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
+#include <memory_resource>
+#include <span>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/diagnostics.hpp"
@@ -11,6 +14,11 @@
 namespace cash::frontend {
 
 using ir::Type;
+
+// The tree of one translation unit lives in its arena: nodes link by plain
+// pointers, child lists are spans into the arena, and names view the
+// source. So the source must outlive the tree, and every node is trivially
+// destructible: the arena frees them all at once, in a few large blocks.
 
 // ---------------------------------------------------------------------------
 // Expressions
@@ -46,7 +54,7 @@ struct Expr {
 
   std::int32_t int_value{0};
   float float_value{0.0F};
-  std::string name; // kVarRef / kCall
+  std::string_view name; // kVarRef / kCall
 
   UnaryOp unary_op{UnaryOp::kNeg};
   BinaryOp binary_op{BinaryOp::kAdd};
@@ -54,10 +62,10 @@ struct Expr {
   bool is_prefix{false}; // kIncDec
   bool is_increment{true};
 
-  std::unique_ptr<Expr> lhs;  // also: base of kIndex, operand of unary,
-                              // lvalue of kAssign/kIncDec, pointee of kDeref
-  std::unique_ptr<Expr> rhs;  // also: index of kIndex, value of kAssign
-  std::vector<std::unique_ptr<Expr>> args; // kCall
+  Expr* lhs{nullptr};  // also: base of kIndex, operand of unary, lvalue
+                       // of kAssign/kIncDec, pointee of kDeref
+  Expr* rhs{nullptr};  // also: index of kIndex, value of kAssign
+  std::span<Expr* const> args; // kCall
 };
 
 // ---------------------------------------------------------------------------
@@ -80,23 +88,23 @@ struct Stmt {
   StmtKind kind{StmtKind::kExpr};
   SourceLoc loc;
 
-  std::unique_ptr<Expr> expr; // kExpr / kReturn value / decl initialiser
+  Expr* expr{nullptr}; // kExpr / kReturn value / decl initialiser
 
   // kVarDecl
   Type decl_type{Type::kInt};
-  std::string decl_name;
+  std::string_view decl_name;
   bool decl_is_array{false};
   std::uint32_t decl_elem_count{0};
 
   // kBlock
-  std::vector<std::unique_ptr<Stmt>> body;
+  std::span<Stmt* const> body;
 
   // kIf / kWhile / kFor
-  std::unique_ptr<Expr> cond;
-  std::unique_ptr<Stmt> then_branch; // also: loop body
-  std::unique_ptr<Stmt> else_branch;
-  std::unique_ptr<Expr> for_init; // expressions only; declare loop vars first
-  std::unique_ptr<Expr> for_step;
+  Expr* cond{nullptr};
+  Stmt* then_branch{nullptr}; // also: loop body
+  Stmt* else_branch{nullptr};
+  Expr* for_init{nullptr}; // expressions only; declare loop vars first
+  Expr* for_step{nullptr};
 };
 
 // ---------------------------------------------------------------------------
@@ -105,29 +113,36 @@ struct Stmt {
 
 struct ParamDecl {
   Type type{Type::kInt};
-  std::string name;
+  std::string_view name;
   SourceLoc loc;
 };
 
 struct FunctionDecl {
   Type return_type{Type::kVoid};
-  std::string name;
-  std::vector<ParamDecl> params;
-  std::unique_ptr<Stmt> body; // kBlock
+  std::string_view name;
+  std::span<const ParamDecl> params;
+  Stmt* body{nullptr}; // kBlock
   SourceLoc loc;
 };
 
 struct GlobalDecl {
   Type type{Type::kInt};
-  std::string name;
+  std::string_view name;
   bool is_array{false};
   std::uint32_t elem_count{0};
   SourceLoc loc;
 };
 
+static_assert(std::is_trivially_destructible_v<Expr> &&
+              std::is_trivially_destructible_v<Stmt> &&
+              std::is_trivially_destructible_v<FunctionDecl>);
+
 struct TranslationUnit {
   std::vector<GlobalDecl> globals;
-  std::vector<std::unique_ptr<FunctionDecl>> functions;
+  std::vector<FunctionDecl*> functions;
+  // Owns every node above; allocated so that the unit can move.
+  std::unique_ptr<std::pmr::monotonic_buffer_resource> arena =
+      std::make_unique<std::pmr::monotonic_buffer_resource>();
 };
 
 } // namespace cash::frontend

@@ -1,10 +1,11 @@
 #include "frontend/irgen.hpp"
 
-#include <map>
+#include <algorithm>
 #include <optional>
 #include <string_view>
 #include <vector>
 
+#include "common/memory_map.hpp"
 #include "frontend/lexer.hpp"
 #include "frontend/parser.hpp"
 
@@ -28,30 +29,38 @@ using ir::Reg;
 using ir::SymbolId;
 using ir::UnOp;
 
-struct Builtin {
+struct BuiltinSig {
   Type return_type;
   std::vector<Type> params;
 };
 
-const std::map<std::string, Builtin, std::less<>>& builtins() {
-  static const std::map<std::string, Builtin, std::less<>> kBuiltins = {
-      {"malloc", {Type::kIntPtr, {Type::kInt}}},
-      {"free", {Type::kVoid, {Type::kIntPtr}}},
-      {"sqrt", {Type::kFloat, {Type::kFloat}}},
-      {"fabs", {Type::kFloat, {Type::kFloat}}},
-      {"sin", {Type::kFloat, {Type::kFloat}}},
-      {"cos", {Type::kFloat, {Type::kFloat}}},
-      {"exp", {Type::kFloat, {Type::kFloat}}},
-      {"log", {Type::kFloat, {Type::kFloat}}},
-      {"floor", {Type::kFloat, {Type::kFloat}}},
-      {"pow", {Type::kFloat, {Type::kFloat, Type::kFloat}}},
-      {"abs", {Type::kInt, {Type::kInt}}},
-      {"print_int", {Type::kVoid, {Type::kInt}}},
-      {"print_float", {Type::kVoid, {Type::kFloat}}},
-      {"rand", {Type::kInt, {}}},
-      {"srand", {Type::kVoid, {Type::kInt}}},
+// A builtin's signature, by ir::Builtin.
+const BuiltinSig& builtin_signature(ir::Builtin builtin) {
+  using enum Type;
+  static const BuiltinSig kSignatures[] = {
+#define CASH_BUILTIN_SIGNATURE(name, spelling, result, ...) \
+  {result, {__VA_ARGS__}},
+      CASH_IR_BUILTIN_LIST(CASH_BUILTIN_SIGNATURE)
+#undef CASH_BUILTIN_SIGNATURE
   };
-  return kBuiltins;
+  return kSignatures[static_cast<std::size_t>(builtin) - 1];
+}
+
+// `name` in single quotes, for diagnostics.
+std::string quoted(std::string_view name) {
+  return "'" + std::string(name) + "'";
+}
+
+bool is_comparison(BinaryOp op) {
+  return op >= BinaryOp::kEq && op <= BinaryOp::kGe;
+}
+
+// The IR operator of any binary operator but && and ||, which come last:
+// the others are laid out in BinOp's order.
+BinOp to_ir(BinaryOp op) {
+  static_assert(static_cast<int>(BinaryOp::kGe) ==
+                static_cast<int>(BinOp::kCmpGe));
+  return static_cast<BinOp>(op);
 }
 
 // A typed value: virtual register plus its MiniC type.
@@ -89,11 +98,6 @@ struct LValue {
   SymbolId var_symbol{kNoSymbol};
 };
 
-struct FuncSig {
-  Type return_type;
-  std::vector<Type> params;
-};
-
 struct LoopTargets {
   BlockId break_target;
   BlockId continue_target;
@@ -116,6 +120,8 @@ struct Scratch {
   std::vector<std::size_t> scope_starts;  // first var of each open scope
   std::vector<LoopId> loop_stack;
   std::vector<LoopTargets> loop_targets;
+  // Every function's name and declaration index, sorted.
+  std::vector<std::pair<std::string_view, std::int32_t>> functions;
 };
 
 Scratch& scratch() {
@@ -239,6 +245,67 @@ class IrGen {
     return {value.reg, target};
   }
 
+  // dst <- (src != 0), into a register the caller allocated.
+  void to_bool(Reg dst, Reg src, SourceLoc loc) {
+    Instr norm;
+    norm.op = Opcode::kBin;
+    norm.bin_op = BinOp::kCmpNe;
+    norm.type = Type::kInt;
+    norm.dst = dst;
+    norm.src0 = src;
+    norm.src1 = const_int(0, loc);
+    norm.loc = loc;
+    emit(norm);
+  }
+
+  // Ends the block in `if cond goto if_true else if_false`. A float
+  // condition is first tested against 0.0, as C does.
+  void branch_on(RV cond, BlockId if_true, BlockId if_false, SourceLoc loc) {
+    if (cond.type == Type::kFloat) {
+      Instr cmp;
+      cmp.op = Opcode::kBin;
+      cmp.bin_op = BinOp::kCmpNe;
+      cmp.type = Type::kFloat;
+      cmp.dst = func_->new_reg();
+      cmp.src0 = cond.reg;
+      cmp.src1 = const_float(0.0F, loc);
+      cmp.loc = loc;
+      cond = {emit(cmp).dst, Type::kInt};
+    }
+    Instr branch;
+    branch.op = Opcode::kBranch;
+    branch.src0 = cond.reg;
+    branch.target0 = if_true;
+    branch.target1 = if_false;
+    branch.loc = loc;
+    emit(branch);
+  }
+
+  // idx * kWordSize: an element index as a byte offset.
+  Reg word_offset(Reg idx, SourceLoc loc) {
+    Instr scale;
+    scale.op = Opcode::kBin;
+    scale.bin_op = BinOp::kMul;
+    scale.type = Type::kInt;
+    scale.dst = func_->new_reg();
+    scale.src0 = idx;
+    scale.src1 = const_int(static_cast<std::int32_t>(ir::kWordSize), loc);
+    scale.loc = loc;
+    return emit(scale).dst;
+  }
+
+  // Records a loop entered from `preheader` and makes it the innermost.
+  LoopId open_loop(BlockId preheader) {
+    ir::Loop loop;
+    loop.id = static_cast<LoopId>(func_->loops.size());
+    loop.parent = loop_stack_.empty() ? kNoLoop : loop_stack_.back();
+    loop.depth = static_cast<int>(loop_stack_.size()) + 1;
+    loop.preheader = preheader;
+    func_->loops.push_back(loop);
+    loop_stack_.push_back(loop.id);
+    return loop.id;
+  }
+
   // --- scopes -------------------------------------------------------------
   void push_scope() { s_.scope_starts.push_back(s_.vars.size()); }
   void pop_scope() {
@@ -256,10 +323,10 @@ class IrGen {
     return nullptr;
   }
 
-  void declare(const std::string& name, VarInfo info, SourceLoc loc) {
+  void declare(std::string_view name, VarInfo info, SourceLoc loc) {
     for (std::size_t i = s_.scope_starts.back(); i < s_.vars.size(); ++i) {
       if (s_.vars[i].name == name) {
-        error(loc, "redeclaration of '" + name + "'");
+        error(loc, "redeclaration of " + quoted(name));
         return;
       }
     }
@@ -308,6 +375,13 @@ class IrGen {
 
   // --- declarations -------------------------------------------------------
   void collect_signatures(const TranslationUnit& unit);
+  // The index of the first function declared as `name`, or -1.
+  std::int32_t find_function(std::string_view name) const {
+    const auto it = std::lower_bound(
+        s_.functions.begin(), s_.functions.end(),
+        std::pair<std::string_view, std::int32_t>(name, -1));
+    return it != s_.functions.end() && it->first == name ? it->second : -1;
+  }
   void gen_function(const FunctionDecl& decl);
 
   // --- statements ---------------------------------------------------------
@@ -349,25 +423,26 @@ class IrGen {
   BasicBlock* cur_{nullptr};
   std::vector<LoopId>& loop_stack_;
   std::vector<LoopTargets>& loop_targets_;
-  std::map<std::string, FuncSig> signatures_;
+  const TranslationUnit* unit_{nullptr};
 };
 
 void IrGen::collect_signatures(const TranslationUnit& unit) {
-  for (const auto& f : unit.functions) {
-    if (builtins().count(f->name) != 0) {
-      error(f->loc, "'" + f->name + "' shadows a builtin");
-      continue;
+  unit_ = &unit;
+  s_.functions.clear();
+  for (std::size_t i = 0; i < unit.functions.size(); ++i) {
+    s_.functions.emplace_back(unit.functions[i]->name,
+                              static_cast<std::int32_t>(i));
+  }
+  std::sort(s_.functions.begin(), s_.functions.end());
+  // gen_function() appends one function per declaration, in order, so a
+  // declaration's index is also its index in Module::functions.
+  for (std::size_t i = 0; i < unit.functions.size(); ++i) {
+    const FunctionDecl& f = *unit.functions[i];
+    if (ir::builtin_of(f.name) != ir::Builtin::kNone) {
+      error(f.loc, quoted(f.name) + " shadows a builtin");
+    } else if (find_function(f.name) != static_cast<std::int32_t>(i)) {
+      error(f.loc, "duplicate function " + quoted(f.name));
     }
-    if (signatures_.count(f->name) != 0) {
-      error(f->loc, "duplicate function '" + f->name + "'");
-      continue;
-    }
-    FuncSig sig;
-    sig.return_type = f->return_type;
-    for (const ParamDecl& p : f->params) {
-      sig.params.push_back(p.type);
-    }
-    signatures_[f->name] = std::move(sig);
   }
 }
 
@@ -381,7 +456,13 @@ std::unique_ptr<Module> IrGen::run(const TranslationUnit& unit) {
   collect_signatures(unit);
 
   push_scope(); // global scope
+  std::uint64_t cursor = kGlobalsBase; // the loader's layout (vm)
   for (const GlobalDecl& g : unit.globals) {
+    cursor = g.is_array ? (cursor + 7) / 8 * 8 + array_footprint(g.elem_count)
+                        : (cursor + 3) / 4 * 4 + 4;
+    if (cursor > kHeapBase) {
+      error(g.loc, quoted(g.name) + " does not fit in the global region");
+    }
     ir::GlobalVar global;
     global.name = g.name;
     global.type = g.type;
@@ -551,6 +632,10 @@ void IrGen::gen_stmt(const Stmt& stmt) {
 }
 
 void IrGen::gen_var_decl(const Stmt& stmt) {
+  if (stmt.decl_is_array &&
+      array_footprint(stmt.decl_elem_count) > kStackTop - kStackLimit) {
+    error(stmt.loc, quoted(stmt.decl_name) + " does not fit in the stack");
+  }
   ir::LocalSlot slot;
   slot.name = stmt.decl_name;
   slot.type = stmt.decl_type;
@@ -602,20 +687,7 @@ void IrGen::gen_var_decl(const Stmt& stmt) {
 }
 
 void IrGen::gen_if(const Stmt& stmt) {
-  RV cond = gen_expr(*stmt.cond);
-  if (cond.type == Type::kFloat) {
-    // C truth test: value != 0.0.
-    Instr cmp;
-    cmp.op = Opcode::kBin;
-    cmp.bin_op = BinOp::kCmpNe;
-    cmp.type = Type::kFloat;
-    cmp.dst = func_->new_reg();
-    cmp.src0 = cond.reg;
-    cmp.src1 = const_float(0.0F, stmt.loc);
-    cmp.loc = stmt.loc;
-    cond = {emit(cmp).dst, Type::kInt};
-  }
-
+  const RV cond = gen_expr(*stmt.cond);
   BasicBlock& then_block = new_block("if.then");
   BasicBlock& merge = new_block("if.end");
   BlockId else_id = merge.id;
@@ -625,13 +697,7 @@ void IrGen::gen_if(const Stmt& stmt) {
     else_id = else_block->id;
   }
 
-  Instr branch;
-  branch.op = Opcode::kBranch;
-  branch.src0 = cond.reg;
-  branch.target0 = then_block.id;
-  branch.target1 = else_id;
-  branch.loc = stmt.loc;
-  emit(branch);
+  branch_on(cond, then_block.id, else_id, stmt.loc);
 
   set_block(then_block);
   gen_stmt(*stmt.then_branch);
@@ -650,42 +716,18 @@ void IrGen::gen_while(const Stmt& stmt) {
   BasicBlock& exit = new_block("while.exit");
   ensure_jump_to(preheader.id, stmt.loc);
 
-  ir::Loop loop;
-  loop.id = static_cast<LoopId>(func_->loops.size());
-  loop.parent = loop_stack_.empty() ? kNoLoop : loop_stack_.back();
-  loop.depth = static_cast<int>(loop_stack_.size()) + 1;
-  loop.preheader = preheader.id;
-  func_->loops.push_back(loop);
-  loop_stack_.push_back(loop.id);
-
+  const LoopId loop = open_loop(preheader.id);
   BasicBlock& header = new_block("while.header");
-  func_->loops[static_cast<std::size_t>(loop.id)].header = header.id;
+  func_->loops[static_cast<std::size_t>(loop)].header = header.id;
   loop_targets_.push_back({exit.id, header.id});
 
   set_block(preheader);
   ensure_jump_to(header.id, stmt.loc);
 
   set_block(header);
-  RV cond = gen_expr(*stmt.cond);
-  if (cond.type == Type::kFloat) {
-    Instr cmp;
-    cmp.op = Opcode::kBin;
-    cmp.bin_op = BinOp::kCmpNe;
-    cmp.type = Type::kFloat;
-    cmp.dst = func_->new_reg();
-    cmp.src0 = cond.reg;
-    cmp.src1 = const_float(0.0F, stmt.loc);
-    cmp.loc = stmt.loc;
-    cond = {emit(cmp).dst, Type::kInt};
-  }
+  const RV cond = gen_expr(*stmt.cond);
   BasicBlock& body = new_block("while.body");
-  Instr branch;
-  branch.op = Opcode::kBranch;
-  branch.src0 = cond.reg;
-  branch.target0 = body.id;
-  branch.target1 = exit.id;
-  branch.loc = stmt.loc;
-  emit(branch);
+  branch_on(cond, body.id, exit.id, stmt.loc);
 
   set_block(body);
   gen_stmt(*stmt.then_branch);
@@ -706,17 +748,10 @@ void IrGen::gen_for(const Stmt& stmt) {
     gen_expr(*stmt.for_init);
   }
 
-  ir::Loop loop;
-  loop.id = static_cast<LoopId>(func_->loops.size());
-  loop.parent = loop_stack_.empty() ? kNoLoop : loop_stack_.back();
-  loop.depth = static_cast<int>(loop_stack_.size()) + 1;
-  loop.preheader = preheader.id;
-  func_->loops.push_back(loop);
-  loop_stack_.push_back(loop.id);
-
+  const LoopId loop = open_loop(preheader.id);
   BasicBlock& header = new_block("for.header");
   BasicBlock& step = new_block("for.step");
-  func_->loops[static_cast<std::size_t>(loop.id)].header = header.id;
+  func_->loops[static_cast<std::size_t>(loop)].header = header.id;
   loop_targets_.push_back({exit.id, step.id});
 
   set_block(preheader);
@@ -724,26 +759,9 @@ void IrGen::gen_for(const Stmt& stmt) {
 
   set_block(header);
   if (stmt.cond != nullptr) {
-    RV cond = gen_expr(*stmt.cond);
-    if (cond.type == Type::kFloat) {
-      Instr cmp;
-      cmp.op = Opcode::kBin;
-      cmp.bin_op = BinOp::kCmpNe;
-      cmp.type = Type::kFloat;
-      cmp.dst = func_->new_reg();
-      cmp.src0 = cond.reg;
-      cmp.src1 = const_float(0.0F, stmt.loc);
-      cmp.loc = stmt.loc;
-      cond = {emit(cmp).dst, Type::kInt};
-    }
+    const RV cond = gen_expr(*stmt.cond);
     BasicBlock& body = new_block("for.body");
-    Instr branch;
-    branch.op = Opcode::kBranch;
-    branch.src0 = cond.reg;
-    branch.target0 = body.id;
-    branch.target1 = exit.id;
-    branch.loc = stmt.loc;
-    emit(branch);
+    branch_on(cond, body.id, exit.id, stmt.loc);
     set_block(body);
   } else {
     BasicBlock& body = new_block("for.body");
@@ -772,7 +790,7 @@ void IrGen::gen_for(const Stmt& stmt) {
 std::optional<RV> IrGen::gen_pointer_value(const Expr& expr) {
   const VarInfo* var = lookup(expr.name);
   if (var == nullptr) {
-    error(expr.loc, "use of undeclared identifier '" + expr.name + "'");
+    error(expr.loc, "use of undeclared identifier " + quoted(expr.name));
     return std::nullopt;
   }
   switch (var->kind) {
@@ -836,7 +854,7 @@ std::optional<IrGen::ElemAddr> IrGen::gen_elem_addr(const Expr& base,
   if (base.kind == ExprKind::kVarRef) {
     std::optional<RV> ptr = gen_pointer_value(base);
     if (!ptr.has_value()) {
-      error(loc, "'" + base.name + "' is not an array or pointer");
+      error(loc, quoted(base.name) + " is not an array or pointer");
       return std::nullopt;
     }
     base_value = *ptr;
@@ -852,16 +870,7 @@ std::optional<IrGen::ElemAddr> IrGen::gen_elem_addr(const Expr& base,
   if (index != nullptr) {
     RV idx = gen_expr(*index);
     idx = convert(idx, Type::kInt, loc);
-    // byte offset = index * 4
-    Instr scale;
-    scale.op = Opcode::kBin;
-    scale.bin_op = BinOp::kMul;
-    scale.type = Type::kInt;
-    scale.dst = func_->new_reg();
-    scale.src0 = idx.reg;
-    scale.src1 = const_int(static_cast<std::int32_t>(ir::kWordSize), loc);
-    scale.loc = loc;
-    const Reg offset = emit(scale).dst;
+    const Reg offset = word_offset(idx.reg, loc);
 
     Instr add;
     add.op = Opcode::kPtrAdd;
@@ -885,12 +894,12 @@ std::optional<LValue> IrGen::gen_lvalue(const Expr& expr) {
     case ExprKind::kVarRef: {
       const VarInfo* var = lookup(expr.name);
       if (var == nullptr) {
-        error(expr.loc, "use of undeclared identifier '" + expr.name + "'");
+        error(expr.loc, "use of undeclared identifier " + quoted(expr.name));
         return std::nullopt;
       }
       if (var->kind == VarInfo::Kind::kLocalArray ||
           var->kind == VarInfo::Kind::kGlobalArray) {
-        error(expr.loc, "cannot assign to array '" + expr.name + "'");
+        error(expr.loc, "cannot assign to array " + quoted(expr.name));
         return std::nullopt;
       }
       LValue lvalue;
@@ -907,7 +916,7 @@ std::optional<LValue> IrGen::gen_lvalue(const Expr& expr) {
     }
     case ExprKind::kIndex: {
       std::optional<ElemAddr> elem =
-          gen_elem_addr(*expr.lhs, expr.rhs.get(), expr.loc);
+          gen_elem_addr(*expr.lhs, expr.rhs, expr.loc);
       if (!elem.has_value()) {
         return std::nullopt;
       }
@@ -1014,16 +1023,7 @@ RV IrGen::gen_assign(const Expr& expr) {
         error(expr.loc, "only += and -= apply to pointers");
       }
       rhs = convert(rhs, Type::kInt, expr.loc);
-      Instr scale;
-      scale.op = Opcode::kBin;
-      scale.bin_op = BinOp::kMul;
-      scale.type = Type::kInt;
-      scale.dst = func_->new_reg();
-      scale.src0 = rhs.reg;
-      scale.src1 = const_int(static_cast<std::int32_t>(ir::kWordSize),
-                             expr.loc);
-      scale.loc = expr.loc;
-      Reg offset = emit(scale).dst;
+      Reg offset = word_offset(rhs.reg, expr.loc);
       if (expr.assign_op == AssignOp::kSub) {
         Instr neg;
         neg.op = Opcode::kUn;
@@ -1056,14 +1056,11 @@ RV IrGen::gen_assign(const Expr& expr) {
       bin.src0 = current.reg;
       bin.src1 = rhs.reg;
       bin.loc = expr.loc;
-      switch (expr.assign_op) {
-        case AssignOp::kAdd: bin.bin_op = BinOp::kAdd; break;
-        case AssignOp::kSub: bin.bin_op = BinOp::kSub; break;
-        case AssignOp::kMul: bin.bin_op = BinOp::kMul; break;
-        case AssignOp::kDiv: bin.bin_op = BinOp::kDiv; break;
-        case AssignOp::kRem: bin.bin_op = BinOp::kRem; break;
-        case AssignOp::kNone: break;
-      }
+      // AssignOp kAdd..kRem follow kNone in BinOp's order.
+      static_assert(static_cast<int>(AssignOp::kRem) - 1 ==
+                    static_cast<int>(BinOp::kRem));
+      bin.bin_op =
+          static_cast<BinOp>(static_cast<int>(expr.assign_op) - 1);
       value = {emit(bin).dst, common};
       value = convert(value, lvalue->type, expr.loc);
     }
@@ -1128,42 +1125,16 @@ RV IrGen::gen_short_circuit(const Expr& expr) {
   RV lhs = gen_expr(*expr.lhs);
   lhs = convert(lhs, Type::kInt, expr.loc);
 
-  // Normalise lhs to 0/1 into `result`.
-  Instr norm;
-  norm.op = Opcode::kBin;
-  norm.bin_op = BinOp::kCmpNe;
-  norm.type = Type::kInt;
-  norm.dst = result;
-  norm.src0 = lhs.reg;
-  norm.src1 = const_int(0, expr.loc);
-  norm.loc = expr.loc;
-  emit(norm);
-
-  Instr branch;
-  branch.op = Opcode::kBranch;
-  branch.src0 = result;
-  branch.loc = expr.loc;
-  if (expr.binary_op == BinaryOp::kLogicalAnd) {
-    branch.target0 = rhs_block.id; // true -> evaluate RHS
-    branch.target1 = merge.id;     // false -> short circuit (result = 0)
-  } else {
-    branch.target0 = merge.id;     // true -> short circuit (result = 1)
-    branch.target1 = rhs_block.id; // false -> evaluate RHS
-  }
-  emit(branch);
+  // Normalise lhs to 0/1 into `result`. On && a true lhs evaluates the
+  // rhs and a false one short-circuits to 0; || is the mirror image.
+  to_bool(result, lhs.reg, expr.loc);
+  const bool is_and = expr.binary_op == BinaryOp::kLogicalAnd;
+  branch_on({result, Type::kInt}, is_and ? rhs_block.id : merge.id,
+            is_and ? merge.id : rhs_block.id, expr.loc);
 
   set_block(rhs_block);
-  RV rhs = gen_expr(*expr.rhs);
-  rhs = convert(rhs, Type::kInt, expr.loc);
-  Instr norm2;
-  norm2.op = Opcode::kBin;
-  norm2.bin_op = BinOp::kCmpNe;
-  norm2.type = Type::kInt;
-  norm2.dst = result;
-  norm2.src0 = rhs.reg;
-  norm2.src1 = const_int(0, expr.loc);
-  norm2.loc = expr.loc;
-  emit(norm2);
+  const RV rhs = convert(gen_expr(*expr.rhs), Type::kInt, expr.loc);
+  to_bool(result, rhs.reg, expr.loc);
   ensure_jump_to(merge.id, expr.loc);
 
   set_block(merge);
@@ -1183,28 +1154,15 @@ RV IrGen::gen_binary(const Expr& expr) {
   const bool lhs_ptr = ir::is_pointer(lhs.type);
   const bool rhs_ptr = ir::is_pointer(rhs.type);
   if (lhs_ptr || rhs_ptr) {
-    const bool comparison = expr.binary_op == BinaryOp::kEq ||
-                            expr.binary_op == BinaryOp::kNe ||
-                            expr.binary_op == BinaryOp::kLt ||
-                            expr.binary_op == BinaryOp::kLe ||
-                            expr.binary_op == BinaryOp::kGt ||
-                            expr.binary_op == BinaryOp::kGe;
-    if (comparison) {
+    if (is_comparison(expr.binary_op)) {
       Instr cmp;
       cmp.op = Opcode::kBin;
+      cmp.bin_op = to_ir(expr.binary_op);
       cmp.type = Type::kInt;
       cmp.dst = func_->new_reg();
       cmp.src0 = lhs.reg;
       cmp.src1 = rhs.reg;
       cmp.loc = expr.loc;
-      switch (expr.binary_op) {
-        case BinaryOp::kEq: cmp.bin_op = BinOp::kCmpEq; break;
-        case BinaryOp::kNe: cmp.bin_op = BinOp::kCmpNe; break;
-        case BinaryOp::kLt: cmp.bin_op = BinOp::kCmpLt; break;
-        case BinaryOp::kLe: cmp.bin_op = BinOp::kCmpLe; break;
-        case BinaryOp::kGt: cmp.bin_op = BinOp::kCmpGt; break;
-        default:            cmp.bin_op = BinOp::kCmpGe; break;
-      }
       return {emit(cmp).dst, Type::kInt};
     }
     if (lhs_ptr && rhs_ptr && expr.binary_op == BinaryOp::kSub) {
@@ -1238,16 +1196,7 @@ RV IrGen::gen_binary(const Expr& expr) {
         error(expr.loc, "cannot subtract a pointer from an integer");
       }
       idx = convert(idx, Type::kInt, expr.loc);
-      Instr scale;
-      scale.op = Opcode::kBin;
-      scale.bin_op = BinOp::kMul;
-      scale.type = Type::kInt;
-      scale.dst = func_->new_reg();
-      scale.src0 = idx.reg;
-      scale.src1 = const_int(static_cast<std::int32_t>(ir::kWordSize),
-                             expr.loc);
-      scale.loc = expr.loc;
-      Reg offset = emit(scale).dst;
+      Reg offset = word_offset(idx.reg, expr.loc);
       if (expr.binary_op == BinaryOp::kSub) {
         Instr neg;
         neg.op = Opcode::kUn;
@@ -1293,82 +1242,67 @@ RV IrGen::gen_binary(const Expr& expr) {
 
   Instr bin;
   bin.op = Opcode::kBin;
+  bin.bin_op = to_ir(expr.binary_op);
   bin.type = common;
   bin.dst = func_->new_reg();
   bin.src0 = lhs.reg;
   bin.src1 = rhs.reg;
   bin.loc = expr.loc;
-  Type result = common;
-  switch (expr.binary_op) {
-    case BinaryOp::kAdd: bin.bin_op = BinOp::kAdd; break;
-    case BinaryOp::kSub: bin.bin_op = BinOp::kSub; break;
-    case BinaryOp::kMul: bin.bin_op = BinOp::kMul; break;
-    case BinaryOp::kDiv: bin.bin_op = BinOp::kDiv; break;
-    case BinaryOp::kRem: bin.bin_op = BinOp::kRem; break;
-    case BinaryOp::kAnd: bin.bin_op = BinOp::kAnd; break;
-    case BinaryOp::kOr:  bin.bin_op = BinOp::kOr; break;
-    case BinaryOp::kXor: bin.bin_op = BinOp::kXor; break;
-    case BinaryOp::kShl: bin.bin_op = BinOp::kShl; break;
-    case BinaryOp::kShr: bin.bin_op = BinOp::kShr; break;
-    case BinaryOp::kEq:  bin.bin_op = BinOp::kCmpEq; result = Type::kInt; break;
-    case BinaryOp::kNe:  bin.bin_op = BinOp::kCmpNe; result = Type::kInt; break;
-    case BinaryOp::kLt:  bin.bin_op = BinOp::kCmpLt; result = Type::kInt; break;
-    case BinaryOp::kLe:  bin.bin_op = BinOp::kCmpLe; result = Type::kInt; break;
-    case BinaryOp::kGt:  bin.bin_op = BinOp::kCmpGt; result = Type::kInt; break;
-    case BinaryOp::kGe:  bin.bin_op = BinOp::kCmpGe; result = Type::kInt; break;
-    case BinaryOp::kLogicalAnd:
-    case BinaryOp::kLogicalOr:
-      break; // handled above
-  }
-  return {emit(bin).dst, result};
+  return {emit(bin).dst,
+          is_comparison(expr.binary_op) ? Type::kInt : common};
 }
 
 RV IrGen::gen_call(const Expr& expr) {
-  const Builtin* builtin = nullptr;
-  const FuncSig* sig = nullptr;
-  auto builtin_it = builtins().find(expr.name);
-  if (builtin_it != builtins().end()) {
-    builtin = &builtin_it->second;
+  ir::CallSite site;
+  site.builtin = ir::builtin_of(expr.name);
+  const BuiltinSig* builtin = nullptr;
+  const FunctionDecl* callee = nullptr;
+  if (site.builtin != ir::Builtin::kNone) {
+    builtin = &builtin_signature(site.builtin);
   } else {
-    auto sig_it = signatures_.find(expr.name);
-    if (sig_it == signatures_.end()) {
-      error(expr.loc, "call to undeclared function '" + expr.name + "'");
+    site.function = find_function(expr.name);
+    if (site.function < 0) {
+      error(expr.loc, "call to undeclared function " + quoted(expr.name));
       return {const_int(0, expr.loc), Type::kInt};
     }
-    sig = &sig_it->second;
+    callee = unit_->functions[static_cast<std::size_t>(site.function)];
   }
-
-  const std::vector<Type>& param_types =
-      builtin != nullptr ? builtin->params : sig->params;
+  const std::size_t param_count =
+      builtin != nullptr ? builtin->params.size() : callee->params.size();
+  const auto param_type = [&](std::size_t i) {
+    return builtin != nullptr ? builtin->params[i] : callee->params[i].type;
+  };
   const Type return_type =
-      builtin != nullptr ? builtin->return_type : sig->return_type;
+      builtin != nullptr ? builtin->return_type : callee->return_type;
 
-  if (expr.args.size() != param_types.size()) {
-    error(expr.loc, "wrong number of arguments to '" + expr.name + "'");
+  if (expr.args.size() != param_count) {
+    error(expr.loc, "wrong number of arguments to " + quoted(expr.name));
   }
 
-  Instr call;
-  call.op = Opcode::kCall;
-  call.callee = expr.name;
-  call.type = return_type;
-  call.loc = expr.loc;
-  call.args.reserve(expr.args.size());
+  site.callee = expr.name;
+  site.args.reserve(expr.args.size());
   for (std::size_t i = 0; i < expr.args.size(); ++i) {
     RV arg = gen_expr(*expr.args[i]);
-    if (i < param_types.size()) {
-      const Type want = param_types[i];
+    if (i < param_count) {
+      const Type want = param_type(i);
       if (ir::is_pointer(want) && ir::is_pointer(arg.type)) {
         // any pointer flavour is accepted (free(float*) etc.)
       } else if (ir::is_pointer(want) != ir::is_pointer(arg.type)) {
-        error(expr.args[i]->loc,
-              "argument " + std::to_string(i + 1) + " of '" + expr.name +
-                  "' has the wrong type");
+        error(expr.args[i]->loc, "argument " + std::to_string(i + 1) +
+                                     " of " + quoted(expr.name) +
+                                     " has the wrong type");
       } else {
         arg = convert(arg, want, expr.args[i]->loc);
       }
     }
-    call.args.push_back(arg.reg);
+    site.args.push_back(arg.reg);
   }
+  Instr call;
+  call.op = Opcode::kCall;
+  call.type = return_type;
+  call.loc = expr.loc;
+  call.call = static_cast<std::int32_t>(func_->calls.size());
+  func_->calls.push_back(std::move(site));
   if (return_type != Type::kVoid) {
     call.dst = func_->new_reg();
   }
@@ -1385,7 +1319,7 @@ RV IrGen::gen_expr(const Expr& expr) {
     case ExprKind::kVarRef: {
       const VarInfo* var = lookup(expr.name);
       if (var == nullptr) {
-        error(expr.loc, "use of undeclared identifier '" + expr.name + "'");
+        error(expr.loc, "use of undeclared identifier " + quoted(expr.name));
         return {const_int(0, expr.loc), Type::kInt};
       }
       if (var->kind == VarInfo::Kind::kLocalArray ||
@@ -1456,10 +1390,6 @@ RV IrGen::gen_expr(const Expr& expr) {
 }
 
 } // namespace
-
-bool is_builtin(const std::string& name) {
-  return builtins().count(name) != 0;
-}
 
 std::unique_ptr<ir::Module> compile_to_ir(std::string_view source,
                                           DiagnosticSink& diagnostics) {

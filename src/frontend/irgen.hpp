@@ -19,7 +19,4 @@ namespace cash::frontend {
 std::unique_ptr<ir::Module> compile_to_ir(std::string_view source,
                                           DiagnosticSink& diagnostics);
 
-// The builtin functions every MiniC program can call without declaring.
-bool is_builtin(const std::string& name);
-
 } // namespace cash::frontend

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -14,9 +13,11 @@ namespace cash::frontend {
 // integer literals, and float literals with optional exponent. A decimal
 // literal above 2147483647, or a hex literal above 0xFFFFFFFF, is an error.
 //
-// The lexer views its source and does not copy it, so the source must
-// outlive it. Constructing one from a temporary std::string does not
-// compile; a string literal (static storage) does.
+// The lexer views its source and does not copy it, and each identifier
+// token's text views the source too. So the source must outlive the lexer,
+// its tokens and the tree parsed from them. Constructing a lexer from a
+// temporary std::string does not compile; a string literal (static
+// storage) does.
 class Lexer {
  public:
   Lexer(std::string_view source, DiagnosticSink& diagnostics)
@@ -35,9 +36,13 @@ class Lexer {
   SourceLoc loc() const noexcept { return {line_, column_}; }
 
   void lex_number(std::vector<Token>& out);
+  // The source from `start` to the current position.
+  std::string_view since(std::size_t start) const noexcept {
+    return source_.substr(start, pos_ - start);
+  }
   // The value of `digits` in `base`; reports "integer literal out of
   // range" at `loc` and returns 0 once the value exceeds `max`.
-  std::uint64_t literal_value(SourceLoc loc, const std::string& digits,
+  std::uint64_t literal_value(SourceLoc loc, std::string_view digits,
                               unsigned base, std::uint64_t max);
   void lex_ident(std::vector<Token>& out);
 

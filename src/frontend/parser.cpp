@@ -1,57 +1,40 @@
 #include "frontend/parser.hpp"
 
+#include <memory>
 #include <string>
 
 namespace cash::frontend {
 
 namespace {
 
-// Binary operator precedence, C-style. Higher binds tighter.
-int precedence(TokenKind kind) {
-  switch (kind) {
-    case TokenKind::kPipePipe: return 1;
-    case TokenKind::kAmpAmp:   return 2;
-    case TokenKind::kPipe:     return 3;
-    case TokenKind::kCaret:    return 4;
-    case TokenKind::kAmp:      return 5;
-    case TokenKind::kEq:
-    case TokenKind::kNe:       return 6;
-    case TokenKind::kLt:
-    case TokenKind::kLe:
-    case TokenKind::kGt:
-    case TokenKind::kGe:       return 7;
-    case TokenKind::kShl:
-    case TokenKind::kShr:      return 8;
-    case TokenKind::kPlus:
-    case TokenKind::kMinus:    return 9;
-    case TokenKind::kStar:
-    case TokenKind::kSlash:
-    case TokenKind::kPercent:  return 10;
-    default:                   return -1;
-  }
-}
+// A binary operator token's precedence (C-style: higher binds tighter)
+// and operator. Any other token has precedence -1.
+struct BinaryInfo {
+  int precedence;
+  BinaryOp op;
+};
 
-BinaryOp to_binary_op(TokenKind kind) {
+BinaryInfo binary_info(TokenKind kind) {
   switch (kind) {
-    case TokenKind::kPipePipe: return BinaryOp::kLogicalOr;
-    case TokenKind::kAmpAmp:   return BinaryOp::kLogicalAnd;
-    case TokenKind::kPipe:     return BinaryOp::kOr;
-    case TokenKind::kCaret:    return BinaryOp::kXor;
-    case TokenKind::kAmp:      return BinaryOp::kAnd;
-    case TokenKind::kEq:       return BinaryOp::kEq;
-    case TokenKind::kNe:       return BinaryOp::kNe;
-    case TokenKind::kLt:       return BinaryOp::kLt;
-    case TokenKind::kLe:       return BinaryOp::kLe;
-    case TokenKind::kGt:       return BinaryOp::kGt;
-    case TokenKind::kGe:       return BinaryOp::kGe;
-    case TokenKind::kShl:      return BinaryOp::kShl;
-    case TokenKind::kShr:      return BinaryOp::kShr;
-    case TokenKind::kPlus:     return BinaryOp::kAdd;
-    case TokenKind::kMinus:    return BinaryOp::kSub;
-    case TokenKind::kStar:     return BinaryOp::kMul;
-    case TokenKind::kSlash:    return BinaryOp::kDiv;
-    case TokenKind::kPercent:  return BinaryOp::kRem;
-    default:                   return BinaryOp::kAdd;
+    case TokenKind::kPipePipe: return {1, BinaryOp::kLogicalOr};
+    case TokenKind::kAmpAmp:   return {2, BinaryOp::kLogicalAnd};
+    case TokenKind::kPipe:     return {3, BinaryOp::kOr};
+    case TokenKind::kCaret:    return {4, BinaryOp::kXor};
+    case TokenKind::kAmp:      return {5, BinaryOp::kAnd};
+    case TokenKind::kEq:       return {6, BinaryOp::kEq};
+    case TokenKind::kNe:       return {6, BinaryOp::kNe};
+    case TokenKind::kLt:       return {7, BinaryOp::kLt};
+    case TokenKind::kLe:       return {7, BinaryOp::kLe};
+    case TokenKind::kGt:       return {7, BinaryOp::kGt};
+    case TokenKind::kGe:       return {7, BinaryOp::kGe};
+    case TokenKind::kShl:      return {8, BinaryOp::kShl};
+    case TokenKind::kShr:      return {8, BinaryOp::kShr};
+    case TokenKind::kPlus:     return {9, BinaryOp::kAdd};
+    case TokenKind::kMinus:    return {9, BinaryOp::kSub};
+    case TokenKind::kStar:     return {10, BinaryOp::kMul};
+    case TokenKind::kSlash:    return {10, BinaryOp::kDiv};
+    case TokenKind::kPercent:  return {10, BinaryOp::kRem};
+    default:                   return {-1, BinaryOp::kAdd};
   }
 }
 
@@ -63,6 +46,17 @@ bool is_prefix_operator(TokenKind kind) {
 
 // Thrown once the nesting cap is hit; parse() catches it.
 struct TooDeep {};
+
+struct Scratch {
+  std::vector<Stmt*> stmts;
+  std::vector<Expr*> exprs;
+  std::vector<ParamDecl> params;
+};
+
+Scratch& scratch() {
+  thread_local Scratch stacks;
+  return stacks;
+}
 
 } // namespace
 
@@ -84,6 +78,24 @@ class Parser::Nesting {
   int& depth_;
   int levels_{0};
 };
+
+Parser::Parser(std::vector<Token> tokens, DiagnosticSink& diagnostics)
+    : tokens_(std::move(tokens)),
+      diagnostics_(&diagnostics),
+      stmts_(scratch().stmts),
+      exprs_(scratch().exprs),
+      params_(scratch().params) {}
+
+template <class T>
+std::span<const T> Parser::take(std::vector<T>& pending, std::size_t mark) {
+  const std::size_t n = pending.size() - mark;
+  T* items = n == 0 ? nullptr
+                    : static_cast<T*>(arena_->allocate(n * sizeof(T),
+                                                       alignof(T)));
+  std::uninitialized_copy(pending.begin() + mark, pending.end(), items);
+  pending.resize(mark);
+  return {items, n};
+}
 
 // Enters one more nesting level. Past the cap, reports it and abandons
 // the parse: the exception unwinds every open construct.
@@ -174,6 +186,10 @@ Type Parser::parse_type() {
 
 TranslationUnit Parser::parse() {
   TranslationUnit unit;
+  arena_ = unit.arena.get();
+  // A parse abandoned at the nesting cap leaves entries behind.
+  stmts_.clear();
+  exprs_.clear();
   try {
     while (!check(TokenKind::kEof)) {
       parse_top_level(unit);
@@ -199,9 +215,9 @@ void Parser::parse_top_level(TranslationUnit& unit) {
   }
 
   if (check(TokenKind::kLParen)) {
-    auto function = parse_function(type, name->text, loc);
+    FunctionDecl* function = parse_function(type, name->text, loc);
     if (function != nullptr) {
-      unit.functions.push_back(std::move(function));
+      unit.functions.push_back(function);
     }
     return;
   }
@@ -230,13 +246,13 @@ void Parser::parse_top_level(TranslationUnit& unit) {
   unit.globals.push_back(std::move(global));
 }
 
-std::unique_ptr<FunctionDecl> Parser::parse_function(Type return_type,
-                                                     std::string name,
-                                                     SourceLoc loc) {
-  auto function = std::make_unique<FunctionDecl>();
+FunctionDecl* Parser::parse_function(Type return_type, std::string_view name,
+                                     SourceLoc loc) {
+  auto* function = make<FunctionDecl>();
   function->return_type = return_type;
-  function->name = std::move(name);
+  function->name = name;
   function->loc = loc;
+  params_.clear();
 
   expect(TokenKind::kLParen, "after function name");
   if (!check(TokenKind::kRParen)) {
@@ -246,7 +262,7 @@ std::unique_ptr<FunctionDecl> Parser::parse_function(Type return_type,
       param.type = parse_type();
       if (param.type == Type::kVoid) {
         // `void` alone as the parameter list, C style.
-        if (function->params.empty() && check(TokenKind::kRParen)) {
+        if (params_.empty() && check(TokenKind::kRParen)) {
           break;
         }
         diagnostics_->error(param.loc, "parameter of type void");
@@ -255,9 +271,10 @@ std::unique_ptr<FunctionDecl> Parser::parse_function(Type return_type,
       if (pname != nullptr) {
         param.name = pname->text;
       }
-      function->params.push_back(std::move(param));
+      params_.push_back(param);
     } while (match(TokenKind::kComma));
   }
+  function->params = take(params_, 0);
   expect(TokenKind::kRParen, "after parameters");
   if (!check(TokenKind::kLBrace)) {
     diagnostics_->error(peek().loc,
@@ -270,22 +287,24 @@ std::unique_ptr<FunctionDecl> Parser::parse_function(Type return_type,
   return function;
 }
 
-std::unique_ptr<Stmt> Parser::parse_block() {
-  auto block = std::make_unique<Stmt>();
+Stmt* Parser::parse_block() {
+  auto* block = make<Stmt>();
   block->kind = StmtKind::kBlock;
   block->loc = peek().loc;
   expect(TokenKind::kLBrace, "to open block");
+  const std::size_t mark = stmts_.size();
   while (!check(TokenKind::kRBrace) && !check(TokenKind::kEof)) {
-    auto stmt = parse_stmt();
+    Stmt* stmt = parse_stmt();
     if (stmt != nullptr) {
-      block->body.push_back(std::move(stmt));
+      stmts_.push_back(stmt);
     }
   }
+  block->body = take(stmts_, mark);
   expect(TokenKind::kRBrace, "to close block");
   return block;
 }
 
-std::unique_ptr<Stmt> Parser::parse_stmt() {
+Stmt* Parser::parse_stmt() {
   Nesting nesting(depth_);
   nest(nesting);
   if (at_type_keyword()) {
@@ -297,7 +316,7 @@ std::unique_ptr<Stmt> Parser::parse_stmt() {
     case TokenKind::kKwWhile:    return parse_while();
     case TokenKind::kKwFor:      return parse_for();
     case TokenKind::kKwReturn: {
-      auto stmt = std::make_unique<Stmt>();
+      auto* stmt = make<Stmt>();
       stmt->kind = StmtKind::kReturn;
       stmt->loc = advance().loc;
       if (!check(TokenKind::kSemicolon)) {
@@ -306,22 +325,18 @@ std::unique_ptr<Stmt> Parser::parse_stmt() {
       expect(TokenKind::kSemicolon, "after return");
       return stmt;
     }
-    case TokenKind::kKwBreak: {
-      auto stmt = std::make_unique<Stmt>();
-      stmt->kind = StmtKind::kBreak;
-      stmt->loc = advance().loc;
-      expect(TokenKind::kSemicolon, "after break");
-      return stmt;
-    }
+    case TokenKind::kKwBreak:
     case TokenKind::kKwContinue: {
-      auto stmt = std::make_unique<Stmt>();
-      stmt->kind = StmtKind::kContinue;
+      auto* stmt = make<Stmt>();
+      const bool is_break = check(TokenKind::kKwBreak);
+      stmt->kind = is_break ? StmtKind::kBreak : StmtKind::kContinue;
       stmt->loc = advance().loc;
-      expect(TokenKind::kSemicolon, "after continue");
+      expect(TokenKind::kSemicolon,
+             is_break ? "after break" : "after continue");
       return stmt;
     }
     default: {
-      auto stmt = std::make_unique<Stmt>();
+      auto* stmt = make<Stmt>();
       stmt->kind = StmtKind::kExpr;
       stmt->loc = peek().loc;
       stmt->expr = parse_expr();
@@ -333,8 +348,8 @@ std::unique_ptr<Stmt> Parser::parse_stmt() {
   }
 }
 
-std::unique_ptr<Stmt> Parser::parse_var_decl() {
-  auto stmt = std::make_unique<Stmt>();
+Stmt* Parser::parse_var_decl() {
+  auto* stmt = make<Stmt>();
   stmt->kind = StmtKind::kVarDecl;
   stmt->loc = peek().loc;
   stmt->decl_type = parse_type();
@@ -370,8 +385,8 @@ std::unique_ptr<Stmt> Parser::parse_var_decl() {
   return stmt;
 }
 
-std::unique_ptr<Stmt> Parser::parse_if() {
-  auto stmt = std::make_unique<Stmt>();
+Stmt* Parser::parse_if() {
+  auto* stmt = make<Stmt>();
   stmt->kind = StmtKind::kIf;
   stmt->loc = advance().loc; // 'if'
   expect(TokenKind::kLParen, "after 'if'");
@@ -384,8 +399,8 @@ std::unique_ptr<Stmt> Parser::parse_if() {
   return stmt;
 }
 
-std::unique_ptr<Stmt> Parser::parse_while() {
-  auto stmt = std::make_unique<Stmt>();
+Stmt* Parser::parse_while() {
+  auto* stmt = make<Stmt>();
   stmt->kind = StmtKind::kWhile;
   stmt->loc = advance().loc; // 'while'
   expect(TokenKind::kLParen, "after 'while'");
@@ -395,8 +410,8 @@ std::unique_ptr<Stmt> Parser::parse_while() {
   return stmt;
 }
 
-std::unique_ptr<Stmt> Parser::parse_for() {
-  auto stmt = std::make_unique<Stmt>();
+Stmt* Parser::parse_for() {
+  auto* stmt = make<Stmt>();
   stmt->kind = StmtKind::kFor;
   stmt->loc = advance().loc; // 'for'
   expect(TokenKind::kLParen, "after 'for'");
@@ -416,7 +431,7 @@ std::unique_ptr<Stmt> Parser::parse_for() {
   return stmt;
 }
 
-std::unique_ptr<Expr> Parser::parse_expr() {
+Expr* Parser::parse_expr() {
   Nesting nesting(depth_);
   nest(nesting);
   auto lhs = parse_binary(0);
@@ -436,176 +451,137 @@ std::unique_ptr<Expr> Parser::parse_expr() {
     return lhs;
   }
   const SourceLoc loc = advance().loc;
-  auto assign = std::make_unique<Expr>();
+  auto* assign = make<Expr>();
   assign->kind = ExprKind::kAssign;
   assign->loc = loc;
   assign->assign_op = op;
-  assign->lhs = std::move(lhs);
+  assign->lhs = lhs;
   assign->rhs = parse_expr(); // right-associative
   return assign;
 }
 
-std::unique_ptr<Expr> Parser::parse_binary(int min_precedence) {
+Expr* Parser::parse_binary(int min_precedence) {
   Nesting nesting(depth_); // each link of a chain nests the tree deeper
   auto lhs = parse_unary();
   while (true) {
-    const int prec = precedence(peek().kind);
-    if (prec < 0 || prec < min_precedence) {
+    const BinaryInfo info = binary_info(peek().kind);
+    if (info.precedence < 0 || info.precedence < min_precedence) {
       return lhs;
     }
     nest(nesting);
     const Token& op_token = advance();
-    auto rhs = parse_binary(prec + 1);
-    auto node = std::make_unique<Expr>();
+    auto rhs = parse_binary(info.precedence + 1);
+    auto* node = make<Expr>();
     node->kind = ExprKind::kBinary;
     node->loc = op_token.loc;
-    node->binary_op = to_binary_op(op_token.kind);
-    node->lhs = std::move(lhs);
-    node->rhs = std::move(rhs);
-    lhs = std::move(node);
+    node->binary_op = info.op;
+    node->lhs = lhs;
+    node->rhs = rhs;
+    lhs = node;
   }
 }
 
-std::unique_ptr<Expr> Parser::parse_unary() {
+Expr* Parser::parse_unary() {
   const SourceLoc loc = peek().loc;
+  const TokenKind kind = peek().kind;
+  if (!is_prefix_operator(kind)) {
+    return parse_postfix();
+  }
   Nesting nesting(depth_);
-  if (is_prefix_operator(peek().kind)) {
-    nest(nesting);
+  nest(nesting);
+  advance();
+  auto* node = make<Expr>();
+  node->loc = loc;
+  switch (kind) {
+    case TokenKind::kMinus: node->unary_op = UnaryOp::kNeg; break;
+    case TokenKind::kBang:  node->unary_op = UnaryOp::kNot; break;
+    case TokenKind::kTilde: node->unary_op = UnaryOp::kBitNot; break;
+    default: break;
   }
-  if (match(TokenKind::kMinus)) {
-    auto node = std::make_unique<Expr>();
-    node->kind = ExprKind::kUnary;
-    node->loc = loc;
-    node->unary_op = UnaryOp::kNeg;
-    node->lhs = parse_unary();
-    return node;
-  }
-  if (match(TokenKind::kBang)) {
-    auto node = std::make_unique<Expr>();
-    node->kind = ExprKind::kUnary;
-    node->loc = loc;
-    node->unary_op = UnaryOp::kNot;
-    node->lhs = parse_unary();
-    return node;
-  }
-  if (match(TokenKind::kTilde)) {
-    auto node = std::make_unique<Expr>();
-    node->kind = ExprKind::kUnary;
-    node->loc = loc;
-    node->unary_op = UnaryOp::kBitNot;
-    node->lhs = parse_unary();
-    return node;
-  }
-  if (match(TokenKind::kStar)) {
-    auto node = std::make_unique<Expr>();
-    node->kind = ExprKind::kDeref;
-    node->loc = loc;
-    node->lhs = parse_unary();
-    return node;
-  }
-  if (check(TokenKind::kPlusPlus) || check(TokenKind::kMinusMinus)) {
-    const bool increment = check(TokenKind::kPlusPlus);
-    advance();
-    auto node = std::make_unique<Expr>();
-    node->kind = ExprKind::kIncDec;
-    node->loc = loc;
+  node->kind = kind == TokenKind::kStar ? ExprKind::kDeref
+               : kind == TokenKind::kPlusPlus || kind == TokenKind::kMinusMinus
+                   ? ExprKind::kIncDec
+                   : ExprKind::kUnary;
+  if (node->kind == ExprKind::kIncDec) {
     node->is_prefix = true;
-    node->is_increment = increment;
-    node->lhs = parse_unary();
-    return node;
+    node->is_increment = kind == TokenKind::kPlusPlus;
   }
-  return parse_postfix();
+  node->lhs = parse_unary();
+  return node;
 }
 
-std::unique_ptr<Expr> Parser::parse_postfix() {
+Expr* Parser::parse_postfix() {
   Nesting nesting(depth_);
   auto expr = parse_primary();
   while (true) {
     if (match(TokenKind::kLBracket)) {
       nest(nesting);
-      auto node = std::make_unique<Expr>();
+      auto* node = make<Expr>();
       node->kind = ExprKind::kIndex;
       node->loc = peek().loc;
-      node->lhs = std::move(expr);
+      node->lhs = expr;
       node->rhs = parse_expr();
       expect(TokenKind::kRBracket, "after index");
-      expr = std::move(node);
+      expr = node;
       continue;
     }
     if (check(TokenKind::kPlusPlus) || check(TokenKind::kMinusMinus)) {
       nest(nesting);
       const bool increment = check(TokenKind::kPlusPlus);
       const SourceLoc loc = advance().loc;
-      auto node = std::make_unique<Expr>();
+      auto* node = make<Expr>();
       node->kind = ExprKind::kIncDec;
       node->loc = loc;
       node->is_prefix = false;
       node->is_increment = increment;
-      node->lhs = std::move(expr);
-      expr = std::move(node);
+      node->lhs = expr;
+      expr = node;
       continue;
     }
     return expr;
   }
 }
 
-std::unique_ptr<Expr> Parser::parse_primary() {
-  const Token& token = peek();
+Expr* Parser::parse_primary() {
+  const Token& token = advance();
+  if (token.kind == TokenKind::kLParen) {
+    Expr* inner = parse_expr();
+    expect(TokenKind::kRParen, "after parenthesised expression");
+    return inner;
+  }
+  auto* node = make<Expr>();
+  node->loc = token.loc;
   switch (token.kind) {
-    case TokenKind::kIntLit: {
-      advance();
-      auto node = std::make_unique<Expr>();
+    case TokenKind::kIntLit:
       node->kind = ExprKind::kIntLit;
-      node->loc = token.loc;
       node->int_value = token.int_value;
-      return node;
-    }
-    case TokenKind::kFloatLit: {
-      advance();
-      auto node = std::make_unique<Expr>();
+      break;
+    case TokenKind::kFloatLit:
       node->kind = ExprKind::kFloatLit;
-      node->loc = token.loc;
       node->float_value = token.float_value;
-      return node;
-    }
-    case TokenKind::kLParen: {
-      advance();
-      auto inner = parse_expr();
-      expect(TokenKind::kRParen, "after parenthesised expression");
-      return inner;
-    }
-    case TokenKind::kIdent: {
-      advance();
+      break;
+    case TokenKind::kIdent:
+      node->name = token.text;
+      node->kind = check(TokenKind::kLParen) ? ExprKind::kCall
+                                              : ExprKind::kVarRef;
       if (match(TokenKind::kLParen)) {
-        auto node = std::make_unique<Expr>();
-        node->kind = ExprKind::kCall;
-        node->loc = token.loc;
-        node->name = token.text;
         if (!check(TokenKind::kRParen)) {
+          const std::size_t mark = exprs_.size();
           do {
-            node->args.push_back(parse_expr());
+            exprs_.push_back(parse_expr());
           } while (match(TokenKind::kComma));
+          node->args = take(exprs_, mark);
         }
         expect(TokenKind::kRParen, "after call arguments");
-        return node;
       }
-      auto node = std::make_unique<Expr>();
-      node->kind = ExprKind::kVarRef;
-      node->loc = token.loc;
-      node->name = token.text;
-      return node;
-    }
-    default: {
+      break;
+    default: // an int literal 0 stands in
       diagnostics_->error(token.loc, std::string("unexpected token ") +
                                          to_string(token.kind) +
                                          " in expression");
-      advance();
-      auto node = std::make_unique<Expr>();
-      node->kind = ExprKind::kIntLit;
-      node->loc = token.loc;
-      return node;
-    }
+      break;
   }
+  return node;
 }
 
 } // namespace cash::frontend

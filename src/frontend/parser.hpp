@@ -1,6 +1,7 @@
 #pragma once
 
-#include <memory>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "common/diagnostics.hpp"
@@ -22,8 +23,7 @@ class Parser {
  public:
   static constexpr int kMaxNestingDepth = 512;
 
-  Parser(std::vector<Token> tokens, DiagnosticSink& diagnostics)
-      : tokens_(std::move(tokens)), diagnostics_(&diagnostics) {}
+  Parser(std::vector<Token> tokens, DiagnosticSink& diagnostics);
 
   TranslationUnit parse();
 
@@ -42,24 +42,38 @@ class Parser {
   Type parse_type();
 
   void parse_top_level(TranslationUnit& unit);
-  std::unique_ptr<FunctionDecl> parse_function(Type return_type,
-                                               std::string name,
-                                               SourceLoc loc);
-  std::unique_ptr<Stmt> parse_stmt();
-  std::unique_ptr<Stmt> parse_block();
-  std::unique_ptr<Stmt> parse_var_decl();
-  std::unique_ptr<Stmt> parse_if();
-  std::unique_ptr<Stmt> parse_while();
-  std::unique_ptr<Stmt> parse_for();
+  FunctionDecl* parse_function(Type return_type, std::string_view name,
+                               SourceLoc loc);
+  Stmt* parse_stmt();
+  Stmt* parse_block();
+  Stmt* parse_var_decl();
+  Stmt* parse_if();
+  Stmt* parse_while();
+  Stmt* parse_for();
 
-  std::unique_ptr<Expr> parse_expr();       // assignment level
-  std::unique_ptr<Expr> parse_binary(int min_precedence);
-  std::unique_ptr<Expr> parse_unary();
-  std::unique_ptr<Expr> parse_postfix();
-  std::unique_ptr<Expr> parse_primary();
+  Expr* parse_expr();       // assignment level
+  Expr* parse_binary(int min_precedence);
+  Expr* parse_unary();
+  Expr* parse_postfix();
+  Expr* parse_primary();
+
+  template <class T>
+  T* make() {
+    return new (arena_->allocate(sizeof(T), alignof(T))) T{};
+  }
+  // Moves the entries of `pending` from `mark` on into the arena.
+  template <class T>
+  std::span<const T> take(std::vector<T>& pending, std::size_t mark);
 
   std::vector<Token> tokens_;
   DiagnosticSink* diagnostics_;
+  std::pmr::memory_resource* arena_{nullptr}; // the unit being parsed
+  // Per-thread stacks, reused across parses: the statements of the open
+  // blocks and the arguments of the open calls (innermost last), and the
+  // parameters of the function being parsed.
+  std::vector<Stmt*>& stmts_;
+  std::vector<Expr*>& exprs_;
+  std::vector<ParamDecl>& params_;
   std::size_t pos_{0};
   int depth_{0};
 };

@@ -1,7 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 #include "common/diagnostics.hpp"
 
@@ -30,7 +30,7 @@ enum class TokenKind : std::uint8_t {
 
 struct Token {
   TokenKind kind{TokenKind::kEof};
-  std::string text;        // identifier spelling
+  std::string_view text;   // identifier spelling, a view into the source
   std::int32_t int_value{0};
   float float_value{0.0F};
   SourceLoc loc;

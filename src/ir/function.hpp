@@ -78,6 +78,7 @@ struct Function {
   std::vector<std::unique_ptr<BasicBlock>> blocks;
   std::vector<Loop> loops;
   std::vector<ArraySym> array_syms; // array symbols visible in this function
+  std::vector<CallSite> calls;      // kCall sites, by Instr::call
   std::vector<std::int8_t> used_seg_regs; // filled by CashLower: segment
                                           // registers this function clobbers
                                           // (saved/restored at call edges)
@@ -98,6 +99,11 @@ struct Function {
   }
 
   Reg new_reg() noexcept { return next_reg++; }
+
+  // The call site of kCall instruction `call`.
+  const CallSite& call_site(const Instr& call) const {
+    return calls[static_cast<std::size_t>(call.call)];
+  }
 
   const ArraySym* find_array_sym(SymbolId id) const noexcept {
     for (const ArraySym& s : array_syms) {
@@ -158,6 +164,11 @@ struct Module {
   }
 
   SymbolId new_symbol() noexcept { return next_symbol++; }
+
+  // Whether `index` names a function (CallSite::function).
+  bool has_function(std::int32_t index) const noexcept {
+    return index >= 0 && static_cast<std::size_t>(index) < functions.size();
+  }
 };
 
 } // namespace cash::ir

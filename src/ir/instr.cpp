@@ -1,16 +1,16 @@
 #include "ir/instr.hpp"
 
+#include <iterator>
+
 namespace cash::ir {
 
 const char* to_string(Type type) noexcept {
-  switch (type) {
-    case Type::kVoid:     return "void";
-    case Type::kInt:      return "int";
-    case Type::kFloat:    return "float";
-    case Type::kIntPtr:   return "int*";
-    case Type::kFloatPtr: return "float*";
-  }
-  return "?";
+  static constexpr const char* kNames[] = {"void", "int", "float", "int*",
+                                           "float*"};
+  static_assert(std::size(kNames) ==
+                static_cast<std::size_t>(Type::kFloatPtr) + 1);
+  const auto i = static_cast<std::size_t>(type);
+  return i < std::size(kNames) ? kNames[i] : "?";
 }
 
 const char* to_string(Opcode op) noexcept {
@@ -24,37 +24,33 @@ const char* to_string(Opcode op) noexcept {
   return "?";
 }
 
-const char* to_string(BinOp op) noexcept {
-  switch (op) {
-    case BinOp::kAdd:   return "add";
-    case BinOp::kSub:   return "sub";
-    case BinOp::kMul:   return "mul";
-    case BinOp::kDiv:   return "div";
-    case BinOp::kRem:   return "rem";
-    case BinOp::kAnd:   return "and";
-    case BinOp::kOr:    return "or";
-    case BinOp::kXor:   return "xor";
-    case BinOp::kShl:   return "shl";
-    case BinOp::kShr:   return "shr";
-    case BinOp::kCmpEq: return "cmpeq";
-    case BinOp::kCmpNe: return "cmpne";
-    case BinOp::kCmpLt: return "cmplt";
-    case BinOp::kCmpLe: return "cmple";
-    case BinOp::kCmpGt: return "cmpgt";
-    case BinOp::kCmpGe: return "cmpge";
+Builtin builtin_of(std::string_view name) noexcept {
+#define CASH_IR_BUILTIN_MATCH(name_, spelling, ...) \
+  if (name == spelling) {                           \
+    return Builtin::name_;                          \
   }
-  return "?";
+  CASH_IR_BUILTIN_LIST(CASH_IR_BUILTIN_MATCH)
+#undef CASH_IR_BUILTIN_MATCH
+  return Builtin::kNone;
+}
+
+const char* to_string(BinOp op) noexcept {
+  static constexpr const char* kNames[] = {
+      "add", "sub", "mul", "div", "rem", "and", "or", "xor", "shl", "shr",
+      "cmpeq", "cmpne", "cmplt", "cmple", "cmpgt", "cmpge"};
+  static_assert(std::size(kNames) ==
+                static_cast<std::size_t>(BinOp::kCmpGe) + 1);
+  const auto i = static_cast<std::size_t>(op);
+  return i < std::size(kNames) ? kNames[i] : "?";
 }
 
 const char* to_string(UnOp op) noexcept {
-  switch (op) {
-    case UnOp::kNeg:        return "neg";
-    case UnOp::kLogicalNot: return "lnot";
-    case UnOp::kBitNot:     return "bnot";
-    case UnOp::kIntToFloat: return "i2f";
-    case UnOp::kFloatToInt: return "f2i";
-  }
-  return "?";
+  static constexpr const char* kNames[] = {"neg", "lnot", "bnot", "i2f",
+                                           "f2i"};
+  static_assert(std::size(kNames) ==
+                static_cast<std::size_t>(UnOp::kFloatToInt) + 1);
+  const auto i = static_cast<std::size_t>(op);
+  return i < std::size(kNames) ? kNames[i] : "?";
 }
 
 } // namespace cash::ir

@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/diagnostics.hpp"
@@ -39,7 +41,8 @@ inline constexpr LoopId kNoLoop = -1;
 //                  info)
 //   kAddrGlobal    dst <- address of global array `symbol` (attaches info)
 //   kPtrAdd        dst <- src0 + src1 bytes (propagates shadow info)
-//   kCall          dst? <- call `callee`(srcs...)
+//   kCall          dst? <- call the callee of call site `call` with its
+//                  arguments (Function::calls)
 //   kRet           return src0?
 //   kJump          goto target0
 //   kBranch        if src0 != 0 goto target0 else target1
@@ -101,25 +104,76 @@ enum class UnOp : std::uint8_t {
   kNeg, kLogicalNot, kBitNot, kIntToFloat, kFloatToInt,
 };
 
-// One three-address instruction. A deliberately plain aggregate: the
-// interpreter walks millions of these, so cheap copies and direct field
-// access beat a class hierarchy.
+// The builtins every MiniC program can call undeclared, which the
+// simulator implements directly: X(name, spelling, return type, parameter
+// types...), types named without `Type::`. The Builtin enum, builtin_of()
+// and the front end's signature table are expanded from this list.
+#define CASH_IR_BUILTIN_LIST(X)                                              \
+  X(kMalloc, "malloc", kIntPtr, kInt)                                        \
+  X(kFree, "free", kVoid, kIntPtr)                                           \
+  X(kSqrt, "sqrt", kFloat, kFloat)                                           \
+  X(kFabs, "fabs", kFloat, kFloat)                                           \
+  X(kSin, "sin", kFloat, kFloat)                                             \
+  X(kCos, "cos", kFloat, kFloat)                                             \
+  X(kExp, "exp", kFloat, kFloat)                                             \
+  X(kLog, "log", kFloat, kFloat)                                             \
+  X(kFloor, "floor", kFloat, kFloat)                                         \
+  X(kPow, "pow", kFloat, kFloat, kFloat)                                     \
+  X(kAbs, "abs", kInt, kInt)                                                 \
+  X(kPrintInt, "print_int", kVoid, kInt)                                     \
+  X(kPrintFloat, "print_float", kVoid, kFloat)                               \
+  X(kRand, "rand", kInt)                                                     \
+  X(kSrand, "srand", kVoid, kInt)
+
+enum class Builtin : std::uint8_t {
+  kNone, // a user function, or no callee at all
+#define CASH_IR_BUILTIN_ENUM(name, ...) name,
+  CASH_IR_BUILTIN_LIST(CASH_IR_BUILTIN_ENUM)
+#undef CASH_IR_BUILTIN_ENUM
+};
+
+// The builtin spelled `name`, or kNone.
+Builtin builtin_of(std::string_view name) noexcept;
+
+// One call's callee and arguments. Only kCall needs them, so they live in
+// the function's call-site table and the instruction keeps the index. The
+// front end resolves the target once: to a builtin, or to the callee's
+// index in Module::functions.
+struct CallSite {
+  std::string callee;          // source spelling: printer, error messages
+  std::vector<Reg> args;
+  Builtin builtin{Builtin::kNone};
+  std::int32_t function{-1};   // Module::functions index when builtin is
+                               // kNone; -1 when no function has the name
+};
+
+// One three-address instruction. A deliberately plain, trivially copyable
+// aggregate of 64 bytes: the passes scan, copy and compact millions of
+// these, so every field is inline and no field owns memory.
 struct Instr {
   Opcode op{Opcode::kMove};
   Type type{Type::kInt};     // result / operand interpretation
+  BinOp bin_op{BinOp::kAdd};
+  UnOp un_op{UnOp::kNeg};
+  std::int8_t seg{-1};       // segment register index (x86seg::SegReg)
+                             // once Cash-lowered; -1 = flat DS access
+  bool rebased{false};       // address operand is segment-relative
+  bool synthetic{false};     // inserted by a lowering pass (check set-up);
+                             // costed with the check, not as program work
+  bool check_elided{false};  // memory access proven in-bounds by the
+                             // elision pass: lowering emits no check (and,
+                             // for Cash, no segment set-up) for it
+
   Reg dst{kNoReg};
   Reg src0{kNoReg};
   Reg src1{kNoReg};
-  std::vector<Reg> args;     // kCall only
 
   std::int32_t int_imm{0};
   float float_imm{0.0F};
-  BinOp bin_op{BinOp::kAdd};
-  UnOp un_op{UnOp::kNeg};
 
   std::int32_t slot{-1};          // kLoadLocal/kStoreLocal/kAddrLocal
   SymbolId symbol{kNoSymbol};     // global symbol or array provenance
-  std::string callee;             // kCall
+  std::int32_t call{-1};          // kCall: index in Function::calls
 
   BlockId target0{kNoBlock};
   BlockId target1{kNoBlock};
@@ -128,15 +182,6 @@ struct Instr {
   SymbolId array_ref{kNoSymbol};  // which array variable this memory access
                                   // syntactically derives from
   LoopId loop{kNoLoop};           // innermost syntactic loop containing it
-  std::int8_t seg{-1};            // segment register index (x86seg::SegReg)
-                                  // once Cash-lowered; -1 = flat DS access
-  bool rebased{false};            // address operand is segment-relative
-  bool synthetic{false};          // inserted by a lowering pass (check
-                                  // set-up); costed with the check, not as
-                                  // program work
-  bool check_elided{false};       // memory access proven in-bounds by the
-                                  // elision pass: lowering emits no check
-                                  // (and, for Cash, no segment set-up) for it
 
   SourceLoc loc;
 
@@ -147,6 +192,9 @@ struct Instr {
     return op == Opcode::kLoad || op == Opcode::kStore;
   }
 };
+
+static_assert(sizeof(Instr) <= 64 && std::is_trivially_copyable_v<Instr>,
+              "ir::Instr must stay a small plain aggregate");
 
 const char* to_string(Opcode op) noexcept;
 const char* to_string(BinOp op) noexcept;

@@ -14,7 +14,7 @@ void print_reg(std::ostringstream& out, Reg r) {
 }
 } // namespace
 
-std::string to_text(const Instr& instr) {
+std::string to_text(const Instr& instr, const Function& function) {
   std::ostringstream out;
   out << to_string(instr.op);
   switch (instr.op) {
@@ -39,16 +39,18 @@ std::string to_text(const Instr& instr) {
     case Opcode::kConstFloat:
       out << instr.float_imm;
       break;
-    case Opcode::kCall:
-      out << instr.callee << '(';
-      for (std::size_t i = 0; i < instr.args.size(); ++i) {
+    case Opcode::kCall: {
+      const CallSite& site = function.call_site(instr);
+      out << site.callee << '(';
+      for (std::size_t i = 0; i < site.args.size(); ++i) {
         if (i > 0) {
           out << ", ";
         }
-        print_reg(out, instr.args[i]);
+        print_reg(out, site.args[i]);
       }
       out << ')';
       break;
+    }
     case Opcode::kJump:
       out << "bb" << instr.target0;
       break;
@@ -115,7 +117,7 @@ std::string to_text(const Function& function) {
   for (const auto& block : function.blocks) {
     out << "bb" << block->id << ": ; " << block->name << '\n';
     for (const Instr& instr : block->instrs) {
-      out << "  " << to_text(instr) << '\n';
+      out << "  " << to_text(instr, function) << '\n';
     }
   }
   out << "}\n";

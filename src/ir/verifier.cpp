@@ -95,9 +95,16 @@ void check_function(const Function& f, std::vector<std::string>& problems,
       if (bad_reg(instr.src1)) {
         complain(instr_problem(*block, i, ": src1 register out of range"));
       }
-      for (Reg arg : instr.args) {
-        if (bad_reg(arg)) {
-          complain(instr_problem(*block, i, ": arg register out of range"));
+      if (instr.op == Opcode::kCall) {
+        if (instr.call < 0 ||
+            static_cast<std::size_t>(instr.call) >= f.calls.size()) {
+          complain(instr_problem(*block, i, ": call site out of range"));
+        } else {
+          for (Reg arg : f.call_site(instr).args) {
+            if (bad_reg(arg)) {
+              complain(instr_problem(*block, i, ": arg register out of range"));
+            }
+          }
         }
       }
       if ((instr.op == Opcode::kJump || instr.op == Opcode::kBranch) &&

@@ -5,7 +5,8 @@ namespace cash::passes {
 namespace {
 
 // Average encoded size of the x86 instruction(s) an IR operation lowers to.
-std::uint64_t base_instr_bytes(const ir::Instr& instr) {
+std::uint64_t base_instr_bytes(const ir::Function& function,
+                               const ir::Instr& instr) {
   switch (instr.op) {
     case ir::Opcode::kConstInt:
     case ir::Opcode::kConstFloat:   return 5; // mov $imm, r
@@ -21,7 +22,8 @@ std::uint64_t base_instr_bytes(const ir::Instr& instr) {
     case ir::Opcode::kAddrLocal:    return 3; // lea
     case ir::Opcode::kAddrGlobal:   return 5;
     case ir::Opcode::kPtrAdd:       return 3;
-    case ir::Opcode::kCall:         return 5 + 2 * instr.args.size(); // pushes
+    case ir::Opcode::kCall: // the call and one push per argument
+      return 5 + 2 * function.call_site(instr).args.size();
     case ir::Opcode::kRet:          return 3;
     case ir::Opcode::kJump:         return 2;
     case ir::Opcode::kBranch:       return 4; // cmp + jcc
@@ -43,7 +45,7 @@ CodeSize estimate_code_size(const ir::Module& module,
   for (const auto& function : module.functions) {
     for (const auto& block : function->blocks) {
       for (const ir::Instr& instr : block->instrs) {
-        app += base_instr_bytes(instr);
+        app += base_instr_bytes(*function, instr);
         // Fat-pointer representation adds copy instructions wherever a
         // pointer value moves: 1 extra word for Cash, 2 for BCC (3 bytes
         // per extra word copied).

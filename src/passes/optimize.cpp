@@ -196,15 +196,18 @@ void count_defs(const Function& function, Scratch& scratch) {
   scratch.slots = static_cast<std::size_t>(max_slot + 1);
 }
 
-void for_each_use(const Instr& instr, const auto& fn) {
+void for_each_use(const Function& function, const Instr& instr,
+                  const auto& fn) {
   if (instr.src0 != ir::kNoReg) {
     fn(instr.src0);
   }
   if (instr.src1 != ir::kNoReg) {
     fn(instr.src1);
   }
-  for (Reg arg : instr.args) {
-    fn(arg);
+  if (instr.op == Opcode::kCall) {
+    for (Reg arg : function.call_site(instr).args) {
+      fn(arg);
+    }
   }
 }
 
@@ -533,9 +536,11 @@ std::uint64_t copy_propagate(Function& function, Scratch& scratch) {
       if (instr.src1 != ir::kNoReg) {
         rewrite(instr.src1);
       }
-      for (Reg& arg : instr.args) {
-        rewrite(arg);
-      }
+    }
+  }
+  for (ir::CallSite& site : function.calls) {
+    for (Reg& arg : site.args) {
+      rewrite(arg);
     }
   }
   return rewritten;
@@ -593,7 +598,7 @@ std::uint64_t licm(Function& function, Scratch& scratch) {
                        !can_fault(instr) && instr.dst != ir::kNoReg &&
                        defs[static_cast<std::size_t>(instr.dst)] == 1;
         if (movable) {
-          for_each_use(instr, [&](Reg r) {
+          for_each_use(function, instr, [&](Reg r) {
             const bool invariant =
                 !defined_inside.contains(r) || hoisted_defs.contains(r);
             movable = movable && invariant;
@@ -647,7 +652,7 @@ std::uint64_t dce(Function& function, Scratch& scratch) {
   for (const auto& block : function.blocks) {
     instrs += block->instrs.size();
     for (const Instr& instr : block->instrs) {
-      for_each_use(instr,
+      for_each_use(function, instr,
                    [&](Reg r) { ++uses[static_cast<std::size_t>(r)]; });
       if (removable(instr)) {
         ++def_begin[static_cast<std::size_t>(instr.dst) + 1];
@@ -667,7 +672,7 @@ std::uint64_t dce(Function& function, Scratch& scratch) {
   freed.clear();
   const auto remove = [&](std::size_t at, const Instr& instr) {
     dead[at] = 1;
-    for_each_use(instr, [&](Reg r) { freed.push_back(r); });
+    for_each_use(function, instr, [&](Reg r) { freed.push_back(r); });
   };
 
   std::uint64_t removed = 0;

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 
+#include "common/memory_map.hpp"
 #include "mmu/mmu.hpp"
 #include "passes/lower.hpp"
 #include "runtime/segment_manager.hpp"
@@ -14,6 +15,7 @@ namespace cash::runtime {
 //   word 2: raw segment selector for the object's segment (0 = none)
 inline constexpr std::uint32_t kInfoWords = 3;
 inline constexpr std::uint32_t kInfoBytes = kInfoWords * 4;
+static_assert(array_footprint(0) == kInfoBytes);
 inline constexpr std::uint32_t kInfoLowerOff = 0;
 inline constexpr std::uint32_t kInfoUpperOff = 4;
 inline constexpr std::uint32_t kInfoSelectorOff = 8;

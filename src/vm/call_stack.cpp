@@ -67,15 +67,19 @@ FrameCharge CallStack::push(Machine::Impl& impl, std::uint32_t fn_index,
     if (!slot.is_array) {
       continue;
     }
-    const std::uint32_t size = slot.elem_count * ir::kWordSize;
+    // In 64 bits, so that no declared size wraps past the stack limit.
+    const std::uint64_t footprint = array_footprint(slot.elem_count);
     const std::uint32_t info =
-        align_down(impl.sp - (runtime::kInfoBytes + size), 8);
+        footprint > impl.sp - kStackLimit
+            ? 0
+            : align_down(impl.sp - static_cast<std::uint32_t>(footprint), 8);
     if (info < kStackLimit) {
       partial_ = frame;
       charge.overflow = true;
       return charge;
     }
     impl.sp = info;
+    const std::uint32_t size = slot.elem_count * ir::kWordSize;
     const std::uint32_t data = info + runtime::kInfoBytes;
     impl.pages.map_range(info, runtime::kInfoBytes + size);
     arrays[i].bits = data;

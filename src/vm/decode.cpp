@@ -165,11 +165,9 @@ void copy_stream(const UopStream& from, UopStream& to) {
 // arities, resolvable globals) is checked here; a violation returns false,
 // which marks the function undecodable, and the whole module falls back to
 // the reference interpreter, preserving legacy behaviour exactly.
-bool decode_plain(
-    const ir::Module& module, const ir::Function& fn,
-    const std::unordered_map<const ir::Function*, std::size_t>& fn_index,
-    const std::vector<std::uint8_t>& sym_kind, UopStream& plain,
-    std::vector<MicroInstr>& pending) {
+bool decode_plain(const ir::Module& module, const ir::Function& fn,
+                  const std::vector<std::uint8_t>& sym_kind, UopStream& plain,
+                  std::vector<MicroInstr>& pending) {
   constexpr std::uint8_t kSymScalar = 1;
   constexpr std::uint8_t kSymArray = 2;
 
@@ -383,25 +381,28 @@ bool decode_plain(
           itemized = true;
           break;
         case Opcode::kCall: {
-          for (ir::Reg a : in.args) {
+          if (in.call < 0 || static_cast<std::size_t>(in.call) >= fn.calls.size()) {
+            return false;
+          }
+          const ir::CallSite& site = fn.call_site(in);
+          const std::vector<ir::Reg>& args = site.args;
+          for (ir::Reg a : args) {
             if (!valid_reg(a)) return false;
           }
-          const Builtin b = builtin_of(in.callee);
+          const Builtin b = site.builtin;
           const auto arg_or_none = [&](std::size_t i) {
-            return in.args.size() > i ? in.args[i] : ir::kNoReg;
+            return args.size() > i ? args[i] : ir::kNoReg;
           };
           switch (b) {
-            case Builtin::kNone: {
-              const ir::Function* callee = module.find_function(in.callee);
+            case Builtin::kNone:
               m.op = UOp::kCallUser;
               m.dst = in.dst; // may be kNoReg for void calls
               if (in.dst != ir::kNoReg && !valid_reg(in.dst)) return false;
-              if (callee != nullptr) {
-                m.callee = static_cast<std::int32_t>(fn_index.at(callee));
+              if (module.has_function(site.function)) {
+                m.callee = site.function;
               }
               itemized = true;
               break;
-            }
             case Builtin::kMalloc:
               if (!valid_reg(in.dst)) return false;
               m.op = UOp::kMalloc;
@@ -415,19 +416,19 @@ bool decode_plain(
               itemized = true;
               break;
             case Builtin::kPow:
-              if (!valid_reg(in.dst) || in.args.size() < 2) return false;
+              if (!valid_reg(in.dst) || args.size() < 2) return false;
               m.op = UOp::kBuiltin;
               m.builtin = b;
               m.dst = in.dst;
-              m.src0 = in.args[0];
-              m.src1 = in.args[1];
+              m.src0 = args[0];
+              m.src1 = args[1];
               break;
             case Builtin::kPrintInt:
             case Builtin::kPrintFloat:
-              if (in.args.empty()) return false;
+              if (args.empty()) return false;
               m.op = UOp::kBuiltin;
               m.builtin = b;
-              m.src0 = in.args[0];
+              m.src0 = args[0];
               break;
             case Builtin::kRand:
               if (!valid_reg(in.dst)) return false;
@@ -442,11 +443,11 @@ bool decode_plain(
               break;
             default:
               // One-float-argument math builtins (sqrt/fabs/... and abs).
-              if (!valid_reg(in.dst) || in.args.empty()) return false;
+              if (!valid_reg(in.dst) || args.empty()) return false;
               m.op = UOp::kBuiltin;
               m.builtin = b;
               m.dst = in.dst;
-              m.src0 = in.args[0];
+              m.src0 = args[0];
               break;
           }
           break;
@@ -491,10 +492,9 @@ bool decode_plain(
   return true;
 }
 
-DecodedFunction decode_function(
-    const ir::Module& module, const ir::Function& fn,
-    const std::unordered_map<const ir::Function*, std::size_t>& fn_index,
-    const std::vector<std::uint8_t>& sym_kind) {
+DecodedFunction decode_function(const ir::Module& module,
+                                const ir::Function& fn,
+                                const std::vector<std::uint8_t>& sym_kind) {
   Scratch& tables = scratch();
   UopStream& plain = tables.stream;
   plain.uops.clear();
@@ -502,8 +502,7 @@ DecodedFunction decode_function(
   plain.block_entry.clear();
   DecodedFunction out;
   out.fn = &fn;
-  out.ok =
-      decode_plain(module, fn, fn_index, sym_kind, plain, tables.pending);
+  out.ok = decode_plain(module, fn, sym_kind, plain, tables.pending);
   copy_stream(plain, out.plain);
   return out;
 }
@@ -688,10 +687,9 @@ void fuse_function(DecodedFunction& fn) {
 } // namespace
 
 DecodedProgram::DecodedProgram(const ir::Module& module) : module_(&module) {
-  std::unordered_map<const ir::Function*, std::size_t> fn_index;
-  fn_index.reserve(module.functions.size());
+  index_.reserve(module.functions.size());
   for (std::size_t i = 0; i < module.functions.size(); ++i) {
-    fn_index.emplace(module.functions[i].get(), i);
+    index_.emplace(module.functions[i].get(), i);
   }
 
   std::vector<std::uint8_t>& sym_kind = scratch().sym_kind;
@@ -710,13 +708,12 @@ DecodedProgram::DecodedProgram(const ir::Module& module) : module_(&module) {
   functions_.reserve(module.functions.size());
   for (std::size_t i = 0; i < module.functions.size(); ++i) {
     functions_.push_back(
-        decode_function(module, *module.functions[i], fn_index, sym_kind));
+        decode_function(module, *module.functions[i], sym_kind));
     if (functions_.back().ok) {
       fuse_function(functions_.back());
     }
     ok_ = ok_ && functions_.back().ok;
   }
-  index_ = std::move(fn_index);
 }
 
 // ---------------------------------------------------------------------------
@@ -2257,20 +2254,20 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry,
               "instruction budget exceeded (possible infinite loop)";
           goto run_end;
         }
-        const Instr& in = *u.src;
+        const ir::CallSite& site = dfn->fn->call_site(*u.src);
         ++ctr.calls;
         if (u.callee < 0) {
-          result.error = "call to unknown function " + in.callee;
+          result.error = "call to unknown function " + site.callee;
           goto run_end;
         }
         cycles += costs::kCallRet;
         stack.top().pos = fpc + 1; // return to the next micro-op
         const FrameCharge charge =
             stack.push(impl, static_cast<std::uint32_t>(u.callee), u.dst,
-                       in.args, cycles);
+                       site.args, cycles);
         charge.book(cycles, runtime_cy, ctr);
         if (charge.overflow) {
-          result.error = "stack overflow calling " + in.callee;
+          result.error = "stack overflow calling " + site.callee;
           goto run_end;
         }
         enter_top();

@@ -11,7 +11,7 @@
 // Pre-decoded micro-op image (DESIGN.md §7). At CompiledProgram
 // construction every IR function is lowered once into a flat array of
 // decoded micro-ops: a dense opcode enum, pre-resolved operand slots,
-// pre-looked-up callee indices and branch targets expressed as micro-op
+// the call sites' resolved callee indices and branch targets expressed as micro-op
 // indices. The engine (decode.cpp) then dispatches through one jump table
 // over this array instead of re-deriving everything per step from the IR.
 //
@@ -39,32 +39,9 @@
 
 namespace cash::vm {
 
-// Builtins the simulator implements directly. The decoder resolves call
-// sites to one of these (or to a user-function index) once per program.
-enum class Builtin : std::uint8_t {
-  kNone, // user function or unknown callee
-  kMalloc, kFree, kSqrt, kFabs, kSin, kCos, kExp, kLog, kFloor, kPow, kAbs,
-  kPrintInt, kPrintFloat, kRand, kSrand,
-};
-
-inline Builtin builtin_of(const std::string& name) noexcept {
-  if (name == "malloc") return Builtin::kMalloc;
-  if (name == "free") return Builtin::kFree;
-  if (name == "sqrt") return Builtin::kSqrt;
-  if (name == "fabs") return Builtin::kFabs;
-  if (name == "sin") return Builtin::kSin;
-  if (name == "cos") return Builtin::kCos;
-  if (name == "exp") return Builtin::kExp;
-  if (name == "log") return Builtin::kLog;
-  if (name == "floor") return Builtin::kFloor;
-  if (name == "pow") return Builtin::kPow;
-  if (name == "abs") return Builtin::kAbs;
-  if (name == "print_int") return Builtin::kPrintInt;
-  if (name == "print_float") return Builtin::kPrintFloat;
-  if (name == "rand") return Builtin::kRand;
-  if (name == "srand") return Builtin::kSrand;
-  return Builtin::kNone;
-}
+// Builtins the simulator implements directly; the front end resolves each
+// call site to one of these or to a user function (ir::CallSite).
+using ir::Builtin;
 
 // Cycles a builtin other than malloc and free charges, in both engines.
 constexpr std::uint64_t builtin_cycles(Builtin builtin) noexcept {

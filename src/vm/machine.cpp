@@ -529,18 +529,13 @@ RunResult Machine::Impl::execute_interpreter(const ir::Function* entry,
         break;
       }
       case Opcode::kCall: {
-        const std::string& callee = instr.callee;
-        const ir::Reg a0 = instr.args.empty() ? ir::kNoReg : instr.args[0];
+        const ir::CallSite& site = fn->call_site(instr);
+        const ir::Reg a0 = site.args.empty() ? ir::kNoReg : site.args[0];
         const std::uint32_t a0_bits = a0 == ir::kNoReg ? 0 : reg_of(a0).bits;
         ++ctr.calls;
 
-        const auto target_it = call_targets.find(&instr);
-        const CallTarget target = target_it != call_targets.end()
-                                      ? target_it->second
-                                      : resolve_call(callee);
-
         // --- builtins ---
-        if (target.builtin == Builtin::kMalloc) {
+        if (site.builtin == Builtin::kMalloc) {
           runtime::CashHeap::Object obj = heap.allocate(a0_bits);
           cycles += obj.cycles;
           runtime_cy += obj.cycles;
@@ -553,30 +548,30 @@ RunResult Machine::Impl::execute_interpreter(const ir::Function* entry,
             break;
           }
           reg_of(instr.dst) = Value{obj.data, obj.info};
-        } else if (target.builtin == Builtin::kFree) {
+        } else if (site.builtin == Builtin::kFree) {
           const std::uint64_t released = heap.release(a0_bits);
           cycles += released;
           runtime_cy += released;
-        } else if (target.builtin != Builtin::kNone) {
-          run_builtin(target.builtin, regs, instr.dst, a0,
-                      instr.args.size() > 1 ? instr.args[1] : ir::kNoReg,
+        } else if (site.builtin != Builtin::kNone) {
+          run_builtin(site.builtin, regs, instr.dst, a0,
+                      site.args.size() > 1 ? site.args[1] : ir::kNoReg,
                       output, rng_state);
-          cycles += builtin_cycles(target.builtin);
+          cycles += builtin_cycles(site.builtin);
         } else {
           // --- user function ---
-          if (target.fn_index < 0) {
-            result.error = "call to unknown function " + callee;
+          if (!module->has_function(site.function)) {
+            result.error = "call to unknown function " + site.callee;
             break;
           }
           cycles += costs::kCallRet;
           stack.top().block = cur_block;
           stack.top().pos = static_cast<std::uint32_t>(ip + 1);
           const FrameCharge charge =
-              stack.push(*this, static_cast<std::uint32_t>(target.fn_index),
-                         instr.dst, instr.args, cycles);
+              stack.push(*this, static_cast<std::uint32_t>(site.function),
+                         instr.dst, site.args, cycles);
           charge.book(cycles, runtime_cy, ctr);
           if (charge.overflow) {
-            result.error = "stack overflow calling " + callee;
+            result.error = "stack overflow calling " + site.callee;
             break;
           }
           load_top();

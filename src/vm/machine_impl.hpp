@@ -11,12 +11,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/hot_inline.hpp"
+#include "common/memory_map.hpp"
 #include "runtime/array_runtime.hpp"
 #include "vm/decode.hpp"
 #include "vm/machine.hpp"
@@ -94,12 +96,6 @@ CASH_HOT_INLINE inline void run_builtin(Builtin builtin, Value* regs,
   }
 }
 
-// Memory map of the simulated process.
-inline constexpr std::uint32_t kGlobalsBase = 0x08100000;
-inline constexpr std::uint32_t kHeapBase = 0x10000000;
-inline constexpr std::uint32_t kHeapLimit = 0xA0000000;
-inline constexpr std::uint32_t kStackTop = 0xBF000000;
-inline constexpr std::uint32_t kStackLimit = 0xBB000000; // 64 MB of stack
 // Deepest call nesting, the entry frame included. A call past it overflows
 // the stack like one whose local arrays do not fit above kStackLimit. No
 // workload, fuzz program or test comes near it (CHANGES.md).
@@ -111,18 +107,6 @@ constexpr std::uint32_t align_up(std::uint32_t v, std::uint32_t a) {
 constexpr std::uint32_t align_down(std::uint32_t v, std::uint32_t a) {
   return v & ~(a - 1);
 }
-
-// Call sites are resolved to a CallTarget once per Machine (the IR is
-// immutable after lowering), so the interpreter's per-call dispatch is a
-// pointer-keyed hash lookup plus an enum switch instead of a chain of
-// string compares and a linear function-list scan. The micro-op decoder
-// resolves them once per program instead (vm/decode.hpp).
-struct CallTarget {
-  Builtin builtin{Builtin::kNone};
-  // Resolved callee's index in module->functions when builtin == kNone;
-  // -1 when no function has the name.
-  std::int32_t fn_index{-1};
-};
 
 // --- the call-frame stack both engines share (call_stack.cpp; DESIGN.md
 // §7) ---
@@ -331,8 +315,6 @@ struct Machine::Impl {
   std::unordered_map<std::uint32_t, std::uint32_t> mem_ptr_info;
   std::uint32_t sp{kStackTop};
   std::uint32_t rng_state;
-  // Call-resolution cache: one entry per kCall site in the module.
-  std::unordered_map<const ir::Instr*, CallTarget> call_targets;
   // The running program's frames and profile. Not part of the snapshot:
   // every run starts it afresh.
   CallStack stack;
@@ -361,17 +343,6 @@ struct Machine::Impl {
 
     if (!cfg.enable_tlb) {
       pages.tlb().set_enabled(false);
-    }
-
-    for (const auto& fn : module->functions) {
-      for (const auto& block : fn->blocks) {
-        for (const ir::Instr& in : block->instrs) {
-          if (in.op != ir::Opcode::kCall) {
-            continue;
-          }
-          call_targets.emplace(&in, resolve_call(in.callee));
-        }
-      }
     }
   }
 
@@ -404,6 +375,12 @@ struct Machine::Impl {
       std::uint32_t info = 0;
       if (g.is_array) {
         const std::uint32_t block = align_up(cursor, 8);
+        // The front end rejects globals past the region; hand-built IR
+        // gets a host error here rather than a wrapped size.
+        if (block + array_footprint(g.elem_count) > kHeapBase) {
+          throw std::length_error("global array " + g.name +
+                                  " does not fit below the heap");
+        }
         data = block + runtime::kInfoBytes;
         const std::uint32_t size = g.elem_count * ir::kWordSize;
         cursor = data + size;
@@ -439,15 +416,6 @@ struct Machine::Impl {
       }
     }
     return -1;
-  }
-
-  CallTarget resolve_call(const std::string& callee) const {
-    CallTarget target;
-    target.builtin = builtin_of(callee);
-    if (target.builtin == Builtin::kNone) {
-      target.fn_index = function_index(module->find_function(callee));
-    }
-    return target;
   }
 
   // Starts a run on either engine: loads the program (its one-time set-up

@@ -282,6 +282,50 @@ TEST(Integration, CompileErrorsAreReported) {
   EXPECT_NE(bad.error.find("undeclared"), std::string::npos) << bad.error;
 }
 
+// Every array must fit its region together with its info block, so no
+// byte size computed from a declaration can wrap in 32 bits. The first two
+// programs used to run: a's size wrapped to 0, so the loop wrote into b and
+// Cash missed it; the 4 GB local never reached the 64 MB stack limit.
+TEST(Integration, ArraysThatCannotFitTheirRegionAreCompileErrors) {
+  constexpr const char* kTooBig[] = {
+      R"(int a[1073741824];
+int b[4];
+int main() {
+  int i;
+  for (i = 0; i < 8; i++) { a[i] = 5; }
+  return b[0] + b[3];
+})",
+      R"(int f() { int a[1073741823]; a[0] = 1; return a[0]; }
+int main() { return f(); })",
+      // 64 MB of stack holds 16777213 words and the info block, no more.
+      "int main() { int a[16777214]; a[0] = 1; return a[0]; }",
+      // Each fits the 127 MB of globals below the heap, not both.
+      "int a[20000000]; int b[20000000]; int main() { return 0; }",
+      "int a[33292286]; int main() { return 0; }",
+  };
+  constexpr const char* kLargestThatFit[] = {
+      "int main() { int a[16777213]; return 0; }",
+      "int a[33292285]; int main() { return 0; }",
+  };
+  for (CheckMode mode :
+       {CheckMode::kNoCheck, CheckMode::kBcc, CheckMode::kCash,
+        CheckMode::kBoundInsn, CheckMode::kEfence, CheckMode::kShadow}) {
+    for (const bool elide : {false, true}) {
+      CompileOptions options = options_for(mode);
+      options.lower.elide_checks = elide;
+      for (const char* source : kTooBig) {
+        const CompileResult r = compile(source, options);
+        EXPECT_FALSE(r.ok()) << to_string(mode) << ": " << source;
+        EXPECT_NE(r.error.find("does not fit"), std::string::npos) << r.error;
+      }
+      for (const char* source : kLargestThatFit) {
+        EXPECT_TRUE(compile(source, options).ok())
+            << to_string(mode) << ": " << source;
+      }
+    }
+  }
+}
+
 TEST(Integration, FloatArithmetic) {
   constexpr const char* kFloatProgram = R"(
 float v[4];

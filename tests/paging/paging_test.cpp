@@ -2,6 +2,8 @@
 // protection bits, and page-crossing accesses.
 #include <gtest/gtest.h>
 
+#include "common/fault.hpp"
+#include "faultinject/faultinject.hpp"
 #include "paging/page_table.hpp"
 #include "paging/physical_memory.hpp"
 
@@ -25,6 +27,93 @@ TEST(PhysicalMemory, ExhaustionThrows) {
   memory.allocate_frame();
   EXPECT_THROW(memory.allocate_frame(), std::runtime_error);
 }
+
+// The store is a host mapping that grows by remapping, which may move it.
+// Across every growth step from 1 to 4096 frames, each frame keeps what
+// was written to it and each new frame reads zero.
+TEST(PhysicalMemory, FramesKeepTheirBytesAsTheStoreGrows) {
+  constexpr std::uint32_t kFrames = 4096;
+  PhysicalMemory memory(kFrames);
+  for (std::uint32_t f = 0; f < kFrames; ++f) {
+    ASSERT_EQ(memory.allocate_frame(), f);
+    const std::uint32_t base = f * kPageSize;
+    EXPECT_EQ(memory.read32(base), 0U);
+    EXPECT_EQ(memory.read32(base + kPageSize - 4), 0U);
+    memory.write32(base, f * 2654435761U);
+    memory.write8(base + kPageSize - 1, static_cast<std::uint8_t>(f));
+  }
+  for (std::uint32_t f = 0; f < kFrames; ++f) {
+    const std::uint32_t base = f * kPageSize;
+    ASSERT_EQ(memory.read32(base), f * 2654435761U) << "frame " << f;
+    ASSERT_EQ(memory.read8(base + kPageSize - 1),
+              static_cast<std::uint8_t>(f));
+  }
+}
+
+TEST(PhysicalMemory, RestoreRewindsFramesAndZeroesLaterOnes) {
+  PhysicalMemory memory(64);
+  memory.allocate_frame();
+  memory.allocate_frame();
+  memory.write32(8, 11);
+  memory.write32(kPageSize + 8, 22);
+  const PhysicalMemory::Image image = memory.capture_image();
+  memory.write32(8, 33);
+  for (int i = 0; i < 30; ++i) { // grows the store past the capture
+    const std::uint32_t f = memory.allocate_frame();
+    memory.write32(f * kPageSize + 16, 0xDEADBEEF);
+  }
+  memory.restore_image(image);
+  EXPECT_EQ(memory.frames_allocated(), 2U);
+  EXPECT_EQ(memory.read32(8), 11U);
+  EXPECT_EQ(memory.read32(kPageSize + 8), 22U);
+  for (int i = 0; i < 30; ++i) {
+    const std::uint32_t f = memory.allocate_frame();
+    EXPECT_EQ(memory.read32(f * kPageSize + 16), 0U) << "frame " << f;
+  }
+  // A second restore from the same capture works too.
+  memory.restore_image(image);
+  EXPECT_EQ(memory.frames_allocated(), 2U);
+  EXPECT_EQ(memory.read32(8), 11U);
+}
+
+TEST(PhysicalMemory, ExhaustionAndInjectedDenialAreResourceFaults) {
+  PhysicalMemory full(1);
+  full.allocate_frame();
+  try {
+    full.allocate_frame();
+    ADD_FAILURE() << "allocation past the last frame succeeded";
+  } catch (const FaultException& e) {
+    EXPECT_EQ(e.fault().kind, FaultKind::kResourceExhausted);
+  }
+
+  faultinject::FaultPlan plan;
+  plan.rules.push_back({faultinject::FaultSite::kPhysFrameAlloc, 1, 1, 1, 1});
+  faultinject::FaultInjector injector(plan, 0);
+  PhysicalMemory memory(16);
+  memory.set_fault_injector(&injector);
+  memory.allocate_frame();
+  try {
+    memory.allocate_frame();
+    ADD_FAILURE() << "the injected denial did not fire";
+  } catch (const FaultException& e) {
+    EXPECT_EQ(e.fault().kind, FaultKind::kResourceExhausted);
+    EXPECT_NE(e.fault().detail.find("fault injection"), std::string::npos);
+  }
+  EXPECT_EQ(memory.frames_allocated(), 1U);
+  EXPECT_EQ(memory.allocate_frame(), 1U);
+}
+
+#ifndef NDEBUG
+// The store is a raw mapping, so builds with assertions check every access
+// against the allocated frames themselves.
+TEST(PhysicalMemoryDeathTest, AccessPastTheAllocatedFramesAsserts) {
+  PhysicalMemory memory(16);
+  memory.allocate_frame();
+  EXPECT_DEATH((void)memory.read32(kPageSize - 2), "in_allocated");
+  EXPECT_DEATH(memory.write32(kPageSize, 1), "in_allocated");
+  EXPECT_DEATH((void)memory.read8(kPageSize), "in_allocated");
+}
+#endif
 
 TEST(PageTable, UnmappedAccessFaults) {
   PhysicalMemory memory(16);

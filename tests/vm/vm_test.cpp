@@ -331,8 +331,8 @@ ir::Module global_access_module(ir::Opcode op, ir::SymbolId symbol) {
   emit(ir::Opcode::kStoreGlobal, scalar.symbol, ir::kNoReg, seven);
   ir::Instr print;
   print.op = ir::Opcode::kCall;
-  print.callee = "print_int";
-  print.args = {seven};
+  print.call = 0;
+  fn->calls.push_back({"print_int", {seven}, ir::Builtin::kPrintInt});
   b.instrs.push_back(print);
   if (op == ir::Opcode::kStoreGlobal) {
     emit(op, symbol, ir::kNoReg, seven);

@@ -140,9 +140,10 @@ static_assert(std::is_trivially_destructible_v<Expr> &&
 struct TranslationUnit {
   std::vector<GlobalDecl> globals;
   std::vector<FunctionDecl*> functions;
-  // Owns every node above; allocated so that the unit can move.
+  // Owns every node above; allocated so that the unit can move. The
+  // workloads' trees take 13 to 45 KB.
   std::unique_ptr<std::pmr::monotonic_buffer_resource> arena =
-      std::make_unique<std::pmr::monotonic_buffer_resource>();
+      std::make_unique<std::pmr::monotonic_buffer_resource>(32 * 1024);
 };
 
 } // namespace cash::frontend

@@ -100,9 +100,10 @@ struct Function {
 
   Reg new_reg() noexcept { return next_reg++; }
 
-  // The call site of kCall instruction `call`.
+  // The call site of kCall instruction `call`. std::out_of_range if
+  // malformed IR names none; the verifier and the decoder reject such IR.
   const CallSite& call_site(const Instr& call) const {
-    return calls[static_cast<std::size_t>(call.call)];
+    return calls.at(static_cast<std::size_t>(call.call));
   }
 
   const ArraySym* find_array_sym(SymbolId id) const noexcept {

@@ -381,7 +381,8 @@ bool decode_plain(const ir::Module& module, const ir::Function& fn,
           itemized = true;
           break;
         case Opcode::kCall: {
-          if (in.call < 0 || static_cast<std::size_t>(in.call) >= fn.calls.size()) {
+          if (in.call < 0 ||
+              static_cast<std::size_t>(in.call) >= fn.calls.size()) {
             return false;
           }
           const ir::CallSite& site = fn.call_site(in);

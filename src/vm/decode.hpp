@@ -10,10 +10,11 @@
 
 // Pre-decoded micro-op image (DESIGN.md §7). At CompiledProgram
 // construction every IR function is lowered once into a flat array of
-// decoded micro-ops: a dense opcode enum, pre-resolved operand slots,
-// the call sites' resolved callee indices and branch targets expressed as micro-op
-// indices. The engine (decode.cpp) then dispatches through one jump table
-// over this array instead of re-deriving everything per step from the IR.
+// decoded micro-ops: a dense opcode enum, pre-resolved operand slots, the
+// callee indices the front end resolved, and branch targets expressed as
+// micro-op indices. The engine (decode.cpp) then dispatches through one
+// jump table over this array instead of re-deriving everything per step
+// from the IR.
 //
 // Straight-line runs of micro-ops whose cost is statically known are folded
 // into *groups*: the group header carries precomputed aggregate cycle /

@@ -92,9 +92,9 @@ using passes::CheckMode;
 
 // Before the passes kept per-thread scratch, compile() averaged 1,567 heap
 // allocations over these 72 cells, and 693 before the AST moved into an
-// arena and call sites out of ir::Instr. Now it makes about 335, most of
+// arena and call sites out of ir::Instr. Now it makes about 333, most of
 // them the IR the program keeps. The ceiling is that figure plus 10%.
-constexpr double kMaxMeanAllocations = 368.0;
+constexpr double kMaxMeanAllocations = 366.0;
 
 struct Cell {
   const workloads::Workload* workload;

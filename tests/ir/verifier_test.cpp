@@ -169,6 +169,25 @@ TEST(Verifier, AddrLocalOfAnOutOfRangeSlotIsOneProblem) {
                       "f: block body instr 2: local slot out of range"}));
 }
 
+TEST(Verifier, CallsNeedACallSiteWithArgumentsInRange) {
+  // Call 0 is fine, call 1 passes register 5 of 1, and calls -1 and 2 name
+  // no entry of the function's call-site table.
+  auto f = make_function("f");
+  f->calls.push_back({"print_int", {0}, Builtin::kPrintInt});
+  f->calls.push_back({"print_int", {5}, Builtin::kPrintInt});
+  for (std::int32_t site : {2, -1, 1, 0}) {
+    Instr call;
+    call.op = Opcode::kCall;
+    call.call = site;
+    BasicBlock& body = f->block(3);
+    body.instrs.insert(body.instrs.begin(), call);
+  }
+  EXPECT_EQ(verify(*f),
+            (Problems{"f: block body instr 1: arg register out of range",
+                      "f: block body instr 2: call site out of range",
+                      "f: block body instr 3: call site out of range"}));
+}
+
 TEST(Verifier, DuplicateFunctionNamesAreReportedAfterFunctionProblems) {
   Module m;
   m.functions.push_back(make_function("f"));

@@ -385,5 +385,26 @@ TEST(Vm, InterpreterGlobalAccessToMissingSymbolIsSimulatorLimit) {
   }
 }
 
+TEST(Vm, HandBuiltArraysPastTheirRegionEndTheRun) {
+  // The front end rejects these 4 GB arrays. Hand-built IR meets the
+  // loader's and the call stack's checks instead of a byte size that wraps
+  // to 0 in 32 bits.
+  ir::Module global = global_access_module(ir::Opcode::kLoadGlobal, 0);
+  global.globals[1].elem_count = 1U << 30;
+  const vm::RunResult g = vm::Machine(global, vm::MachineConfig{}).run();
+  EXPECT_FALSE(g.ok);
+  EXPECT_EQ(g.error, "simulator limit: global array a does not fit below "
+                     "the heap");
+
+  ir::Module local = global_access_module(ir::Opcode::kLoadGlobal, 0);
+  ir::LocalSlot array;
+  array.is_array = true;
+  array.elem_count = 1U << 30;
+  local.functions[0]->locals.push_back(array);
+  const vm::RunResult l = vm::Machine(local, vm::MachineConfig{}).run();
+  EXPECT_FALSE(l.ok);
+  EXPECT_EQ(l.error, "stack overflow at program start");
+}
+
 } // namespace
 } // namespace cash

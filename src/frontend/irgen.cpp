@@ -374,7 +374,7 @@ class IrGen {
   }
 
   // --- declarations -------------------------------------------------------
-  void collect_signatures(const TranslationUnit& unit);
+  void declare_functions(const TranslationUnit& unit);
   // The index of the first function declared as `name`, or -1.
   std::int32_t find_function(std::string_view name) const {
     const auto it = std::lower_bound(
@@ -426,7 +426,7 @@ class IrGen {
   const TranslationUnit* unit_{nullptr};
 };
 
-void IrGen::collect_signatures(const TranslationUnit& unit) {
+void IrGen::declare_functions(const TranslationUnit& unit) {
   unit_ = &unit;
   s_.functions.clear();
   for (std::size_t i = 0; i < unit.functions.size(); ++i) {
@@ -453,7 +453,7 @@ std::unique_ptr<Module> IrGen::run(const TranslationUnit& unit) {
   loop_stack_.clear();
   loop_targets_.clear();
   module_ = std::make_unique<Module>();
-  collect_signatures(unit);
+  declare_functions(unit);
 
   push_scope(); // global scope
   std::uint64_t cursor = kGlobalsBase; // the loader's layout (vm)

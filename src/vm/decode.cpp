@@ -688,11 +688,6 @@ void fuse_function(DecodedFunction& fn) {
 } // namespace
 
 DecodedProgram::DecodedProgram(const ir::Module& module) : module_(&module) {
-  index_.reserve(module.functions.size());
-  for (std::size_t i = 0; i < module.functions.size(); ++i) {
-    index_.emplace(module.functions[i].get(), i);
-  }
-
   std::vector<std::uint8_t>& sym_kind = scratch().sym_kind;
   sym_kind.assign(
       module.next_symbol > 0 ? static_cast<std::size_t>(module.next_symbol)

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/costs.hpp"
@@ -321,18 +320,6 @@ class DecodedProgram {
 
   const ir::Module& module() const noexcept { return *module_; }
 
-  // Decoded image of `fn`, or null if `fn` is not from this module.
-  const DecodedFunction* function(const ir::Function* fn) const noexcept {
-    const auto it = index_.find(fn);
-    return it == index_.end() ? nullptr : &functions_[it->second];
-  }
-
-  // DecodedProgram index of `fn` (kCallUser::callee), or -1.
-  int index_of(const ir::Function* fn) const noexcept {
-    const auto it = index_.find(fn);
-    return it == index_.end() ? -1 : static_cast<int>(it->second);
-  }
-
   const std::vector<DecodedFunction>& functions() const noexcept {
     return functions_;
   }
@@ -351,7 +338,6 @@ class DecodedProgram {
  private:
   const ir::Module* module_;
   std::vector<DecodedFunction> functions_; // parallel to module->functions
-  std::unordered_map<const ir::Function*, std::size_t> index_;
   bool ok_{false};
 };
 

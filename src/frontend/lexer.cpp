@@ -1,5 +1,6 @@
 #include "frontend/lexer.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <iterator>
@@ -167,8 +168,9 @@ void Lexer::lex_ident(std::vector<Token>& out) {
 std::vector<Token> Lexer::lex() {
   std::vector<Token> out;
   // The workloads have one token per 2.1 to 3.4 source bytes; denser
-  // source regrows the vector once.
-  out.reserve(source_.size() / 2 + 1);
+  // source regrows the vector once. Capped, so that a huge source of
+  // comments reserves no more than 64 Ki tokens up front.
+  out.reserve(std::min<std::size_t>(source_.size() / 2 + 1, 1 << 16));
   while (pos_ < source_.size()) {
     const char c = peek();
     if (c == ' ' || c == '\t' || c == '\r' || c == '\n') {

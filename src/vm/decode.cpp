@@ -27,8 +27,7 @@ using ir::Opcode;
 using ir::UnOp;
 using x86seg::SegReg;
 
-// Cost of the kBin embedded in `u` (also inside every Fused*Bin* op). The
-// division cost is charged even on a #DE fault (x86 pays for the attempt),
+// Cost of a kBin. The division cost is charged even on a #DE fault (x86 pays for the attempt),
 // so div/rem stay statically costed.
 constexpr StaticCost bin_static_cost(BinOp op, ir::Type type) noexcept {
   if (op == BinOp::kMul) {
@@ -99,39 +98,14 @@ StaticCost static_cost(const MicroInstr& u) noexcept {
     case UOp::kBranch:
       c.cycles = costs::kBranch;
       break;
-    // Fused superinstructions charge exactly the sum of their constituents
-    // (tests/vm/static_cost_test.cpp pins this). Local-load/store
-    // constituents are scalar by construction (fusion requires !is_ptr),
-    // so their register_op_cost carries no ptr event.
-    case UOp::kFusedLoadLocalBin:
-      c = costs::register_op_cost() + bin_static_cost(u.bin_op, u.type);
-      break;
-    case UOp::kFusedBinStoreLocal:
-      c = bin_static_cost(u.bin_op, u.type) + costs::register_op_cost();
-      break;
-    case UOp::kFusedLoadBinStore:
-      c = costs::register_op_cost() + bin_static_cost(u.bin_op, u.type) +
-          costs::register_op_cost();
-      break;
-    case UOp::kFusedCmpBranch:
-      c = bin_static_cost(u.bin_op, u.type); // always a compare: kAluOp
-      c.cycles += costs::kBranch;
-      break;
-    case UOp::kFusedPtrAddLoad:
-      c = costs::register_op_cost() +
-          costs::load_store_cost(u.is_ptr, u.rebased);
-      break;
-    case UOp::kFusedPtrAddBoundLoad:
-      c = costs::register_op_cost() +
-          costs::bound_check_cost(bound_kind(u.sub_op)) +
-          costs::load_store_cost(u.is_ptr, u.rebased);
-      break;
     case UOp::kBuiltin:
       c.calls = 1;
       c.cycles = builtin_cycles(u.builtin);
       break;
     default:
-      // Itemized micro-ops account for themselves in the engine.
+      // Itemized micro-ops account for themselves in the engine;
+      // superinstructions never reach here (costs are read from the plain
+      // slots).
       break;
   }
   return c;
@@ -144,7 +118,6 @@ namespace {
 struct Scratch {
   UopStream stream;
   std::vector<MicroInstr> pending;
-  std::vector<std::uint32_t> remap;
   std::vector<std::uint8_t> sym_kind;
 };
 
@@ -212,7 +185,6 @@ bool decode_plain(const ir::Module& module, const ir::Function& fn,
     head.aux = static_cast<std::uint32_t>(plain.groups.size());
     FoldedGroup g;
     g.count = static_cast<std::uint32_t>(pending.size());
-    g.plain_first = static_cast<std::uint32_t>(plain.uops.size()) + 1;
     for (const MicroInstr& m : pending) {
       g.cost += static_cost(m);
     }
@@ -493,6 +465,82 @@ bool decode_plain(const ir::Module& module, const ir::Function& fn,
   return true;
 }
 
+// ---------------------------------------------------------------------------
+// Superinstruction matching. One greedy pass, longest row first, tiles a
+// span of plain slots with CASH_UOP_LIST's SUPER rows and writes each
+// match's row opcode into its first slot; the other parts keep their slots
+// as they are. Decoding runs it over each group's members, so a row never
+// crosses a group and a group's aggregate cost stays the plain sum; trace
+// formation runs it over each spliced trace, which is straight-line.
+// ---------------------------------------------------------------------------
+
+constexpr bool is_terminator(UOp op) noexcept {
+  return op == UOp::kJump || op == UOp::kBranch || op == UOp::kGuardBranch;
+}
+
+// What the generated handlers rely on: a row covers at least two slots, a
+// terminator can only end it, and it never starts with a bound check (the
+// bound step reads the check's kind from its slot's opcode, which a first
+// slot no longer holds).
+static_assert([] {
+  for (const SuperRow& row : kSuperRows) {
+    if (row.width < 2 || row.parts[0] == UOp::kBoundSw) {
+      return false;
+    }
+    for (std::uint32_t k = 0; k + 1 < row.width; ++k) {
+      if (is_terminator(row.parts[k])) {
+        return false;
+      }
+    }
+  }
+  return true;
+}());
+
+// Per step: whether some row starts with it.
+constexpr auto kStartsRow = [] {
+  std::array<bool, static_cast<std::size_t>(UOp::kCount)> starts{};
+  for (const SuperRow& row : kSuperRows) {
+    starts[static_cast<std::size_t>(row.parts[0])] = true;
+  }
+  return starts;
+}();
+
+// Tiles the `n` slots at `s`; returns the span's fusion coverage.
+FusionStats fuse_span(MicroInstr* s, std::uint32_t n) noexcept {
+  FusionStats stats;
+  stats.foldable_instrs = n;
+  std::uint32_t i = 0;
+  while (i < n) {
+    const SuperRow* best = nullptr;
+    if (kStartsRow[static_cast<std::size_t>(step_op(s[i].op))]) {
+      for (const SuperRow& row : kSuperRows) {
+        if (row.width > n - i ||
+            (best != nullptr && row.width <= best->width)) {
+          continue;
+        }
+        std::uint32_t k = 0;
+        while (k < row.width && step_op(s[i + k].op) == row.parts[k]) {
+          ++k;
+        }
+        if (k == row.width) {
+          best = &row;
+        }
+      }
+    }
+    if (best == nullptr) {
+      ++i;
+      continue;
+    }
+    s[i].op = best->op;
+    ++stats.fused_uops;
+    stats.fused_instrs += best->width;
+    i += best->width;
+  }
+  return stats;
+}
+
+// Decodes one function: its plain slots, then the fused copy of them with
+// each group's members tiled by the rows.
 DecodedFunction decode_function(const ir::Module& module,
                                 const ir::Function& fn,
                                 const std::vector<std::uint8_t>& sym_kind) {
@@ -505,184 +553,17 @@ DecodedFunction decode_function(const ir::Module& module,
   out.fn = &fn;
   out.ok = decode_plain(module, fn, sym_kind, plain, tables.pending);
   copy_stream(plain, out.plain);
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Superinstruction fusion. Runs once per decoded function, after the plain
-// stream is final: dependent pairs/triples inside a group are merged into
-// single fused micro-ops. Fusion is greedy left-to-right, 3-wide patterns
-// before their 2-wide prefixes, and never crosses a group boundary (so a
-// group's aggregate cost — always the plain sum — is unchanged). Every
-// constituent's register/slot write is preserved by the fused handler, so
-// the machine state after a fused op is bit-identical to the plain
-// sequence even when later code reads an intermediate value.
-// ---------------------------------------------------------------------------
-
-// Tries to fuse the `n` remaining group members starting at `m[0]` into
-// one superinstruction. Returns the number of members consumed (2 or 3)
-// with `out` filled per the layout table in decode.hpp, or 0 when no
-// pattern matches. The caller stamps out.aux (plain index of m[0]).
-std::uint32_t try_fuse(const MicroInstr* m, std::uint32_t n,
-                       MicroInstr& out) {
-  const MicroInstr& a = m[0];
-  const MicroInstr* b = n >= 2 ? &m[1] : nullptr;
-  const MicroInstr* c = n >= 3 ? &m[2] : nullptr;
-
-  const auto is_bound = [](UOp op) {
-    return op == UOp::kBoundSw || op == UOp::kBoundBnd ||
-           op == UOp::kBoundShadow;
-  };
-  const auto is_cmp = [](BinOp op) {
-    return op == BinOp::kCmpEq || op == BinOp::kCmpNe ||
-           op == BinOp::kCmpLt || op == BinOp::kCmpLe ||
-           op == BinOp::kCmpGt || op == BinOp::kCmpGe;
-  };
-  const auto bin_reads = [](const MicroInstr& bin, std::int32_t reg) {
-    return bin.src0 == reg || bin.src1 == reg;
-  };
-
-  if (c != nullptr) {
-    // kLoadLocal + kBin reading it + kStoreLocal of the bin's result.
-    // Scalar locals only: a pointer-typed local copy books a mode-scaled
-    // ptr event, which would make the fused cost config-dependent.
-    if (a.op == UOp::kLoadLocal && !a.is_ptr && b->op == UOp::kBin &&
-        bin_reads(*b, a.dst) && c->op == UOp::kStoreLocal && !c->is_ptr &&
-        c->src0 == b->dst) {
-      out = *b;
-      out.op = UOp::kFusedLoadBinStore;
-      out.slot = a.slot;
-      out.imm = static_cast<std::uint32_t>(a.dst);
-      out.symbol = c->slot;
-      out.src = a.src;
-      return 3;
-    }
-    // kPtrAdd + kBound* on its result + kLoad through it. Interval checks
-    // (src1 set) never fuse: the fused layout reuses src1 for the ptr-add
-    // operands and the fused cost assumes the plain check.
-    if (a.op == UOp::kPtrAdd && is_bound(b->op) && b->src0 == a.dst &&
-        b->src1 == ir::kNoReg && c->op == UOp::kLoad && c->src0 == a.dst) {
-      out = *c;
-      out.op = UOp::kFusedPtrAddBoundLoad;
-      out.sub_op = b->op;
-      out.src0 = a.src0;
-      out.src1 = a.src1;
-      out.slot = a.dst;
-      out.src = a.src;
-      return 3;
-    }
-  }
-  if (b == nullptr) {
-    return 0;
-  }
-  // kPtrAdd + kLoad through it (unchecked and hardware-checked modes have
-  // no bound micro-op between the two).
-  if (a.op == UOp::kPtrAdd && b->op == UOp::kLoad && b->src0 == a.dst) {
-    out = *b;
-    out.op = UOp::kFusedPtrAddLoad;
-    out.src0 = a.src0;
-    out.src1 = a.src1;
-    out.slot = a.dst;
-    out.src = a.src;
-    return 2;
-  }
-  // Scalar kLoadLocal + kBin reading it.
-  if (a.op == UOp::kLoadLocal && !a.is_ptr && b->op == UOp::kBin &&
-      bin_reads(*b, a.dst)) {
-    out = *b;
-    out.op = UOp::kFusedLoadLocalBin;
-    out.slot = a.slot;
-    out.imm = static_cast<std::uint32_t>(a.dst);
-    out.src = a.src;
-    return 2;
-  }
-  // kBin + scalar kStoreLocal of its result.
-  if (a.op == UOp::kBin && b->op == UOp::kStoreLocal && !b->is_ptr &&
-      b->src0 == a.dst) {
-    out = a;
-    out.op = UOp::kFusedBinStoreLocal;
-    out.slot = b->slot;
-    return 2;
-  }
-  // Compare + kBranch on its result. Compares only: they can never fault,
-  // so the fused op is a pure terminator with no cold path.
-  if (a.op == UOp::kBin && is_cmp(a.bin_op) && b->op == UOp::kBranch &&
-      b->src0 == a.dst) {
-    out = a;
-    out.op = UOp::kFusedCmpBranch;
-    out.target0 = b->target0;
-    out.target1 = b->target1;
-    return 2;
-  }
-  return 0;
-}
-
-// Builds fn.fused from fn.plain and fills fn.stats. Targets and block
-// entries are remapped into the fused index space; group headers keep
-// their IR-instruction count (and the plain aggregate cost) while imm
-// becomes the fused member count.
-void fuse_function(DecodedFunction& fn) {
-  const UopStream& plain = fn.plain;
-  Scratch& tables = scratch();
-  UopStream& out = tables.stream;
-  out.uops.clear();
-  out.groups.clear();
-  std::vector<std::uint32_t>& remap = tables.remap;
-  remap.assign(plain.uops.size(), 0);
-  std::size_t i = 0;
-  while (i < plain.uops.size()) {
-    const MicroInstr& u = plain.uops[i];
-    remap[i] = static_cast<std::uint32_t>(out.uops.size());
-    if (u.op != UOp::kGroup) {
-      out.uops.push_back(u);
-      ++i;
-      continue;
-    }
-    const std::uint32_t first = static_cast<std::uint32_t>(i) + 1;
-    const std::uint32_t n = u.imm;
-    MicroInstr head = u;
-    head.aux = static_cast<std::uint32_t>(out.groups.size());
-    const std::size_t head_at = out.uops.size();
-    out.uops.push_back(head);
-    std::uint32_t j = 0;
-    while (j < n) {
-      const std::uint32_t at = first + j;
-      remap[at] = static_cast<std::uint32_t>(out.uops.size());
-      MicroInstr f;
-      const std::uint32_t w = try_fuse(&plain.uops[at], n - j, f);
-      if (w > 1) {
-        f.aux = at;
-        out.uops.push_back(f);
-        fn.stats.fused_uops += 1;
-        fn.stats.fused_instrs += w;
-        j += w;
-      } else {
-        out.uops.push_back(plain.uops[at]);
-        j += 1;
+  if (out.ok) {
+    out.fused.assign(out.plain.uops.begin(), out.plain.uops.end());
+    for (std::size_t i = 0; i < out.fused.size(); ++i) {
+      if (out.fused[i].op == UOp::kGroup) {
+        const std::uint32_t n = out.fused[i].imm;
+        out.stats += fuse_span(out.fused.data() + i + 1, n);
+        i += n;
       }
     }
-    fn.stats.foldable_instrs += n;
-    out.uops[head_at].imm =
-        static_cast<std::uint32_t>(out.uops.size() - head_at - 1);
-    out.groups.push_back(plain.groups[u.aux]); // count/cost/plain_first kept
-    i = static_cast<std::size_t>(first) + n;
   }
-  // Retarget control flow into the fused index space. Targets are always
-  // block entries — group headers, itemized ops or kBlockEndError — all of
-  // which begin a fused-stream micro-op and so have remap entries.
-  for (MicroInstr& m : out.uops) {
-    if (m.op == UOp::kJump) {
-      m.target0 = remap[m.target0];
-    } else if (m.op == UOp::kBranch || m.op == UOp::kFusedCmpBranch) {
-      m.target0 = remap[m.target0];
-      m.target1 = remap[m.target1];
-    }
-  }
-  out.block_entry.resize(plain.block_entry.size());
-  for (std::size_t b = 0; b < plain.block_entry.size(); ++b) {
-    out.block_entry[b] = remap[plain.block_entry[b]];
-  }
-  copy_stream(out, fn.fused);
+  return out;
 }
 
 } // namespace
@@ -705,9 +586,6 @@ DecodedProgram::DecodedProgram(const ir::Module& module) : module_(&module) {
   for (std::size_t i = 0; i < module.functions.size(); ++i) {
     functions_.push_back(
         decode_function(module, *module.functions[i], sym_kind));
-    if (functions_.back().ok) {
-      fuse_function(functions_.back());
-    }
     ok_ = ok_ && functions_.back().ok;
   }
 }
@@ -724,16 +602,15 @@ DecodedProgram::DecodedProgram(const ir::Module& module) : module_(&module) {
 // learns per-opcode successor patterns) and through an equivalent switch
 // over the same labels elsewhere. The itemized outer loop keeps its
 // switch: its ops are rare and heavyweight, so dispatch cost is noise
-// there. Which member stream runs — plain or fused — is chosen per frame
-// from MachineConfig.enable_fusion; cold paths always itemize from the
-// plain stream, so fused runs fault, truncate and charge exactly like
-// unfused ones.
+// there. Which copy of the slots block dispatch runs — plain or fused — is
+// chosen per run from MachineConfig.enable_fusion. Both copies share one
+// index space and the cold paths always read costs from the plain slots,
+// so fused runs fault, truncate and charge exactly like unfused ones.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-// Executes one kBin-shaped operation (also embedded in every Fused*Bin*
-// superinstruction). Returns 0 on success, 1 = integer division by zero,
+// Executes one kBin. Returns 0 on success, 1 = integer division by zero,
 // 2 = integer division overflow, 3 = float operand to an integer-only
 // operator; `out` is what the interpreter writes to the destination
 // register for that outcome (value-initialised on error).
@@ -790,12 +667,29 @@ inline int exec_bin(const MicroInstr& v, const Value a, const Value b,
   return 0;
 }
 
+// Executes one kUn, which never faults.
+CASH_HOT_INLINE
+inline Value exec_un(const MicroInstr& v, const Value a) noexcept {
+  switch (v.un_op) {
+    case UnOp::kNeg:
+      return v.type == ir::Type::kFloat ? from_float(-as_float(a))
+                                        : from_int(-as_int(a));
+    case UnOp::kLogicalNot: return from_int(as_int(a) == 0);
+    case UnOp::kBitNot:     return from_int(~as_int(a));
+    case UnOp::kIntToFloat: return from_float(static_cast<float>(as_int(a)));
+    case UnOp::kFloatToInt:
+      return from_int(static_cast<std::int32_t>(as_float(a)));
+  }
+  return Value{};
+}
+
 // ---------------------------------------------------------------------------
 // Hot-trace superblock formation (DESIGN.md §11). When a block's execution
 // counter crosses MachineConfig::trace_threshold, the engine follows the
 // recorded biased successor edges and splices up to kTraceMaxBlocks blocks'
-// member micro-ops into one straight-line stream: interior kJumps vanish,
-// interior branches become guard micro-ops whose biased arm falls through.
+// plain member slots into one straight-line stream: interior kJumps vanish,
+// interior branches become guard micro-ops whose biased arm falls through,
+// and the SUPER rows tile the result.
 // A chain whose biased tail returns to the entry closes into a loop — the
 // tail becomes a kTraceLoop that retires the pass and restarts at micro-op
 // 0 without leaving the superblock (a hot inner loop never touches the
@@ -811,11 +705,6 @@ inline int exec_bin(const MicroInstr& v, const Value a, const Value b,
 constexpr std::int32_t kTraceNone = -1;
 constexpr std::int32_t kTraceDead = -2;
 constexpr std::uint32_t kTraceMaxBlocks = 16;
-
-constexpr bool is_terminator(UOp op) noexcept {
-  return op == UOp::kJump || op == UOp::kBranch ||
-         op == UOp::kFusedCmpBranch;
-}
 
 // A block joins a trace only when it is a non-empty group ending in a
 // terminator. Blocks that fall through into an itemized micro-op (calls,
@@ -884,54 +773,50 @@ std::int32_t try_form_trace(FnTraceState& ts, const UopStream& s,
 
   Trace tr;
   tr.entry_pc = entry;
+  std::size_t slots = closed ? 1 : 0; // the kTraceLoop
+  for (const std::uint32_t bpc : chain) {
+    slots += s.uops[bpc].imm;
+  }
+  tr.uops.reserve(slots);
+  tr.block_of.reserve(slots);
   StaticCost cum;
   std::uint32_t cum_count = 0;
   for (std::size_t i = 0; i < chain.size(); ++i) {
     const std::uint32_t bpc = chain[i];
     const MicroInstr& head = s.uops[bpc];
     const FoldedGroup& g = s.groups[head.aux];
-    const std::uint32_t ordinal = static_cast<std::uint32_t>(i);
     const bool last = i + 1 == chain.size();
 
-    std::uint32_t plain_done = 0;
+    TraceBlock tb;
+    tb.entry_pc = bpc;
+    tb.first_slot = static_cast<std::uint32_t>(tr.uops.size());
     const std::uint32_t term_at = bpc + head.imm;
-    for (std::uint32_t m = bpc + 1; m < term_at; ++m) {
-      tr.uops.push_back(s.uops[m]);
-      tr.block_of.push_back(ordinal);
-      tr.plain_done.push_back(plain_done);
-      plain_done += uop_width(s.uops[m].op);
-    }
+    tr.uops.insert(tr.uops.end(), s.uops.begin() + bpc + 1,
+                   s.uops.begin() + term_at);
     const MicroInstr& term = s.uops[term_at];
     if (!last || closed) {
       // The chain continues past this block (to chain[i+1], or back to the
       // entry when the loop closes): the biased arm falls through, the
       // other arm becomes a guard's side exit. A kJump is elided entirely
       // — its one successor follows directly.
-      if (term.op != UOp::kJump) {
+      if (term.op == UOp::kBranch) {
         MicroInstr guard = term;
-        guard.op = term.op == UOp::kBranch ? UOp::kGuardBranch
-                                           : UOp::kGuardCmpBranch;
+        guard.op = UOp::kGuardBranch;
         const std::uint32_t next_blk = last ? entry : chain[i + 1];
         const bool biased_taken = next_blk == term.target0;
         guard.imm = biased_taken ? 1 : 0;
         guard.target0 = biased_taken ? term.target1 : term.target0;
         tr.uops.push_back(guard);
-        tr.block_of.push_back(ordinal);
-        tr.plain_done.push_back(plain_done);
       }
     } else {
       // Open chain's final block: the original terminator with
       // original-stream targets.
       tr.uops.push_back(term);
-      tr.block_of.push_back(ordinal);
-      tr.plain_done.push_back(plain_done);
     }
+    tr.block_of.resize(tr.uops.size(), static_cast<std::uint32_t>(i));
 
     cum += g.cost;
     cum_count += g.count;
-    TraceBlock tb;
-    tb.entry_pc = bpc;
-    tb.plain_first = g.plain_first;
     tb.cum_cost = cum;
     tb.cum_count = cum_count;
     tr.blocks.push_back(tb);
@@ -941,83 +826,10 @@ std::int32_t try_form_trace(FnTraceState& ts, const UopStream& s,
     loop.op = UOp::kTraceLoop;
     tr.uops.push_back(loop);
     tr.block_of.push_back(static_cast<std::uint32_t>(chain.size() - 1));
-    tr.plain_done.push_back(0);
   }
   tr.total.count = cum_count;
-  tr.total.plain_first = tr.blocks.front().plain_first;
   tr.total.cost = cum;
-
-  // Trace-time peephole: the straight-line stream exposes adjacent pairs
-  // the block-local fusion pass cannot see (it stops at member lists and
-  // never touches terminators). Rewrite only the first slot's opcode —
-  // the second constituent keeps its own slot, operands and
-  // block_of/plain_done entries, so the combined handlers fault by
-  // advancing pc to the faulting slot and every cold path charges exactly
-  // as before. Greedy left-to-right, pairs never overlap.
-  for (std::size_t i = 0; i + 1 < tr.uops.size(); ++i) {
-    const UOp a = tr.uops[i].op;
-    const UOp b = tr.uops[i + 1].op;
-    if (a == UOp::kBin && b == UOp::kBin) {
-      if (i + 2 < tr.uops.size() && tr.uops[i + 2].op == UOp::kBin) {
-        tr.uops[i].op = UOp::kTraceBinBinBin;
-        i += 2;
-        continue;
-      }
-      tr.uops[i].op = UOp::kTraceBinBin;
-      ++i;
-    } else if (a == UOp::kFusedLoadLocalBin && b == UOp::kGuardBranch) {
-      tr.uops[i].op = UOp::kTraceLoadBinGuard;
-      ++i;
-    } else if (a == UOp::kFusedLoadLocalBin && b == UOp::kGuardCmpBranch) {
-      tr.uops[i].op = UOp::kTraceLoadBinGuardCmp;
-      ++i;
-    } else if (a == UOp::kBin && b == UOp::kFusedPtrAddBoundLoad) {
-      tr.uops[i].op = UOp::kTraceBinPtrAddBoundLoad;
-      ++i;
-    } else if (a == UOp::kFusedPtrAddBoundLoad && b == UOp::kBin) {
-      tr.uops[i].op = UOp::kTracePtrAddBoundLoadBin;
-      ++i;
-    } else if (a == UOp::kBin && b == UOp::kFusedPtrAddLoad) {
-      tr.uops[i].op = UOp::kTraceBinPtrAddLoad;
-      ++i;
-    } else if (a == UOp::kFusedPtrAddLoad && b == UOp::kBin) {
-      tr.uops[i].op = UOp::kTracePtrAddLoadBin;
-      ++i;
-    } else if (a == UOp::kFusedLoadBinStore &&
-               b == UOp::kFusedLoadLocalBin) {
-      if (i + 2 < tr.uops.size() &&
-          tr.uops[i + 2].op == UOp::kGuardBranch) {
-        tr.uops[i].op = UOp::kTraceLoadBinStoreLoadBinGuard;
-        i += 2;
-        continue;
-      }
-      tr.uops[i].op = UOp::kTraceLoadBinStoreLoadBin;
-      ++i;
-    } else if (a == UOp::kBin &&
-               (b == UOp::kBoundSw || b == UOp::kBoundBnd ||
-                b == UOp::kBoundShadow) &&
-               i + 2 < tr.uops.size() &&
-               tr.uops[i + 2].op == UOp::kStore) {
-      tr.uops[i].op = UOp::kTraceBinBoundStore;
-      i += 2;
-    } else if (a == UOp::kUn && b == UOp::kBin) {
-      tr.uops[i].op = UOp::kTraceUnBin;
-      ++i;
-    } else if (a == UOp::kBin && b == UOp::kFusedBinStoreLocal) {
-      tr.uops[i].op = UOp::kTraceBinBinStoreLocal;
-      ++i;
-    } else if (a == UOp::kBin && b == UOp::kStore) {
-      tr.uops[i].op = UOp::kTraceBinStore;
-      ++i;
-    } else if (a == UOp::kFusedLoadLocalBin && b == UOp::kBin) {
-      tr.uops[i].op = UOp::kTraceLoadBinBin;
-      ++i;
-    } else if (a == UOp::kFusedLoadLocalBin &&
-               b == UOp::kFusedBinStoreLocal) {
-      tr.uops[i].op = UOp::kTraceLoadBinBinStoreLocal;
-      ++i;
-    }
-  }
+  fuse_span(tr.uops.data(), static_cast<std::uint32_t>(tr.uops.size()));
 
   const std::int32_t idx = static_cast<std::int32_t>(ts.traces.size());
   ts.traces.push_back(std::move(tr));
@@ -1030,20 +842,194 @@ std::int32_t try_form_trace(FnTraceState& ts, const UopStream& s,
 
 // Handler chaining: in threaded mode every handler ends in its own
 // indirect branch off the dispatch table; the portable fallback funnels
-// back through the member_dispatch switch.
+// back through the member_dispatch switch. `n` is the handler's slot count.
 #if CASH_THREADED_DISPATCH
-#define CASH_MEMBER_NEXT()                                       \
+#define CASH_MEMBER_NEXT(n)                                      \
   do {                                                           \
-    if (++pc >= end) goto group_done;                            \
-    goto* kDispatch[static_cast<std::size_t>(mcode[pc].op)];     \
+    if ((ip += (n)) >= stop) goto group_done;                    \
+    goto* kDispatch[static_cast<std::size_t>(ip->op)];           \
   } while (0)
 #else
-#define CASH_MEMBER_NEXT() \
-  do {                     \
-    ++pc;                  \
-    goto member_dispatch;  \
+#define CASH_MEMBER_NEXT(n) \
+  do {                      \
+    ip += (n);              \
+    goto member_dispatch;   \
   } while (0)
 #endif
+
+// One step per PLAIN micro-op of CASH_UOP_LIST: the semantics of the slot
+// k slots past ip, shared by the op's own handler (k = 0) and by every
+// superinstruction that covers it. Each slot is addressed from the one ip,
+// which a handler advances once, at its end. A step that faults first
+// moves ip to its own slot, sets `partial` (the faulting instruction's
+// charge: 0 = none, 1 = memory, 2 = full) and jumps to group_fault; a
+// terminator step leaves through group_done, or through trace_exit (ip on
+// the guard) when a guard fails.
+#define CASH_STEP_FAULT(k, charge) \
+  {                                \
+    ip += (k);                     \
+    partial = (charge);            \
+    goto group_fault;              \
+  }
+#define CASH_STEP_kConstInt(k)             \
+  {                                        \
+    const MicroInstr& v = ip[k];   \
+    regs[v.dst] = Value{v.imm, 0};         \
+  }
+#define CASH_STEP_kConstFloat CASH_STEP_kConstInt
+#define CASH_STEP_kMove(k)                 \
+  {                                        \
+    const MicroInstr& v = ip[k];   \
+    regs[v.dst] = regs[v.src0];            \
+  }
+#define CASH_STEP_kBin(k)                                           \
+  {                                                                 \
+    const MicroInstr& v = ip[k];                            \
+    Value out;                                                      \
+    const int st = exec_bin(v, regs[v.src0], regs[v.src1], out);    \
+    regs[v.dst] = out;                                              \
+    if (st != 0) {                                                  \
+      bin_fail(st, v.src);                                          \
+      CASH_STEP_FAULT(k, 2)                                         \
+    }                                                               \
+  }
+#define CASH_STEP_kUn(k)                   \
+  {                                        \
+    const MicroInstr& v = ip[k];   \
+    regs[v.dst] = exec_un(v, regs[v.src0]); \
+  }
+#define CASH_STEP_kLoad(k)                                  \
+  {                                                         \
+    const MicroInstr& v = ip[k];                    \
+    const int st = exec_load(v, regs[v.src0], v.src);       \
+    if (st != 0) CASH_STEP_FAULT(k, st == 1 ? 1 : 0)        \
+  }
+#define CASH_STEP_kStore(k)                                           \
+  {                                                                   \
+    const MicroInstr& v = ip[k];                              \
+    const int st = exec_store(v, regs[v.src0], regs[v.src1], v.src);  \
+    if (st != 0) CASH_STEP_FAULT(k, st == 1 ? 1 : 0)                  \
+  }
+#define CASH_STEP_kLoadLocal(k)            \
+  {                                        \
+    const MicroInstr& v = ip[k];   \
+    regs[v.dst] = slots[v.slot];           \
+  }
+#define CASH_STEP_kStoreLocal(k)           \
+  {                                        \
+    const MicroInstr& v = ip[k];   \
+    slots[v.slot] = regs[v.src0];          \
+  }
+#define CASH_STEP_kLoadGlobal(k)                               \
+  {                                                            \
+    const MicroInstr& v = ip[k];                       \
+    const std::uint32_t addr = flat_scalar[v.symbol];          \
+    Result<std::uint32_t> loaded = mmu.read32_linear(addr);    \
+    if (!loaded.ok()) {                                        \
+      fail(loaded.fault(), v.src);                             \
+      CASH_STEP_FAULT(k, 0)                                    \
+    }                                                          \
+    std::uint32_t info = 0;                                    \
+    if (v.is_ptr) {                                            \
+      const auto it = mem_ptr_info.find(addr);                 \
+      info = it != mem_ptr_info.end() ? it->second : 0;        \
+    }                                                          \
+    regs[v.dst] = Value{loaded.value(), info};                 \
+  }
+#define CASH_STEP_kStoreGlobal(k)                                      \
+  {                                                                    \
+    const MicroInstr& v = ip[k];                               \
+    const std::uint32_t addr = flat_scalar[v.symbol];                  \
+    Status status = mmu.write32_linear(addr, regs[v.src0].bits);       \
+    if (!status.ok()) {                                                \
+      fail(status.fault(), v.src);                                     \
+      CASH_STEP_FAULT(k, 0)                                            \
+    }                                                                  \
+    if (v.is_ptr) {                                                    \
+      mem_ptr_info[addr] = regs[v.src0].info;                          \
+    }                                                                  \
+  }
+#define CASH_STEP_kAddrLocal(k)            \
+  {                                        \
+    const MicroInstr& v = ip[k];   \
+    regs[v.dst] = local_arrays[v.slot];    \
+  }
+#define CASH_STEP_kAddrGlobal(k)                                        \
+  {                                                                     \
+    const MicroInstr& v = ip[k];                                \
+    regs[v.dst] = Value{flat_gdata[v.symbol], flat_ginfo[v.symbol]};    \
+  }
+#define CASH_STEP_kPtrAdd(k)                                            \
+  {                                                                     \
+    const MicroInstr& v = ip[k];                                \
+    const Value base = regs[v.src0];                                    \
+    regs[v.dst] = Value{base.bits + regs[v.src1].bits, base.info};      \
+  }
+#define CASH_STEP_kBoundSw(k)                                            \
+  {                                                                      \
+    const MicroInstr& v = ip[k];                                 \
+    const bool fired =                                                   \
+        v.src1 != ir::kNoReg                                             \
+            ? bound_fault_interval(v.op, regs[v.src0], regs[v.src1],     \
+                                   v.src)                                \
+            : bound_fault(v.op, regs[v.src0], v.src);                    \
+    if (fired) CASH_STEP_FAULT(k, 2)                                     \
+  }
+#define CASH_STEP_kBoundBnd CASH_STEP_kBoundSw
+#define CASH_STEP_kBoundShadow CASH_STEP_kBoundSw
+#define CASH_STEP_kBuiltin(k)                                       \
+  {                                                                 \
+    const MicroInstr& v = ip[k];                            \
+    run_builtin(v.builtin, regs, v.dst, v.src0, v.src1, output,     \
+                impl.rng_state);                                    \
+  }
+#define CASH_STEP_kJump(k)           \
+  {                                  \
+    next_pc = ip[k].target0; \
+    goto group_done;                 \
+  }
+#define CASH_STEP_kBranch(k)                        \
+  {                                                 \
+    const MicroInstr& v = ip[k];            \
+    const bool taken = as_int(regs[v.src0]) != 0;   \
+    if (brec != nullptr) {                          \
+      TraceEdge& e = brec[ip - mcode + k];          \
+      ++(taken ? e.taken : e.not_taken);            \
+    }                                               \
+    next_pc = taken ? v.target0 : v.target1;        \
+    goto group_done;                                \
+  }
+// The biased arm stays on the trace; the other leaves it.
+#define CASH_STEP_kGuardBranch(k)                                \
+  {                                                              \
+    const MicroInstr& v = ip[k];                         \
+    if ((as_int(regs[v.src0]) != 0) != (v.imm != 0)) {           \
+      next_pc = v.target0;                                       \
+      ip += (k);                                                 \
+      goto trace_exit;                                           \
+    }                                                            \
+  }
+
+// A SUPER row's steps, at slot offsets 0, 1, ...
+#define CASH_STEPS_1(a) CASH_STEP_##a(0)
+#define CASH_STEPS_2(a, b) CASH_STEPS_1(a) CASH_STEP_##b(1)
+#define CASH_STEPS_3(a, b, c) CASH_STEPS_2(a, b) CASH_STEP_##c(2)
+#define CASH_STEPS_4(a, b, c, d) CASH_STEPS_3(a, b, c) CASH_STEP_##d(3)
+#define CASH_STEPS_5(a, b, c, d, e) CASH_STEPS_4(a, b, c, d) CASH_STEP_##e(4)
+#define CASH_STEPS_6(a, b, c, d, e, f) \
+  CASH_STEPS_5(a, b, c, d, e) CASH_STEP_##f(5)
+#define CASH_NARGS_PICK(_1, _2, _3, _4, _5, _6, n, ...) n
+#define CASH_NARGS(...) CASH_NARGS_PICK(__VA_ARGS__, 6, 5, 4, 3, 2, 1)
+#define CASH_CAT(a, b) CASH_CAT_(a, b)
+#define CASH_CAT_(a, b) a##b
+static_assert(kMaxSuperWidth == 6, "CASH_STEPS expands at most six parts");
+
+// Member handlers, generated per PLAIN and SUPER row.
+#define CASH_PLAIN_HANDLER(name) \
+  h_##name : CASH_STEP_##name(0) CASH_MEMBER_NEXT(1);
+#define CASH_SUPER_HANDLER(name, ...)                                \
+  h_##name : CASH_CAT(CASH_STEPS_, CASH_NARGS(__VA_ARGS__))(__VA_ARGS__) \
+      CASH_MEMBER_NEXT(CASH_NARGS(__VA_ARGS__));
 
 RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry,
                           std::string& output) {
@@ -1067,8 +1053,8 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry,
   const std::uint32_t* flat_gdata = impl.flat_global_data.data();
   const std::uint32_t* flat_ginfo = impl.flat_global_info.data();
 
-  // One stream choice serves the whole run: the image is immutable and
-  // both streams are always present, so this is pure selection.
+  // One copy choice serves the whole run: the image is immutable and both
+  // copies are always present, so this is pure selection.
   const bool fusion_on = impl.config.enable_fusion;
 
   // Hot-trace superblock engine (DESIGN.md §11): same per-run gating shape
@@ -1084,11 +1070,11 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry,
 
   // The top frame, cached in locals the dispatch loop reads; load_top()
   // re-derives them after every push and pop (the stack's arenas move
-  // when they grow). fpc is the frame's micro-op index in its stream.
+  // when they grow). fpc is the frame's slot index.
   CallStack& stack = impl.stack;
   const DecodedFunction* dfn = nullptr;
-  const UopStream* stream = nullptr; // plain or fused, fixed per run
-  FnTraceState* tstate = nullptr;    // null when the trace engine is off
+  const MicroInstr* code = nullptr; // plain or fused slots, fixed per run
+  FnTraceState* tstate = nullptr;   // null when the trace engine is off
   std::uint32_t fpc = 0;
   Value* regs = nullptr;
   Value* slots = nullptr;
@@ -1096,20 +1082,19 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry,
   const auto load_top = [&] {
     const CallFrame& top = stack.top();
     dfn = &prog.functions()[top.fn_index];
-    stream = fusion_on ? &dfn->fused : &dfn->plain;
+    code = fusion_on ? dfn->fused.data() : dfn->plain.uops.data();
     fpc = top.pos;
     regs = stack.regs(top);
     slots = frame_slots(regs, *dfn->fn);
     local_arrays = frame_arrays(regs, *dfn->fn);
     if (trace_on) {
       FnTraceState& ts = impl.trace_fns[top.fn_index];
-      if (ts.stream != stream) {
-        // First use: size the state to the active stream.
-        ts.stream = stream;
-        ts.hot.assign(stream->uops.size(), 0);
-        ts.edges.assign(stream->uops.size(), TraceEdge{});
-        ts.trace_at.assign(stream->uops.size(), kTraceNone);
-        ts.traces.clear();
+      if (ts.hot.empty()) {
+        // First use: one entry per slot (a function has at least one).
+        const std::size_t n = dfn->plain.uops.size();
+        ts.hot.assign(n, 0);
+        ts.edges.assign(n, TraceEdge{});
+        ts.trace_at.assign(n, kTraceNone);
       }
       tstate = &ts;
     }
@@ -1117,7 +1102,7 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry,
   // Enters the callee the stack just pushed, at its entry block.
   const auto enter_top = [&] {
     load_top();
-    fpc = stream->block_entry[static_cast<std::size_t>(dfn->fn->entry)];
+    fpc = dfn->plain.block_entry[static_cast<std::size_t>(dfn->fn->entry)];
   };
 
   const auto fail = [&](Fault fault, const ir::Instr* instr) {
@@ -1147,23 +1132,19 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry,
   // Member-loop working set. Function scope (not per-group locals) so the
   // computed gotos between handlers never jump across an initialization.
   const MicroInstr* mcode = nullptr; // member array the hot loop executes
-  const MicroInstr* pcode = nullptr; // plain constituents (cold paths)
+  const MicroInstr* ip = nullptr;    // its slot being run
+  const MicroInstr* stop = nullptr;  // one past its last member to run
   const FoldedGroup* grp = nullptr;
   std::uint32_t start = 0;
-  std::uint32_t end = 0;
-  std::uint32_t pc = 0;
   std::uint32_t next_pc = 0;
-  std::uint32_t pstart = 0;    // plain index of the group's first member
-  std::uint32_t fault_sub = 0; // faulting constituent within a fused op
-  int partial = 0;             // fault charge: 0 = none, 1 = mem, 2 = full
+  int partial = 0; // fault charge: 0 = none, 1 = mem, 2 = full
   bool truncated = false;
   const Trace* cur_trace = nullptr; // active superblock (null otherwise)
   TraceEdge* brec = nullptr;        // bias recording base; null in traces
                                     // (trace-local pcs would mis-index it)
 
   // Loads through `v`'s segment/rebase into regs[v.dst]; `addr` is the
-  // pointer value (for plain kLoad that is regs[v.src0], for fused ops the
-  // just-computed ptr-add result). Returns 0 on success, 1 after an MMU
+  // pointer value, regs[v.src0]. Returns 0 on success, 1 after an MMU
   // fault (memory partial charge), 2 after a GP through an unloaded
   // segment register (no charge); calls fail() itself.
   const auto exec_load = [&](const MicroInstr& v, const Value addr,
@@ -1227,8 +1208,8 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry,
     return 0;
   };
 
-  // Software-visible bound check (kBoundSw/kBoundBnd/kBoundShadow, plain
-  // or fused via sub_op). True when the check fired; calls fail() itself.
+  // Software-visible bound check (kBoundSw/kBoundBnd/kBoundShadow). True
+  // when the check fired; calls fail() itself.
   const auto bound_fault = [&](UOp kind, const Value addr,
                                const ir::Instr* src) CASH_HOT_INLINE -> bool {
     if (addr.info == 0) {
@@ -1301,18 +1282,20 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry,
   enter_top();
 
 #if CASH_THREADED_DISPATCH
-  // Label-address dispatch table, indexed by UOp (CASH_UOP_LIST's label
-  // column). Group headers and itemized micro-ops never appear as group
-  // members; they map to the corrupt-stream handler.
+  // Label-address dispatch table, indexed by UOp: the generated handler of
+  // each PLAIN and SUPER row, and each OTHER row's label. Group headers and
+  // itemized micro-ops never appear as group members; they map to the
+  // corrupt-stream handler.
   static const void* const kDispatch[] = {
-#define CASH_UOP_LABEL(name, width, label) &&label,
-      CASH_UOP_LIST(CASH_UOP_LABEL)
+#define CASH_UOP_HANDLER(name, ...) &&h_##name,
+#define CASH_UOP_LABEL(name, label) &&label,
+      CASH_UOP_LIST(CASH_UOP_HANDLER, CASH_UOP_HANDLER, CASH_UOP_LABEL)
+#undef CASH_UOP_HANDLER
 #undef CASH_UOP_LABEL
   };
 #endif
 
   for (;;) {
-    const MicroInstr* code = stream->uops.data();
     const MicroInstr& u = code[fpc];
     switch (u.op) {
       case UOp::kGroup: {
@@ -1320,7 +1303,7 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry,
           FnTraceState& ts = *tstate;
           std::int32_t ti = ts.trace_at[fpc];
           if (ti == kTraceNone && ++ts.hot[fpc] == trace_threshold) {
-            ti = try_form_trace(ts, *stream, fpc, impl.trace_stats);
+            ti = try_form_trace(ts, dfn->plain, fpc, impl.trace_stats);
           }
           if (ti >= 0) {
             const Trace& tr = ts.traces[static_cast<std::size_t>(ti)];
@@ -1332,15 +1315,13 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry,
               ++impl.trace_stats.trace_execs;
               cur_trace = &tr;
               grp = &tr.total;
-              pcode = dfn->plain.uops.data();
               mcode = tr.uops.data();
-              end = static_cast<std::uint32_t>(tr.uops.size());
+              ip = mcode;
+              stop = mcode + tr.uops.size();
               next_pc = fpc; // the final terminator always overwrites
               partial = 0;
-              fault_sub = 0;
               truncated = false;
               brec = nullptr;
-              pc = 0;
               goto member_dispatch;
             }
           }
@@ -1349,343 +1330,53 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry,
           brec = nullptr;
         }
         cur_trace = nullptr;
-        grp = &stream->groups[u.aux];
-        pcode = dfn->plain.uops.data();
-        pstart = grp->plain_first;
+        grp = &dfn->plain.groups[u.aux];
         start = fpc + 1;
-        end = start + u.imm;
-        next_pc = end;
+        next_pc = start + u.imm;
         partial = 0;
-        fault_sub = 0;
         truncated = false;
         mcode = code;
+        stop = mcode + next_pc;
         if (ctr.instructions + grp->count > max_instructions) {
           // The budget trips mid-group: run only the IR instructions the
           // interpreter would have executed (the terminator, always last,
-          // is never among them), itemized from the plain stream — fused
-          // members are not 1:1 with instructions, plain members are.
-          mcode = pcode;
-          start = pstart;
-          end = pstart + static_cast<std::uint32_t>(max_instructions -
-                                                    ctr.instructions);
+          // is never among them), from the plain slots, whose handlers
+          // each run one.
+          mcode = dfn->plain.uops.data();
+          stop = mcode + start + (max_instructions - ctr.instructions);
           truncated = true;
         }
-        pc = start;
+        ip = mcode + start;
         goto member_dispatch;
 
       member_dispatch:
-        if (pc >= end) goto group_done;
+        if (ip >= stop) goto group_done;
 #if CASH_THREADED_DISPATCH
-        goto* kDispatch[static_cast<std::size_t>(mcode[pc].op)];
+        goto* kDispatch[static_cast<std::size_t>(ip->op)];
 #else
-        switch (mcode[pc].op) {
-#define CASH_UOP_CASE(name, width, label) \
-  case UOp::name:                         \
+        switch (ip->op) {
+#define CASH_UOP_HANDLER(name, ...) \
+  case UOp::name:                   \
+    goto h_##name;
+#define CASH_UOP_LABEL(name, label) \
+  case UOp::name:                   \
     goto label;
-          CASH_UOP_LIST(CASH_UOP_CASE)
-#undef CASH_UOP_CASE
+          CASH_UOP_LIST(CASH_UOP_HANDLER, CASH_UOP_HANDLER, CASH_UOP_LABEL)
+#undef CASH_UOP_HANDLER
+#undef CASH_UOP_LABEL
           default: goto m_corrupt;
         }
 #endif
 
-      m_const: {
-        const MicroInstr& v = mcode[pc];
-        regs[v.dst] = Value{v.imm, 0};
-      }
-        CASH_MEMBER_NEXT();
-
-      m_move: {
-        const MicroInstr& v = mcode[pc];
-        regs[v.dst] = regs[v.src0];
-      }
-        CASH_MEMBER_NEXT();
-
-      m_bin: {
-        const MicroInstr& v = mcode[pc];
-        Value out;
-        const int st = exec_bin(v, regs[v.src0], regs[v.src1], out);
-        regs[v.dst] = out;
-        if (st != 0) {
-          bin_fail(st, v.src);
-          partial = 2;
-          goto group_fault;
-        }
-      }
-        CASH_MEMBER_NEXT();
-
-      m_un: {
-        const MicroInstr& v = mcode[pc];
-        const Value a = regs[v.src0];
-        Value out;
-        switch (v.un_op) {
-          case UnOp::kNeg:
-            out = v.type == ir::Type::kFloat ? from_float(-as_float(a))
-                                             : from_int(-as_int(a));
-            break;
-          case UnOp::kLogicalNot: out = from_int(as_int(a) == 0); break;
-          case UnOp::kBitNot:     out = from_int(~as_int(a)); break;
-          case UnOp::kIntToFloat:
-            out = from_float(static_cast<float>(as_int(a)));
-            break;
-          case UnOp::kFloatToInt:
-            out = from_int(static_cast<std::int32_t>(as_float(a)));
-            break;
-        }
-        regs[v.dst] = out;
-      }
-        CASH_MEMBER_NEXT();
-      m_load: {
-        const MicroInstr& v = mcode[pc];
-        const int st = exec_load(v, regs[v.src0], v.src);
-        if (st != 0) {
-          partial = st == 1 ? 1 : 0;
-          goto group_fault;
-        }
-      }
-        CASH_MEMBER_NEXT();
-
-      m_store: {
-        const MicroInstr& v = mcode[pc];
-        const int st = exec_store(v, regs[v.src0], regs[v.src1], v.src);
-        if (st != 0) {
-          partial = st == 1 ? 1 : 0;
-          goto group_fault;
-        }
-      }
-        CASH_MEMBER_NEXT();
-
-      m_load_local: {
-        const MicroInstr& v = mcode[pc];
-        regs[v.dst] = slots[v.slot];
-      }
-        CASH_MEMBER_NEXT();
-
-      m_store_local: {
-        const MicroInstr& v = mcode[pc];
-        slots[v.slot] = regs[v.src0];
-      }
-        CASH_MEMBER_NEXT();
-
-      m_load_global: {
-        const MicroInstr& v = mcode[pc];
-        const std::uint32_t addr = flat_scalar[v.symbol];
-        Result<std::uint32_t> loaded = mmu.read32_linear(addr);
-        if (!loaded.ok()) {
-          fail(loaded.fault(), v.src);
-          partial = 0;
-          goto group_fault;
-        }
-        std::uint32_t info = 0;
-        if (v.is_ptr) {
-          const auto it = mem_ptr_info.find(addr);
-          info = it != mem_ptr_info.end() ? it->second : 0;
-        }
-        regs[v.dst] = Value{loaded.value(), info};
-      }
-        CASH_MEMBER_NEXT();
-
-      m_store_global: {
-        const MicroInstr& v = mcode[pc];
-        const std::uint32_t addr = flat_scalar[v.symbol];
-        Status status = mmu.write32_linear(addr, regs[v.src0].bits);
-        if (!status.ok()) {
-          fail(status.fault(), v.src);
-          partial = 0;
-          goto group_fault;
-        }
-        if (v.is_ptr) {
-          mem_ptr_info[addr] = regs[v.src0].info;
-        }
-      }
-        CASH_MEMBER_NEXT();
-
-      m_addr_local: {
-        const MicroInstr& v = mcode[pc];
-        regs[v.dst] = local_arrays[v.slot];
-      }
-        CASH_MEMBER_NEXT();
-
-      m_addr_global: {
-        const MicroInstr& v = mcode[pc];
-        regs[v.dst] = Value{flat_gdata[v.symbol], flat_ginfo[v.symbol]};
-      }
-        CASH_MEMBER_NEXT();
-
-      m_ptr_add: {
-        const MicroInstr& v = mcode[pc];
-        const Value base = regs[v.src0];
-        regs[v.dst] = Value{base.bits + regs[v.src1].bits, base.info};
-      }
-        CASH_MEMBER_NEXT();
-
-      m_bound: {
-        const MicroInstr& v = mcode[pc];
-        const bool fired =
-            v.src1 != ir::kNoReg
-                ? bound_fault_interval(v.op, regs[v.src0], regs[v.src1],
-                                       v.src)
-                : bound_fault(v.op, regs[v.src0], v.src);
-        if (fired) {
-          partial = 2;
-          goto group_fault;
-        }
-      }
-        CASH_MEMBER_NEXT();
-      m_builtin: {
-        const MicroInstr& v = mcode[pc];
-        run_builtin(v.builtin, regs, v.dst, v.src0, v.src1, output,
-                    impl.rng_state);
-      }
-        CASH_MEMBER_NEXT();
-
-      m_jump:
-        next_pc = mcode[pc].target0;
-        goto group_done;
-
-      m_branch: {
-        const MicroInstr& v = mcode[pc];
-        const bool taken = as_int(regs[v.src0]) != 0;
-        if (brec != nullptr) {
-          TraceEdge& e = brec[pc];
-          ++(taken ? e.taken : e.not_taken);
-        }
-        next_pc = taken ? v.target0 : v.target1;
-        goto group_done;
-      }
-
-      // --- fused superinstructions. Each preserves every constituent's
-      // register/slot write and, on a fault, records which constituent
-      // faulted (fault_sub) so group_fault can reconstruct the itemized
-      // charge from the plain stream. Fault context comes from the
-      // constituent's own source instruction: pcode[v.aux + k].src.
-
-      m_fused_load_local_bin: {
-        const MicroInstr& v = mcode[pc];
-        regs[v.imm] = slots[v.slot];
-        Value out;
-        const int st = exec_bin(v, regs[v.src0], regs[v.src1], out);
-        regs[v.dst] = out;
-        if (st != 0) {
-          bin_fail(st, pcode[v.aux + 1].src);
-          partial = 2;
-          fault_sub = 1;
-          goto group_fault;
-        }
-      }
-        CASH_MEMBER_NEXT();
-
-      m_fused_bin_store_local: {
-        const MicroInstr& v = mcode[pc];
-        Value out;
-        const int st = exec_bin(v, regs[v.src0], regs[v.src1], out);
-        regs[v.dst] = out;
-        if (st != 0) {
-          bin_fail(st, pcode[v.aux].src);
-          partial = 2;
-          fault_sub = 0;
-          goto group_fault;
-        }
-        slots[v.slot] = out;
-      }
-        CASH_MEMBER_NEXT();
-
-      m_fused_load_bin_store: {
-        const MicroInstr& v = mcode[pc];
-        regs[v.imm] = slots[v.slot];
-        Value out;
-        const int st = exec_bin(v, regs[v.src0], regs[v.src1], out);
-        regs[v.dst] = out;
-        if (st != 0) {
-          bin_fail(st, pcode[v.aux + 1].src);
-          partial = 2;
-          fault_sub = 1;
-          goto group_fault;
-        }
-        slots[v.symbol] = out;
-      }
-        CASH_MEMBER_NEXT();
-
-      m_fused_cmp_branch: {
-        const MicroInstr& v = mcode[pc];
-        Value out;
-        (void)exec_bin(v, regs[v.src0], regs[v.src1], out); // compares
-                                                            // never fault
-        regs[v.dst] = out;
-        const bool taken = out.bits != 0;
-        if (brec != nullptr) {
-          TraceEdge& e = brec[pc];
-          ++(taken ? e.taken : e.not_taken);
-        }
-        next_pc = taken ? v.target0 : v.target1;
-        goto group_done;
-      }
-
-      m_fused_ptr_add_load: {
-        const MicroInstr& v = mcode[pc];
-        const Value base = regs[v.src0];
-        const Value addr{base.bits + regs[v.src1].bits, base.info};
-        regs[v.slot] = addr;
-        const int st = exec_load(v, addr, pcode[v.aux + 1].src);
-        if (st != 0) {
-          partial = st == 1 ? 1 : 0;
-          fault_sub = 1;
-          goto group_fault;
-        }
-      }
-        CASH_MEMBER_NEXT();
-
-      m_fused_ptr_add_bound_load: {
-        const MicroInstr& v = mcode[pc];
-        const Value base = regs[v.src0];
-        const Value addr{base.bits + regs[v.src1].bits, base.info};
-        regs[v.slot] = addr;
-        if (bound_fault(v.sub_op, addr, pcode[v.aux + 1].src)) {
-          partial = 2;
-          fault_sub = 1;
-          goto group_fault;
-        }
-        const int st = exec_load(v, addr, pcode[v.aux + 2].src);
-        if (st != 0) {
-          partial = st == 1 ? 1 : 0;
-          fault_sub = 2;
-          goto group_fault;
-        }
-      }
-        CASH_MEMBER_NEXT();
-
-      // --- trace-only micro-ops (superblock streams; DESIGN.md §11).
-      // Block boundaries carry no in-stream bookkeeping: the cold paths
-      // below reconstruct exact charges from the trace's per-uop
-      // block_of/plain_done tables instead. ---
-
-      m_guard_branch: {
-        const MicroInstr& v = mcode[pc];
-        if ((as_int(regs[v.src0]) != 0) == (v.imm != 0)) {
-          CASH_MEMBER_NEXT(); // biased arm: stay on the trace
-        }
-        next_pc = v.target0;
-        goto trace_exit;
-      }
-
-      m_guard_cmp_branch: {
-        const MicroInstr& v = mcode[pc];
-        Value out;
-        (void)exec_bin(v, regs[v.src0], regs[v.src1], out); // compares
-                                                            // never fault
-        regs[v.dst] = out;
-        if ((out.bits != 0) == (v.imm != 0)) {
-          CASH_MEMBER_NEXT();
-        }
-        next_pc = v.target0;
-        goto trace_exit;
-      }
+      CASH_UOP_LIST(CASH_PLAIN_HANDLER, CASH_SUPER_HANDLER, CASH_UOP_NONE)
 
       trace_exit: {
         // A guard left the superblock. The guard is its block's
-        // terminator, so blocks [0..block_of[pc]] completed in full —
+        // terminator, so blocks [0..block_of[guard]] completed in full —
         // charge their precomputed aggregate and resume normal dispatch at
         // the off-trace target with exact machine state.
-        const TraceBlock& tb = cur_trace->blocks[cur_trace->block_of[pc]];
+        const TraceBlock& tb =
+            cur_trace->blocks[cur_trace->block_of[ip - mcode]];
         apply_cost(tb.cum_cost);
         ctr.instructions += tb.cum_count;
         impl.trace_stats.trace_instructions += tb.cum_count;
@@ -1708,434 +1399,12 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry,
         impl.trace_stats.trace_instructions += grp->count;
         if (ctr.instructions + grp->count <= max_instructions) {
           ++impl.trace_stats.trace_execs;
-          pc = 0;
+          ip = mcode;
           goto member_dispatch;
         }
         fpc = cur_trace->entry_pc;
         cur_trace = nullptr;
         break;
-      }
-
-      // --- trace-time peephole superinstructions. Each executes the op in
-      // its own slot plus the constituent in the following slot; on a
-      // fault, pc advances to the faulting slot so the per-slot
-      // block_of/plain_done tables itemize it exactly as unfused dispatch
-      // would have. ---
-
-      m_trace_bin_bin: {
-        const MicroInstr& v = mcode[pc];
-        Value out;
-        int st = exec_bin(v, regs[v.src0], regs[v.src1], out);
-        regs[v.dst] = out;
-        if (st != 0) {
-          bin_fail(st, v.src);
-          partial = 2;
-          goto group_fault;
-        }
-        const MicroInstr& w = mcode[pc + 1];
-        st = exec_bin(w, regs[w.src0], regs[w.src1], out);
-        regs[w.dst] = out;
-        if (st != 0) {
-          ++pc; // the second constituent's slot
-          bin_fail(st, w.src);
-          partial = 2;
-          goto group_fault;
-        }
-        ++pc;
-      }
-        CASH_MEMBER_NEXT();
-
-      m_trace_load_bin_guard: {
-        // kFusedLoadLocalBin semantics, then its block's guard terminator:
-        // the pair shares one dispatch on the biased path.
-        const MicroInstr& v = mcode[pc];
-        regs[v.imm] = slots[v.slot];
-        Value out;
-        const int st = exec_bin(v, regs[v.src0], regs[v.src1], out);
-        regs[v.dst] = out;
-        if (st != 0) {
-          bin_fail(st, pcode[v.aux + 1].src);
-          partial = 2;
-          fault_sub = 1;
-          goto group_fault;
-        }
-        const MicroInstr& g = mcode[pc + 1];
-        ++pc; // the guard's slot (it terminates the same block)
-        if ((as_int(regs[g.src0]) != 0) == (g.imm != 0)) {
-          CASH_MEMBER_NEXT();
-        }
-        next_pc = g.target0;
-        goto trace_exit;
-      }
-
-      m_trace_bin_pabl: {
-        const MicroInstr& v = mcode[pc];
-        Value out;
-        const int st = exec_bin(v, regs[v.src0], regs[v.src1], out);
-        regs[v.dst] = out;
-        if (st != 0) {
-          bin_fail(st, v.src);
-          partial = 2;
-          goto group_fault;
-        }
-        const MicroInstr& w = mcode[pc + 1];
-        ++pc; // the fused memory op's slot
-        const Value base = regs[w.src0];
-        const Value addr{base.bits + regs[w.src1].bits, base.info};
-        regs[w.slot] = addr;
-        if (bound_fault(w.sub_op, addr, pcode[w.aux + 1].src)) {
-          partial = 2;
-          fault_sub = 1;
-          goto group_fault;
-        }
-        const int st2 = exec_load(w, addr, pcode[w.aux + 2].src);
-        if (st2 != 0) {
-          partial = st2 == 1 ? 1 : 0;
-          fault_sub = 2;
-          goto group_fault;
-        }
-      }
-        CASH_MEMBER_NEXT();
-
-      m_trace_pabl_bin: {
-        const MicroInstr& v = mcode[pc];
-        const Value base = regs[v.src0];
-        const Value addr{base.bits + regs[v.src1].bits, base.info};
-        regs[v.slot] = addr;
-        if (bound_fault(v.sub_op, addr, pcode[v.aux + 1].src)) {
-          partial = 2;
-          fault_sub = 1;
-          goto group_fault;
-        }
-        int st = exec_load(v, addr, pcode[v.aux + 2].src);
-        if (st != 0) {
-          partial = st == 1 ? 1 : 0;
-          fault_sub = 2;
-          goto group_fault;
-        }
-        const MicroInstr& w = mcode[pc + 1];
-        ++pc; // the trailing kBin's slot
-        Value out;
-        st = exec_bin(w, regs[w.src0], regs[w.src1], out);
-        regs[w.dst] = out;
-        if (st != 0) {
-          bin_fail(st, w.src);
-          partial = 2;
-          goto group_fault;
-        }
-      }
-        CASH_MEMBER_NEXT();
-
-      m_trace_bin_pal: {
-        const MicroInstr& v = mcode[pc];
-        Value out;
-        const int st = exec_bin(v, regs[v.src0], regs[v.src1], out);
-        regs[v.dst] = out;
-        if (st != 0) {
-          bin_fail(st, v.src);
-          partial = 2;
-          goto group_fault;
-        }
-        const MicroInstr& w = mcode[pc + 1];
-        ++pc; // the fused memory op's slot
-        const Value base = regs[w.src0];
-        const Value addr{base.bits + regs[w.src1].bits, base.info};
-        regs[w.slot] = addr;
-        const int st2 = exec_load(w, addr, pcode[w.aux + 1].src);
-        if (st2 != 0) {
-          partial = st2 == 1 ? 1 : 0;
-          fault_sub = 1;
-          goto group_fault;
-        }
-      }
-        CASH_MEMBER_NEXT();
-
-      m_trace_pal_bin: {
-        const MicroInstr& v = mcode[pc];
-        const Value base = regs[v.src0];
-        const Value addr{base.bits + regs[v.src1].bits, base.info};
-        regs[v.slot] = addr;
-        int st = exec_load(v, addr, pcode[v.aux + 1].src);
-        if (st != 0) {
-          partial = st == 1 ? 1 : 0;
-          fault_sub = 1;
-          goto group_fault;
-        }
-        const MicroInstr& w = mcode[pc + 1];
-        ++pc; // the trailing kBin's slot
-        Value out;
-        st = exec_bin(w, regs[w.src0], regs[w.src1], out);
-        regs[w.dst] = out;
-        if (st != 0) {
-          bin_fail(st, w.src);
-          partial = 2;
-          goto group_fault;
-        }
-      }
-        CASH_MEMBER_NEXT();
-
-      m_trace_bin_bin_bin: {
-        for (int sub = 0; sub < 3; ++sub) {
-          const MicroInstr& v = mcode[pc];
-          Value out;
-          const int st = exec_bin(v, regs[v.src0], regs[v.src1], out);
-          regs[v.dst] = out;
-          if (st != 0) {
-            bin_fail(st, v.src);
-            partial = 2;
-            goto group_fault;
-          }
-          if (sub < 2) ++pc; // each constituent faults at its own slot
-        }
-      }
-        CASH_MEMBER_NEXT();
-
-      m_trace_lbs_llb: {
-        // kFusedLoadBinStore semantics, then the kFusedLoadLocalBin in the
-        // next slot.
-        const MicroInstr& v = mcode[pc];
-        regs[v.imm] = slots[v.slot];
-        Value out;
-        int st = exec_bin(v, regs[v.src0], regs[v.src1], out);
-        regs[v.dst] = out;
-        if (st != 0) {
-          bin_fail(st, pcode[v.aux + 1].src);
-          partial = 2;
-          fault_sub = 1;
-          goto group_fault;
-        }
-        slots[v.symbol] = out;
-        const MicroInstr& w = mcode[pc + 1];
-        ++pc;
-        regs[w.imm] = slots[w.slot];
-        st = exec_bin(w, regs[w.src0], regs[w.src1], out);
-        regs[w.dst] = out;
-        if (st != 0) {
-          bin_fail(st, pcode[w.aux + 1].src);
-          partial = 2;
-          fault_sub = 1;
-          goto group_fault;
-        }
-      }
-        CASH_MEMBER_NEXT();
-
-      m_trace_bin_bsl: {
-        const MicroInstr& v = mcode[pc];
-        Value out;
-        int st = exec_bin(v, regs[v.src0], regs[v.src1], out);
-        regs[v.dst] = out;
-        if (st != 0) {
-          bin_fail(st, v.src);
-          partial = 2;
-          goto group_fault;
-        }
-        const MicroInstr& w = mcode[pc + 1];
-        ++pc; // the kFusedBinStoreLocal's slot
-        st = exec_bin(w, regs[w.src0], regs[w.src1], out);
-        regs[w.dst] = out;
-        if (st != 0) {
-          bin_fail(st, pcode[w.aux].src);
-          partial = 2;
-          goto group_fault;
-        }
-        slots[w.slot] = out;
-      }
-        CASH_MEMBER_NEXT();
-
-      m_trace_bin_store: {
-        const MicroInstr& v = mcode[pc];
-        Value out;
-        int st = exec_bin(v, regs[v.src0], regs[v.src1], out);
-        regs[v.dst] = out;
-        if (st != 0) {
-          bin_fail(st, v.src);
-          partial = 2;
-          goto group_fault;
-        }
-        const MicroInstr& w = mcode[pc + 1];
-        ++pc; // the kStore's slot
-        st = exec_store(w, regs[w.src0], regs[w.src1], w.src);
-        if (st != 0) {
-          partial = st == 1 ? 1 : 0;
-          goto group_fault;
-        }
-      }
-        CASH_MEMBER_NEXT();
-
-      m_trace_llb_bin: {
-        const MicroInstr& v = mcode[pc];
-        regs[v.imm] = slots[v.slot];
-        Value out;
-        int st = exec_bin(v, regs[v.src0], regs[v.src1], out);
-        regs[v.dst] = out;
-        if (st != 0) {
-          bin_fail(st, pcode[v.aux + 1].src);
-          partial = 2;
-          fault_sub = 1;
-          goto group_fault;
-        }
-        const MicroInstr& w = mcode[pc + 1];
-        ++pc; // the kBin's slot
-        st = exec_bin(w, regs[w.src0], regs[w.src1], out);
-        regs[w.dst] = out;
-        if (st != 0) {
-          bin_fail(st, w.src);
-          partial = 2;
-          goto group_fault;
-        }
-      }
-        CASH_MEMBER_NEXT();
-
-      m_trace_llb_bsl: {
-        const MicroInstr& v = mcode[pc];
-        regs[v.imm] = slots[v.slot];
-        Value out;
-        int st = exec_bin(v, regs[v.src0], regs[v.src1], out);
-        regs[v.dst] = out;
-        if (st != 0) {
-          bin_fail(st, pcode[v.aux + 1].src);
-          partial = 2;
-          fault_sub = 1;
-          goto group_fault;
-        }
-        const MicroInstr& w = mcode[pc + 1];
-        ++pc; // the kFusedBinStoreLocal's slot
-        st = exec_bin(w, regs[w.src0], regs[w.src1], out);
-        regs[w.dst] = out;
-        if (st != 0) {
-          bin_fail(st, pcode[w.aux].src);
-          partial = 2;
-          goto group_fault;
-        }
-        slots[w.slot] = out;
-      }
-        CASH_MEMBER_NEXT();
-
-      m_trace_lbs_llb_guard: {
-        // The canonical loop tail in one dispatch: kFusedLoadBinStore +
-        // kFusedLoadLocalBin + the block's guard terminator.
-        const MicroInstr& v = mcode[pc];
-        regs[v.imm] = slots[v.slot];
-        Value out;
-        int st = exec_bin(v, regs[v.src0], regs[v.src1], out);
-        regs[v.dst] = out;
-        if (st != 0) {
-          bin_fail(st, pcode[v.aux + 1].src);
-          partial = 2;
-          fault_sub = 1;
-          goto group_fault;
-        }
-        slots[v.symbol] = out;
-        const MicroInstr& w = mcode[pc + 1];
-        ++pc; // the kFusedLoadLocalBin's slot
-        regs[w.imm] = slots[w.slot];
-        st = exec_bin(w, regs[w.src0], regs[w.src1], out);
-        regs[w.dst] = out;
-        if (st != 0) {
-          bin_fail(st, pcode[w.aux + 1].src);
-          partial = 2;
-          fault_sub = 1;
-          goto group_fault;
-        }
-        const MicroInstr& g = mcode[pc + 1];
-        ++pc; // the guard's slot
-        if ((as_int(regs[g.src0]) != 0) == (g.imm != 0)) {
-          CASH_MEMBER_NEXT();
-        }
-        next_pc = g.target0;
-        goto trace_exit;
-      }
-
-      m_trace_bin_bound_store: {
-        // Checked-store idiom: address arithmetic + kBound + the kStore it
-        // protects.
-        const MicroInstr& v = mcode[pc];
-        Value out;
-        int st = exec_bin(v, regs[v.src0], regs[v.src1], out);
-        regs[v.dst] = out;
-        if (st != 0) {
-          bin_fail(st, v.src);
-          partial = 2;
-          goto group_fault;
-        }
-        const MicroInstr& w = mcode[pc + 1];
-        ++pc; // the kBound*'s slot
-        const bool fired =
-            w.src1 != ir::kNoReg
-                ? bound_fault_interval(w.op, regs[w.src0], regs[w.src1],
-                                       w.src)
-                : bound_fault(w.op, regs[w.src0], w.src);
-        if (fired) {
-          partial = 2;
-          goto group_fault;
-        }
-        const MicroInstr& u = mcode[pc + 1];
-        ++pc; // the kStore's slot
-        st = exec_store(u, regs[u.src0], regs[u.src1], u.src);
-        if (st != 0) {
-          partial = st == 1 ? 1 : 0;
-          goto group_fault;
-        }
-      }
-        CASH_MEMBER_NEXT();
-
-      m_trace_un_bin: {
-        const MicroInstr& v = mcode[pc];
-        {
-          const Value a = regs[v.src0];
-          Value out;
-          switch (v.un_op) {
-            case UnOp::kNeg:
-              out = v.type == ir::Type::kFloat ? from_float(-as_float(a))
-                                               : from_int(-as_int(a));
-              break;
-            case UnOp::kLogicalNot: out = from_int(as_int(a) == 0); break;
-            case UnOp::kBitNot:     out = from_int(~as_int(a)); break;
-            case UnOp::kIntToFloat:
-              out = from_float(static_cast<float>(as_int(a)));
-              break;
-            case UnOp::kFloatToInt:
-              out = from_int(static_cast<std::int32_t>(as_float(a)));
-              break;
-          }
-          regs[v.dst] = out; // kUn never faults
-        }
-        const MicroInstr& w = mcode[pc + 1];
-        ++pc; // the kBin's slot
-        Value out;
-        const int st = exec_bin(w, regs[w.src0], regs[w.src1], out);
-        regs[w.dst] = out;
-        if (st != 0) {
-          bin_fail(st, w.src);
-          partial = 2;
-          goto group_fault;
-        }
-      }
-        CASH_MEMBER_NEXT();
-
-      m_trace_llb_guard_cmp: {
-        // kFusedLoadLocalBin + its block's kGuardCmpBranch terminator.
-        const MicroInstr& v = mcode[pc];
-        regs[v.imm] = slots[v.slot];
-        Value out;
-        const int st = exec_bin(v, regs[v.src0], regs[v.src1], out);
-        regs[v.dst] = out;
-        if (st != 0) {
-          bin_fail(st, pcode[v.aux + 1].src);
-          partial = 2;
-          fault_sub = 1;
-          goto group_fault;
-        }
-        const MicroInstr& g = mcode[pc + 1];
-        ++pc; // the guard's slot
-        (void)exec_bin(g, regs[g.src0], regs[g.src1], out); // compares
-                                                            // never fault
-        regs[g.dst] = out;
-        if ((out.bits != 0) == (g.imm != 0)) {
-          CASH_MEMBER_NEXT();
-        }
-        next_pc = g.target0;
-        goto trace_exit;
       }
 
       m_corrupt:
@@ -2144,12 +1413,12 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry,
 
       group_done:
         if (truncated) {
-          // mcode is the plain stream here (see group entry), so every
+          // mcode is the plain slots here (see group entry), so every
           // executed member charges exactly one IR instruction.
-          for (std::uint32_t i = start; i < end; ++i) {
-            apply_cost(static_cost(mcode[i]));
+          for (const MicroInstr* m = mcode + start; m < stop; ++m) {
+            apply_cost(static_cost(*m));
           }
-          ctr.instructions += (end - start) + 1;
+          ctr.instructions += (stop - (mcode + start)) + 1;
           result.error =
               "instruction budget exceeded (possible infinite loop)";
           goto run_end;
@@ -2168,17 +1437,17 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry,
       group_fault: {
         // A member faulted (or raised an error): reconstruct the itemized
         // accounting the interpreter would have produced — full charges
-        // for the completed IR-instruction prefix, then the faulting
+        // for the members before the faulting slot, then the faulting
         // instruction's partial charge (what it books before the fault
-        // site). Completed members cover uop_width() instructions each and
-        // fault_sub selects the faulting constituent inside a fused
-        // member; the plain stream always holds the per-instruction costs.
+        // site). Every slot is one IR instruction whichever copy ran, and
+        // the plain slots hold the per-instruction costs.
         //
-        // Mid-trace faults use the trace's per-uop tables instead: charge
-        // the completed predecessor blocks' precomputed aggregate, then
-        // itemize the faulting block from plain_done[pc] — the number of
-        // plain instructions that completed inside the block before the
-        // faulting member.
+        // Mid-trace, the completed predecessor blocks are charged by their
+        // precomputed aggregate and the faulting block is itemized from its
+        // own group's plain slots.
+        const auto pc = static_cast<std::uint32_t>(ip - mcode);
+        const MicroInstr* first = nullptr; // the block's first plain slot
+        std::uint32_t done = 0;            // its members before the fault
         if (cur_trace != nullptr) {
           const Trace& tr = *cur_trace;
           const std::uint32_t bi = tr.block_of[pc];
@@ -2188,31 +1457,17 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry,
             ctr.instructions += prev.cum_count;
             impl.trace_stats.trace_instructions += prev.cum_count;
           }
-          const std::uint32_t fdone = tr.plain_done[pc] + fault_sub;
-          const std::uint32_t fstart = tr.blocks[bi].plain_first;
-          for (std::uint32_t k = 0; k < fdone; ++k) {
-            apply_cost(static_cost(pcode[fstart + k]));
-          }
-          const StaticCost tfc = static_cost(pcode[fstart + fdone]);
-          if (partial == 2) {
-            apply_cost(tfc);
-          } else if (partial == 1) {
-            cycles += tfc.cycles;
-            ctr.hw_checked_accesses += tfc.hw_checks;
-          }
-          ctr.instructions += fdone + 1;
+          first = dfn->plain.uops.data() + tr.blocks[bi].entry_pc + 1;
+          done = pc - tr.blocks[bi].first_slot;
           cur_trace = nullptr;
-          goto run_end;
+        } else {
+          first = dfn->plain.uops.data() + start;
+          done = pc - start;
         }
-        std::uint32_t done = 0;
-        for (std::uint32_t i = start; i < pc; ++i) {
-          done += uop_width(mcode[i].op);
-        }
-        done += fault_sub;
         for (std::uint32_t k = 0; k < done; ++k) {
-          apply_cost(static_cost(pcode[pstart + k]));
+          apply_cost(static_cost(first[k]));
         }
-        const StaticCost fc = static_cost(pcode[pstart + done]);
+        const StaticCost fc = static_cost(first[done]);
         if (partial == 2) {
           apply_cost(fc);
         } else if (partial == 1) {

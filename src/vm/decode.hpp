@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -22,20 +23,20 @@
 // control flow is data-dependent (segment-register loads, user calls,
 // malloc/free, returns) stay itemized between groups.
 //
-// Each function carries two member streams over the same groups:
+// Each function has one slot per IR instruction plus its group headers
+// (`plain`), and a copy of those slots (`fused`) that differs only in the
+// first slot of each superinstruction run: that slot's opcode names a
+// SUPER row of CASH_UOP_LIST, whose handler runs every constituent from its
+// own slot with its own operands. The copies share one set of indices,
+// groups and block entries, so a branch target, a faulting slot or a
+// budget cut means the same thing whichever copy ran. The engine picks the
+// copy per run from MachineConfig.enable_fusion. Hot traces (DESIGN.md §11)
+// are spliced from the plain slots and tiled with the same rows.
 //
-//   plain — one micro-op per IR instruction, exactly the PR-5 layout; and
-//   fused — a superinstruction stream where dependent pairs/triples inside
-//           a group (local-load+bin+local-store, ptr-add(+bound)+load,
-//           compare+branch) are merged into single fused micro-ops with
-//           pre-summed static costs.
-//
-// The engine picks a stream per run from MachineConfig.enable_fusion, so
-// one decoded image serves every configuration. Member dispatch is
-// computed-goto threaded on GCC/Clang with a portable switch fallback (see
-// decode.cpp). The result is bit-transparent either way: cycles,
-// breakdowns, counters, stats, faults and output are identical to the
-// reference interpreter (tests/vm/decode_test.cpp).
+// Member dispatch is computed-goto threaded on GCC/Clang with a portable
+// switch fallback (see decode.cpp). The result is bit-transparent either
+// way: cycles, breakdowns, counters, stats, faults and output are identical
+// to the reference interpreter (tests/vm/decode_test.cpp).
 
 namespace cash::vm {
 
@@ -69,152 +70,154 @@ constexpr std::uint64_t builtin_cycles(Builtin builtin) noexcept {
   }
 }
 
-// The micro-op set, one row per opcode: X(name, width, label).
+// The micro-op set, one row per opcode, in three kinds:
 //
-//   name   the UOp enumerator.
-//   width  IR instructions the micro-op covers (uop_width): 1 for plain
-//          micro-ops, 2 or 3 for fused superinstructions. A trace peephole
-//          counts only its first slot, because each constituent after it
-//          keeps its own slot; kTraceLoop is bookkeeping and covers none.
-//   label  its member handler in execute_decoded (decode.cpp). Group
-//          headers and itemized micro-ops never run as group members and
-//          map to m_corrupt.
+//   PLAIN(name)            a micro-op that runs as a group member. Its
+//                          handler is generated from CASH_STEP_<name>, the
+//                          one step (decode.cpp) that every handler running
+//                          it shares.
+//   SUPER(name, parts...)  a superinstruction: the plain micro-ops it
+//                          covers, in slot order. Its handler is generated
+//                          from the row: it runs each part's step at the
+//                          part's own slot, so a part that faults leaves pc
+//                          on its own slot and the cold paths charge it as
+//                          an unfused run would. kBoundSw in a row stands
+//                          for every bound check (they share one step).
+//   OTHER(name, label)     group headers, trace bookkeeping and itemized
+//                          micro-ops, with a hand-written handler label;
+//                          m_corrupt for those that never run as members.
 //
-// The UOp enum, uop_width, the computed-goto dispatch table and the
-// portable switch fallback are all expanded from this list, so a row whose
-// label has no handler fails to compile under either dispatch. static_cost
-// stays hand-written: its cases are the cost model.
+// The UOp enum, kSuperRows, the computed-goto dispatch table, the portable
+// switch fallback and every member handler are expanded from this list, so
+// a row is the whole definition of a superinstruction. One greedy
+// longest-first matcher (decode.cpp) tiles spans of plain slots with the
+// rows: each group's members at decode time, each formed trace when it is
+// spliced. Only a trace has kGuardBranch slots, so rows that end in one
+// match only there. A terminator (kJump, kBranch, kGuardBranch) may end a
+// row but never sit inside one. static_cost stays hand-written: its cases
+// are the cost model, and it sees only plain micro-ops.
 //
 // The sections, in order:
 //   - kGroup, the group header: `imm` member micro-ops follow, `aux` is the
-//     FoldedGroup index. Members are foldable ops only; a terminator may
+//     FoldedGroup index. Members are plain ops only; a terminator may
 //     appear only as the last member.
-//   - foldable micro-ops, which only ever appear inside a group.
-//   - fused superinstructions: fused stream only, built at decode time by
-//     merging dependent constituents inside one group (try_fuse in
-//     decode.cpp). Their patterns, in list order: a scalar local load + a
-//     bin reading it; a bin + the scalar local store of its result; the
-//     two around one bin; a compare + the branch on its result (a
-//     terminator); a ptr-add + the load through it, without or with a
-//     bound check between them.
-//   - trace-only micro-ops: superblock streams built at run time by the
-//     hot-trace engine (DESIGN.md §11), never in the decoded plain/fused
-//     streams. A guard is an interior branch: imm != 0 when the trace
-//     follows the taken arm, target0 = the off-trace exit micro-op index.
-//     kTraceLoop is a looping trace's tail: it retires the whole pass and
-//     restarts at micro-op 0 without leaving the superblock. The
-//     kTrace* peepholes combine ops the straight-line superblock puts side
-//     by side (across member/terminator and spliced-block boundaries, which
-//     the block-local fusion pass cannot see). Only the FIRST slot's opcode
-//     is rewritten; the other constituents stay in the following slots
-//     with their own operands and block_of/plain_done entries, so a
-//     combined handler faults by advancing pc to the faulting slot and the
-//     cold-path accounting needs no new bookkeeping. A peephole's name
-//     lists its constituents: LoadBin is kFusedLoadLocalBin, LoadBinStore
-//     is kFusedLoadBinStore, PtrAdd[Bound]Load is kFusedPtrAdd[Bound]Load,
-//     BinStoreLocal is kFusedBinStoreLocal, Guard[Cmp] is the block's
-//     guard terminator, and Bin/Un/Store/Bound are the plain micro-ops.
+//   - plain member micro-ops. kGuardBranch is trace-only: an interior
+//     kBranch, imm != 0 when the trace follows the taken arm, target0 = the
+//     off-trace exit micro-op index.
+//   - kTraceLoop, a looping trace's tail: it retires the whole pass and
+//     restarts at slot 0 without leaving the superblock (DESIGN.md §11).
+//   - superinstructions, named after their parts: Ll/Sl = kLoadLocal/
+//     kStoreLocal, Pa = kPtrAdd, Bd = a bound check, Ld = kLoad, Br =
+//     kBranch, G = kGuardBranch, Bin/Un = kBin/kUn.
 //   - itemized micro-ops: dynamic cost and/or control flow. kBlockEndError
 //     is control falling off the end of a block (no terminator); it
 //     reproduces the interpreter's "fell off the end of block ..." error,
 //     with the block id in `symbol`.
-#define CASH_UOP_LIST(X)                                                     \
-  X(kGroup, 1, m_corrupt)                                                    \
-  X(kConstInt, 1, m_const)                                                   \
-  X(kConstFloat, 1, m_const)                                                 \
-  X(kMove, 1, m_move)                                                        \
-  X(kBin, 1, m_bin)                                                          \
-  X(kUn, 1, m_un)                                                            \
-  X(kLoad, 1, m_load)                                                        \
-  X(kStore, 1, m_store)                                                      \
-  X(kLoadLocal, 1, m_load_local)                                             \
-  X(kStoreLocal, 1, m_store_local)                                           \
-  X(kLoadGlobal, 1, m_load_global)                                           \
-  X(kStoreGlobal, 1, m_store_global)                                         \
-  X(kAddrLocal, 1, m_addr_local)                                             \
-  X(kAddrGlobal, 1, m_addr_global)                                           \
-  X(kPtrAdd, 1, m_ptr_add)                                                   \
-  X(kBoundSw, 1, m_bound)                                                    \
-  X(kBoundBnd, 1, m_bound)                                                   \
-  X(kBoundShadow, 1, m_bound)                                                \
-  X(kBuiltin, 1, m_builtin) /* statically-costed builtin call */             \
-  X(kJump, 1, m_jump)                                                        \
-  X(kBranch, 1, m_branch)                                                    \
-  /* fused: */                                                               \
-  X(kFusedLoadLocalBin, 2, m_fused_load_local_bin)                           \
-  X(kFusedBinStoreLocal, 2, m_fused_bin_store_local)                         \
-  X(kFusedLoadBinStore, 3, m_fused_load_bin_store)                           \
-  X(kFusedCmpBranch, 2, m_fused_cmp_branch)                                  \
-  X(kFusedPtrAddLoad, 2, m_fused_ptr_add_load)                               \
-  X(kFusedPtrAddBoundLoad, 3, m_fused_ptr_add_bound_load)                    \
-  /* trace-only: */                                                          \
-  X(kGuardBranch, 1, m_guard_branch) /* interior kBranch */                  \
-  X(kGuardCmpBranch, 2, m_guard_cmp_branch) /* interior kFusedCmpBranch */   \
-  X(kTraceLoop, 0, m_trace_loop)                                             \
-  X(kTraceBinBin, 1, m_trace_bin_bin)                                        \
-  X(kTraceLoadBinGuard, 2, m_trace_load_bin_guard)                           \
-  X(kTraceBinPtrAddBoundLoad, 1, m_trace_bin_pabl)                           \
-  X(kTracePtrAddBoundLoadBin, 3, m_trace_pabl_bin)                           \
-  X(kTraceBinPtrAddLoad, 1, m_trace_bin_pal)                                 \
-  X(kTracePtrAddLoadBin, 2, m_trace_pal_bin)                                 \
-  X(kTraceBinBinBin, 1, m_trace_bin_bin_bin)                                 \
-  X(kTraceLoadBinStoreLoadBin, 3, m_trace_lbs_llb)                           \
-  X(kTraceBinBinStoreLocal, 1, m_trace_bin_bsl)                              \
-  X(kTraceBinStore, 1, m_trace_bin_store)                                    \
-  X(kTraceLoadBinBin, 2, m_trace_llb_bin)                                    \
-  X(kTraceLoadBinBinStoreLocal, 2, m_trace_llb_bsl)                          \
-  X(kTraceLoadBinStoreLoadBinGuard, 3, m_trace_lbs_llb_guard)                \
-  X(kTraceBinBoundStore, 1, m_trace_bin_bound_store)                         \
-  X(kTraceUnBin, 1, m_trace_un_bin)                                          \
-  X(kTraceLoadBinGuardCmp, 2, m_trace_llb_guard_cmp)                         \
-  /* itemized: */                                                            \
-  X(kSegLoad, 1, m_corrupt)                                                  \
-  X(kCallUser, 1, m_corrupt)                                                 \
-  X(kMalloc, 1, m_corrupt)                                                   \
-  X(kFree, 1, m_corrupt)                                                     \
-  X(kRet, 1, m_corrupt)                                                      \
-  X(kBlockEndError, 1, m_corrupt)
+#define CASH_UOP_LIST(PLAIN, SUPER, OTHER)                                   \
+  OTHER(kGroup, m_corrupt)                                                   \
+  PLAIN(kConstInt)                                                           \
+  PLAIN(kConstFloat)                                                         \
+  PLAIN(kMove)                                                               \
+  PLAIN(kBin)                                                                \
+  PLAIN(kUn)                                                                 \
+  PLAIN(kLoad)                                                               \
+  PLAIN(kStore)                                                              \
+  PLAIN(kLoadLocal)                                                          \
+  PLAIN(kStoreLocal)                                                         \
+  PLAIN(kLoadGlobal)                                                         \
+  PLAIN(kStoreGlobal)                                                        \
+  PLAIN(kAddrLocal)                                                          \
+  PLAIN(kAddrGlobal)                                                         \
+  PLAIN(kPtrAdd)                                                             \
+  PLAIN(kBoundSw)                                                            \
+  PLAIN(kBoundBnd)                                                           \
+  PLAIN(kBoundShadow)                                                        \
+  PLAIN(kBuiltin) /* statically-costed builtin call */                       \
+  PLAIN(kJump)                                                               \
+  PLAIN(kBranch)                                                             \
+  PLAIN(kGuardBranch)                                                        \
+  OTHER(kTraceLoop, m_trace_loop)                                            \
+  SUPER(kSuperLlBin, kLoadLocal, kBin)                                       \
+  SUPER(kSuperLlBinBin, kLoadLocal, kBin, kBin)                              \
+  SUPER(kSuperLlBinSl, kLoadLocal, kBin, kStoreLocal)                        \
+  SUPER(kSuperLlBinBinSl, kLoadLocal, kBin, kBin, kStoreLocal)               \
+  SUPER(kSuperLlBinBinG, kLoadLocal, kBin, kBin, kGuardBranch)               \
+  SUPER(kSuperLlBinSlLlBin, kLoadLocal, kBin, kStoreLocal, kLoadLocal, kBin) \
+  SUPER(kSuperLlBinSlLlBinG, kLoadLocal, kBin, kStoreLocal, kLoadLocal,      \
+        kBin, kGuardBranch)                                                  \
+  SUPER(kSuperBinSl, kBin, kStoreLocal)                                      \
+  SUPER(kSuperBinBr, kBin, kBranch)                                          \
+  SUPER(kSuperBinG, kBin, kGuardBranch)                                      \
+  SUPER(kSuperBinBin, kBin, kBin)                                            \
+  SUPER(kSuperBinBinBin, kBin, kBin, kBin)                                   \
+  SUPER(kSuperBinBinSl, kBin, kBin, kStoreLocal)                             \
+  SUPER(kSuperBinPaLd, kBin, kPtrAdd, kLoad)                                 \
+  SUPER(kSuperBinPaBdLd, kBin, kPtrAdd, kBoundSw, kLoad)                     \
+  SUPER(kSuperPaLd, kPtrAdd, kLoad)                                          \
+  SUPER(kSuperPaLdBin, kPtrAdd, kLoad, kBin)                                 \
+  SUPER(kSuperPaBdLd, kPtrAdd, kBoundSw, kLoad)                              \
+  SUPER(kSuperPaBdLdBin, kPtrAdd, kBoundSw, kLoad, kBin)                     \
+  SUPER(kSuperUnBin, kUn, kBin)                                              \
+  OTHER(kSegLoad, m_corrupt)                                                 \
+  OTHER(kCallUser, m_corrupt)                                                \
+  OTHER(kMalloc, m_corrupt)                                                  \
+  OTHER(kFree, m_corrupt)                                                    \
+  OTHER(kRet, m_corrupt)                                                     \
+  OTHER(kBlockEndError, m_corrupt)
+
+#define CASH_UOP_NONE(...)
 
 enum class UOp : std::uint8_t {
-#define CASH_UOP_ENUM(name, width, label) name,
-  CASH_UOP_LIST(CASH_UOP_ENUM)
+#define CASH_UOP_ENUM(name, ...) name,
+  CASH_UOP_LIST(CASH_UOP_ENUM, CASH_UOP_ENUM, CASH_UOP_ENUM)
 #undef CASH_UOP_ENUM
   kCount, // sentinel: dispatch-table size
 };
 
-// Number of IR instructions a micro-op covers (the list's width column).
-constexpr std::uint32_t uop_width(UOp op) noexcept {
-  switch (op) {
-#define CASH_UOP_WIDTH(name, width, label) \
-  case UOp::name:                          \
-    return width;
-    CASH_UOP_LIST(CASH_UOP_WIDTH)
-#undef CASH_UOP_WIDTH
-    case UOp::kCount:
-      break;
+// One SUPER row: its opcode and the plain micro-ops it covers.
+inline constexpr std::size_t kMaxSuperWidth = 6;
+struct SuperRow {
+  UOp op{UOp::kGroup};
+  std::array<UOp, kMaxSuperWidth> parts{}; // then kGroup padding
+  std::uint32_t width{0};                  // number of parts
+};
+
+// Every SUPER row of CASH_UOP_LIST, in list order.
+inline constexpr auto kSuperRows = [] {
+  using enum UOp;
+  std::array rows{
+#define CASH_UOP_ROW(name, ...) SuperRow{name, {__VA_ARGS__}},
+      CASH_UOP_LIST(CASH_UOP_NONE, CASH_UOP_ROW, CASH_UOP_NONE)
+#undef CASH_UOP_ROW
+  };
+  for (SuperRow& row : rows) {
+    while (row.width < kMaxSuperWidth && row.parts[row.width] != kGroup) {
+      ++row.width;
+    }
   }
-  return 1;
+  return rows;
+}();
+
+// The step a plain slot runs, as a row names it: the three bound checks
+// share one.
+constexpr UOp step_op(UOp op) noexcept {
+  return op == UOp::kBoundBnd || op == UOp::kBoundShadow ? UOp::kBoundSw : op;
+}
+
+// The row of superinstruction `op`; null for every other micro-op.
+constexpr const SuperRow* super_row(UOp op) noexcept {
+  for (const SuperRow& row : kSuperRows) {
+    if (row.op == op) {
+      return &row;
+    }
+  }
+  return nullptr;
 }
 
 // One decoded micro-op. Wider than strictly necessary per opcode, but flat
 // and trivially indexable — the engine's working set is this array plus the
-// frame's register file.
-//
-// Fused superinstructions overlay the constituent operands like so (aux
-// always holds the plain-stream index of the first constituent, so cold
-// paths can itemize; src is the first constituent's source instruction):
-//
-//   kFusedLoadLocalBin:  slot = load slot, imm = load dst reg;
-//                        dst/src0/src1/bin_op/type = the bin.
-//   kFusedBinStoreLocal: bin as above; slot = store slot.
-//   kFusedLoadBinStore:  slot = load slot, imm = load dst reg; bin as
-//                        above; symbol = store slot.
-//   kFusedCmpBranch:     bin as above; target0/target1 = branch targets.
-//   kFusedPtrAdd*Load:   src0/src1 = ptr-add operands, slot = ptr-add dst
-//                        reg; sub_op = the bound op (kBoundSw/kBoundBnd/
-//                        kBoundShadow) when a bound check is fused;
-//                        dst = load dst reg; type/seg/rebased/is_ptr = the
-//                        load's.
+// frame's register file. A superinstruction changes only the opcode of its
+// first slot; every part keeps its own slot and operands.
 struct MicroInstr {
   UOp op{UOp::kGroup};
   ir::Type type{ir::Type::kInt};
@@ -223,7 +226,6 @@ struct MicroInstr {
   bool is_ptr{false};         // value carries the fat-pointer shadow word
   bool synthetic{false};      // lowering-inserted (affects static cost only)
   Builtin builtin{};          // kBuiltin
-  UOp sub_op{UOp::kGroup};    // kFusedPtrAddBoundLoad: fused bound check
   ir::BinOp bin_op{ir::BinOp::kAdd};
   ir::UnOp un_op{ir::UnOp::kNeg};
   std::int32_t dst{ir::kNoReg};
@@ -234,8 +236,7 @@ struct MicroInstr {
                               // id for kBlockEndError
   std::uint32_t imm{0};       // kConstInt/kConstFloat payload bits; member
                               // count for kGroup
-  std::uint32_t aux{0};       // FoldedGroup index for kGroup; plain-stream
-                              // index of the first constituent for fused ops
+  std::uint32_t aux{0};       // FoldedGroup index for kGroup
   std::uint32_t target0{0};   // kJump/kBranch: taken micro-op index
   std::uint32_t target1{0};   // kBranch: fall-through micro-op index
   std::int32_t callee{-1};    // kCallUser: DecodedProgram function index,
@@ -244,30 +245,24 @@ struct MicroInstr {
                                  // context, call argument list)
 };
 
-// Statically-known accounting deltas of one micro-op / one fused
-// superinstruction / one folded group (defined in common/costs.hpp next to
-// the constants it aggregates).
+// Statically-known accounting deltas of one micro-op / one folded group
+// (defined in common/costs.hpp next to the constants it aggregates).
 using StaticCost = costs::StaticCost;
 
 // Note: `checking` cycles are charged into both `cycles` and the checking
-// breakdown by the engine, matching the interpreter's double booking. For a
-// fused micro-op this returns the sum of its constituents' costs
-// (tests/vm/static_cost_test.cpp pins both against costs.hpp).
+// breakdown by the engine, matching the interpreter's double booking.
+// Superinstructions have no cost of their own: every charge is read from
+// the plain slots (tests/vm/static_cost_test.cpp pins them to costs.hpp).
 StaticCost static_cost(const MicroInstr& u) noexcept;
 
 struct FoldedGroup {
-  std::uint32_t count{0}; // member IR instructions (plain-stream members)
-  // Plain-stream index of the group's first member: cold paths (faults,
-  // budget truncation) itemize per IR instruction from here regardless of
-  // which stream the hot loop was executing.
-  std::uint32_t plain_first{0};
+  std::uint32_t count{0}; // member IR instructions, one slot each
   StaticCost cost;
 };
 
-// One member stream over a function's groups. `plain` has one micro-op per
-// IR instruction; `fused` merges dependent runs into superinstructions.
-// Group headers, itemized ops, block entries and branch targets are all
-// stream-relative micro-op indices.
+// A function's plain slots: one micro-op per IR instruction, plus group
+// headers. Group headers, itemized ops, block entries and branch targets
+// are all slot indices, which the fused copy shares.
 struct UopStream {
   std::vector<MicroInstr> uops;
   std::vector<FoldedGroup> groups;
@@ -299,7 +294,8 @@ constexpr FusionStats& operator+=(FusionStats& a,
 struct DecodedFunction {
   const ir::Function* fn{nullptr};
   UopStream plain;
-  UopStream fused;
+  std::vector<MicroInstr> fused; // plain.uops with superinstruction
+                                 // opcodes in the first slot of each run
   FusionStats stats;
   bool ok{false}; // decoded cleanly (malformed IR falls back to the
                   // interpreter for the whole module)

@@ -60,6 +60,10 @@ kernel::Pid Machine::pid() const noexcept { return impl_->pid; }
 
 kernel::KernelSim& Machine::kernel() noexcept { return impl_->kernel; }
 
+const std::vector<FnTraceState>& Machine::trace_cache() const noexcept {
+  return impl_->trace_fns;
+}
+
 RunResult Machine::run() {
   const ir::Function* main_fn = impl_->module->find_function("main");
   if (main_fn == nullptr) {

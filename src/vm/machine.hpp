@@ -26,6 +26,7 @@ namespace cash::vm {
 
 class DecodedProgram;  // vm/decode.hpp
 class MachineSnapshot; // vm/snapshot.hpp
+struct FnTraceState;   // vm/machine_impl.hpp
 
 struct MachineConfig {
   passes::CheckMode mode{passes::CheckMode::kCash};
@@ -54,15 +55,16 @@ struct MachineConfig {
   // the reference interpreter).
   bool enable_predecode{true};
   // Superinstruction fusion inside the micro-op engine (DESIGN.md §7):
-  // execute the decoded image's fused stream, where dependent micro-op
-  // pairs/triples are merged with pre-summed costs, instead of the plain
-  // one-micro-op-per-instruction stream. Host-side fast path only —
-  // simulated results are bit-identical either way. No effect when the
-  // machine runs the reference interpreter.
+  // selects which copy of the decoded slots block dispatch runs, the fused
+  // copy (superinstruction opcodes in the first slot of each run) or the
+  // plain one. Traces always apply the superinstruction table, whatever
+  // this says. Host-side fast path only — simulated results are
+  // bit-identical either way. No effect when the machine runs the reference
+  // interpreter.
   bool enable_fusion{true};
   // Hot-trace superblock engine inside the micro-op engine (DESIGN.md §11):
   // deterministic per-block execution counters promote hot blocks into
-  // straight-line superblocks spliced from the active stream along the
+  // straight-line superblocks spliced from the plain slots along the
   // recorded biased successor edges, with guard micro-ops at the side
   // exits. Host-side fast path only — simulated cycles, breakdowns,
   // counters, faults and output are bit-identical with it on or off. No
@@ -253,6 +255,10 @@ class Machine {
   // state through KernelSim::ProcessSnapshot.
   kernel::Pid pid() const noexcept;
   kernel::KernelSim& kernel() noexcept;
+
+  // The hot-trace cache, one entry per DecodedProgram function; empty
+  // until a traced run. Read-only, for tests of what traces form.
+  const std::vector<FnTraceState>& trace_cache() const noexcept;
 
   struct Impl; // internal (vm/machine_impl.hpp)
 

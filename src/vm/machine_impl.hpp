@@ -217,9 +217,9 @@ inline Value* frame_arrays(Value* regs, const ir::Function& fn) noexcept {
 // earlier ones formed. Traces are transparent, so which of them exist never
 // changes a simulated result. ---
 
-// Branch-bias counters, indexed by the terminator's micro-op index in the
-// active stream. Recorded only during non-trace execution (trace-local pcs
-// would mis-index the array); a pure function of the simulated stream.
+// Branch-bias counters, indexed by the terminator's slot. Recorded only
+// during non-trace execution (trace-local pcs would mis-index the array); a
+// pure function of the simulated stream.
 struct TraceEdge {
   std::uint32_t taken{0};
   std::uint32_t not_taken{0};
@@ -228,39 +228,33 @@ struct TraceEdge {
 // Per-block cumulative accounting inside a formed trace: when block g's
 // guard (its terminator) leaves the trace, blocks [0..g] are complete.
 struct TraceBlock {
-  std::uint32_t entry_pc{0};    // original-stream index of the group header
-  std::uint32_t plain_first{0}; // cold-path itemization anchor
-  StaticCost cum_cost;          // aggregate cost of blocks [0..this]
-  std::uint32_t cum_count{0};   // aggregate IR instructions of [0..this]
+  std::uint32_t entry_pc{0};   // slot of the block's group header
+  std::uint32_t first_slot{0}; // trace slot of the block's first member
+  StaticCost cum_cost;         // aggregate cost of blocks [0..this]
+  std::uint32_t cum_count{0};  // aggregate IR instructions of [0..this]
 };
 
-// One superblock: the spliced straight-line micro-op stream (members back
-// to back, guards at side exits, then either the final block's original
-// terminator or — when the biased chain closes back on the entry — a
-// kTraceLoop that restarts the stream in place) plus the accounting
-// tables. `total` is shaped like a FoldedGroup so the engine's group_done
-// path retires a completed trace with the exact code that retires a
-// normal group. block_of/plain_done are per-uop-index lookup tables that
-// replace in-stream boundary markers: the hot path carries no per-block
-// bookkeeping at all, and the cold paths (guard exit, mid-trace fault)
-// reconstruct exact charges from the tables.
+// One superblock: the spliced straight-line copy of its blocks' plain
+// slots (members back to back, guards at side exits, then either the final
+// block's original terminator or — when the biased chain closes back on the
+// entry — a kTraceLoop that restarts the stream in place), tiled by the
+// SUPER rows, plus the accounting tables. `total` is shaped like a
+// FoldedGroup so the engine's group_done path retires a completed trace
+// with the exact code that retires a normal group. block_of is a per-slot
+// lookup table that replaces in-stream boundary markers: the hot path
+// carries no per-block bookkeeping at all, and the cold paths (guard exit,
+// mid-trace fault) reconstruct exact charges from it and `blocks`.
 struct Trace {
   std::uint32_t entry_pc{0};
   std::vector<MicroInstr> uops;
   std::vector<TraceBlock> blocks;
-  // Per uop index: which block it belongs to, and how many plain IR
-  // instructions of that block complete before it (the itemization offset
-  // a fault at this uop starts from).
-  std::vector<std::uint32_t> block_of;
-  std::vector<std::uint32_t> plain_done;
+  std::vector<std::uint32_t> block_of; // per slot: its block's index
   FoldedGroup total;
 };
 
-// Per-function trace state, parallel to the active stream's uop array.
-// Tagged with the stream it indexes, which is set on first use (a machine's
-// enable_fusion, and so its stream, never changes).
+// Per-function trace state, one entry per slot of the function (both
+// copies of the slots share the indices), sized on first use.
 struct FnTraceState {
-  const UopStream* stream{nullptr};
   std::vector<std::uint32_t> hot;     // block-header execution counters
   std::vector<TraceEdge> edges;       // terminator bias counters
   std::vector<std::int32_t> trace_at; // pc -> trace index; -1 = none yet,

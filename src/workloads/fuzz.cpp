@@ -18,7 +18,8 @@ class Generator {
     const int num_globals = pick(1, 3);
     for (int i = 0; i < num_globals; ++i) {
       Array array;
-      array.name = "g" + std::to_string(i);
+      array.name = "g";
+      array.name += std::to_string(i);
       array.size = pick(4, 64);
       arrays_.push_back(array);
       out_ << "int " << array.name << "[" << array.size << "];\n";
@@ -71,7 +72,8 @@ class Generator {
     out_ << "int main() {\n";
     const int num_scalars = pick(3, 5);
     for (int i = 0; i < num_scalars; ++i) {
-      scalars_.push_back("v" + std::to_string(i));
+      scalars_.emplace_back("v");
+      scalars_.back() += std::to_string(i);
       out_ << "  int v" << i << " = " << pick(0, 9) << ";\n";
     }
     out_ << "  int i0;\n  int i1;\n  int sum = 0;\n";
@@ -135,16 +137,20 @@ class Generator {
       }
       return scalars_[pick_index(scalars_.size())];
     }
-    static const char* kOps[] = {" + ", " - ", " * ", " & ", " | ", " ^ "};
+    static const char* kOps[] = {" + ", " - ", " * ", " & ",
+                                 " | ", " ^ ", " / ", " % "};
     const int op = pick(0, 7);
-    if (op < 6) {
-      return "(" + expr(depth - 1) + kOps[op] + expr(depth - 1) + ")";
-    }
-    if (op == 6) {
-      return "(" + expr(depth - 1) + " / " + std::to_string(pick(1, 9)) +
-             ")";
-    }
-    return "(" + expr(depth - 1) + " % " + std::to_string(pick(2, 16)) + ")";
+    // The right operand is generated first, so every seed keeps the
+    // program it has always generated.
+    const std::string rhs =
+        op < 6 ? expr(depth - 1)
+               : std::to_string(op == 6 ? pick(1, 9) : pick(2, 16));
+    std::string out = "(";
+    out += expr(depth - 1);
+    out += kOps[op];
+    out += rhs;
+    out += ')';
+    return out;
   }
 
   // An always-in-bounds index into `array`.

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -14,6 +15,7 @@
 
 #include "core/cash.hpp"
 #include "vm/decode.hpp"
+#include "vm/machine_impl.hpp"
 #include "workloads/workloads.hpp"
 
 #include "run_result_compare.hpp"
@@ -378,65 +380,85 @@ TEST(DecodeTransparency, DirectMachineHasNoDecodedImage) {
   EXPECT_EQ(r.exit_code, 7);
 }
 
+// Every field but the opcode.
+bool same_operands(const vm::MicroInstr& a, const vm::MicroInstr& b) {
+  return a.type == b.type && a.seg == b.seg && a.rebased == b.rebased &&
+         a.is_ptr == b.is_ptr && a.synthetic == b.synthetic &&
+         a.builtin == b.builtin && a.bin_op == b.bin_op &&
+         a.un_op == b.un_op && a.dst == b.dst && a.src0 == b.src0 &&
+         a.src1 == b.src1 && a.slot == b.slot && a.symbol == b.symbol &&
+         a.imm == b.imm && a.aux == b.aux && a.target0 == b.target0 &&
+         a.target1 == b.target1 && a.callee == b.callee && a.src == b.src;
+}
+
 TEST(DecodeTransparency, DecodedImageIsWellFormed) {
   CompileResult compiled = compile(kEveryOpcode, {});
   ASSERT_TRUE(compiled.ok()) << compiled.error;
   const vm::DecodedProgram* decoded = compiled.program->decoded();
   ASSERT_NE(decoded, nullptr);
   ASSERT_TRUE(decoded->ok());
-  // Checks one member stream: every group header's member count covers
-  // in-bounds micro-ops, the header maps to a FoldedGroup whose count equals
-  // the sum of the members' IR widths, and a terminator appears only as the
-  // last member of its group.
-  const auto check_stream = [](const vm::DecodedFunction& fn,
-                               const vm::UopStream& stream, bool fused) {
-    for (std::size_t i = 0; i < stream.uops.size(); ++i) {
-      const vm::MicroInstr& u = stream.uops[i];
-      if (u.op != vm::UOp::kGroup) {
-        continue;
-      }
-      ASSERT_LE(i + 1 + u.imm, stream.uops.size());
-      ASSERT_LT(u.aux, stream.groups.size());
-      const vm::FoldedGroup& grp = stream.groups[u.aux];
-      std::uint32_t ir_width = 0;
-      for (std::uint32_t m = 0; m < u.imm; ++m) {
-        const vm::MicroInstr& member = stream.uops[i + 1 + m];
-        ir_width += vm::uop_width(member.op);
-        const bool terminator = member.op == vm::UOp::kJump ||
-                                member.op == vm::UOp::kBranch ||
-                                member.op == vm::UOp::kFusedCmpBranch;
-        if (terminator) {
-          EXPECT_EQ(m, u.imm - 1)
-              << "terminator mid-group in " << fn.fn->name;
-        }
-        if (!fused) {
-          EXPECT_EQ(vm::uop_width(member.op), 1u)
-              << "fused micro-op in the plain stream of " << fn.fn->name;
-        }
-      }
-      // Group headers of both streams describe the same IR instructions.
-      EXPECT_EQ(ir_width, grp.count) << "stream=" << (fused ? "fused" : "plain")
-                                     << " fn=" << fn.fn->name;
-    }
-  };
   bool any_fused = false;
   for (const vm::DecodedFunction& fn : decoded->functions()) {
     ASSERT_TRUE(fn.ok);
     ASSERT_NE(fn.fn, nullptr);
-    check_stream(fn, fn.plain, /*fused=*/false);
-    check_stream(fn, fn.fused, /*fused=*/true);
-    // The two streams agree on group metadata (the cold fault path relies
-    // on plain_first no matter which stream was hot).
-    ASSERT_EQ(fn.plain.groups.size(), fn.fused.groups.size());
-    for (std::size_t g = 0; g < fn.plain.groups.size(); ++g) {
-      EXPECT_EQ(fn.plain.groups[g].count, fn.fused.groups[g].count);
-      EXPECT_EQ(fn.plain.groups[g].plain_first, fn.fused.groups[g].plain_first);
+    const std::vector<vm::MicroInstr>& plain = fn.plain.uops;
+    const std::vector<vm::MicroInstr>& fused = fn.fused;
+    // The fused copy has the plain slots' length, so it shares their
+    // indices, groups and block entries.
+    ASSERT_EQ(fused.size(), plain.size()) << fn.fn->name;
+    for (std::uint32_t entry : fn.plain.block_entry) {
+      ASSERT_LT(entry, plain.size());
     }
-    EXPECT_LE(fn.fused.uops.size(), fn.plain.uops.size());
+    for (std::size_t i = 0; i < plain.size(); ++i) {
+      const vm::MicroInstr& u = plain[i];
+      if (u.op != vm::UOp::kGroup) {
+        EXPECT_EQ(fused[i].op, u.op) << fn.fn->name << " slot " << i;
+        EXPECT_TRUE(same_operands(fused[i], u));
+        continue;
+      }
+      // A group header maps to a FoldedGroup counting its members, which
+      // are plain, one IR instruction each, with a terminator only last.
+      ASSERT_LE(i + 1 + u.imm, plain.size());
+      ASSERT_LT(u.aux, fn.plain.groups.size());
+      EXPECT_EQ(fn.plain.groups[u.aux].count, u.imm);
+      EXPECT_EQ(fused[i].op, vm::UOp::kGroup);
+      EXPECT_TRUE(same_operands(fused[i], u));
+      const std::size_t first = i + 1;
+      const std::size_t end = first + u.imm;
+      for (std::size_t m = first; m < end; ++m) {
+        const vm::UOp op = plain[m].op;
+        EXPECT_EQ(vm::super_row(op), nullptr) << "superinstruction in plain";
+        EXPECT_NE(op, vm::UOp::kGuardBranch);
+        if (op == vm::UOp::kJump || op == vm::UOp::kBranch) {
+          EXPECT_EQ(m + 1, end) << "terminator mid-group in " << fn.fn->name;
+        }
+      }
+      // Each fused slot equals its plain slot, except that the first slot
+      // of a run names the row that covers the run, inside the group.
+      for (std::size_t m = first; m < end;) {
+        EXPECT_TRUE(same_operands(fused[m], plain[m]));
+        const vm::SuperRow* row = vm::super_row(fused[m].op);
+        if (row == nullptr) {
+          EXPECT_EQ(fused[m].op, plain[m].op) << fn.fn->name << " slot " << m;
+          ++m;
+          continue;
+        }
+        any_fused = true;
+        ASSERT_LE(m + row->width, end) << "row crosses its group";
+        for (std::uint32_t k = 0; k < row->width; ++k) {
+          EXPECT_EQ(vm::step_op(plain[m + k].op), row->parts[k]);
+          if (k > 0) {
+            EXPECT_EQ(fused[m + k].op, plain[m + k].op);
+            EXPECT_TRUE(same_operands(fused[m + k], plain[m + k]));
+          }
+        }
+        m += row->width;
+      }
+      i = end - 1;
+    }
     EXPECT_LE(fn.stats.fused_instrs, fn.stats.foldable_instrs);
-    any_fused |= fn.stats.fused_uops > 0;
   }
-  // The every-opcode corpus must exercise the fusion pass.
+  // The every-opcode corpus must exercise the rows.
   EXPECT_TRUE(any_fused);
   EXPECT_GT(decoded->fusion_stats().hit_rate(), 0.0);
 }
@@ -582,19 +604,16 @@ int main() {
 }
 
 TEST(DecodeFusion, EveryFusedOpcodeIsEmitted) {
-  // Each fused superinstruction in CASH_UOP_LIST must appear in the fused
-  // stream of at least one of the 18 workloads in some check mode. A
-  // pattern that never forms is dead weight in the decoder and the engine.
-  std::vector<std::pair<vm::UOp, std::string_view>> fused_ops;
-#define CASH_UOP_FUSED(name, width, label)                 \
-  if (std::string_view(#name).starts_with("kFused")) {     \
-    fused_ops.emplace_back(vm::UOp::name, #name);          \
-  }
-  CASH_UOP_LIST(CASH_UOP_FUSED)
-#undef CASH_UOP_FUSED
-  ASSERT_FALSE(fused_ops.empty());
-
-  std::vector<bool> emitted(static_cast<std::size_t>(vm::UOp::kCount));
+  // Each SUPER row of CASH_UOP_LIST must form somewhere: in the fused copy
+  // of one of the 18 workloads in some check mode, or in a hot trace of a
+  // small loop kernel. A row that never forms is dead weight in the matcher
+  // and the engine.
+  std::vector<bool> formed(static_cast<std::size_t>(vm::UOp::kCount));
+  const auto mark = [&](const std::vector<vm::MicroInstr>& slots) {
+    for (const vm::MicroInstr& u : slots) {
+      formed[static_cast<std::size_t>(u.op)] = true;
+    }
+  };
   for (const auto* suite : {&workloads::micro_suite(),
                             &workloads::macro_suite(),
                             &workloads::network_suite()}) {
@@ -607,16 +626,42 @@ TEST(DecodeFusion, EveryFusedOpcodeIsEmitted) {
         const vm::DecodedProgram* decoded = compiled.program->decoded();
         ASSERT_NE(decoded, nullptr) << w.name;
         for (const vm::DecodedFunction& fn : decoded->functions()) {
-          for (const vm::MicroInstr& u : fn.fused.uops) {
-            emitted[static_cast<std::size_t>(u.op)] = true;
-          }
+          mark(fn.fused);
         }
       }
     }
   }
-  for (const auto& [op, name] : fused_ops) {
-    EXPECT_TRUE(emitted[static_cast<std::size_t>(op)])
-        << name << " is never emitted";
+  // The engine-grid kernels, and a loop whose exit test compares a global
+  // (the compare is then the only row part before its guard).
+  const std::string kernels[] = {
+      workloads::matmul_source(16),     workloads::gauss_source(16),
+      workloads::fft2d_source(8),       workloads::edge_source(48, 32),
+      workloads::volren_source(12, 24), workloads::svd_source(16, 12, 3),
+      "int g; int main() { while (g < 1000) { g = g + 7; } return g; }"};
+  for (const std::string& source : kernels) {
+    for (CheckMode mode : kAllModes) {
+      CompileOptions options;
+      options.lower.mode = mode;
+      CompileResult compiled = compile(source, options);
+      ASSERT_TRUE(compiled.ok()) << compiled.error;
+      const std::unique_ptr<vm::Machine> machine =
+          compiled.program->make_machine();
+      ASSERT_TRUE(machine->run().ok);
+      for (const vm::FnTraceState& fn : machine->trace_cache()) {
+        for (const vm::Trace& trace : fn.traces) {
+          mark(trace.uops);
+        }
+      }
+    }
+  }
+  const char* const names[] = {
+#define CASH_UOP_NAME(name, ...) #name,
+      CASH_UOP_LIST(CASH_UOP_NAME, CASH_UOP_NAME, CASH_UOP_NAME)
+#undef CASH_UOP_NAME
+  };
+  for (const vm::SuperRow& row : vm::kSuperRows) {
+    const std::size_t op = static_cast<std::size_t>(row.op);
+    EXPECT_TRUE(formed[op]) << names[op] << " never forms";
   }
 }
 

@@ -29,23 +29,6 @@ using ir::Reg;
 using ir::SymbolId;
 using ir::UnOp;
 
-struct BuiltinSig {
-  Type return_type;
-  std::vector<Type> params;
-};
-
-// A builtin's signature, by ir::Builtin.
-const BuiltinSig& builtin_signature(ir::Builtin builtin) {
-  using enum Type;
-  static const BuiltinSig kSignatures[] = {
-#define CASH_BUILTIN_SIGNATURE(name, spelling, result, ...) \
-  {result, {__VA_ARGS__}},
-      CASH_IR_BUILTIN_LIST(CASH_BUILTIN_SIGNATURE)
-#undef CASH_BUILTIN_SIGNATURE
-  };
-  return kSignatures[static_cast<std::size_t>(builtin) - 1];
-}
-
 // `name` in single quotes, for diagnostics.
 std::string quoted(std::string_view name) {
   return "'" + std::string(name) + "'";
@@ -1255,10 +1238,10 @@ RV IrGen::gen_binary(const Expr& expr) {
 RV IrGen::gen_call(const Expr& expr) {
   ir::CallSite site;
   site.builtin = ir::builtin_of(expr.name);
-  const BuiltinSig* builtin = nullptr;
+  const ir::BuiltinSignature* builtin = nullptr;
   const FunctionDecl* callee = nullptr;
   if (site.builtin != ir::Builtin::kNone) {
-    builtin = &builtin_signature(site.builtin);
+    builtin = &ir::signature(site.builtin);
   } else {
     site.function = find_function(expr.name);
     if (site.function < 0) {
@@ -1268,12 +1251,12 @@ RV IrGen::gen_call(const Expr& expr) {
     callee = unit_->functions[static_cast<std::size_t>(site.function)];
   }
   const std::size_t param_count =
-      builtin != nullptr ? builtin->params.size() : callee->params.size();
+      builtin != nullptr ? builtin->arity : callee->params.size();
   const auto param_type = [&](std::size_t i) {
     return builtin != nullptr ? builtin->params[i] : callee->params[i].type;
   };
   const Type return_type =
-      builtin != nullptr ? builtin->return_type : callee->return_type;
+      builtin != nullptr ? builtin->result : callee->return_type;
 
   if (expr.args.size() != param_count) {
     error(expr.loc, "wrong number of arguments to " + quoted(expr.name));

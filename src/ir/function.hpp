@@ -155,15 +155,6 @@ struct Module {
     return const_cast<Module*>(this)->find_function(name);
   }
 
-  GlobalVar* find_global(const std::string& name) {
-    for (auto& g : globals) {
-      if (g.name == name) {
-        return &g;
-      }
-    }
-    return nullptr;
-  }
-
   SymbolId new_symbol() noexcept { return next_symbol++; }
 
   // Whether `index` names a function (CallSite::function).

@@ -14,14 +14,8 @@ const char* to_string(Type type) noexcept {
 }
 
 const char* to_string(Opcode op) noexcept {
-  switch (op) {
-#define CASH_IR_OPCODE_TEXT(name, text) \
-  case Opcode::name:                    \
-    return text;
-    CASH_IR_OPCODE_LIST(CASH_IR_OPCODE_TEXT)
-#undef CASH_IR_OPCODE_TEXT
-  }
-  return "?";
+  const auto i = static_cast<std::size_t>(op);
+  return i < std::size(kOpInfo) ? kOpInfo[i].text : "?";
 }
 
 Builtin builtin_of(std::string_view name) noexcept {
@@ -32,6 +26,26 @@ Builtin builtin_of(std::string_view name) noexcept {
   CASH_IR_BUILTIN_LIST(CASH_IR_BUILTIN_MATCH)
 #undef CASH_IR_BUILTIN_MATCH
   return Builtin::kNone;
+}
+
+namespace {
+
+template <class... Params>
+constexpr BuiltinSignature make_signature(Type result, Params... params) {
+  return {result, {params...}, sizeof...(Params)};
+}
+
+} // namespace
+
+const BuiltinSignature& signature(Builtin builtin) noexcept {
+  using enum Type;
+  static constexpr BuiltinSignature kSignatures[] = {
+#define CASH_IR_BUILTIN_SIGNATURE(name, spelling, cycles, result, ...) \
+  make_signature(result __VA_OPT__(, ) __VA_ARGS__),
+      CASH_IR_BUILTIN_LIST(CASH_IR_BUILTIN_SIGNATURE)
+#undef CASH_IR_BUILTIN_SIGNATURE
+  };
+  return kSignatures[static_cast<std::size_t>(builtin) - 1];
 }
 
 const char* to_string(BinOp op) noexcept {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -21,9 +22,25 @@ inline constexpr SymbolId kNoSymbol = -1;
 using LoopId = std::int32_t;
 inline constexpr LoopId kNoLoop = -1;
 
-// The IR opcode set, one row per opcode: X(name, text), where `text` is
-// the opcode's name in the printed IR (to_string). The Opcode enum and
-// to_string(Opcode) are both expanded from this list.
+// The IR opcode set, one row per opcode: X(name, text, micro-op, bytes,
+// flags, operands). The Opcode enum, to_string(Opcode) and op_info() are
+// expanded from this list, and the one instruction check (ir/verifier.hpp)
+// reads it, so a row is the whole shape of an opcode.
+//
+//   text      the opcode's name in the printed IR
+//   micro-op  the vm::UOp the decoder emits for it; ir/ ignores it. The
+//             call lowering replaces kCall's by the callee's kind
+//   bytes     average encoded size of the x86 code it lowers to
+//             (passes/code_size.cpp); a call adds 2 per argument
+//   flags     p pure: no effect but its result, so an unused one may be
+//             deleted and a repeated one reused; t terminator; m memory
+//             access through an address register; w moves a pointer word
+//             (a fat pointer copies its shadow too)
+//   operands  one character each for dst, src0, src1, slot, symbol,
+//             target0, target1, seg and call: R required, o optional
+//             (checked when set), - unused (no pass sets it, no engine
+//             reads it). slot: a an array's. symbol: s a global scalar, g
+//             any global. seg: r required when the access is `rebased`
 //
 //   kConstInt      dst <- int_imm
 //   kConstFloat    dst <- float_imm
@@ -42,15 +59,16 @@ inline constexpr LoopId kNoLoop = -1;
 //   kAddrGlobal    dst <- address of global array `symbol` (attaches info)
 //   kPtrAdd        dst <- src0 + src1 bytes (propagates shadow info)
 //   kCall          dst? <- call the callee of call site `call` with its
-//                  arguments (Function::calls)
+//                  arguments (Function::calls); a builtin's arity and
+//                  result come from CASH_IR_BUILTIN_LIST
 //   kRet           return src0?
 //   kJump          goto target0
 //   kBranch        if src0 != 0 goto target0 else target1
 //
 // Instrumentation, inserted by the lowering passes:
 //
-//   kSegLoad       load segment register `seg` with the segment of array
-//                  `symbol` (shadow info reachable through src0); 4 cycles
+//   kSegLoad       load segment register `seg` with the segment of the
+//                  array src0 points into (its shadow info); 4 cycles
 //   kBoundCheckSw  software bound check of address src0 against the bounds
 //                  of the object src0's shadow points to; 6 cycles. With
 //                  src1 set, the interval form: checks [src0, src1] and
@@ -64,35 +82,94 @@ inline constexpr LoopId kNoLoop = -1;
 //                  derived checking program concurrently (Patil & Fischer);
 //                  1 cycle on the main CPU (the interval form enqueues src1
 //                  too: 2 cycles)
-#define CASH_IR_OPCODE_LIST(X)                                               \
-  X(kConstInt, "const.i")                                                    \
-  X(kConstFloat, "const.f")                                                  \
-  X(kMove, "move")                                                           \
-  X(kBin, "bin")                                                             \
-  X(kUn, "un")                                                               \
-  X(kLoad, "load")                                                           \
-  X(kStore, "store")                                                         \
-  X(kLoadLocal, "load.local")                                                \
-  X(kStoreLocal, "store.local")                                              \
-  X(kLoadGlobal, "load.global")                                              \
-  X(kStoreGlobal, "store.global")                                            \
-  X(kAddrLocal, "addr.local")                                                \
-  X(kAddrGlobal, "addr.global")                                              \
-  X(kPtrAdd, "ptradd")                                                       \
-  X(kCall, "call")                                                           \
-  X(kRet, "ret")                                                             \
-  X(kJump, "jump")                                                           \
-  X(kBranch, "branch")                                                       \
-  X(kSegLoad, "segload")                                                     \
-  X(kBoundCheckSw, "boundcheck.sw")                                          \
-  X(kBoundCheckBnd, "boundcheck.bnd")                                        \
-  X(kBoundCheckShadow, "boundcheck.shadow")
+#define CASH_IR_OPCODE_LIST(X)                                              \
+  X(kConstInt,         "const.i",           kConstInt,    5, "p",  "R--------") \
+  X(kConstFloat,       "const.f",           kConstFloat,  5, "p",  "R--------") \
+  X(kMove,             "move",              kMove,        2, "pw", "RR-------") \
+  X(kBin,              "bin",               kBin,         3, "p",  "RRR------") \
+  X(kUn,               "un",                kUn,          3, "p",  "RR-------") \
+  X(kLoad,             "load",              kLoad,        4, "m",  "RR-----r-") \
+  X(kStore,            "store",             kStore,       4, "m",  "-RR----r-") \
+  X(kLoadLocal,        "load.local",        kLoadLocal,   3, "w",  "R--R-----") \
+  X(kStoreLocal,       "store.local",       kStoreLocal,  3, "w",  "-R-R-----") \
+  X(kLoadGlobal,       "load.global",       kLoadGlobal,  6, "w",  "R---s----") \
+  X(kStoreGlobal,      "store.global",      kStoreGlobal, 6, "w",  "-R--s----") \
+  X(kAddrLocal,        "addr.local",        kAddrLocal,   3, "p",  "R--a-----") \
+  X(kAddrGlobal,       "addr.global",       kAddrGlobal,  5, "p",  "R---g----") \
+  X(kPtrAdd,           "ptradd",            kPtrAdd,      3, "p",  "RRR------") \
+  X(kCall,             "call",              kCallUser,    5, "w",  "o-------R") \
+  X(kRet,              "ret",               kRet,         3, "t",  "-o-------") \
+  X(kJump,             "jump",              kJump,        2, "t",  "-----R---") \
+  X(kBranch,           "branch",            kBranch,      4, "t",  "-R---RR--") \
+  X(kSegLoad,          "segload",           kSegLoad,     9, "",   "-R-----R-") \
+  X(kBoundCheckSw,     "boundcheck.sw",     kBoundSw,    18, "",   "-Ro------") \
+  X(kBoundCheckBnd,    "boundcheck.bnd",    kBoundBnd,    8, "",   "-Ro------") \
+  X(kBoundCheckShadow, "boundcheck.shadow", kBoundShadow, 6, "",   "-Ro------")
 
 enum class Opcode : std::uint8_t {
-#define CASH_IR_OPCODE_ENUM(name, text) name,
+#define CASH_IR_OPCODE_ENUM(name, ...) name,
   CASH_IR_OPCODE_LIST(CASH_IR_OPCODE_ENUM)
 #undef CASH_IR_OPCODE_ENUM
 };
+
+// How an opcode uses one operand field: an operands character of
+// CASH_IR_OPCODE_LIST.
+enum class Use : char {
+  kUnused = '-',
+  kOptional = 'o',
+  kRequired = 'R',
+  kArraySlot = 'a',    // slot: an array's
+  kScalarGlobal = 's', // symbol: a global scalar
+  kAnyGlobal = 'g',    // symbol: any global
+  kWhenRebased = 'r',  // seg: required when `rebased` is set
+};
+
+// Bits of OpInfo::flags, one per flags character: p, t, m and w.
+enum OpFlag : std::uint8_t {
+  kPure = 1,
+  kTerminator = 2,
+  kMemoryAccess = 4,
+  kMovesPointer = 8,
+};
+
+// One row of CASH_IR_OPCODE_LIST.
+struct OpInfo {
+  const char* text;
+  std::uint8_t bytes;
+  std::uint8_t flags; // OpFlag bits
+  Use dst, src0, src1, slot, symbol, target0, target1, seg, call;
+};
+
+// A row's OpInfo. A character its column does not allow fails to compile.
+constexpr OpInfo make_op_info(const char* text, std::uint8_t bytes,
+                              std::string_view flags,
+                              const char (&operands)[10]) {
+  std::uint8_t bits = 0;
+  for (const char flag : flags) {
+    const std::size_t k = std::string_view("ptmw").find(flag);
+    bits |= k != std::string_view::npos ? 1 << k
+                                        : throw "unknown opcode flag";
+  }
+  const auto use = [&](int k, std::string_view allowed) {
+    return allowed.find(operands[k]) != std::string_view::npos
+               ? static_cast<Use>(operands[k])
+               : throw "operand character not allowed in its column";
+  };
+  return {text,          bytes,         bits,          use(0, "-oR"),
+          use(1, "-oR"), use(2, "-oR"), use(3, "-Ra"), use(4, "-sg"),
+          use(5, "-R"),  use(6, "-R"),  use(7, "-Rr"), use(8, "-R")};
+}
+
+inline constexpr OpInfo kOpInfo[] = {
+#define CASH_IR_OPCODE_INFO(name, text, uop, bytes, flags, operands) \
+  make_op_info(text, bytes, flags, operands),
+    CASH_IR_OPCODE_LIST(CASH_IR_OPCODE_INFO)
+#undef CASH_IR_OPCODE_INFO
+};
+
+constexpr const OpInfo& op_info(Opcode op) noexcept {
+  return kOpInfo[static_cast<std::size_t>(op)];
+}
 
 enum class BinOp : std::uint8_t {
   kAdd, kSub, kMul, kDiv, kRem,
@@ -105,25 +182,27 @@ enum class UnOp : std::uint8_t {
 };
 
 // The builtins every MiniC program can call undeclared, which the
-// simulator implements directly: X(name, spelling, return type, parameter
-// types...), types named without `Type::`. The Builtin enum, builtin_of()
-// and the front end's signature table are expanded from this list.
+// simulator implements directly: X(name, spelling, cycles, return type,
+// parameter types...), types named without `Type::`. `cycles` is what a
+// call charges in both engines (vm::builtin_cycles; ir/ ignores it);
+// malloc and free account for themselves. The Builtin enum, builtin_of()
+// and signature() are expanded from this list.
 #define CASH_IR_BUILTIN_LIST(X)                                              \
-  X(kMalloc, "malloc", kIntPtr, kInt)                                        \
-  X(kFree, "free", kVoid, kIntPtr)                                           \
-  X(kSqrt, "sqrt", kFloat, kFloat)                                           \
-  X(kFabs, "fabs", kFloat, kFloat)                                           \
-  X(kSin, "sin", kFloat, kFloat)                                             \
-  X(kCos, "cos", kFloat, kFloat)                                             \
-  X(kExp, "exp", kFloat, kFloat)                                             \
-  X(kLog, "log", kFloat, kFloat)                                             \
-  X(kFloor, "floor", kFloat, kFloat)                                         \
-  X(kPow, "pow", kFloat, kFloat, kFloat)                                     \
-  X(kAbs, "abs", kInt, kInt)                                                 \
-  X(kPrintInt, "print_int", kVoid, kInt)                                     \
-  X(kPrintFloat, "print_float", kVoid, kFloat)                               \
-  X(kRand, "rand", kInt)                                                     \
-  X(kSrand, "srand", kVoid, kInt)
+  X(kMalloc, "malloc", 0, kIntPtr, kInt)                                     \
+  X(kFree, "free", 0, kVoid, kIntPtr)                                        \
+  X(kSqrt, "sqrt", costs::kMathBuiltin, kFloat, kFloat)                      \
+  X(kFabs, "fabs", costs::kAluOp, kFloat, kFloat)                            \
+  X(kSin, "sin", costs::kMathBuiltin, kFloat, kFloat)                        \
+  X(kCos, "cos", costs::kMathBuiltin, kFloat, kFloat)                        \
+  X(kExp, "exp", costs::kMathBuiltin, kFloat, kFloat)                        \
+  X(kLog, "log", costs::kMathBuiltin, kFloat, kFloat)                        \
+  X(kFloor, "floor", costs::kAluOp, kFloat, kFloat)                          \
+  X(kPow, "pow", costs::kMathBuiltin, kFloat, kFloat, kFloat)                \
+  X(kAbs, "abs", costs::kAluOp, kInt, kInt)                                  \
+  X(kPrintInt, "print_int", 10, kVoid, kInt)                                 \
+  X(kPrintFloat, "print_float", 10, kVoid, kFloat)                           \
+  X(kRand, "rand", 5, kInt)                                                  \
+  X(kSrand, "srand", 2, kVoid, kInt)
 
 enum class Builtin : std::uint8_t {
   kNone, // a user function, or no callee at all
@@ -134,6 +213,16 @@ enum class Builtin : std::uint8_t {
 
 // The builtin spelled `name`, or kNone.
 Builtin builtin_of(std::string_view name) noexcept;
+
+// A builtin's result and parameter types, from CASH_IR_BUILTIN_LIST.
+struct BuiltinSignature {
+  Type result{Type::kVoid};
+  std::array<Type, 2> params{};
+  std::size_t arity{0};
+};
+
+// The signature of `builtin`, which must not be kNone.
+const BuiltinSignature& signature(Builtin builtin) noexcept;
 
 // One call's callee and arguments. Only kCall needs them, so they live in
 // the function's call-site table and the instruction keeps the index. The
@@ -146,6 +235,9 @@ struct CallSite {
   std::int32_t function{-1};   // Module::functions index when builtin is
                                // kNone; -1 when no function has the name
 };
+
+// Segment registers an instruction can name (x86seg::kNumSegRegs).
+inline constexpr std::size_t kSegRegCount = 6;
 
 // One three-address instruction. A deliberately plain, trivially copyable
 // aggregate of 64 bytes: the passes scan, copy and compact millions of
@@ -185,11 +277,12 @@ struct Instr {
 
   SourceLoc loc;
 
-  bool is_terminator() const noexcept {
-    return op == Opcode::kJump || op == Opcode::kBranch || op == Opcode::kRet;
-  }
-  bool is_memory_access() const noexcept {
-    return op == Opcode::kLoad || op == Opcode::kStore;
+  bool is_pure() const noexcept { return has(kPure); }
+  bool is_terminator() const noexcept { return has(kTerminator); }
+  bool is_memory_access() const noexcept { return has(kMemoryAccess); }
+  bool moves_pointer() const noexcept { return has(kMovesPointer); }
+  bool has(OpFlag flag) const noexcept {
+    return (op_info(op).flags & flag) != 0;
   }
 };
 

@@ -19,10 +19,6 @@ inline constexpr bool is_pointer(Type type) noexcept {
   return type == Type::kIntPtr || type == Type::kFloatPtr;
 }
 
-inline constexpr bool is_scalar(Type type) noexcept {
-  return type == Type::kInt || type == Type::kFloat;
-}
-
 inline constexpr Type pointee(Type type) noexcept {
   return type == Type::kIntPtr ? Type::kInt
          : type == Type::kFloatPtr ? Type::kFloat

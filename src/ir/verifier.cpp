@@ -14,6 +14,7 @@ namespace {
 struct Scratch {
   StampedSet body;
   StampedSet parent_body;
+  std::vector<SymbolKind> symbols;
   std::vector<std::size_t> order; // function indices sorted by name
   std::vector<char> duplicate;    // by function index
 };
@@ -42,33 +43,31 @@ bool contains(const StampedSet& set, const Loop& loop, BlockId b,
   return std::find(loop.body.begin(), loop.body.end(), b) != loop.body.end();
 }
 
-// "block <name> instr <i><what>". Out of line: the checks run on every
+// Appends "<f>: block <name> instr <i><what>", or "<f>: <what>" when
+// `what` does not begin with ':'. Out of line: the checks run on every
 // instruction, the messages almost never.
-[[gnu::cold]] std::string instr_problem(const BasicBlock& block,
-                                        std::size_t i, const char* what) {
+[[gnu::cold, gnu::noinline]] void instr_problem(
+    std::vector<std::string>& problems, const Function& f,
+    const BasicBlock& block, std::size_t i, const char* what) {
   std::ostringstream msg;
-  msg << "block " << block.name << " instr " << i << what;
-  return msg.str();
+  msg << f.name << ": ";
+  if (what[0] == ':') {
+    msg << "block " << block.name << " instr " << i;
+  }
+  msg << what;
+  problems.push_back(msg.str());
 }
 
-void check_function(const Function& f, std::vector<std::string>& problems,
-                    Scratch& scratch) {
+void check_function(const Function& f, const std::vector<SymbolKind>* symbols,
+                    std::vector<std::string>& problems, Scratch& scratch) {
   auto complain = [&](const std::string& what) {
     problems.push_back(f.name + ": " + what);
   };
 
-  if (f.entry == kNoBlock ||
-      static_cast<std::size_t>(f.entry) >= f.blocks.size()) {
-    complain("missing or invalid entry block");
+  if (const char* what = function_problem(f)) {
+    complain(what);
     return;
   }
-
-  const auto bad_reg = [&](Reg r) {
-    return r != kNoReg && (r < 0 || r >= f.next_reg);
-  };
-  const auto bad_target = [&](BlockId t) {
-    return t == kNoBlock || static_cast<std::size_t>(t) >= f.blocks.size();
-  };
   for (const auto& block : f.blocks) {
     if (block->instrs.empty() || block->terminator() == nullptr) {
       std::ostringstream msg;
@@ -80,52 +79,14 @@ void check_function(const Function& f, std::vector<std::string>& problems,
     const std::size_t n = block->instrs.size();
     for (std::size_t i = 0; i < n; ++i) {
       const Instr& instr = block->instrs[i];
+      const auto report = [&](const char* what) {
+        instr_problem(problems, f, *block, i, what);
+      };
       if (instr.is_terminator() != (i + 1 == n)) {
-        complain(instr_problem(*block, i,
-                               instr.is_terminator()
-                                   ? ": terminator in the middle"
-                                   : ": non-terminator at the end"));
+        report(instr.is_terminator() ? ": terminator in the middle"
+                                     : ": non-terminator at the end");
       }
-      if (bad_reg(instr.dst)) {
-        complain(instr_problem(*block, i, ": dst register out of range"));
-      }
-      if (bad_reg(instr.src0)) {
-        complain(instr_problem(*block, i, ": src0 register out of range"));
-      }
-      if (bad_reg(instr.src1)) {
-        complain(instr_problem(*block, i, ": src1 register out of range"));
-      }
-      if (instr.op == Opcode::kCall) {
-        if (instr.call < 0 ||
-            static_cast<std::size_t>(instr.call) >= f.calls.size()) {
-          complain(instr_problem(*block, i, ": call site out of range"));
-        } else {
-          for (Reg arg : f.call_site(instr).args) {
-            if (bad_reg(arg)) {
-              complain(instr_problem(*block, i, ": arg register out of range"));
-            }
-          }
-        }
-      }
-      if ((instr.op == Opcode::kJump || instr.op == Opcode::kBranch) &&
-          bad_target(instr.target0)) {
-        complain(instr_problem(*block, i, ": branch target out of range"));
-      }
-      if (instr.op == Opcode::kBranch && bad_target(instr.target1)) {
-        complain(instr_problem(*block, i, ": branch target out of range"));
-      }
-      const bool bad_slot =
-          instr.slot < 0 ||
-          static_cast<std::size_t>(instr.slot) >= f.locals.size();
-      if ((instr.op == Opcode::kLoadLocal || instr.op == Opcode::kStoreLocal ||
-           instr.op == Opcode::kAddrLocal) &&
-          bad_slot) {
-        complain(instr_problem(*block, i, ": local slot out of range"));
-      }
-      if (instr.op == Opcode::kAddrLocal && !bad_slot &&
-          !f.locals[static_cast<std::size_t>(instr.slot)].is_array) {
-        complain("addr.local of a non-array slot (scalars have no address)");
-      }
+      for_each_problem(f, symbols, instr, report);
     }
   }
 
@@ -154,18 +115,48 @@ void check_function(const Function& f, std::vector<std::string>& problems,
 
 } // namespace
 
+const char* function_problem(const Function& f) noexcept {
+  const std::size_t blocks = f.blocks.size();
+  if (f.entry < 0 || static_cast<std::size_t>(f.entry) >= blocks) {
+    return "missing or invalid entry block";
+  }
+  for (std::size_t i = 0; i < blocks; ++i) {
+    if (f.blocks[i] == nullptr || f.blocks[i]->id != static_cast<BlockId>(i)) {
+      return "a block is null or its id is not its index";
+    }
+  }
+  for (const Param& p : f.params) {
+    if (p.slot < 0 || static_cast<std::size_t>(p.slot) >= f.locals.size()) {
+      return "parameter slot out of range";
+    }
+  }
+  return nullptr;
+}
+
+void symbol_kinds(const Module& module, std::vector<SymbolKind>& kinds) {
+  kinds.assign(static_cast<std::size_t>(std::max(module.next_symbol, 0)),
+               SymbolKind::kNone);
+  for (const GlobalVar& g : module.globals) {
+    if (g.symbol >= 0 && static_cast<std::size_t>(g.symbol) < kinds.size()) {
+      kinds[static_cast<std::size_t>(g.symbol)] =
+          g.is_array ? SymbolKind::kGlobalArray : SymbolKind::kGlobalScalar;
+    }
+  }
+}
+
 std::vector<std::string> verify(const Function& function) {
   std::vector<std::string> problems;
-  check_function(function, problems, scratch());
+  check_function(function, nullptr, problems, scratch());
   return problems;
 }
 
 std::vector<std::string> verify(const Module& module) {
   Scratch& tables = scratch();
   std::vector<std::string> problems;
+  symbol_kinds(module, tables.symbols);
   const auto& functions = module.functions;
   for (const auto& f : functions) {
-    check_function(*f, problems, tables);
+    check_function(*f, &tables.symbols, problems, tables);
   }
   // Every function after the first of its name is a duplicate, reported in
   // module order.

@@ -2,41 +2,6 @@
 
 namespace cash::passes {
 
-namespace {
-
-// Average encoded size of the x86 instruction(s) an IR operation lowers to.
-std::uint64_t base_instr_bytes(const ir::Function& function,
-                               const ir::Instr& instr) {
-  switch (instr.op) {
-    case ir::Opcode::kConstInt:
-    case ir::Opcode::kConstFloat:   return 5; // mov $imm, r
-    case ir::Opcode::kMove:         return 2;
-    case ir::Opcode::kBin:          return 3;
-    case ir::Opcode::kUn:           return 3;
-    case ir::Opcode::kLoad:
-    case ir::Opcode::kStore:        return 4; // modrm + sib (+ seg prefix)
-    case ir::Opcode::kLoadLocal:
-    case ir::Opcode::kStoreLocal:   return 3; // disp8(%ebp)
-    case ir::Opcode::kLoadGlobal:
-    case ir::Opcode::kStoreGlobal:  return 6; // disp32
-    case ir::Opcode::kAddrLocal:    return 3; // lea
-    case ir::Opcode::kAddrGlobal:   return 5;
-    case ir::Opcode::kPtrAdd:       return 3;
-    case ir::Opcode::kCall: // the call and one push per argument
-      return 5 + 2 * function.call_site(instr).args.size();
-    case ir::Opcode::kRet:          return 3;
-    case ir::Opcode::kJump:         return 2;
-    case ir::Opcode::kBranch:       return 4; // cmp + jcc
-    case ir::Opcode::kSegLoad:      return 9; // mov shadow, movw %seg, subl
-    case ir::Opcode::kBoundCheckSw: return 18; // 6 instructions (Section 1)
-    case ir::Opcode::kBoundCheckBnd: return 8; // lea + bound r, m
-    case ir::Opcode::kBoundCheckShadow: return 6; // store to the check queue
-  }
-  return 3;
-}
-
-} // namespace
-
 CodeSize estimate_code_size(const ir::Module& module,
                             const LowerOptions& options) {
   CodeSize size;
@@ -45,19 +10,16 @@ CodeSize estimate_code_size(const ir::Module& module,
   for (const auto& function : module.functions) {
     for (const auto& block : function->blocks) {
       for (const ir::Instr& instr : block->instrs) {
-        app += base_instr_bytes(*function, instr);
+        // Average encoded size of the x86 instruction(s) it lowers to; a
+        // call adds one push per argument.
+        app += ir::op_info(instr.op).bytes;
+        if (instr.op == ir::Opcode::kCall) {
+          app += 2 * function->call_site(instr).args.size();
+        }
         // Fat-pointer representation adds copy instructions wherever a
         // pointer value moves: 1 extra word for Cash, 2 for BCC (3 bytes
         // per extra word copied).
-        const bool moves_pointer =
-            ir::is_pointer(instr.type) &&
-            (instr.op == ir::Opcode::kMove ||
-             instr.op == ir::Opcode::kLoadLocal ||
-             instr.op == ir::Opcode::kStoreLocal ||
-             instr.op == ir::Opcode::kLoadGlobal ||
-             instr.op == ir::Opcode::kStoreGlobal ||
-             instr.op == ir::Opcode::kCall);
-        if (moves_pointer) {
+        if (ir::is_pointer(instr.type) && instr.moves_pointer()) {
           if (options.mode == CheckMode::kBcc) {
             app += 6;
           } else if (options.mode == CheckMode::kCash) {

@@ -157,22 +157,6 @@ struct Scratch {
   std::vector<Reg> unused;
 };
 
-bool is_pure(const Instr& instr) {
-  switch (instr.op) {
-    case Opcode::kConstInt:
-    case Opcode::kConstFloat:
-    case Opcode::kMove:
-    case Opcode::kBin:
-    case Opcode::kUn:
-    case Opcode::kPtrAdd:
-    case Opcode::kAddrLocal:
-    case Opcode::kAddrGlobal:
-      return true;
-    default:
-      return false;
-  }
-}
-
 // Integer div/rem can fault (divide by zero); executing them speculatively
 // in a preheader could introduce a fault the program never had.
 bool can_fault(const Instr& instr) {
@@ -432,7 +416,7 @@ std::uint64_t local_cse(Function& function, Scratch& scratch) {
       // kLoadLocal joins the CSE-able set: local slots have no aliases, so
       // a repeated load between two stores always yields the same value.
       const bool cse_able =
-          (is_pure(instr) && instr.op != Opcode::kMove) ||
+          (instr.is_pure() && instr.op != Opcode::kMove) ||
           instr.op == Opcode::kLoadLocal;
       if (!cse_able || instr.dst == ir::kNoReg || !single(instr.dst) ||
           !single(instr.src0) || !single(instr.src1)) {
@@ -594,7 +578,7 @@ std::uint64_t licm(Function& function, Scratch& scratch) {
         // loop (slots are per-frame: calls cannot alias them).
         const bool invariant_load = instr.op == Opcode::kLoadLocal &&
                                     !stored_slots.contains(instr.slot);
-        bool movable = (is_pure(instr) || invariant_load) &&
+        bool movable = (instr.is_pure() || invariant_load) &&
                        !can_fault(instr) && instr.dst != ir::kNoReg &&
                        defs[static_cast<std::size_t>(instr.dst)] == 1;
         if (movable) {
@@ -646,7 +630,7 @@ std::uint64_t dce(Function& function, Scratch& scratch) {
   std::vector<std::uint32_t>& def_begin = scratch.def_begin;
   def_begin.assign(regs + 1, 0);
   const auto removable = [](const Instr& instr) {
-    return is_pure(instr) && instr.dst != ir::kNoReg;
+    return instr.is_pure() && instr.dst != ir::kNoReg;
   };
   std::size_t instrs = 0;
   for (const auto& block : function.blocks) {

@@ -28,11 +28,19 @@ FrameCharge CallStack::push(Machine::Impl& impl, std::uint32_t fn_index,
                             const std::vector<ir::Reg>& args,
                             std::uint64_t now) {
   FrameCharge charge;
-  if (frames_.size() >= kMaxCallDepth) {
+  const ir::Function& fn = *impl.module->functions[fn_index];
+  // Registers, slots and the local-array table. The arena of every live
+  // frame's values is bounded by the simulated stack's size, so that deep
+  // recursion through wide frames overflows the stack before it can
+  // exhaust host memory.
+  const std::size_t values = values_.size() +
+                             static_cast<std::size_t>(fn.next_reg) +
+                             2 * fn.locals.size();
+  if (frames_.size() >= kMaxCallDepth ||
+      values * sizeof(Value) > kStackTop - kStackLimit) {
     charge.overflow = true;
     return charge;
   }
-  const ir::Function& fn = *impl.module->functions[fn_index];
   CallFrame frame;
   frame.fn = &fn;
   frame.fn_index = fn_index;
@@ -41,9 +49,7 @@ FrameCharge CallStack::push(Machine::Impl& impl, std::uint32_t fn_index,
   frame.base = static_cast<std::uint32_t>(values_.size());
   frame.seg_base = static_cast<std::uint32_t>(segs_.size());
   frame.block = fn.entry;
-  // Registers, slots and the local-array table, zeroed.
-  values_.resize(frame.base + static_cast<std::size_t>(fn.next_reg) +
-                 2 * fn.locals.size());
+  values_.resize(values); // zeroed
   Value* regs = values_.data() + frame.base;
   Value* slots = frame_slots(regs, fn);
   Value* arrays = frame_arrays(regs, fn);

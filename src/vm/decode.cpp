@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/hot_inline.hpp"
+#include "ir/verifier.hpp"
 #include "vm/machine_impl.hpp"
 
 // Computed-goto threaded dispatch is a GNU extension (labels as values,
@@ -118,7 +119,7 @@ namespace {
 struct Scratch {
   UopStream stream;
   std::vector<MicroInstr> pending;
-  std::vector<std::uint8_t> sym_kind;
+  std::vector<ir::SymbolKind> symbols;
 };
 
 Scratch& scratch() {
@@ -133,44 +134,86 @@ void copy_stream(const UopStream& from, UopStream& to) {
   to.block_entry.assign(from.block_entry.begin(), from.block_entry.end());
 }
 
-// Decodes one function into its plain stream. Any precondition the
-// interpreter silently assumes (register/slot/block ranges, builtin
-// arities, resolvable globals) is checked here; a violation returns false,
-// which marks the function undecodable, and the whole module falls back to
-// the reference interpreter, preserving legacy behaviour exactly.
+// The micro-op of each IR opcode, by its row of CASH_IR_OPCODE_LIST.
+constexpr UOp kUopOf[] = {
+#define CASH_IR_OPCODE_UOP(name, text, uop, ...) UOp::uop,
+    CASH_IR_OPCODE_LIST(CASH_IR_OPCODE_UOP)
+#undef CASH_IR_OPCODE_UOP
+};
+
+// Whether a micro-op runs as a group member: a PLAIN row of CASH_UOP_LIST.
+constexpr auto kIsPlain = [] {
+  std::array<bool, static_cast<std::size_t>(UOp::kCount)> plain{};
+#define CASH_UOP_PLAIN(name) plain[static_cast<std::size_t>(UOp::name)] = true;
+  CASH_UOP_LIST(CASH_UOP_PLAIN, CASH_UOP_NONE, CASH_UOP_NONE)
+#undef CASH_UOP_PLAIN
+  return plain;
+}();
+
+static_assert(ir::kSegRegCount == x86seg::kNumSegRegs);
+
+// The slot of instruction `in`: the operands its row names, copied as they
+// are, then the immediates, the segment of a rebased access and the call
+// lowering.
+MicroInstr decode_instr(const ir::Module& module, const ir::Function& fn,
+                        const Instr& in) {
+  const ir::OpInfo& row = ir::op_info(in.op);
+  const auto uses = [](ir::Use use) { return use != ir::Use::kUnused; };
+  MicroInstr m;
+  m.op = kUopOf[static_cast<std::size_t>(in.op)];
+  m.type = in.type;
+  m.is_ptr = ir::is_pointer(in.type);
+  m.synthetic = in.synthetic;
+  m.bin_op = in.bin_op;
+  m.un_op = in.un_op;
+  m.src = &in;
+  if (uses(row.dst)) m.dst = in.dst;
+  if (uses(row.src0)) m.src0 = in.src0;
+  if (uses(row.src1)) m.src1 = in.src1;
+  if (uses(row.slot)) m.slot = in.slot;
+  if (uses(row.symbol)) m.symbol = in.symbol;
+  if (uses(row.target0)) m.target0 = static_cast<std::uint32_t>(in.target0);
+  if (uses(row.target1)) m.target1 = static_cast<std::uint32_t>(in.target1);
+  m.rebased = row.seg == ir::Use::kWhenRebased && in.rebased;
+  if (row.seg == ir::Use::kRequired || m.rebased) {
+    m.seg = static_cast<std::uint8_t>(in.seg);
+  }
+  if (in.op == Opcode::kConstInt) {
+    m.imm = static_cast<std::uint32_t>(in.int_imm);
+  } else if (in.op == Opcode::kConstFloat) {
+    m.imm = std::bit_cast<std::uint32_t>(in.float_imm);
+  } else if (in.op == Opcode::kCall) {
+    // kCallUser, or a builtin's arguments (arity checked).
+    const ir::CallSite& site = fn.call_site(in);
+    const auto arg = [&](std::size_t i) {
+      return i < site.args.size() ? site.args[i] : ir::kNoReg;
+    };
+    if (site.builtin == Builtin::kNone) {
+      m.callee = module.has_function(site.function) ? site.function : -1;
+    } else {
+      m.op = site.builtin == Builtin::kMalloc ? UOp::kMalloc
+             : site.builtin == Builtin::kFree ? UOp::kFree
+                                              : UOp::kBuiltin;
+      m.builtin = m.op == UOp::kBuiltin ? site.builtin : Builtin::kNone;
+      m.src0 = arg(0);
+      m.src1 = arg(1);
+    }
+  }
+  return m;
+}
+
+// Decodes one function into its plain stream. Every instruction must pass
+// ir::for_each_problem, the verifier's check: one that fails marks the
+// function undecodable, and the whole module falls back to the reference
+// interpreter, preserving legacy behaviour exactly.
 bool decode_plain(const ir::Module& module, const ir::Function& fn,
-                  const std::vector<std::uint8_t>& sym_kind, UopStream& plain,
+                  const std::vector<ir::SymbolKind>& symbols, UopStream& plain,
                   std::vector<MicroInstr>& pending) {
-  constexpr std::uint8_t kSymScalar = 1;
-  constexpr std::uint8_t kSymArray = 2;
-
-  const auto valid_reg = [&](ir::Reg r) { return r >= 0 && r < fn.next_reg; };
-  const auto valid_slot = [&](std::int32_t s) {
-    return s >= 0 && static_cast<std::size_t>(s) < fn.locals.size();
-  };
-  const auto valid_block = [&](ir::BlockId b) {
-    return b >= 0 && static_cast<std::size_t>(b) < fn.blocks.size();
-  };
-  const auto valid_seg = [](std::int8_t s) { return s >= 0 && s < 6; };
-  const auto sym_is = [&](ir::SymbolId s, std::uint8_t kind) {
-    return s >= 0 && static_cast<std::size_t>(s) < sym_kind.size() &&
-           sym_kind[static_cast<std::size_t>(s)] == kind;
-  };
-
-  if (!valid_block(fn.entry)) {
+  if (ir::function_problem(fn) != nullptr) {
     return false;
   }
-  for (const ir::Param& p : fn.params) {
-    if (!valid_slot(p.slot)) {
-      return false;
-    }
-  }
-  for (std::size_t i = 0; i < fn.blocks.size(); ++i) {
-    if (fn.blocks[i] == nullptr ||
-        fn.blocks[i]->id != static_cast<ir::BlockId>(i)) {
-      return false;
-    }
-  }
+  bool bad = false;
+  const auto reject = [&](const char*) { bad = true; };
 
   plain.block_entry.assign(fn.blocks.size(), 0);
   pending.clear();
@@ -197,253 +240,27 @@ bool decode_plain(const ir::Module& module, const ir::Function& fn,
   for (std::size_t bi = 0; bi < fn.blocks.size(); ++bi) {
     const ir::BasicBlock& block = *fn.blocks[bi];
     plain.block_entry[bi] = static_cast<std::uint32_t>(plain.uops.size());
-    bool terminated = false;
     for (const Instr& in : block.instrs) {
-      MicroInstr m;
-      m.type = in.type;
-      m.is_ptr = ir::is_pointer(in.type);
-      m.synthetic = in.synthetic;
-      m.src = &in;
-      bool itemized = false;
-      switch (in.op) {
-        case Opcode::kConstInt:
-          if (!valid_reg(in.dst)) return false;
-          m.op = UOp::kConstInt;
-          m.dst = in.dst;
-          m.imm = static_cast<std::uint32_t>(in.int_imm);
-          break;
-        case Opcode::kConstFloat:
-          if (!valid_reg(in.dst)) return false;
-          m.op = UOp::kConstFloat;
-          m.dst = in.dst;
-          m.imm = std::bit_cast<std::uint32_t>(in.float_imm);
-          break;
-        case Opcode::kMove:
-          if (!valid_reg(in.dst) || !valid_reg(in.src0)) return false;
-          m.op = UOp::kMove;
-          m.dst = in.dst;
-          m.src0 = in.src0;
-          break;
-        case Opcode::kBin:
-          if (!valid_reg(in.dst) || !valid_reg(in.src0) ||
-              !valid_reg(in.src1)) {
-            return false;
-          }
-          m.op = UOp::kBin;
-          m.dst = in.dst;
-          m.src0 = in.src0;
-          m.src1 = in.src1;
-          m.bin_op = in.bin_op;
-          break;
-        case Opcode::kUn:
-          if (!valid_reg(in.dst) || !valid_reg(in.src0)) return false;
-          m.op = UOp::kUn;
-          m.dst = in.dst;
-          m.src0 = in.src0;
-          m.un_op = in.un_op;
-          break;
-        case Opcode::kLoad:
-          if (!valid_reg(in.dst) || !valid_reg(in.src0)) return false;
-          if (in.rebased && !valid_seg(in.seg)) return false;
-          m.op = UOp::kLoad;
-          m.dst = in.dst;
-          m.src0 = in.src0;
-          m.seg = static_cast<std::uint8_t>(in.rebased ? in.seg : 0);
-          m.rebased = in.rebased;
-          break;
-        case Opcode::kStore:
-          if (!valid_reg(in.src0) || !valid_reg(in.src1)) return false;
-          if (in.rebased && !valid_seg(in.seg)) return false;
-          m.op = UOp::kStore;
-          m.src0 = in.src0;
-          m.src1 = in.src1;
-          m.seg = static_cast<std::uint8_t>(in.rebased ? in.seg : 0);
-          m.rebased = in.rebased;
-          break;
-        case Opcode::kLoadLocal:
-          if (!valid_reg(in.dst) || !valid_slot(in.slot)) return false;
-          m.op = UOp::kLoadLocal;
-          m.dst = in.dst;
-          m.slot = in.slot;
-          break;
-        case Opcode::kStoreLocal:
-          if (!valid_reg(in.src0) || !valid_slot(in.slot)) return false;
-          m.op = UOp::kStoreLocal;
-          m.src0 = in.src0;
-          m.slot = in.slot;
-          break;
-        case Opcode::kLoadGlobal:
-          if (!valid_reg(in.dst) || !sym_is(in.symbol, kSymScalar)) return false;
-          m.op = UOp::kLoadGlobal;
-          m.dst = in.dst;
-          m.symbol = in.symbol;
-          break;
-        case Opcode::kStoreGlobal:
-          if (!valid_reg(in.src0) || !sym_is(in.symbol, kSymScalar)) {
-            return false;
-          }
-          m.op = UOp::kStoreGlobal;
-          m.src0 = in.src0;
-          m.symbol = in.symbol;
-          break;
-        case Opcode::kAddrLocal:
-          if (!valid_reg(in.dst) || !valid_slot(in.slot)) return false;
-          m.op = UOp::kAddrLocal;
-          m.dst = in.dst;
-          m.slot = in.slot;
-          break;
-        case Opcode::kAddrGlobal:
-          if (!valid_reg(in.dst) ||
-              (!sym_is(in.symbol, kSymArray) &&
-               !sym_is(in.symbol, kSymScalar))) {
-            return false;
-          }
-          m.op = UOp::kAddrGlobal;
-          m.dst = in.dst;
-          m.symbol = in.symbol;
-          break;
-        case Opcode::kPtrAdd:
-          if (!valid_reg(in.dst) || !valid_reg(in.src0) ||
-              !valid_reg(in.src1)) {
-            return false;
-          }
-          m.op = UOp::kPtrAdd;
-          m.dst = in.dst;
-          m.src0 = in.src0;
-          m.src1 = in.src1;
-          break;
-        case Opcode::kJump:
-          if (!valid_block(in.target0)) return false;
-          m.op = UOp::kJump;
-          m.target0 = static_cast<std::uint32_t>(in.target0);
-          break;
-        case Opcode::kBranch:
-          if (!valid_reg(in.src0) || !valid_block(in.target0) ||
-              !valid_block(in.target1)) {
-            return false;
-          }
-          m.op = UOp::kBranch;
-          m.src0 = in.src0;
-          m.target0 = static_cast<std::uint32_t>(in.target0);
-          m.target1 = static_cast<std::uint32_t>(in.target1);
-          break;
-        case Opcode::kSegLoad:
-          if (!valid_reg(in.src0) || !valid_seg(in.seg)) return false;
-          m.op = UOp::kSegLoad;
-          m.src0 = in.src0;
-          m.seg = static_cast<std::uint8_t>(in.seg);
-          itemized = true;
-          break;
-        case Opcode::kBoundCheckSw:
-        case Opcode::kBoundCheckBnd:
-        case Opcode::kBoundCheckShadow:
-          if (!valid_reg(in.src0)) return false;
-          // Interval form: src1 carries the range's upper address.
-          if (in.src1 != ir::kNoReg && !valid_reg(in.src1)) return false;
-          m.op = in.op == Opcode::kBoundCheckSw    ? UOp::kBoundSw
-                 : in.op == Opcode::kBoundCheckBnd ? UOp::kBoundBnd
-                                                   : UOp::kBoundShadow;
-          m.src0 = in.src0;
-          m.src1 = in.src1;
-          break;
-        case Opcode::kRet:
-          if (in.src0 != ir::kNoReg && !valid_reg(in.src0)) return false;
-          m.op = UOp::kRet;
-          m.src0 = in.src0;
-          itemized = true;
-          break;
-        case Opcode::kCall: {
-          if (in.call < 0 ||
-              static_cast<std::size_t>(in.call) >= fn.calls.size()) {
-            return false;
-          }
-          const ir::CallSite& site = fn.call_site(in);
-          const std::vector<ir::Reg>& args = site.args;
-          for (ir::Reg a : args) {
-            if (!valid_reg(a)) return false;
-          }
-          const Builtin b = site.builtin;
-          const auto arg_or_none = [&](std::size_t i) {
-            return args.size() > i ? args[i] : ir::kNoReg;
-          };
-          switch (b) {
-            case Builtin::kNone:
-              m.op = UOp::kCallUser;
-              m.dst = in.dst; // may be kNoReg for void calls
-              if (in.dst != ir::kNoReg && !valid_reg(in.dst)) return false;
-              if (module.has_function(site.function)) {
-                m.callee = site.function;
-              }
-              itemized = true;
-              break;
-            case Builtin::kMalloc:
-              if (!valid_reg(in.dst)) return false;
-              m.op = UOp::kMalloc;
-              m.dst = in.dst;
-              m.src0 = arg_or_none(0);
-              itemized = true;
-              break;
-            case Builtin::kFree:
-              m.op = UOp::kFree;
-              m.src0 = arg_or_none(0);
-              itemized = true;
-              break;
-            case Builtin::kPow:
-              if (!valid_reg(in.dst) || args.size() < 2) return false;
-              m.op = UOp::kBuiltin;
-              m.builtin = b;
-              m.dst = in.dst;
-              m.src0 = args[0];
-              m.src1 = args[1];
-              break;
-            case Builtin::kPrintInt:
-            case Builtin::kPrintFloat:
-              if (args.empty()) return false;
-              m.op = UOp::kBuiltin;
-              m.builtin = b;
-              m.src0 = args[0];
-              break;
-            case Builtin::kRand:
-              if (!valid_reg(in.dst)) return false;
-              m.op = UOp::kBuiltin;
-              m.builtin = b;
-              m.dst = in.dst;
-              break;
-            case Builtin::kSrand:
-              m.op = UOp::kBuiltin;
-              m.builtin = b;
-              m.src0 = arg_or_none(0);
-              break;
-            default:
-              // One-float-argument math builtins (sqrt/fabs/... and abs).
-              if (!valid_reg(in.dst) || args.empty()) return false;
-              m.op = UOp::kBuiltin;
-              m.builtin = b;
-              m.dst = in.dst;
-              m.src0 = args[0];
-              break;
-          }
-          break;
-        }
+      ir::for_each_problem(fn, &symbols, in, reject);
+      if (bad) {
+        return false;
       }
-      if (itemized) {
+      const MicroInstr m = decode_instr(module, fn, in);
+      if (!kIsPlain[static_cast<std::size_t>(m.op)]) {
         flush();
         plain.uops.push_back(m);
       } else {
         pending.push_back(m);
-        if (m.op == UOp::kJump || m.op == UOp::kBranch) {
-          // Terminators end the group so a group's aggregate never charges
-          // for members control flow can skip. Anything after this in the
-          // block is dead code; it decodes into unreachable groups.
+        // Terminators end the group so a group's aggregate never charges
+        // for members control flow can skip. Anything after this in the
+        // block is dead code; it decodes into unreachable groups.
+        if (in.is_terminator()) {
           flush();
-          terminated = true;
-          continue;
         }
       }
-      terminated = in.op == Opcode::kRet;
     }
     flush();
-    if (!terminated) {
+    if (block.terminator() == nullptr) {
       // The interpreter reports running off a block's end; reproduce it.
       MicroInstr m;
       m.op = UOp::kBlockEndError;
@@ -543,7 +360,7 @@ FusionStats fuse_span(MicroInstr* s, std::uint32_t n) noexcept {
 // each group's members tiled by the rows.
 DecodedFunction decode_function(const ir::Module& module,
                                 const ir::Function& fn,
-                                const std::vector<std::uint8_t>& sym_kind) {
+                                const std::vector<ir::SymbolKind>& symbols) {
   Scratch& tables = scratch();
   UopStream& plain = tables.stream;
   plain.uops.clear();
@@ -551,7 +368,7 @@ DecodedFunction decode_function(const ir::Module& module,
   plain.block_entry.clear();
   DecodedFunction out;
   out.fn = &fn;
-  out.ok = decode_plain(module, fn, sym_kind, plain, tables.pending);
+  out.ok = decode_plain(module, fn, symbols, plain, tables.pending);
   copy_stream(plain, out.plain);
   if (out.ok) {
     out.fused.assign(out.plain.uops.begin(), out.plain.uops.end());
@@ -569,23 +386,14 @@ DecodedFunction decode_function(const ir::Module& module,
 } // namespace
 
 DecodedProgram::DecodedProgram(const ir::Module& module) : module_(&module) {
-  std::vector<std::uint8_t>& sym_kind = scratch().sym_kind;
-  sym_kind.assign(
-      module.next_symbol > 0 ? static_cast<std::size_t>(module.next_symbol)
-                             : 0,
-      0);
-  for (const ir::GlobalVar& g : module.globals) {
-    if (g.symbol >= 0 &&
-        static_cast<std::size_t>(g.symbol) < sym_kind.size()) {
-      sym_kind[static_cast<std::size_t>(g.symbol)] = g.is_array ? 2 : 1;
-    }
-  }
+  std::vector<ir::SymbolKind>& symbols = scratch().symbols;
+  ir::symbol_kinds(module, symbols);
 
   ok_ = true;
   functions_.reserve(module.functions.size());
   for (std::size_t i = 0; i < module.functions.size(); ++i) {
     functions_.push_back(
-        decode_function(module, *module.functions[i], sym_kind));
+        decode_function(module, *module.functions[i], symbols));
     ok_ = ok_ && functions_.back().ok;
   }
 }
@@ -1297,6 +1105,12 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry,
 
   for (;;) {
     const MicroInstr& u = code[fpc];
+    // An itemized micro-op is one instruction, counted before it runs.
+    if (u.op != UOp::kGroup && u.op != UOp::kBlockEndError &&
+        ++ctr.instructions > max_instructions) {
+      result.error = "instruction budget exceeded (possible infinite loop)";
+      goto run_end;
+    }
     switch (u.op) {
       case UOp::kGroup: {
         if (tstate != nullptr) {
@@ -1480,11 +1294,6 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry,
       }
 
       case UOp::kSegLoad: {
-        if (++ctr.instructions > max_instructions) {
-          result.error =
-              "instruction budget exceeded (possible infinite loop)";
-          goto run_end;
-        }
         std::uint64_t cost = 0;
         const Status status =
             impl.load_segment(static_cast<SegReg>(u.seg), regs[u.src0], cost);
@@ -1500,11 +1309,6 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry,
       }
 
       case UOp::kCallUser: {
-        if (++ctr.instructions > max_instructions) {
-          result.error =
-              "instruction budget exceeded (possible infinite loop)";
-          goto run_end;
-        }
         const ir::CallSite& site = dfn->fn->call_site(*u.src);
         ++ctr.calls;
         if (u.callee < 0) {
@@ -1526,11 +1330,6 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry,
       }
 
       case UOp::kMalloc: {
-        if (++ctr.instructions > max_instructions) {
-          result.error =
-              "instruction budget exceeded (possible infinite loop)";
-          goto run_end;
-        }
         ++ctr.calls;
         const std::uint32_t bytes =
             u.src0 == ir::kNoReg ? 0 : regs[u.src0].bits;
@@ -1551,11 +1350,6 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry,
       }
 
       case UOp::kFree: {
-        if (++ctr.instructions > max_instructions) {
-          result.error =
-              "instruction budget exceeded (possible infinite loop)";
-          goto run_end;
-        }
         ++ctr.calls;
         const std::uint32_t ptr =
             u.src0 == ir::kNoReg ? 0 : regs[u.src0].bits;
@@ -1567,11 +1361,6 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry,
       }
 
       case UOp::kRet: {
-        if (++ctr.instructions > max_instructions) {
-          result.error =
-              "instruction budget exceeded (possible infinite loop)";
-          goto run_end;
-        }
         Value value;
         if (u.src0 != ir::kNoReg) {
           value = regs[u.src0];

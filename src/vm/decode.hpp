@@ -44,30 +44,16 @@ namespace cash::vm {
 // call site to one of these or to a user function (ir::CallSite).
 using ir::Builtin;
 
-// Cycles a builtin other than malloc and free charges, in both engines.
+// Cycles a builtin other than malloc and free charges, in both engines:
+// the cycles column of CASH_IR_BUILTIN_LIST.
 constexpr std::uint64_t builtin_cycles(Builtin builtin) noexcept {
-  switch (builtin) {
-    case Builtin::kSqrt:
-    case Builtin::kSin:
-    case Builtin::kCos:
-    case Builtin::kExp:
-    case Builtin::kLog:
-    case Builtin::kPow:
-      return costs::kMathBuiltin;
-    case Builtin::kFabs:
-    case Builtin::kFloor:
-    case Builtin::kAbs:
-      return costs::kAluOp;
-    case Builtin::kPrintInt:
-    case Builtin::kPrintFloat:
-      return 10;
-    case Builtin::kRand:
-      return 5;
-    case Builtin::kSrand:
-      return 2;
-    default:
-      return 0;
-  }
+  constexpr std::uint64_t kCycles[] = {
+      0, // kNone
+#define CASH_BUILTIN_CYCLES(name, spelling, cycles, ...) cycles,
+      CASH_IR_BUILTIN_LIST(CASH_BUILTIN_CYCLES)
+#undef CASH_BUILTIN_CYCLES
+  };
+  return kCycles[static_cast<std::size_t>(builtin)];
 }
 
 // The micro-op set, one row per opcode, in three kinds:
@@ -107,8 +93,8 @@ constexpr std::uint64_t builtin_cycles(Builtin builtin) noexcept {
 //   - kTraceLoop, a looping trace's tail: it retires the whole pass and
 //     restarts at slot 0 without leaving the superblock (DESIGN.md §11).
 //   - superinstructions, named after their parts: Ll/Sl = kLoadLocal/
-//     kStoreLocal, Pa = kPtrAdd, Bd = a bound check, Ld = kLoad, Br =
-//     kBranch, G = kGuardBranch, Bin/Un = kBin/kUn.
+//     kStoreLocal, Pa = kPtrAdd, Bd = a bound check, Ld = kLoad, G =
+//     kGuardBranch, Bin/Un = kBin/kUn.
 //   - itemized micro-ops: dynamic cost and/or control flow. kBlockEndError
 //     is control falling off the end of a block (no terminator); it
 //     reproduces the interpreter's "fell off the end of block ..." error,
@@ -146,7 +132,6 @@ constexpr std::uint64_t builtin_cycles(Builtin builtin) noexcept {
   SUPER(kSuperLlBinSlLlBinG, kLoadLocal, kBin, kStoreLocal, kLoadLocal,      \
         kBin, kGuardBranch)                                                  \
   SUPER(kSuperBinSl, kBin, kStoreLocal)                                      \
-  SUPER(kSuperBinBr, kBin, kBranch)                                          \
   SUPER(kSuperBinG, kBin, kGuardBranch)                                      \
   SUPER(kSuperBinBin, kBin, kBin)                                            \
   SUPER(kSuperBinBinBin, kBin, kBin, kBin)                                   \

@@ -97,8 +97,9 @@ CASH_HOT_INLINE inline void run_builtin(Builtin builtin, Value* regs,
 }
 
 // Deepest call nesting, the entry frame included. A call past it overflows
-// the stack like one whose local arrays do not fit above kStackLimit. No
-// workload, fuzz program or test comes near it (CHANGES.md).
+// the stack like one whose local arrays do not fit above kStackLimit, or
+// whose registers and slots would take the frames' values past the stack's
+// 64 MB. No workload, fuzz program or test comes near it (CHANGES.md).
 inline constexpr std::size_t kMaxCallDepth = std::size_t{1} << 16;
 
 constexpr std::uint32_t align_up(std::uint32_t v, std::uint32_t a) {

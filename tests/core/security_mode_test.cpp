@@ -132,6 +132,38 @@ int main() { return f(0); }
   }
 }
 
+TEST(Vm, WideFramesOverflowTheStackByBytes) {
+  // Each frame of f holds 4,000 int locals (64 KB of registers and slots)
+  // and no array, so the call-depth limit alone would let 100,000 frames
+  // take gigabytes of host memory. The frames' bytes are bounded by the
+  // simulated stack's size instead: both engines stop with a stack
+  // overflow, at the same instruction.
+  std::string source = "int f(int n) {\n";
+  for (int i = 0; i < 4000; ++i) {
+    source += "  int v" + std::to_string(i) + ";\n";
+  }
+  source += R"(  v0 = n;
+  if (n == 0) { return 0; }
+  return f(n - 1) + v0;
+}
+int main() { print_int(f(100000)); return 0; }
+)";
+  CompileOptions options;
+  options.lower.mode = CheckMode::kNoCheck;
+  CompileResult compiled = compile(source, options);
+  ASSERT_TRUE(compiled.ok()) << compiled.error;
+  vm::RunResult results[2];
+  for (const bool predecode : {false, true}) {
+    vm::MachineConfig config = compiled.program->options().machine;
+    config.enable_predecode = predecode;
+    results[predecode] = compiled.program->make_machine(config)->run();
+    EXPECT_FALSE(results[predecode].ok);
+    EXPECT_EQ(results[predecode].error, "stack overflow calling f");
+  }
+  EXPECT_EQ(results[0].counters.instructions,
+            results[1].counters.instructions);
+}
+
 TEST(Vm, EarlyEndedRunsUnwindTheirFrames) {
   // A run that ends inside calls leaves its frames live: here on a stack
   // overflow after thousands of frames, each holding a segment for its

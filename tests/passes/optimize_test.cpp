@@ -215,7 +215,8 @@ ir::Function function_with_slots(int slots) {
   f.return_type = ir::Type::kInt;
   for (int i = 0; i < slots; ++i) {
     ir::LocalSlot slot;
-    slot.name = "v" + std::to_string(i);
+    slot.name = "v";
+    slot.name += std::to_string(i);
     f.locals.push_back(slot);
   }
   return f;

@@ -92,6 +92,7 @@ struct Outcome {
   passes::LowerStats stats;
   passes::CodeSize size;
   passes::ProgramStats program;
+  passes::ElideStats elide;
   vm::RunResult run;            // Action::kRun
   netsim::ServerMetrics served; // Action::kServe, or a fill cell's serving
   workloads::ChaosReport chaos;            // fill cells only
@@ -126,6 +127,7 @@ Outcome evaluate(const Cell& cell) {
   out.stats = program.lower_stats();
   out.size = program.code_size();
   out.program = program.program_stats(3);
+  out.elide = program.elide_stats();
   if (cell.action == Action::kServe) {
     out.served = netsim::serve_requests(program, kRequests, 1,
                                         exec::ExecutorConfig{1});
@@ -698,7 +700,7 @@ void elision(Plan& plan) {
         }
         const std::uint64_t base_chk = base.run.breakdown.checking;
         const std::uint64_t elided_chk = elided.run.breakdown.checking;
-        const passes::ElideStats& s = elided.run.elide_stats;
+        const passes::ElideStats& s = elided.elide;
         base_total += base_chk;
         elided_total += elided_chk;
         removed += s.checks_removed();

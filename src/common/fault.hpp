@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/stats_schema.hpp"
+
 namespace cash {
 
 // Hardware exception classes raised by the simulated x86 MMU, following the
@@ -33,6 +35,9 @@ struct Fault {
   std::uint16_t selector{0};       // selector in use (if segment-related)
   std::string detail;              // human-readable context
 };
+#define CASH_FAULT_FIELDS(X, HOST) \
+  X(kind) X(linear_address) X(selector) X(detail)
+CASH_STATS_SCHEMA(Fault, CASH_FAULT_FIELDS)
 
 // Exception wrapper used where a fault must abort simulation.
 class FaultException : public std::runtime_error {

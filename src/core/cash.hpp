@@ -76,15 +76,9 @@ class CompiledProgram {
     return passes::estimate_code_size(*module_, options_.lower);
   }
 
-  // Loop/array characteristics (Tables 4 and 7), plus this compilation's
-  // check-elision results.
+  // Loop/array characteristics (Tables 4 and 7).
   passes::ProgramStats program_stats(int seg_reg_budget = 3) const {
-    passes::ProgramStats stats =
-        passes::compute_program_stats(*module_, source_, seg_reg_budget);
-    stats.checks_deleted = elide_stats_.checks_deleted;
-    stats.checks_hoisted = elide_stats_.checks_hoisted;
-    stats.checks_widened = elide_stats_.checks_widened;
-    return stats;
+    return passes::compute_program_stats(*module_, source_, seg_reg_budget);
   }
 
   // Creates a fresh simulated machine (process) for this program. The
@@ -108,13 +102,8 @@ class CompiledProgram {
   // an image that failed validation is kept, with ok() == false).
   const vm::DecodedProgram* decoded() const noexcept { return decoded_.get(); }
 
-  // Convenience: fresh machine, run main() once. Stamps the compile-time
-  // elision statistics into the result.
-  vm::RunResult run() const {
-    vm::RunResult result = make_machine()->run();
-    result.elide_stats = elide_stats_;
-    return result;
-  }
+  // Convenience: fresh machine, run main() once.
+  vm::RunResult run() const { return make_machine()->run(); }
 
  private:
   std::unique_ptr<ir::Module> module_;

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "common/stats_schema.hpp"
+
 namespace cash::faultinject {
 
 // Deterministic fault-injection layer (DESIGN.md §8). The paper's design is
@@ -104,6 +106,8 @@ struct FaultStats {
     return injected[static_cast<int>(site)];
   }
 };
+#define CASH_FAULT_STATS_FIELDS(X, HOST) X(hits) X(injected)
+CASH_STATS_SCHEMA(FaultStats, CASH_FAULT_STATS_FIELDS)
 
 // The runtime decision engine. One injector per simulated machine (plus one
 // per netsim request for the network site), so per-site hit counters are

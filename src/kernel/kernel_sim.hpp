@@ -7,6 +7,7 @@
 
 #include "common/costs.hpp"
 #include "common/result.hpp"
+#include "common/stats_schema.hpp"
 #include "faultinject/faultinject.hpp"
 #include "x86seg/descriptor_table.hpp"
 
@@ -41,6 +42,10 @@ struct KernelAccount {
 
   bool operator==(const KernelAccount&) const = default;
 };
+#define CASH_KERNEL_ACCOUNT_FIELDS(X, HOST)                               \
+  X(kernel_cycles) X(modify_ldt_calls) X(call_gate_calls) X(ldt_switches) \
+  X(ldts_created) X(context_switches_in)
+CASH_STATS_SCHEMA(KernelAccount, CASH_KERNEL_ACCOUNT_FIELDS)
 
 // Round-robin scheduler configuration (DESIGN.md §10). The quantum is the
 // cycle budget a process may burn before the timer interrupt forces a

@@ -333,52 +333,6 @@ ServerMetrics finalize(ServerMetrics& metrics,
 
 } // namespace
 
-std::string first_metrics_difference(const ServerMetrics& a,
-                                     const ServerMetrics& b) {
-  if (a.requests != b.requests) return "requests";
-  if (a.total_cpu_cycles != b.total_cpu_cycles) return "total_cpu_cycles";
-  if (a.total_busy_cycles != b.total_busy_cycles) return "total_busy_cycles";
-  if (a.mean_latency_cycles != b.mean_latency_cycles)
-    return "mean_latency_cycles";
-  if (a.mean_latency_us != b.mean_latency_us) return "mean_latency_us";
-  if (a.throughput_rps != b.throughput_rps) return "throughput_rps";
-  if (a.sw_checks != b.sw_checks) return "sw_checks";
-  if (a.hw_checks != b.hw_checks) return "hw_checks";
-  if (a.checking_cycles != b.checking_cycles) return "checking_cycles";
-  if (a.segment_allocs != b.segment_allocs) return "segment_allocs";
-  if (a.cache_hits != b.cache_hits) return "cache_hits";
-  if (a.context_switches != b.context_switches) return "context_switches";
-  if (a.context_switch_cycles != b.context_switch_cycles)
-    return "context_switch_cycles";
-  if (a.retries != b.retries) return "retries";
-  if (a.timeouts != b.timeouts) return "timeouts";
-  if (a.degraded_requests != b.degraded_requests) return "degraded_requests";
-  if (a.failed_requests != b.failed_requests) return "failed_requests";
-  if (a.faults_injected != b.faults_injected) return "faults_injected";
-  if (a.first_failure != b.first_failure) return "first_failure";
-  if (a.total_latency_cycles != b.total_latency_cycles)
-    return "total_latency_cycles";
-  if (a.p50_latency_cycles != b.p50_latency_cycles)
-    return "p50_latency_cycles";
-  if (a.p90_latency_cycles != b.p90_latency_cycles)
-    return "p90_latency_cycles";
-  if (a.p99_latency_cycles != b.p99_latency_cycles)
-    return "p99_latency_cycles";
-  if (a.max_latency_cycles != b.max_latency_cycles)
-    return "max_latency_cycles";
-  if (a.queue_wait_cycles != b.queue_wait_cycles) return "queue_wait_cycles";
-  if (a.peak_queue_depth != b.peak_queue_depth) return "peak_queue_depth";
-  if (a.rejected_requests != b.rejected_requests) return "rejected_requests";
-  if (a.connects != b.connects) return "connects";
-  if (a.classes.size() != b.classes.size()) return "classes.size";
-  for (std::size_t c = 0; c < a.classes.size(); ++c) {
-    if (!(a.classes[c] == b.classes[c])) {
-      return "classes[" + a.classes[c].name + "]";
-    }
-  }
-  return {};
-}
-
 ServerMetrics serve_requests(const CompiledProgram& program, int requests,
                              std::uint32_t seed_base,
                              const exec::ExecutorConfig& executor,

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/stats_schema.hpp"
 #include "core/cash.hpp"
 #include "exec/executor.hpp"
 #include "faultinject/faultinject.hpp"
@@ -44,19 +45,27 @@ struct ClassMetrics {
 
   bool operator==(const ClassMetrics&) const = default;
 };
+#define CASH_CLASS_METRICS_FIELDS(X, HOST)                                \
+  X(name) X(requests) X(total_cpu_cycles) X(checking_cycles)              \
+  X(context_switches_in) X(p50_latency_cycles) X(p90_latency_cycles)      \
+  X(p99_latency_cycles) X(max_latency_cycles) X(degraded_requests)        \
+  X(failed_requests)
+CASH_STATS_SCHEMA(ClassMetrics, CASH_CLASS_METRICS_FIELDS)
 
 // Host-side snapshot-pool accounting: how the serving loop materialised
 // the per-request parent images. Purely diagnostic — the counts depend on
 // the host thread count and serving strategy (a snapshot worker builds one
-// machine per chunk; replay builds one per attempt), so this struct is the
-// one ServerMetrics member exempt from the bit-identity contract (like
-// RunResult::tlb_stats) and excluded from first_metrics_difference().
+// machine per chunk; replay builds one per attempt), so ServerMetrics::pool
+// is the one member its schema marks host-only (like RunResult::tlb_stats).
 struct PoolStats {
   std::uint64_t machines_built{0}; // Machine constructions (children only)
   std::uint64_t captures{0};       // Machine::capture() calls
   std::uint64_t restores{0};       // Machine::restore() calls
   std::uint64_t init_replays{0};   // server_init executions in workers
 };
+#define CASH_POOL_STATS_FIELDS(X, HOST) \
+  X(machines_built) X(captures) X(restores) X(init_replays)
+CASH_STATS_SCHEMA(PoolStats, CASH_POOL_STATS_FIELDS)
 
 struct ServerMetrics {
   int requests{0};
@@ -115,14 +124,27 @@ struct ServerMetrics {
   // Host-side pool accounting — exempt from the bit-identity contract.
   PoolStats pool;
 };
+#define CASH_SERVER_METRICS_FIELDS(X, HOST)                               \
+  X(requests) X(total_cpu_cycles) X(total_busy_cycles)                    \
+  X(mean_latency_cycles) X(mean_latency_us) X(throughput_rps)             \
+  X(sw_checks) X(hw_checks) X(checking_cycles) X(segment_allocs)          \
+  X(cache_hits) X(context_switches) X(context_switch_cycles) X(retries)   \
+  X(timeouts) X(degraded_requests) X(failed_requests) X(faults_injected)  \
+  X(first_failure) X(total_latency_cycles) X(p50_latency_cycles)          \
+  X(p90_latency_cycles) X(p99_latency_cycles) X(max_latency_cycles)       \
+  X(queue_wait_cycles) X(peak_queue_depth) X(rejected_requests)           \
+  X(connects) X(classes) HOST(pool)
+CASH_STATS_SCHEMA(ServerMetrics, CASH_SERVER_METRICS_FIELDS)
 
-// Field-by-field comparison over every simulated ServerMetrics field
-// (PoolStats is the documented host-side exemption). Returns the name of
-// the first differing field, or an empty string when identical. The bench
-// divergence gates and invariance tests are built on this, so adding a
-// ServerMetrics field here is what puts it under the bit-identity contract.
-std::string first_metrics_difference(const ServerMetrics& a,
-                                     const ServerMetrics& b);
+// The path of the first differing simulated field ("p99_latency_cycles",
+// "classes[default].failed_requests", ...), or "" when the two are
+// identical. The schema decides what is compared: every field but the
+// HOST-marked `pool` (common/stats_schema.hpp). The bench divergence gates
+// and invariance tests are built on this.
+inline std::string first_metrics_difference(const ServerMetrics& a,
+                                            const ServerMetrics& b) {
+  return stats::first_difference(a, b);
+}
 inline bool operator==(const ServerMetrics& a, const ServerMetrics& b) {
   return first_metrics_difference(a, b).empty();
 }

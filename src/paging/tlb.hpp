@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "common/hot_inline.hpp"
+#include "common/stats_schema.hpp"
 
 namespace cash::paging {
 
@@ -16,6 +17,9 @@ struct TlbStats {
   std::uint64_t flushes{0};
   std::uint64_t invalidations{0};
 };
+#define CASH_TLB_STATS_FIELDS(X, HOST) \
+  X(hits) X(misses) X(flushes) X(invalidations)
+CASH_STATS_SCHEMA(TlbStats, CASH_TLB_STATS_FIELDS)
 
 struct TlbEntry {
   static constexpr std::uint32_t kInvalidTag = 0xFFFFFFFFU;

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 
+#include "common/stats_schema.hpp"
 #include "ir/function.hpp"
 #include "passes/lower.hpp"
 
@@ -20,6 +21,9 @@ struct CodeSize {
   std::uint64_t app_bytes{0};
   std::uint64_t library_bytes{0};
 };
+#define CASH_CODE_SIZE_FIELDS(X, HOST) \
+  X(total_bytes) X(app_bytes) X(library_bytes)
+CASH_STATS_SCHEMA(CodeSize, CASH_CODE_SIZE_FIELDS)
 
 // Library contribution per mode, calibrated against the paper's static-link
 // measurements (GCC micro binaries ~360-420 KB of which almost all is libc).

@@ -52,16 +52,14 @@ struct ElideStats {
   std::uint64_t checks_removed() const noexcept {
     return checks_deleted + checks_hoisted + checks_widened;
   }
-
-  ElideStats& operator+=(const ElideStats& other) noexcept {
-    checks_deleted += other.checks_deleted;
-    checks_hoisted += other.checks_hoisted;
-    checks_widened += other.checks_widened;
-    hoist_checks_inserted += other.hoist_checks_inserted;
-    widen_checks_inserted += other.widen_checks_inserted;
-    return *this;
-  }
 };
+#define CASH_ELIDE_STATS_FIELDS(X, HOST)                                  \
+  X(checks_deleted) X(checks_hoisted) X(checks_widened)                   \
+  X(hoist_checks_inserted) X(widen_checks_inserted)
+CASH_STATS_SCHEMA(ElideStats, CASH_ELIDE_STATS_FIELDS)
+inline ElideStats& operator+=(ElideStats& a, const ElideStats& b) {
+  return stats::add_fields(a, b);
+}
 
 // Applies check elision to the module in place. `options.mode` decides which
 // accesses would be checked at all (Cash only checks in-loop references;

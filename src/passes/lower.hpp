@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/stats_schema.hpp"
 #include "ir/function.hpp"
 #include "passes/array_use.hpp"
 
@@ -56,19 +57,15 @@ struct LowerStats {
   std::uint64_t spilled_outer_loops{0}; // outer nests with > N arrays
   std::uint64_t elided_refs{0};      // refs the elision pass proved in-bounds
                                      // (lowered with no instrumentation)
-
-  LowerStats& operator+=(const LowerStats& other) {
-    hw_checks += other.hw_checks;
-    sw_checks += other.sw_checks;
-    unchecked_refs += other.unchecked_refs;
-    seg_loads += other.seg_loads;
-    redundant_eliminated += other.redundant_eliminated;
-    outer_loops += other.outer_loops;
-    spilled_outer_loops += other.spilled_outer_loops;
-    elided_refs += other.elided_refs;
-    return *this;
-  }
 };
+#define CASH_LOWER_STATS_FIELDS(X, HOST)                                  \
+  X(hw_checks) X(sw_checks) X(unchecked_refs) X(seg_loads)                \
+  X(redundant_eliminated) X(outer_loops) X(spilled_outer_loops)           \
+  X(elided_refs)
+CASH_STATS_SCHEMA(LowerStats, CASH_LOWER_STATS_FIELDS)
+inline LowerStats& operator+=(LowerStats& a, const LowerStats& b) {
+  return stats::add_fields(a, b);
+}
 
 // Applies the selected checking strategy to the module, in place.
 LowerStats lower_module(ir::Module& module, const LowerOptions& options);

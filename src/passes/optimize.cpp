@@ -744,12 +744,7 @@ OptStats optimize_module(ir::Module& module) {
   OptStats stats;
   Scratch scratch;
   for (auto& function : module.functions) {
-    const OptStats fn_stats = optimize(*function, scratch);
-    stats.strength_reduced += fn_stats.strength_reduced;
-    stats.cse_replaced += fn_stats.cse_replaced;
-    stats.copies_propagated += fn_stats.copies_propagated;
-    stats.hoisted += fn_stats.hoisted;
-    stats.dead_removed += fn_stats.dead_removed;
+    stats += optimize(*function, scratch);
   }
   return stats;
 }

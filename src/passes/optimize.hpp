@@ -2,6 +2,7 @@
 
 #include <cstdint>
 
+#include "common/stats_schema.hpp"
 #include "ir/function.hpp"
 
 namespace cash::passes {
@@ -28,6 +29,13 @@ struct OptStats {
   std::uint64_t hoisted{0};
   std::uint64_t dead_removed{0};
 };
+#define CASH_OPT_STATS_FIELDS(X, HOST)                                    \
+  X(strength_reduced) X(cse_replaced) X(copies_propagated) X(hoisted)     \
+  X(dead_removed)
+CASH_STATS_SCHEMA(OptStats, CASH_OPT_STATS_FIELDS)
+inline OptStats& operator+=(OptStats& a, const OptStats& b) {
+  return stats::add_fields(a, b);
+}
 
 OptStats optimize_function(ir::Function& function);
 OptStats optimize_module(ir::Module& module);

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <string_view>
 
+#include "common/stats_schema.hpp"
 #include "ir/function.hpp"
 
 namespace cash::passes {
@@ -18,13 +19,12 @@ struct ProgramStats {
   std::uint64_t max_arrays_in_loop{0};
   std::uint64_t total_functions{0};
   std::uint64_t total_array_refs{0};
-  // Check-elision results (passes/elide.hpp). compute_program_stats() cannot
-  // derive these from the lowered module; CompiledProgram::program_stats()
-  // stamps its compile-time ElideStats in. Zero when elision was off.
-  std::uint64_t checks_deleted{0};
-  std::uint64_t checks_hoisted{0};
-  std::uint64_t checks_widened{0};
 };
+#define CASH_PROGRAM_STATS_FIELDS(X, HOST)                                \
+  X(lines_of_code) X(total_loops) X(array_using_loops)                    \
+  X(loops_over_budget) X(max_arrays_in_loop) X(total_functions)           \
+  X(total_array_refs)
+CASH_STATS_SCHEMA(ProgramStats, CASH_PROGRAM_STATS_FIELDS)
 
 ProgramStats compute_program_stats(const ir::Module& module,
                                    std::string_view source,

@@ -4,6 +4,7 @@
 #include <map>
 #include <vector>
 
+#include "common/stats_schema.hpp"
 #include "faultinject/faultinject.hpp"
 #include "paging/page_table.hpp"
 #include "runtime/array_runtime.hpp"
@@ -42,6 +43,8 @@ class CashHeap {
     std::uint64_t bytes_allocated{0};
     std::uint64_t guard_pages{0};
   };
+#define CASH_HEAP_STATS_FIELDS(X, HOST) \
+  X(malloc_calls) X(free_calls) X(bytes_allocated) X(guard_pages)
   const Stats& stats() const noexcept { return stats_; }
 
  private:
@@ -59,5 +62,6 @@ class CashHeap {
   std::map<std::uint32_t, std::uint32_t> object_size_;
   std::map<std::uint32_t, std::vector<std::uint32_t>> free_blocks_;
 };
+CASH_STATS_SCHEMA(CashHeap::Stats, CASH_HEAP_STATS_FIELDS)
 
 } // namespace cash::runtime

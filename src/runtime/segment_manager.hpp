@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/costs.hpp"
+#include "common/stats_schema.hpp"
 #include "faultinject/faultinject.hpp"
 #include "kernel/kernel_sim.hpp"
 
@@ -77,6 +78,10 @@ class SegmentManager {
 
     bool operator==(const Stats&) const = default;
   };
+#define CASH_SEGMENT_STATS_FIELDS(X, HOST)                                \
+  X(alloc_requests) X(cache_hits) X(kernel_allocs) X(releases)            \
+  X(global_fallbacks) X(extra_ldts_created) X(gate_busy_retries)          \
+  X(budget_fallbacks) X(segments_in_use) X(peak_segments)
   const Stats& stats() const noexcept { return stats_; }
 
   bool initialized() const noexcept { return initialized_; }
@@ -105,5 +110,6 @@ class SegmentManager {
   std::vector<CachedSegment> cache_;     // most recent first, <= 3 entries
   Stats stats_;
 };
+CASH_STATS_SCHEMA(SegmentManager::Stats, CASH_SEGMENT_STATS_FIELDS)
 
 } // namespace cash::runtime

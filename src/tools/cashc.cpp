@@ -14,20 +14,75 @@
 //   --dump-ir                          print the lowered IR and exit
 //   --emit-asm                         print an x86 assembly listing (AT&T)
 //   --use-ss                           Section 3.7 PUSH/POP rewriting in asm
-//   --stats                            print static stats + code size
+//   --stats                            print every stats field (below)
 //   --no-run                           compile only
 //   --seed=N                           rand() seed for the run
+//
+// --stats prints one `path value` line per field of the stats schema
+// (common/stats_schema.hpp): the static stats before the run, prefixed
+// `lower.`, `elide.`, `fusion.`, `program.` and `code_size.`, and the
+// RunResult after it, unprefixed (`cycles`, `counters.sw_checks`,
+// `segment_stats.cache_hits`, `breakdown.checking`, `fault.kind`, ...).
+// Numbers print in decimal, booleans as true/false, strings and enum names
+// quoted, with `\n`, `\"` and `\\` escaped.
+//
+// Exit status: the program's own exit code when it runs to completion; 1
+// for a compile error or a run that ends without a simulated fault (the
+// instruction budget, say); 2 for a usage error; 139 for a simulated fault;
+// 70 when the run ended on a simulator limit (host memory, a loader limit).
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <type_traits>
 
 #include "backend/x86_asm.hpp"
 #include "core/cash.hpp"
 #include "ir/printer.hpp"
+#include "vm/decode.hpp"
 
 namespace {
+
+constexpr int kExitFault = 139; // like a SIGSEGV exit
+constexpr int kExitSimulatorLimit = 70; // EX_SOFTWARE in sysexits.h
+
+std::string format_value(const std::string& text) {
+  std::string out = "\"";
+  for (const char c : text) {
+    if (c == '\n') {
+      out += "\\n";
+      continue;
+    }
+    if (c == '"' || c == '\\') {
+      out += '\\';
+    }
+    out += c;
+  }
+  return out + "\"";
+}
+
+template <class T>
+std::string format_value(const T& value) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return value ? "true" : "false";
+  } else if constexpr (std::is_enum_v<T>) {
+    return format_value(std::string(to_string(value)));
+  } else {
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
+  }
+}
+
+template <class T>
+void print_stats(const char* prefix, const T& stats) {
+  cash::stats::for_each_field(
+      stats, [prefix](const std::string& path, const auto& value) {
+        std::printf("%s%s %s\n", prefix, path.c_str(),
+                    format_value(value).c_str());
+      });
+}
 
 void usage() {
   std::fprintf(stderr,
@@ -143,31 +198,12 @@ int main(int argc, char** argv) {
   }
 
   if (show_stats) {
-    const cash::passes::LowerStats& lower = compiled.program->lower_stats();
-    const cash::passes::ProgramStats stats =
-        compiled.program->program_stats(options.lower.num_seg_regs);
-    const cash::passes::CodeSize size = compiled.program->code_size();
-    std::printf("mode:                 %s\n",
-                to_string(options.lower.mode));
-    std::printf("lines of code:        %llu\n",
-                static_cast<unsigned long long>(stats.lines_of_code));
-    std::printf("functions:            %llu\n",
-                static_cast<unsigned long long>(stats.total_functions));
-    std::printf("loops (array-using):  %llu (%llu)\n",
-                static_cast<unsigned long long>(stats.total_loops),
-                static_cast<unsigned long long>(stats.array_using_loops));
-    std::printf("loops over budget:    %llu\n",
-                static_cast<unsigned long long>(stats.loops_over_budget));
-    std::printf("static HW checks:     %llu\n",
-                static_cast<unsigned long long>(lower.hw_checks));
-    std::printf("static SW checks:     %llu\n",
-                static_cast<unsigned long long>(lower.sw_checks));
-    std::printf("hoisted seg loads:    %llu\n",
-                static_cast<unsigned long long>(lower.seg_loads));
-    std::printf("binary size (model):  %llu bytes (app %llu + lib %llu)\n",
-                static_cast<unsigned long long>(size.total_bytes),
-                static_cast<unsigned long long>(size.app_bytes),
-                static_cast<unsigned long long>(size.library_bytes));
+    const cash::CompiledProgram& program = *compiled.program;
+    print_stats("lower.", program.lower_stats());
+    print_stats("elide.", program.elide_stats());
+    print_stats("fusion.", program.decoded()->fusion_stats());
+    print_stats("program.", program.program_stats(options.lower.num_seg_regs));
+    print_stats("code_size.", program.code_size());
   }
 
   if (!run) {
@@ -176,33 +212,19 @@ int main(int argc, char** argv) {
 
   const cash::vm::RunResult result = compiled.program->run();
   std::fputs(result.output.c_str(), stdout);
-  if (!result.ok) {
-    if (result.fault.has_value()) {
-      std::fprintf(stderr, "cashc: %s: %s\n", to_string(result.fault->kind),
-                   result.fault->detail.c_str());
-      return 139; // like a SIGSEGV exit
-    }
-    std::fprintf(stderr, "cashc: %s\n", result.error.c_str());
-    return 1;
-  }
   if (show_stats) {
-    std::printf("cycles:               %llu\n",
-                static_cast<unsigned long long>(result.cycles));
-    std::printf("dynamic HW checks:    %llu\n",
-                static_cast<unsigned long long>(
-                    result.counters.hw_checked_accesses));
-    std::printf("dynamic SW checks:    %llu\n",
-                static_cast<unsigned long long>(result.counters.sw_checks));
-    std::printf("segment allocations:  %llu (cache hits %llu)\n",
-                static_cast<unsigned long long>(
-                    result.segment_stats.alloc_requests),
-                static_cast<unsigned long long>(
-                    result.segment_stats.cache_hits));
-    std::printf("cycle breakdown:      base %llu + checking %llu + "
-                "runtime %llu\n",
-                static_cast<unsigned long long>(result.breakdown.base),
-                static_cast<unsigned long long>(result.breakdown.checking),
-                static_cast<unsigned long long>(result.breakdown.runtime));
+    print_stats("", result);
+  }
+  if (result.fault.has_value()) {
+    std::fprintf(stderr, "cashc: %s: %s\n", to_string(result.fault->kind),
+                 result.fault->detail.c_str());
+    return kExitFault;
+  }
+  if (!result.ok) {
+    std::fprintf(stderr, "cashc: %s\n", result.error.c_str());
+    return result.error.starts_with(cash::vm::kSimulatorLimitPrefix)
+               ? kExitSimulatorLimit
+               : 1;
   }
   return result.exit_code & 0xFF;
 }

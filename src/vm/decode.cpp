@@ -493,9 +493,9 @@ inline Value exec_un(const MicroInstr& v, const Value a) noexcept {
 
 // ---------------------------------------------------------------------------
 // Hot-trace superblock formation (DESIGN.md §11). When a block's execution
-// counter crosses MachineConfig::trace_threshold, the engine follows the
-// recorded biased successor edges and splices up to kTraceMaxBlocks blocks'
-// plain member slots into one straight-line stream: interior kJumps vanish,
+// counter reaches kTraceThreshold, the engine follows the recorded biased
+// successor edges and splices up to kTraceMaxBlocks blocks' plain member
+// slots into one straight-line stream: interior kJumps vanish,
 // interior branches become guard micro-ops whose biased arm falls through,
 // and the SUPER rows tile the result.
 // A chain whose biased tail returns to the entry closes into a loop — the
@@ -513,6 +513,12 @@ inline Value exec_un(const MicroInstr& v, const Value a) noexcept {
 constexpr std::int32_t kTraceNone = -1;
 constexpr std::int32_t kTraceDead = -2;
 constexpr std::uint32_t kTraceMaxBlocks = 16;
+// Block execution count at which a hot block is promoted into a superblock.
+// Promotion is a pure function of the simulated instruction stream (never
+// of host timing or job count), so TraceStats replay identically across
+// host jobs. Formed traces outlive restore(), so a restored machine forms
+// fewer of them than a fresh one; no simulated field moves.
+constexpr std::uint32_t kTraceThreshold = 16;
 
 // A block joins a trace only when it is a non-empty group ending in a
 // terminator. Blocks that fall through into an itemized micro-op (calls,
@@ -868,9 +874,7 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry,
   // Hot-trace superblock engine (DESIGN.md §11): same per-run gating shape
   // as the other transparent layers. The trace cache lives on the machine
   // and persists across runs and restores; coverage is reported per run.
-  const bool trace_on =
-      impl.config.enable_trace && impl.config.trace_threshold != 0;
-  const std::uint32_t trace_threshold = impl.config.trace_threshold;
+  const bool trace_on = impl.config.enable_trace;
   if (trace_on && impl.trace_fns.size() != prog.functions().size()) {
     impl.trace_fns.resize(prog.functions().size());
   }
@@ -1116,7 +1120,7 @@ RunResult execute_decoded(Machine::Impl& impl, const ir::Function* entry,
         if (tstate != nullptr) {
           FnTraceState& ts = *tstate;
           std::int32_t ti = ts.trace_at[fpc];
-          if (ti == kTraceNone && ++ts.hot[fpc] == trace_threshold) {
+          if (ti == kTraceNone && ++ts.hot[fpc] == kTraceThreshold) {
             ti = try_form_trace(ts, dfn->plain, fpc, impl.trace_stats);
           }
           if (ti >= 0) {

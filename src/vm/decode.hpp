@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/costs.hpp"
+#include "common/stats_schema.hpp"
 #include "ir/function.hpp"
 
 // Pre-decoded micro-op image (DESIGN.md §7). At CompiledProgram
@@ -268,12 +269,11 @@ struct FusionStats {
   }
 };
 
-constexpr FusionStats& operator+=(FusionStats& a,
-                                  const FusionStats& b) noexcept {
-  a.fused_uops += b.fused_uops;
-  a.fused_instrs += b.fused_instrs;
-  a.foldable_instrs += b.foldable_instrs;
-  return a;
+#define CASH_FUSION_STATS_FIELDS(X, HOST) \
+  X(fused_uops) X(fused_instrs) X(foldable_instrs)
+CASH_STATS_SCHEMA(FusionStats, CASH_FUSION_STATS_FIELDS)
+constexpr FusionStats& operator+=(FusionStats& a, const FusionStats& b) {
+  return stats::add_fields(a, b);
 }
 
 struct DecodedFunction {

@@ -5,18 +5,19 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "common/costs.hpp"
 #include "common/fault.hpp"
+#include "common/stats_schema.hpp"
 #include "faultinject/faultinject.hpp"
 #include "ir/function.hpp"
 #include "kernel/kernel_sim.hpp"
 #include "mmu/mmu.hpp"
 #include "paging/page_table.hpp"
 #include "paging/physical_memory.hpp"
-#include "passes/elide.hpp"
 #include "passes/lower.hpp"
 #include "runtime/heap.hpp"
 #include "runtime/segment_manager.hpp"
@@ -70,13 +71,6 @@ struct MachineConfig {
   // counters, faults and output are bit-identical with it on or off. No
   // effect when the machine runs the reference interpreter.
   bool enable_trace{true};
-  // Block execution count at which a hot block is promoted into a
-  // superblock. Promotion is a pure function of the simulated instruction
-  // stream (never of host timing or job count), so results — including
-  // TraceStats — replay identically across host jobs. Formed traces
-  // outlive restore(), so a restored machine forms fewer of them than a
-  // fresh one; no simulated field moves. 0 disables promotion entirely.
-  std::uint32_t trace_threshold{16};
   // Deterministic fault injection (DESIGN.md §8). Off by default: an empty
   // plan is bit-transparent — cycles, breakdowns and counters are identical
   // to a build without the layer. A non-empty plan replays identically for
@@ -95,6 +89,10 @@ struct RunCounters {
                                         // print_int, ...), malloc, free
   std::uint64_t malloc_calls{0};
 };
+#define CASH_RUN_COUNTERS_FIELDS(X, HOST)                                 \
+  X(instructions) X(hw_checked_accesses) X(sw_checks) X(seg_reg_loads)    \
+  X(ptr_word_copies) X(calls) X(malloc_calls)
+CASH_STATS_SCHEMA(RunCounters, CASH_RUN_COUNTERS_FIELDS)
 
 // Where the simulated cycles went. `base` is the program's own work and is
 // mode-independent (identical across NoCheck/Bcc/Cash/... for in-bounds
@@ -109,19 +107,23 @@ struct CycleBreakdown {
 
   std::uint64_t total() const noexcept { return base + checking + runtime; }
 };
+#define CASH_CYCLE_BREAKDOWN_FIELDS(X, HOST) X(base) X(checking) X(runtime)
+CASH_STATS_SCHEMA(CycleBreakdown, CASH_CYCLE_BREAKDOWN_FIELDS)
 
 // Per-function execution profile: calls and self cycles (callees excluded).
 struct FunctionProfile {
   std::uint64_t calls{0};
   std::uint64_t self_cycles{0};
 };
+#define CASH_FUNCTION_PROFILE_FIELDS(X, HOST) X(calls) X(self_cycles)
+CASH_STATS_SCHEMA(FunctionProfile, CASH_FUNCTION_PROFILE_FIELDS)
 
 // Hot-trace superblock statistics (DESIGN.md §11). Host-side only, like
 // TlbStats: the counters are cumulative across runs of one Machine, rewound
 // by restore() to their captured values, and all zero when the trace engine
-// is off (enable_trace=false, trace_threshold=0, or the reference
-// interpreter). `coverage` is per-run: the fraction of this run's retired
-// IR instructions that executed inside a superblock.
+// is off (enable_trace=false or the reference interpreter). `coverage` is
+// per-run: the fraction of this run's retired IR instructions that executed
+// inside a superblock.
 struct TraceStats {
   std::uint64_t traces_formed{0};
   std::uint64_t trace_execs{0};         // superblock entries
@@ -129,6 +131,16 @@ struct TraceStats {
   std::uint64_t trace_instructions{0};  // IR instructions retired in traces
   double coverage{0.0};
 };
+#define CASH_TRACE_STATS_FIELDS(X, HOST)                                  \
+  X(traces_formed) X(trace_execs) X(guard_exits) X(trace_instructions)    \
+  X(coverage)
+CASH_STATS_SCHEMA(TraceStats, CASH_TRACE_STATS_FIELDS)
+
+// How RunResult::error begins when the host, not the simulated program,
+// ran out of something (memory, a loader limit): the run ended on a host
+// limit, not on a simulated fault or the instruction budget.
+inline constexpr std::string_view kSimulatorLimitPrefix = "simulator limit: ";
+
 struct RunResult {
   bool ok{false};                 // ran to completion (no fault, no budget
                                   // blow-up)
@@ -158,11 +170,6 @@ struct RunResult {
   TraceStats trace_stats;
   std::map<std::string, FunctionProfile> profile; // per-function self costs
   std::string output;             // print_int / print_float stream
-  // Static check-elision statistics of the program this run executed. The
-  // Machine itself leaves this zero; CompiledProgram::run() copies its
-  // compile-time stats in so bench/tooling can report dynamic cycles and
-  // static elision side by side from one result.
-  passes::ElideStats elide_stats;
 
   // Wall-clock cycles of the whole system: the main CPU, or — in shadow
   // mode — whichever of the two processors is the bottleneck.
@@ -181,6 +188,14 @@ struct RunResult {
             fault->kind == FaultKind::kPageFault);
   }
 };
+// Every member is under the bit-identity contract but the two host-side
+// ones (common/run_result_compare.hpp).
+#define CASH_RUN_RESULT_FIELDS(X, HOST)                                   \
+  X(ok) X(fault) X(error) X(exit_code) X(cycles) X(breakdown)             \
+  X(shadow_cycles) X(counters) HOST(tlb_stats) X(segment_stats)           \
+  X(heap_stats) X(kernel_account) X(fault_stats) HOST(trace_stats)        \
+  X(profile) X(output)
+CASH_STATS_SCHEMA(RunResult, CASH_RUN_RESULT_FIELDS)
 
 // The simulated Pentium-III machine: segmentation + paging MMU, a simulated
 // Linux kernel, the Cash user-space runtime, and an IR interpreter with the

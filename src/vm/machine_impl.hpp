@@ -509,7 +509,7 @@ struct Machine::Impl {
     } catch (const std::exception& e) {
       RunResult r;
       r.output = std::move(output);
-      r.error = std::string("simulator limit: ") + e.what();
+      r.error = std::string(kSimulatorLimitPrefix) + e.what();
       r.fault_stats = injector.stats();
       return r;
     }

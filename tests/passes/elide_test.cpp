@@ -307,6 +307,7 @@ TEST(ElideKernelGrid, KeepsOutputAndCutsCheckingOnMostKernels) {
                            CheckMode::kBoundInsn, CheckMode::kShadow}) {
       const std::string what = std::string(name) + " " + to_string(mode);
       vm::RunResult runs[2];
+      passes::ElideStats stats;
       for (bool elide : {false, true}) {
         CompileOptions options;
         options.lower.mode = mode;
@@ -315,6 +316,7 @@ TEST(ElideKernelGrid, KeepsOutputAndCutsCheckingOnMostKernels) {
         ASSERT_TRUE(compiled.ok()) << what << ": " << compiled.error;
         runs[elide] = compiled.program->run();
         ASSERT_TRUE(runs[elide].ok) << what << ": " << runs[elide].error;
+        stats = compiled.program->elide_stats();
       }
       const vm::RunResult& base = runs[0];
       const vm::RunResult& elided = runs[1];
@@ -323,9 +325,8 @@ TEST(ElideKernelGrid, KeepsOutputAndCutsCheckingOnMostKernels) {
       EXPECT_LE(elided.breakdown.checking, base.breakdown.checking) << what;
       base_checking += base.breakdown.checking;
       elided_checking += elided.breakdown.checking;
-      removed += elided.elide_stats.checks_removed();
-      if (elided.elide_stats.checks_deleted +
-              elided.elide_stats.checks_hoisted > 0) {
+      removed += stats.checks_removed();
+      if (stats.checks_deleted + stats.checks_hoisted > 0) {
         improved_bcc += mode == CheckMode::kBcc;
         improved_cash += mode == CheckMode::kCash;
       }

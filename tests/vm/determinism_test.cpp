@@ -9,6 +9,8 @@
 #include "vm/machine.hpp"
 #include "workloads/workloads.hpp"
 
+#include "run_result_compare.hpp"
+
 namespace cash {
 namespace {
 
@@ -27,31 +29,12 @@ vm::RunResult run_with_tlb(const CompiledProgram& program, CheckMode mode,
   return machine.run();
 }
 
+// Every simulated field must match, and the off run must genuinely have
+// bypassed the TLB.
 void expect_identical(const vm::RunResult& on, const vm::RunResult& off,
                       CheckMode mode) {
   const char* m = to_string(mode);
-  EXPECT_EQ(on.ok, off.ok) << m;
-  EXPECT_EQ(on.cycles, off.cycles) << m;
-  EXPECT_EQ(on.shadow_cycles, off.shadow_cycles) << m;
-  EXPECT_EQ(on.breakdown.base, off.breakdown.base) << m;
-  EXPECT_EQ(on.breakdown.checking, off.breakdown.checking) << m;
-  EXPECT_EQ(on.breakdown.runtime, off.breakdown.runtime) << m;
-  EXPECT_EQ(on.exit_code, off.exit_code) << m;
-  EXPECT_EQ(on.output, off.output) << m;
-  EXPECT_EQ(on.counters.instructions, off.counters.instructions) << m;
-  EXPECT_EQ(on.counters.hw_checked_accesses, off.counters.hw_checked_accesses)
-      << m;
-  EXPECT_EQ(on.counters.sw_checks, off.counters.sw_checks) << m;
-  EXPECT_EQ(on.counters.seg_reg_loads, off.counters.seg_reg_loads) << m;
-  EXPECT_EQ(on.counters.ptr_word_copies, off.counters.ptr_word_copies) << m;
-  EXPECT_EQ(on.counters.calls, off.counters.calls) << m;
-  EXPECT_EQ(on.counters.malloc_calls, off.counters.malloc_calls) << m;
-  ASSERT_EQ(on.fault.has_value(), off.fault.has_value()) << m;
-  if (on.fault.has_value()) {
-    EXPECT_EQ(on.fault->kind, off.fault->kind) << m;
-    EXPECT_EQ(on.fault->detail, off.fault->detail) << m;
-  }
-  // The off run must genuinely have bypassed the TLB.
+  vm::expect_identical(on, off, m);
   EXPECT_EQ(off.tlb_stats.hits, 0U) << m;
   EXPECT_EQ(off.tlb_stats.misses, 0U) << m;
 }

@@ -379,7 +379,7 @@ TEST(Vm, InterpreterGlobalAccessToMissingSymbolIsSimulatorLimit) {
       EXPECT_EQ(r.exit_code, 7) << what;
     } else {
       EXPECT_FALSE(r.fault.has_value()) << what;
-      EXPECT_EQ(r.error.rfind("simulator limit: ", 0), 0U)
+      EXPECT_EQ(r.error.rfind(vm::kSimulatorLimitPrefix, 0), 0U)
           << what << ": " << r.error;
     }
   }

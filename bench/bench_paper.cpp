@@ -642,8 +642,8 @@ CompileResult compile_or_throw(const std::string& source, CheckMode mode) {
   return compiled;
 }
 
-// Extension: whole-program check elision (passes/elide.cpp), which deletes,
-// hoists and widens the checks it proves redundant. The six micro kernels
+// Extension: whole-program check elision (passes/elide.cpp), which deletes
+// or hoists the checks it proves redundant. The six micro kernels
 // under the four checked modes, elision off and on; then
 // workloads::kOverrunProbe, which both compilations must catch.
 void elision(Plan& plan) {
@@ -678,9 +678,8 @@ void elision(Plan& plan) {
   add_pairs("probe", workloads::kOverrunProbe);
   plan.printers.push_back([first, probed](const Outcomes& out) {
     emit_title("Extension: whole-program check elision, off vs on");
-    emit("%-8s %-7s %12s %12s %7s %5s %6s %6s %10s\n", "kernel", "mode",
-         "base chk-cy", "elide chk-cy", "redux", "del", "hoist", "widen",
-         "identical");
+    emit("%-8s %-7s %12s %12s %7s %5s %6s %10s\n", "kernel", "mode",
+         "base chk-cy", "elide chk-cy", "redux", "del", "hoist", "identical");
     std::uint64_t base_total = 0;
     std::uint64_t elided_total = 0;
     std::uint64_t removed = 0;
@@ -711,11 +710,10 @@ void elision(Plan& plan) {
         }
         const bool identical = base.run.output == elided.run.output &&
                                base.run.exit_code == elided.run.exit_code;
-        emit("%-8s %-7s %12llu %12llu %6.1f%% %5llu %6llu %6llu %10s\n",
-             kernel, name, ull(base_chk), ull(elided_chk),
+        emit("%-8s %-7s %12llu %12llu %6.1f%% %5llu %6llu %10s\n", kernel,
+             name, ull(base_chk), ull(elided_chk),
              cut_pct(base_chk, elided_chk), ull(s.checks_deleted),
-             ull(s.checks_hoisted), ull(s.checks_widened),
-             identical ? "yes" : "NO");
+             ull(s.checks_hoisted), identical ? "yes" : "NO");
       }
     }
     emit("%-8s %-7s %12llu %12llu %6.1f%%   (removed %llu of %llu static "

@@ -87,8 +87,8 @@ inline constexpr std::uint64_t kHardwareBoundCheck = 0;
 
 // Extra cycles for the interval form of a software check (both ends of a
 // [lo, hi] range instead of one address): one more compare + branch pair on
-// the low bound. The elision pass emits these when it widens a run of
-// consecutive same-array checks into one.
+// the low bound. The elision pass emits these when it hoists a loop's
+// per-iteration checks into one preheader check.
 inline constexpr std::uint64_t kIntervalCheckExtra = 2;
 
 // --- Per-IR-operation latencies (P6-class) ----------------------------------

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <optional>
-#include <tuple>
 #include <vector>
 
 #include "common/dense_table.hpp"
@@ -46,7 +45,7 @@ struct Site {
 };
 
 // The slot coefficients of an affine form, sorted by slot (the order in
-// which materialised code and widening keys visit them). Affine forms here
+// which materialised code visits them). Affine forms here
 // have a handful of terms, so a flat vector beats a tree.
 class SlotCoeffs {
  public:
@@ -197,7 +196,7 @@ bool mode_would_check(const LowerOptions& options, const Instr& instr) {
   return true;
 }
 
-// The software check opcode elision inserts for hoisted/widened intervals.
+// The check opcode of the preheader interval check that hoisting inserts.
 // Cash has no hardware interval check, so its hoisted form is the software
 // one (the trade it buys back by dropping segment loads and spills).
 Opcode interval_check_op(CheckMode mode) {
@@ -220,51 +219,6 @@ struct HoistGroup {
   std::vector<Site> members;
 };
 
-// Leaf identity inside one block: a load from another block is a fixed
-// value (same site, same value); a load in this block stands for "the
-// slot's current value", valid while no store intervenes.
-struct WidenLeaf {
-  std::int32_t slot{-1};
-  bool local{false};
-  Site remote_site;   // !local
-  int version{0};     // local: store count at the access
-  bool operator<(const WidenLeaf& o) const {
-    return std::tie(slot, local, remote_site.block, remote_site.index,
-                    version) < std::tie(o.slot, o.local,
-                                        o.remote_site.block,
-                                        o.remote_site.index, o.version);
-  }
-  bool operator==(const WidenLeaf& o) const {
-    return slot == o.slot && local == o.local &&
-           remote_site.block == o.remote_site.block &&
-           remote_site.index == o.remote_site.index &&
-           version == o.version;
-  }
-};
-
-struct WidenKey {
-  int base_kind{0};
-  std::int32_t base_slot{-1};
-  SymbolId base_global{kNoSymbol};
-  WidenLeaf base_leaf;           // pointer-slot base identity
-  std::vector<std::pair<WidenLeaf, std::int64_t>> coeffs;
-  bool operator<(const WidenKey& o) const {
-    return std::tie(base_kind, base_slot, base_global, base_leaf, coeffs) <
-           std::tie(o.base_kind, o.base_slot, o.base_global, o.base_leaf,
-                    o.coeffs);
-  }
-};
-
-struct WidenGroup {
-  std::vector<Site> members;
-  std::vector<std::int64_t> consts; // per member, byte offsets
-  Reg first_addr{kNoReg};           // first member's address register
-  std::int64_t first_const{0};
-  SymbolId array_ref{kNoSymbol};
-  LoopId loop{kNoLoop};
-  SourceLoc loc;
-};
-
 // Every table the pass uses, kept per thread and reused across functions
 // and calls: storage only grows, so an analysis allocates nothing once it
 // has seen a function as large as the current one.
@@ -273,7 +227,6 @@ struct Scratch {
   ir::DominatorTree dom;
   std::vector<Site> def_sites;               // by register
   std::vector<std::vector<Site>> slot_stores; // by local slot
-  std::vector<char> block_has_call;          // by block id
   std::vector<Linear> linear_memo;           // by register
   StampedSet linear_known;                   // registers with a memo entry
   std::vector<Linear> eval_temps =           // by eval() depth
@@ -290,31 +243,10 @@ struct Scratch {
   // Graph walks.
   StampedSet body;
   StampedSet seen;
-  StampedSet from_reach;
-  StampedSet to_reach;
   std::vector<BlockId> work;
-  std::vector<BlockId> reached;
   std::vector<BlockId> latches;
-  // Phase (a'): checked accesses with a constant offset, in RPO order.
-  struct FixedAccess {
-    SymbolId array_ref;
-    std::int64_t offset;
-    std::size_t rpo_order;
-    Site site;
-  };
-  std::vector<FixedAccess> fixed;
-  std::vector<Site> covering;
   // Phase (b): the loop's hoist groups.
   ReuseList<HoistGroup> hoist_groups;
-  // Phase (c): the groups open in the block, sorted by key (the order they
-  // are finalized in).
-  struct OpenWiden {
-    WidenKey key;
-    WidenGroup group;
-  };
-  ReuseList<OpenWiden> open;
-  WidenKey probe;
-  StampedMap<int> version; // slot -> stores seen so far in the block
 };
 
 Scratch& scratch() {
@@ -333,7 +265,6 @@ class FunctionEliminator {
         cfg_(scratch.cfg),
         dom_(scratch.dom),
         def_sites_(scratch.def_sites),
-        block_has_call_(scratch.block_has_call),
         ivs_(scratch.ivs),
         seg_assigned_(scratch.seg_assigned) {
     cfg_.assign(function);
@@ -347,16 +278,14 @@ class FunctionEliminator {
     s_.linear_known.clear(regs);
     memo_regs_ = regs;
     index_defs();
-    index_slots_and_calls();
+    index_slot_stores();
     recognize_loops();
   }
 
   ElideStats run() {
     delete_proven_in_bounds();
-    delete_dominated_duplicates();
     predict_cash_segments();
     hoist_loops();
-    widen_blocks();
     apply_insertions();
     return stats_;
   }
@@ -377,7 +306,7 @@ class FunctionEliminator {
     }
   }
 
-  void index_slots_and_calls() {
+  void index_slot_stores() {
     const std::size_t slots = function_.locals.size();
     if (s_.slot_stores.size() < slots) {
       s_.slot_stores.resize(slots);
@@ -385,15 +314,12 @@ class FunctionEliminator {
     for (std::size_t slot = 0; slot < slots; ++slot) {
       s_.slot_stores[slot].clear();
     }
-    block_has_call_.assign(function_.blocks.size(), 0);
     for (const auto& block : function_.blocks) {
       for (int i = 0; i < static_cast<int>(block->instrs.size()); ++i) {
         const Instr& instr = block->instrs[i];
         if (instr.op == Opcode::kStoreLocal) {
           s_.slot_stores[static_cast<std::size_t>(instr.slot)].push_back(
               Site{block->id, i});
-        } else if (instr.op == Opcode::kCall) {
-          block_has_call_[static_cast<std::size_t>(block->id)] = 1;
         }
       }
     }
@@ -965,169 +891,11 @@ class FunctionEliminator {
     }
   }
 
-  // --- phase (a'): dominated duplicates ------------------------------------
-
-  // No kCall on any path from just after `from` to just before `to`
-  // (`from` strictly dominates `to`, or precedes it in the same block).
-  bool call_free_between(Site from, Site to) {
-    const auto calls_in = [&](BlockId b, int begin, int end) {
-      const BasicBlock& block = function_.block(b);
-      end = std::min(end, static_cast<int>(block.instrs.size()));
-      for (int i = std::max(begin, 0); i < end; ++i) {
-        if (block.instrs[i].op == Opcode::kCall) {
-          return true;
-        }
-      }
-      return false;
-    };
-    if (from.block == to.block) {
-      if (!calls_in(from.block, from.index + 1, to.index)) {
-        // A cycle through the block could still pass its other calls.
-        if (!block_has_call_[static_cast<std::size_t>(from.block)]) {
-          return true;
-        }
-        StampedSet& seen = s_.seen;
-        seen.clear(function_.blocks.size());
-        std::vector<BlockId>& work = s_.work;
-        work.assign(cfg_.successors(from.block).begin(),
-                    cfg_.successors(from.block).end());
-        while (!work.empty()) {
-          const BlockId b = work.back();
-          work.pop_back();
-          if (b == from.block) {
-            return false; // looped back through the full block
-          }
-          if (!seen.add(b)) {
-            continue;
-          }
-          for (BlockId s : cfg_.successors(b)) {
-            work.push_back(s);
-          }
-        }
-        return true;
-      }
-      return false;
-    }
-    if (calls_in(from.block, from.index + 1,
-                 static_cast<int>(
-                     function_.block(from.block).instrs.size())) ||
-        calls_in(to.block, 0, to.index)) {
-      return false;
-    }
-    // Any intermediate block reachable from `from` that also reaches `to`
-    // lies on some path; none may contain a call. Re-entering an endpoint
-    // block through a cycle passes all of it, so endpoints on such paths
-    // must be call-free outright.
-    const std::size_t blocks = function_.blocks.size();
-    StampedSet& from_reach = s_.from_reach;
-    from_reach.clear(blocks);
-    std::vector<BlockId>& reached = s_.reached; // from_reach's members
-    reached.clear();
-    std::vector<BlockId>& work = s_.work;
-    work.assign(cfg_.successors(from.block).begin(),
-                cfg_.successors(from.block).end());
-    while (!work.empty()) {
-      const BlockId b = work.back();
-      work.pop_back();
-      if (!from_reach.add(b)) {
-        continue;
-      }
-      reached.push_back(b);
-      for (BlockId s : cfg_.successors(b)) {
-        work.push_back(s);
-      }
-    }
-    StampedSet& to_reach = s_.to_reach; // blocks that reach `to`
-    to_reach.clear(blocks);
-    work.assign(cfg_.predecessors(to.block).begin(),
-                cfg_.predecessors(to.block).end());
-    while (!work.empty()) {
-      const BlockId b = work.back();
-      work.pop_back();
-      if (!to_reach.add(b)) {
-        continue;
-      }
-      for (BlockId p : cfg_.predecessors(b)) {
-        work.push_back(p);
-      }
-    }
-    for (BlockId b : reached) {
-      if (!to_reach.contains(b) && b != to.block) {
-        continue;
-      }
-      if (b == from.block || b == to.block) {
-        if (block_has_call_[static_cast<std::size_t>(b)]) {
-          return false; // a cycle re-enters an endpoint block
-        }
-        continue;
-      }
-      if (block_has_call_[static_cast<std::size_t>(b)]) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  void delete_dominated_duplicates() {
-    // Key: (array symbol, constant byte offset) — a fixed element of a named
-    // array, whose address value is identical wherever it is recomputed.
-    // Only accesses with the same key can cover one another, so each key's
-    // accesses are judged on their own, in reverse post-order.
-    auto& fixed = s_.fixed;
-    fixed.clear();
-    for (BlockId b : cfg_.reverse_post_order()) {
-      const BasicBlock& block = function_.block(b);
-      for (int i = 0; i < static_cast<int>(block.instrs.size()); ++i) {
-        const Instr& instr = block.instrs[i];
-        if (!mode_would_check(options_, instr)) {
-          continue;
-        }
-        AddrInfo& addr = s_.addr;
-        if (!resolve_addr(instr.src0, addr) || !addr.offset.coeffs.empty() ||
-            addr.base == AddrInfo::Base::kPointerSlot) {
-          continue;
-        }
-        fixed.push_back({instr.array_ref, addr.offset.constant, fixed.size(),
-                         Site{b, i}});
-      }
-    }
-    std::sort(fixed.begin(), fixed.end(), [](const auto& x, const auto& y) {
-      return std::tie(x.array_ref, x.offset, x.rpo_order) <
-             std::tie(y.array_ref, y.offset, y.rpo_order);
-    });
-    std::vector<Site>& kept = s_.covering;
-    for (std::size_t k = 0; k < fixed.size(); ++k) {
-      if (k == 0 || fixed[k].array_ref != fixed[k - 1].array_ref ||
-          fixed[k].offset != fixed[k - 1].offset) {
-        kept.clear();
-      }
-      const Site site = fixed[k].site;
-      bool covered = false;
-      for (const Site& y : kept) {
-        const bool dominates = y.block == site.block
-                                   ? y.index < site.index
-                                   : dom_.dominates(y.block, site.block);
-        if (dominates && call_free_between(y, site)) {
-          covered = true;
-          break;
-        }
-      }
-      if (covered) {
-        function_.block(site.block)
-            .instrs[static_cast<std::size_t>(site.index)]
-            .check_elided = true;
-        ++stats_.checks_deleted;
-      } else {
-        kept.push_back(site);
-      }
-    }
-  }
-
   // --- Cash segment prediction ---------------------------------------------
 
   // Mirrors lower_cash's FCFS assignment over the post-deletion candidate
   // list: arrays predicted to hold a segment register keep their free
-  // hardware checks — hoisting or widening those would add cycles.
+  // hardware checks — hoisting those would add cycles.
   void predict_cash_segments() {
     if (options_.mode != CheckMode::kCash) {
       return;
@@ -1162,8 +930,7 @@ class FunctionEliminator {
            seg_assigned_.end();
   }
 
-  // Accesses Cash would check in hardware for free stay untouched by the
-  // interval transformations.
+  // Accesses Cash would check in hardware for free are never hoisted.
   bool interval_profitable(const Instr& instr) const {
     return options_.mode != CheckMode::kCash || !seg_assigned(instr.array_ref);
   }
@@ -1473,252 +1240,6 @@ class FunctionEliminator {
     return size;
   }
 
-  // --- phase (c): in-block interval widening -------------------------------
-
-  // Finalizes the open groups whose key `close` selects, in key order,
-  // and drops them.
-  template <typename Close>
-  void close_widen_groups(BasicBlock& block, const Close& close) {
-    auto& open = s_.open;
-    std::size_t kept = 0;
-    for (std::size_t g = 0; g < open.size(); ++g) {
-      if (close(open[g].key)) {
-        finalize_widen_group(block, open[g].group);
-      } else {
-        if (kept != g) {
-          std::swap(open[kept], open[g]);
-        }
-        ++kept;
-      }
-    }
-    open.truncate(kept);
-  }
-
-  // The open group with `key`, claimed empty when there is none.
-  WidenGroup& open_widen_group(const WidenKey& key) {
-    auto& open = s_.open;
-    const auto* at = std::lower_bound(
-        open.begin(), open.end(), key,
-        [](const Scratch::OpenWiden& o, const WidenKey& k) { return o.key < k; });
-    if (at != open.end() && !(key < at->key)) {
-      return open[static_cast<std::size_t>(at - open.begin())].group;
-    }
-    const auto pos = at - open.begin();
-    open.claim();
-    // Rotate the claimed entry (and its storage) into place.
-    std::rotate(open.begin() + pos, open.end() - 1, open.end());
-    Scratch::OpenWiden& fresh = open[static_cast<std::size_t>(pos)];
-    fresh.key = key;
-    fresh.group.members.clear();
-    fresh.group.consts.clear();
-    return fresh.group;
-  }
-
-  void widen_blocks() {
-    StampedMap<int>& version = s_.version;
-    for (auto& block : function_.blocks) {
-      version.clear(function_.locals.size());
-      s_.open.clear();
-      const auto all = [](const WidenKey&) { return true; };
-      for (int i = 0; i < static_cast<int>(block->instrs.size()); ++i) {
-        const Instr& instr = block->instrs[i];
-        if (instr.op == Opcode::kStoreLocal) {
-          ++version.get(instr.slot, [](int& v) { v = 0; });
-          // Groups keyed on an older version of this slot can no longer
-          // grow (and are keyed distinctly), so finalize them now.
-          close_widen_groups(*block, [&](const WidenKey& key) {
-            return widen_key_uses_slot(key, instr.slot);
-          });
-          continue;
-        }
-        if (instr.op == Opcode::kCall ||
-            (instr.op == Opcode::kBin &&
-             (instr.bin_op == BinOp::kDiv || instr.bin_op == BinOp::kRem) &&
-             instr.type == ir::Type::kInt &&
-             !nonzero_const(instr.src1))) {
-          // A call or potential fault between members would reorder
-          // observable behaviour against the widened check.
-          close_widen_groups(*block, all);
-          continue;
-        }
-        if (!mode_would_check(options_, instr) ||
-            !interval_profitable(instr)) {
-          continue;
-        }
-        AddrInfo& addr = s_.addr;
-        if (!resolve_addr(instr.src0, addr)) {
-          continue;
-        }
-        if (!widen_key_for(*block, addr, version, s_.probe)) {
-          continue;
-        }
-        WidenGroup& group = open_widen_group(s_.probe);
-        if (group.members.empty()) {
-          group.first_addr = instr.src0;
-          group.first_const = addr.offset.constant;
-          group.array_ref = instr.array_ref;
-          group.loop = instr.loop;
-          group.loc = instr.loc;
-        }
-        group.members.push_back(Site{block->id, i});
-        group.consts.push_back(addr.offset.constant);
-      }
-      close_widen_groups(*block, all);
-    }
-  }
-
-  bool nonzero_const(Reg r) const {
-    const Instr* def = def_of(r);
-    return def != nullptr && def->op == Opcode::kConstInt &&
-           def->int_imm != 0;
-  }
-
-  static bool widen_key_uses_slot(const WidenKey& key, std::int32_t slot) {
-    if (key.base_kind == 2 && key.base_leaf.local &&
-        key.base_leaf.slot == slot) {
-      return true;
-    }
-    for (const auto& [leaf, coeff] : key.coeffs) {
-      if (leaf.local && leaf.slot == slot) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  // Builds the widening key of an access into `key`; false when some leaf
-  // has no stable identity at this point of the block.
-  bool widen_key_for(const BasicBlock& block, const AddrInfo& addr,
-                     const StampedMap<int>& version, WidenKey& key) {
-    auto leaf_of = [&](std::int32_t slot,
-                       Site load) -> std::optional<WidenLeaf> {
-      WidenLeaf leaf;
-      leaf.slot = slot;
-      if (load.block == block.id) {
-        // The load must see the block's current slot value, otherwise the
-        // widened check could not rematerialize it at the insertion point.
-        int version_at_load = 0;
-        for (int i = 0; i < load.index; ++i) {
-          if (block.instrs[static_cast<std::size_t>(i)].op ==
-                  Opcode::kStoreLocal &&
-              block.instrs[static_cast<std::size_t>(i)].slot == slot) {
-            ++version_at_load;
-          }
-        }
-        const int* stores = version.find(slot);
-        const int current = stores == nullptr ? 0 : *stores;
-        if (version_at_load != current) {
-          return std::nullopt;
-        }
-        leaf.local = true;
-        leaf.version = current;
-      } else {
-        leaf.remote_site = load;
-      }
-      return leaf;
-    };
-    key.base_slot = -1;
-    key.base_global = kNoSymbol;
-    key.base_leaf = WidenLeaf{};
-    key.coeffs.clear();
-    switch (addr.base) {
-      case AddrInfo::Base::kLocalArray:
-        key.base_kind = 0;
-        key.base_slot = addr.base_slot;
-        break;
-      case AddrInfo::Base::kGlobalArray:
-        key.base_kind = 1;
-        key.base_global = addr.base_global;
-        break;
-      case AddrInfo::Base::kPointerSlot: {
-        key.base_kind = 2;
-        std::optional<WidenLeaf> leaf =
-            leaf_of(addr.base_slot, addr.base_load);
-        if (!leaf.has_value()) {
-          return false;
-        }
-        key.base_leaf = *leaf;
-        break;
-      }
-    }
-    // Each coefficient must map to exactly one leaf identity; several loads
-    // of the same slot must agree on it.
-    for (const auto& [slot, coeff] : addr.offset.coeffs) {
-      std::optional<WidenLeaf> leaf;
-      for (const auto& [lslot, site] : addr.offset.loads) {
-        if (lslot != slot) {
-          continue;
-        }
-        std::optional<WidenLeaf> one = leaf_of(slot, site);
-        if (!one.has_value() || (leaf.has_value() && !(*leaf == *one))) {
-          return false;
-        }
-        leaf = one;
-      }
-      if (!leaf.has_value()) {
-        return false;
-      }
-      key.coeffs.emplace_back(*leaf, coeff);
-    }
-    return true;
-  }
-
-  // A group of two or more same-shape accesses with at least two distinct
-  // offsets merges into one interval check placed before the first member.
-  // The extremal addresses derive from the first member's own address
-  // register (`first + (c - c_first)`), so no leaf is re-evaluated.
-  void finalize_widen_group(BasicBlock& block, WidenGroup& group) {
-    if (group.members.size() < 2) {
-      return;
-    }
-    std::int64_t lo = group.consts[0];
-    std::int64_t hi = group.consts[0];
-    for (std::int64_t c : group.consts) {
-      lo = std::min(lo, c);
-      hi = std::max(hi, c);
-    }
-    if (lo == hi) {
-      return; // identical addresses: one plain check is already cheaper
-    }
-    std::vector<Instr>& prefix =
-        new_insertion(block.id, group.members.front().index);
-    auto adjusted = [&](std::int64_t target) -> Reg {
-      if (target == group.first_const) {
-        return group.first_addr;
-      }
-      Instr delta;
-      delta.op = Opcode::kConstInt;
-      delta.dst = function_.new_reg();
-      delta.int_imm = static_cast<std::int32_t>(target - group.first_const);
-      delta.loop = group.loop;
-      delta.loc = group.loc;
-      prefix.push_back(delta);
-      Instr add;
-      add.op = Opcode::kPtrAdd;
-      add.type = ir::Type::kIntPtr;
-      add.dst = function_.new_reg();
-      add.src0 = group.first_addr;
-      add.src1 = delta.dst;
-      add.loop = group.loop;
-      add.loc = group.loc;
-      prefix.push_back(add);
-      return add.dst;
-    };
-    Instr check;
-    check.op = interval_check_op(options_.mode);
-    check.src0 = adjusted(lo);
-    check.src1 = adjusted(hi);
-    check.array_ref = group.array_ref;
-    check.loop = group.loop;
-    check.loc = group.loc;
-    prefix.push_back(check);
-    for (const Site& s : group.members) {
-      block.instrs[static_cast<std::size_t>(s.index)].check_elided = true;
-      ++stats_.checks_widened;
-    }
-    ++stats_.widen_checks_inserted;
-  }
-
   // --- final splice --------------------------------------------------------
 
   void apply_insertions() {
@@ -1766,7 +1287,6 @@ class FunctionEliminator {
   ir::Cfg& cfg_;
   ir::DominatorTree& dom_;
   std::vector<Site>& def_sites_;        // by register
-  std::vector<char>& block_has_call_;   // by block id
   std::vector<IvInfo>& ivs_;            // by loop id
   std::vector<SymbolId>& seg_assigned_; // Cash prediction
   std::size_t memo_regs_{0};            // registers eval() may memoize

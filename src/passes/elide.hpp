@@ -18,19 +18,17 @@ namespace cash::passes {
 // qualifying accesses all elide also stops claiming a segment register and
 // its hoisted segment load disappears; see cash_segment_candidates()).
 //
-// Three transformations, in order:
+// Two transformations, in order:
 //  (a) delete  — an access whose address provably stays inside its object
-//                ([0, 4n) for an n-element word array), or whose exact
-//                address value was already checked by a dominating check on
-//                the same base with no intervening bound-mutating call;
+//                ([0, 4n) for an n-element word array);
 //  (b) hoist   — a monotone counted loop's per-iteration checks collapse to
 //                one preheader *interval* check of the two extremal
 //                addresses (kBoundCheck* with src1 set; an empty range —
 //                lo > hi at run time, the zero-trip loop — passes, so the
 //                hoisted check can never fault when the loop body would not
-//                have);
-//  (c) widen   — consecutive same-base checks in one block (a[i], a[i+1],
-//                ...) merge into one interval check spanning the group.
+//                have).
+// Between them, Cash predicts which arrays will hold a segment register;
+// their accesses keep the free hardware check and are never hoisted.
 //
 // The invariant is *fault identity*, not cycle identity: an elided program
 // produces bit-identical output on every fault-free run, and catches a
@@ -40,17 +38,15 @@ namespace cash::passes {
 // the fuzz matrix enforce this differentially against the same program with
 // elision off.
 struct ElideStats {
-  std::uint64_t checks_deleted{0};   // (a): accesses proven in-bounds or
-                                     // covered by a dominating check
+  std::uint64_t checks_deleted{0};   // (a): accesses proven in-bounds
   std::uint64_t checks_hoisted{0};   // (b): accesses covered by a preheader
                                      // interval check
-  std::uint64_t checks_widened{0};   // (c): accesses merged into a block
-                                     // interval check
+  std::uint64_t checks_widened{0};   // always 0; perfbench's digest prints it
   std::uint64_t hoist_checks_inserted{0}; // interval checks emitted by (b)
-  std::uint64_t widen_checks_inserted{0}; // interval checks emitted by (c)
+  std::uint64_t widen_checks_inserted{0}; // always 0; as checks_widened
 
   std::uint64_t checks_removed() const noexcept {
-    return checks_deleted + checks_hoisted + checks_widened;
+    return checks_deleted + checks_hoisted;
   }
 };
 #define CASH_ELIDE_STATS_FIELDS(X, HOST)                                  \

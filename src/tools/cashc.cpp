@@ -26,10 +26,13 @@
 // Numbers print in decimal, booleans as true/false, strings and enum names
 // quoted, with `\n`, `\"` and `\\` escaped.
 //
-// Exit status: the program's own exit code when it runs to completion; 1
-// for a compile error or a run that ends without a simulated fault (the
-// instruction budget, say); 2 for a usage error; 139 for a simulated fault;
-// 70 when the run ended on a simulator limit (host memory, a loader limit).
+// Exit status: 0 when the program's `main` returns 0; 3 when it returns
+// anything else (stderr names the value, and --stats prints it as
+// `exit_code`); 1 for a compile error or a run that ends without a
+// simulated fault (the instruction budget, say); 2 for a usage error; 139
+// for a simulated fault; 70 when the run ended on a simulator limit (host
+// memory, a loader limit). The program's own code never passes through, so
+// it cannot be read as one of cashc's.
 #include <charconv>
 #include <cstdio>
 #include <cstring>
@@ -47,6 +50,7 @@ namespace {
 
 constexpr int kExitFault = 139; // like a SIGSEGV exit
 constexpr int kExitSimulatorLimit = 70; // EX_SOFTWARE in sysexits.h
+constexpr int kExitMainNonzero = 3;
 
 std::string format_value(const std::string& text) {
   std::string out = "\"";
@@ -226,5 +230,9 @@ int main(int argc, char** argv) {
                ? kExitSimulatorLimit
                : 1;
   }
-  return result.exit_code & 0xFF;
+  if (result.exit_code != 0) {
+    std::fprintf(stderr, "cashc: main returned %d\n", result.exit_code);
+    return kExitMainNonzero;
+  }
+  return 0;
 }

@@ -9,6 +9,7 @@
 #include <string>
 #include <utility>
 
+#include "common/run_result_compare.hpp"
 #include "core/cash.hpp"
 #include "ir/printer.hpp"
 #include "workloads/workloads.hpp"
@@ -88,15 +89,33 @@ TEST(ElideDelete, ConstantRangeLoopAccessesAreDeleted) {
   EXPECT_EQ(c.stats.checks_hoisted, 0u);
 }
 
-// --- phase (a'): dominated duplicates --------------------------------------
-
-TEST(ElideDelete, DominatedDuplicateCheckIsDeleted) {
-  // The same fixed element checked twice with no call in between: the
-  // second check is covered by the first. (The offset is out of range so
-  // phase (a)'s in-bounds proof cannot fire first; at run time the first
-  // check faults before the second access executes, which is exactly why
-  // deleting the dominated duplicate is sound.)
+TEST(ElideDelete, FixedInBoundsElementReadTwiceIsDeletedByTheRangeProof) {
+  // A fixed element of a named array is a constant offset, so the range
+  // proof deletes each in-bounds access of it on its own.
   const Compiled c = compile_elided(R"(
+    int a[8];
+    int main() {
+      int x;
+      int y;
+      x = a[3];
+      y = a[3];
+      print_int(x + y);
+      return 0;
+    }
+  )",
+                                    CheckMode::kBcc, false);
+  const std::string main_text = function_text(c.text, "main");
+  EXPECT_EQ(count_occurrences(main_text, "boundcheck."), 0) << main_text;
+  EXPECT_EQ(c.stats.checks_deleted, 2u) << main_text;
+  EXPECT_EQ(c.stats.checks_hoisted, 0u);
+}
+
+// --- what is left: constant out-of-range accesses --------------------------
+
+TEST(ElideDelete, OutOfRangeElementKeepsBothChecksAndFaultsAtTheSameSite) {
+  // The same out-of-range element accessed twice: neither check is deleted,
+  // and the elided program faults exactly where the unelided one does.
+  const char* const source = R"(
     int a[8];
     int main() {
       int x;
@@ -104,15 +123,25 @@ TEST(ElideDelete, DominatedDuplicateCheckIsDeleted) {
       a[9] = x + 1;
       return 0;
     }
-  )");
-  EXPECT_EQ(count_occurrences(c.text, "boundcheck.sw"), 1) << c.text;
-  EXPECT_EQ(count_occurrences(c.text, "!elided"), 1) << c.text;
-  EXPECT_EQ(c.stats.checks_deleted, 1u);
+  )";
+  const Compiled c = compile_elided(source);
+  EXPECT_EQ(count_occurrences(c.text, "boundcheck.sw"), 2) << c.text;
+  EXPECT_EQ(count_occurrences(c.text, "!elided"), 0) << c.text;
+  EXPECT_EQ(c.stats.checks_removed(), 0u);
+  ASSERT_TRUE(c.program != nullptr);
+  CompileOptions options;
+  options.lower.mode = CheckMode::kBcc;
+  CompileResult base = compile(source, options);
+  ASSERT_TRUE(base.ok()) << base.error;
+  const vm::RunResult base_run = base.program->run();
+  const vm::RunResult elided_run = c.program->run();
+  EXPECT_TRUE(base_run.bound_violation());
+  EXPECT_EQ(vm::first_run_result_difference(base_run, elided_run), "");
 }
 
 TEST(ElideDelete, CallBetweenChecksBlocksTheDuplicate) {
-  // Negative: a call between the two accesses may mutate bounds state, so
-  // the dominated-duplicate rule must not fire across it.
+  // Negative: an out-of-range element keeps both its checks, here with a
+  // call between the two accesses (the unoptimized form keeps the call).
   const Compiled c = compile_elided(R"(
     int a[8];
     int poke() {
@@ -250,12 +279,11 @@ TEST(ElideHoist, NonAffineIndexIsNotTouched) {
   EXPECT_GE(count_occurrences(c.text, "boundcheck.sw"), 1) << c.text;
 }
 
-// --- phase (c): block widening ---------------------------------------------
+// --- straight-line code keeps its checks ----------------------------------
 
-TEST(ElideWiden, ConsecutiveAccessesMergeIntoOneIntervalCheck) {
+TEST(ElideKeep, StraightLinePointerAccessesKeepTheirChecks) {
   // p[j], p[j+1], p[j+2] in one block against a pointer parameter: no
-  // static extent, but the three checks widen into a single interval
-  // check spanning [p+4j, p+4j+8].
+  // static extent and no loop, so each access keeps its own check.
   const Compiled c = compile_elided(R"(
     int smooth(int *p, int j) {
       return p[j] + p[j + 1] + p[j + 2];
@@ -271,10 +299,12 @@ TEST(ElideWiden, ConsecutiveAccessesMergeIntoOneIntervalCheck) {
     }
   )");
   const std::string smooth = function_text(c.text, "smooth");
-  EXPECT_EQ(c.stats.checks_widened, 3u) << c.text;
-  EXPECT_EQ(c.stats.widen_checks_inserted, 1u);
-  EXPECT_EQ(count_occurrences(smooth, "boundcheck.sw"), 1) << smooth;
-  EXPECT_EQ(count_occurrences(smooth, "!elided"), 3) << smooth;
+  EXPECT_EQ(count_occurrences(smooth, "boundcheck.sw"), 3) << smooth;
+  EXPECT_EQ(count_occurrences(smooth, "!elided"), 0) << smooth;
+  // The one check removed in the module is main's constant-range set-up
+  // store, which the range proof deletes.
+  EXPECT_EQ(c.stats.checks_removed(), 1u) << c.text;
+  EXPECT_EQ(c.stats.checks_deleted, 1u);
   ASSERT_TRUE(c.program != nullptr);
   const vm::RunResult run = c.program->run();
   EXPECT_TRUE(run.ok) << (run.fault ? run.fault->detail : run.error);
@@ -375,7 +405,7 @@ const Violation kViolations[] = {
         return 0;
       }
     )", false},
-    {"widened_group_oob", R"(
+    {"straight_line_group_oob", R"(
       int smooth(int *p, int j) {
         return p[j] + p[j + 1] + p[j + 2];
       }
@@ -404,7 +434,7 @@ TEST_P(ElideFaultIdentity, ElidedRunCatchesEverySeededViolation) {
           << v.name << " mode " << to_string(mode) << ": " << compiled.error;
       (elide ? elided : base) = compiled.program->run();
     }
-    // The hoisted/widened interval check may fire earlier (and, under
+    // The hoisted interval check may fire earlier (and, under
     // cash, as #BR instead of #GP on a spilled array), so the gate is
     // bound_violation() plus output-so-far identity — not fault equality.
     // The invariant is that elision never loses a violation the baseline

@@ -89,6 +89,20 @@ int main() {
   EXPECT_TRUE(has_line(run, "counters.hw_checked_accesses 11\n")) << run.out;
 }
 
+TEST(Cashc, MainReturning139IsNotAFault) {
+  // A nonzero return from main exits 3, whatever its value, so it never
+  // reads as one of cashc's own outcomes; --stats still shows the value.
+  const Outcome run = cashc("--mode=cash --stats", R"(
+int main() {
+  return 139;
+}
+)");
+  EXPECT_EQ(run.status, 3) << run.out;
+  EXPECT_TRUE(has_line(run, "ok true\n")) << run.out;
+  EXPECT_TRUE(has_line(run, "exit_code 139\n")) << run.out;
+  EXPECT_FALSE(has_line(run, "fault.")) << run.out;
+}
+
 TEST(Cashc, SimulatorLimitHasItsOwnExitCode) {
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
   GTEST_SKIP() << "the sanitizers reserve more address space than the cap";
